@@ -29,11 +29,9 @@ from .inference import (
     TabularDistribution,
     ZeroEvidenceError,
     brute_force_map,
-    conditional_log_prob,
     make_oracle,
     min_entropy,
     parse_query_spec,
-    sample_conditional,
     sample_joint,
     superlevel_mass,
     tabulate_conditional,
@@ -51,7 +49,6 @@ from .solvers import (
     Solution,
     TrajectoryPoint,
     budget_pac_map,
-    emit_trajectory,
     hamming_ball,
     naive_map,
     pac_map,

@@ -25,35 +25,6 @@ class BaselineResult:
     wall_time: float
 
 
-def _max_forward(circuit: Circuit, row: np.ndarray) -> np.ndarray:
-    """Upward pass with sums replaced by weighted max.
-
-    `row` fixes evidence values; MARGINAL entries are maximized over {0, 1}
-    at the leaves rather than summed out.
-    """
-    leaf_plan, levels = circuit._plan
-    values = np.empty(len(circuit.nodes), dtype=np.float64)
-    if leaf_plan["bern_ids"].size:
-        col = row[leaf_plan["bern_vars"]]
-        log_t, log_1mt = leaf_plan["bern_log_t"], leaf_plan["bern_log_1mt"]
-        values[leaf_plan["bern_ids"]] = np.where(
-            col == MARGINAL, np.maximum(log_t, log_1mt), np.where(col == 1, log_t, log_1mt)
-        )
-    if leaf_plan["ind_ids"].size:
-        col = row[leaf_plan["ind_vars"]]
-        values[leaf_plan["ind_ids"]] = np.where(
-            col == MARGINAL, 0.0, np.where(col == leaf_plan["ind_vals"], 0.0, -np.inf)
-        )
-    for entry in levels:
-        if "prod" in entry:
-            ids, flat, offsets = entry["prod"]
-            values[ids] = np.add.reduceat(values[flat], offsets)
-        if "sum" in entry:
-            ids, flat, logw, offsets, _ = entry["sum"]
-            values[ids] = np.maximum.reduceat(values[flat] + logw, offsets)
-    return values
-
-
 def _evidence_row(circuit: Circuit, spec: QuerySpec) -> np.ndarray:
     row = np.full(circuit.num_vars, MARGINAL, dtype=np.int8)
     for v, val in spec.evidence.items():
@@ -71,7 +42,7 @@ def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | N
     spec.validate(circuit.num_vars)
     t0 = time.perf_counter()
     row = _evidence_row(circuit, spec)
-    values = _max_forward(circuit, row)
+    values = circuit.max_forward(row)[:, 0]
 
     assignment = row.copy()
     stack = [circuit.root]
@@ -116,7 +87,7 @@ def arg_max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle
     t0 = time.perf_counter()
     evidence_row = _evidence_row(circuit, spec)
     nn, n = len(circuit.nodes), circuit.num_vars
-    max_vals = _max_forward(circuit, evidence_row)
+    max_vals = circuit.max_forward(evidence_row)[:, 0]
     cand = np.full((nn, n), MARGINAL, dtype=np.int8)
     trace = np.full((nn, n), MARGINAL, dtype=np.int8)
 

@@ -16,17 +16,87 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import arg_max_product, independent_map, max_product
+from .baselines import BaselineResult, arg_max_product, independent_map, max_product
 from .circuit import Circuit, evaluate_marginal, generate_random_circuit, load_circuit
-from .inference import QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
+from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
 from .rng import DrawStream, as_stream, derive_seed
-from .solvers import Budget, DeterministicEps, Exact, Pac, PacParams, budget_pac_map, naive_map, pac_map, pareto_delta, smooth_pac_map
+from .solvers import (
+    Budget,
+    DeterministicEps,
+    Exact,
+    Pac,
+    PacParams,
+    Solution,
+    TrajectorySink,
+    budget_pac_map,
+    naive_map,
+    pac_map,
+    pareto_delta,
+    smooth_pac_map,
+)
 
-ALL_METHODS = ("pac", "smooth", "budget", "naive", "mp", "amp", "ind")
-DEFAULT_METHODS = ("pac", "smooth", "mp", "amp", "ind")
+# Draw cap of the adaptive solvers, and the draw count of the fixed-budget
+# ones in a bench run, unless set otherwise.
+DEFAULT_CAP = 10**6
+
+
+@dataclass(frozen=True)
+class MethodInputs:
+    """Everything a registered method may read; each method uses a subset."""
+
+    circuit: Circuit
+    spec: QuerySpec
+    oracle: ConditionalOracle
+    params: PacParams | None
+    cap: int | None
+    budget: int | None
+    batch_size: int
+    exploit_period: int
+    radius: int
+    rng: int | DrawStream
+    warm: Sequence[np.ndarray] | None = None
+    trajectory: TrajectorySink | list | None = None
+
+
+@dataclass(frozen=True)
+class Method:
+    """A registry entry.  `kind` is "adaptive" (draws until certified, up to
+    a cap), "fixed" (draws exactly `budget` samples) or "baseline"
+    (deterministic heuristic)."""
+
+    run: Callable[[MethodInputs], Solution | BaselineResult]
+    kind: str
+    takes_warm: bool = False
+
+
+METHODS: dict[str, Method] = {
+    "pac": Method(
+        lambda a: pac_map(
+            a.oracle, a.params, cap=a.cap, warm=a.warm, rng=a.rng, batch_size=a.batch_size, trajectory=a.trajectory
+        ),
+        "adaptive",
+        takes_warm=True,
+    ),
+    "smooth": Method(
+        lambda a: smooth_pac_map(
+            a.oracle, a.params, radius=a.radius, exploit_period=a.exploit_period, cap=a.cap, warm=a.warm,
+            rng=a.rng, batch_size=a.batch_size, trajectory=a.trajectory,
+        ),
+        "adaptive",
+        takes_warm=True,
+    ),
+    "budget": Method(lambda a: budget_pac_map(a.oracle, a.budget, warm=a.warm, rng=a.rng)[0], "fixed", takes_warm=True),
+    "naive": Method(lambda a: naive_map(a.oracle, a.budget, rng=a.rng), "fixed"),
+    "mp": Method(lambda a: max_product(a.circuit, a.spec, oracle=a.oracle), "baseline"),
+    "amp": Method(lambda a: arg_max_product(a.circuit, a.spec, oracle=a.oracle), "baseline"),
+    "ind": Method(lambda a: independent_map(a.oracle), "baseline"),
+}
+# The paper's ranking run: every method except the fixed-budget solvers.
+DEFAULT_METHODS = tuple(name for name, method in METHODS.items() if method.kind != "fixed")
 
 CSV_COLUMNS = (
     "dataset",
@@ -52,7 +122,7 @@ class BenchConfig:
     methods: tuple[str, ...] = DEFAULT_METHODS
     epsilon: float = 0.01
     delta: float = 0.01
-    sample_cap: int = 10**6
+    sample_cap: int = DEFAULT_CAP
     batch_size: int = 5000
     exploit_period: int = 100
     radius: int = 1
@@ -66,7 +136,7 @@ class BenchConfig:
             raise ValueError("query proportions must lie in (0, 1)")
         if self.trials < 1 or self.sample_cap < 1 or self.batch_size < 1:
             raise ValueError("trials, sample_cap and batch_size must be >= 1")
-        unknown = set(self.methods) - set(ALL_METHODS)
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.evidence_mode not in ("model", "uniform"):
@@ -191,38 +261,18 @@ def rank_methods(log_p_hats) -> list[int]:
 
 
 def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig, seed: int):
-    """Run one method; returns (q_hat, log_p_hat, cert_kind, eps, delta, draws, timed_out)."""
-    stream = DrawStream(seed)
+    """Run one method; returns (log_p_hat, cert_kind, eps, delta, draws, timed_out)."""
+    entry = METHODS[method]
     params = PacParams(cfg.epsilon, cfg.delta)
     oracle = make_oracle(circuit, spec)
-    if method == "pac":
-        sol = pac_map(oracle, params, cap=cfg.sample_cap, rng=stream, batch_size=cfg.batch_size)
-    elif method == "smooth":
-        sol = smooth_pac_map(
-            oracle,
-            params,
-            radius=cfg.radius,
-            exploit_period=cfg.exploit_period,
-            cap=cfg.sample_cap,
-            rng=stream,
-            batch_size=cfg.batch_size,
+    sol = entry.run(
+        MethodInputs(
+            circuit, spec, oracle, params, cap=cfg.sample_cap, budget=cfg.sample_cap, batch_size=cfg.batch_size,
+            exploit_period=cfg.exploit_period, radius=cfg.radius, rng=DrawStream(seed),
         )
-    elif method == "budget":
-        sol, _ = budget_pac_map(oracle, cfg.sample_cap, rng=stream)
-    elif method == "naive":
-        sol = naive_map(oracle, cfg.sample_cap, rng=stream)
-    elif method == "mp":
-        res = max_product(circuit, spec, oracle=oracle)
-        return res.q_hat, res.log_p_hat, "", None, None, 0, False
-    elif method == "amp":
-        res = arg_max_product(circuit, spec, oracle=oracle)
-        return res.q_hat, res.log_p_hat, "", None, None, 0, False
-    elif method == "ind":
-        res = independent_map(oracle)
-        return res.q_hat, res.log_p_hat, "", None, None, 0, False
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    )
+    if entry.kind == "baseline":
+        return sol.log_p_hat, "", None, None, 0, False
     cert = sol.certificate
     if isinstance(cert, Exact):
         eps, delta = 0.0, 0.0
@@ -235,8 +285,8 @@ def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig
         p_hat = math.exp(sol.log_p_hat)
         eps = cfg.epsilon
         delta = 0.0 if cfg.epsilon >= 1.0 - p_hat else pareto_delta(p_hat, cfg.epsilon, sol.draws_used)
-    timed_out = isinstance(cert, Budget) and method in ("pac", "smooth")
-    return sol.q_hat, sol.log_p_hat, cert.kind, eps, delta, sol.draws_used, timed_out
+    timed_out = isinstance(cert, Budget) and entry.kind == "adaptive"
+    return sol.log_p_hat, cert.kind, eps, delta, sol.draws_used, timed_out
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
@@ -261,7 +311,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                 for method in cfg.methods:
                     t0 = time.perf_counter()
                     try:
-                        _, log_p, cert, eps, delta, draws, timed_out = _run_method(
+                        log_p, cert, eps, delta, draws, timed_out = _run_method(
                             method, circuit, spec, cfg, derive_seed(base, "method", method)
                         )
                         ms = (time.perf_counter() - t0) * 1000.0

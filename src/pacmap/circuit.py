@@ -38,6 +38,9 @@ MARGINAL = -1
 # Cap on scratch elements (nodes x batch rows) per evaluation chunk.
 _CHUNK_ELEMS = 4_000_000
 
+# Finite stand-in for a -inf running max in the log-sum-exp of a sum node.
+_LOG_FLOOR = np.finfo(np.float64).min
+
 
 class CircuitFormatError(ValueError):
     """Malformed circuit text; carries the 1-based offending line number."""
@@ -169,20 +172,24 @@ class Circuit:
             if isinstance(node, (SumNode, ProductNode)):
                 level[i] = 1 + max(level[ch] for ch in node.children)
 
-        bern = [i for i, n in enumerate(nodes) if isinstance(n, BernoulliLeaf)]
-        ind = [i for i, n in enumerate(nodes) if isinstance(n, IndicatorLeaf)]
+        # An indicator leaf for value v is a Bernoulli leaf with theta = v.
+        leaves = [i for i, n in enumerate(nodes) if isinstance(n, (BernoulliLeaf, IndicatorLeaf))]
+        is_ind = np.asarray([isinstance(nodes[i], IndicatorLeaf) for i in leaves], dtype=bool)
+        theta = np.asarray(
+            [nodes[i].value if ind else nodes[i].theta for i, ind in zip(leaves, is_ind)], dtype=np.float64
+        )
+        with np.errstate(divide="ignore"):  # theta 0 or 1 gives a -inf entry
+            log1 = np.log(theta)
+            # log1p(-0) is -0.0; an indicator's exact log(1 - v) keeps +0.0.
+            log0 = np.where(is_ind, np.log(1.0 - theta), np.log1p(-theta))
         leaf_plan = {
-            "bern_ids": np.asarray(bern, dtype=np.int64),
-            "bern_vars": np.asarray([nodes[i].var for i in bern], dtype=np.int64),
-            "bern_log_t": np.log(np.asarray([nodes[i].theta for i in bern], dtype=np.float64))
-            if bern
-            else np.empty(0),
-            "bern_log_1mt": np.log1p(-np.asarray([nodes[i].theta for i in bern], dtype=np.float64))
-            if bern
-            else np.empty(0),
-            "ind_ids": np.asarray(ind, dtype=np.int64),
-            "ind_vars": np.asarray([nodes[i].var for i in ind], dtype=np.int64),
-            "ind_vals": np.asarray([nodes[i].value for i in ind], dtype=np.int64),
+            "ids": np.asarray(leaves, dtype=np.int64),
+            "vars": np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
+            "log0": log0,
+            "log1": log1,
+            # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or,
+            # in a max pass, takes its larger value.
+            "max_marginal": np.maximum(log0, log1),
         }
 
         levels = []
@@ -223,6 +230,17 @@ class Circuit:
         (num_nodes, B) float64.  For large batches prefer log_root, which
         chunks to bound scratch memory.
         """
+        return self._forward(rows, maximize=False)
+
+    def max_forward(self, rows: np.ndarray) -> np.ndarray:
+        """log_forward with every sum replaced by its largest weighted child.
+
+        A MARGINAL entry is maximized over {0, 1} at the leaves rather than
+        summed out.  Same shapes as log_forward.
+        """
+        return self._forward(rows, maximize=True)
+
+    def _forward(self, rows: np.ndarray, maximize: bool) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
         if rows.shape[1] != self.num_vars:
             raise ValueError(f"assignment rows have {rows.shape[1]} variables, expected {self.num_vars}")
@@ -230,17 +248,13 @@ class Circuit:
         nn, b = len(self.nodes), rows.shape[0]
         values = np.empty((nn, b), dtype=np.float64)
 
-        if leaf_plan["bern_ids"].size:
-            col = rows[:, leaf_plan["bern_vars"]].T
-            values[leaf_plan["bern_ids"]] = np.where(
+        if leaf_plan["ids"].size:
+            col = rows[:, leaf_plan["vars"]].T
+            marginal = leaf_plan["max_marginal"][:, None] if maximize else 0.0
+            values[leaf_plan["ids"]] = np.where(
                 col == MARGINAL,
-                0.0,
-                np.where(col == 1, leaf_plan["bern_log_t"][:, None], leaf_plan["bern_log_1mt"][:, None]),
-            )
-        if leaf_plan["ind_ids"].size:
-            col = rows[:, leaf_plan["ind_vars"]].T
-            values[leaf_plan["ind_ids"]] = np.where(
-                col == MARGINAL, 0.0, np.where(col == leaf_plan["ind_vals"][:, None], 0.0, -np.inf)
+                marginal,
+                np.where(col == 1, leaf_plan["log1"][:, None], leaf_plan["log0"][:, None]),
             )
 
         for entry in levels:
@@ -251,13 +265,15 @@ class Circuit:
                 ids, flat, logw, offsets, counts = entry["sum"]
                 terms = values[flat] + logw[:, None]
                 mx = np.maximum.reduceat(terms, offsets, axis=0)
-                with np.errstate(invalid="ignore"):
-                    ex = np.exp(terms - np.repeat(mx, counts, axis=0))
-                ex = np.where(np.isnan(ex), 0.0, ex)
-                total = np.add.reduceat(ex, offsets, axis=0)
+                if maximize:
+                    values[ids] = mx
+                    continue
+                # A sum whose children are all -inf keeps exp(-inf - floor) = 0
+                # and log(0) = -inf, instead of the NaN from -inf - -inf.
+                np.maximum(mx, _LOG_FLOOR, out=mx)
+                total = np.add.reduceat(np.exp(terms - np.repeat(mx, counts, axis=0)), offsets, axis=0)
                 with np.errstate(divide="ignore"):
-                    out = mx + np.log(total)
-                values[ids] = np.where(np.isneginf(mx), -np.inf, out)
+                    values[ids] = mx + np.log(total)
         return values
 
     def log_root(self, rows: np.ndarray) -> np.ndarray:
@@ -405,6 +421,8 @@ def parse_circuit(text: str, validate: bool = True) -> Circuit:
                     w = float(ws)
                 except ValueError:
                     fail(f"bad weight {ws!r}", ln)
+                if not np.isfinite(w):
+                    fail(f"weight {ws!r} is not finite", ln)
                 if w <= 0.0:
                     fail(f"weight {w} must be strictly positive", ln)
                 children.append(ch)

@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import arg_max_product, independent_map, max_product
-from .bench import parse_bench_config, render_summary, run_benchmark, write_records_csv
+from .bench import DEFAULT_CAP, METHODS, MethodInputs, parse_bench_config, render_summary, run_benchmark, write_records_csv
 from .circuit import CircuitFormatError, CircuitStructureError, load_circuit, validate_structure
 from .inference import (
     ZeroEvidenceError,
@@ -24,7 +24,7 @@ from .inference import (
     parse_query_spec,
     tabulate_conditional,
 )
-from .solvers import Budget, DeterministicEps, Exact, Pac, PacParams, budget_pac_map, naive_map, pac_map, smooth_pac_map
+from .solvers import Budget, DeterministicEps, Exact, Pac, PacParams, budget_pac_map, pac_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,45 +73,24 @@ def _write_trajectory(points, path) -> None:
 def cmd_solve(args) -> int:
     circuit, spec = _load_problem(args)
     oracle = make_oracle(circuit, spec)
-    warm = None
-    if args.warm_from and args.method not in ("pac", "smooth", "budget"):
-        raise ValueError(f"--warm-from is not supported with method {args.method!r}")
+    method, entry = args.method, METHODS[args.method]
+    inputs = MethodInputs(
+        circuit, spec, oracle, PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None,
+        cap=args.cap, budget=args.budget, batch_size=args.batch_size, exploit_period=args.period,
+        radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
+    )
     if args.warm_from:
-        if args.warm_from == "mp":
-            warm = [max_product(circuit, spec, oracle=oracle).q_hat]
-        elif args.warm_from == "amp":
-            warm = [arg_max_product(circuit, spec, oracle=oracle).q_hat]
-        elif args.warm_from == "ind":
-            warm = [independent_map(oracle).q_hat]
-        else:
-            raise ValueError("--warm-from expects one of mp, amp, ind")
+        if not entry.takes_warm:
+            raise ValueError(f"--warm-from is not supported with method {method!r}")
+        baselines = [name for name, m in METHODS.items() if m.kind == "baseline"]
+        if args.warm_from not in baselines:
+            raise ValueError(f"--warm-from expects one of {', '.join(baselines)}")
+        inputs = replace(inputs, warm=[METHODS[args.warm_from].run(inputs).q_hat])
+    if entry.kind == "fixed" and args.budget is None:
+        raise ValueError(f"--budget is required for method {method!r}")
 
-    trajectory = [] if args.trajectory else None
-    method = args.method
-    if method in ("pac", "smooth"):
-        params = PacParams(args.epsilon, args.delta)
-        if method == "pac":
-            sol = pac_map(
-                oracle, params, cap=args.cap, warm=warm, rng=args.seed,
-                batch_size=args.batch_size, trajectory=trajectory,
-            )
-        else:
-            sol = smooth_pac_map(
-                oracle, params, radius=args.radius, exploit_period=args.period,
-                cap=args.cap, warm=warm, rng=args.seed,
-                batch_size=args.batch_size, trajectory=trajectory,
-            )
-    elif method == "budget":
-        if args.budget is None:
-            raise ValueError("--budget is required for method 'budget'")
-        sol, _ = budget_pac_map(oracle, args.budget, warm=warm, rng=args.seed)
-    elif method == "naive":
-        if args.budget is None:
-            raise ValueError("--budget is required for method 'naive'")
-        sol = naive_map(oracle, args.budget, rng=args.seed)
-    elif method in ("mp", "amp", "ind"):
-        res = {"mp": max_product, "amp": arg_max_product}.get(method)
-        result = res(circuit, spec, oracle=oracle) if res else independent_map(oracle)
+    if entry.kind == "baseline":
+        result = entry.run(inputs)
         print(
             f"result method={method} q={_bitstring(result.q_hat)} "
             f"log_p_hat={result.log_p_hat!r} cert= epsilon= delta= draws=0 "
@@ -119,9 +98,8 @@ def cmd_solve(args) -> int:
         )
         print(f"{method} assignment over {len(result.q_hat)} query vars, ln p = {result.log_p_hat:.6f}")
         return EXIT_OK
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
+    sol = entry.run(inputs)
     kind, eps_s, delta_s = _cert_fields(sol.certificate)
     print(
         f"result method={method} q={_bitstring(sol.q_hat)} log_p_hat={sol.log_p_hat!r} "
@@ -133,8 +111,8 @@ def cmd_solve(args) -> int:
         f"ln p(q|e) = {sol.log_p_hat:.6f}"
     )
     if args.trajectory:
-        _write_trajectory(trajectory, args.trajectory)
-        print(f"trajectory written to {args.trajectory} ({len(trajectory)} points)")
+        _write_trajectory(inputs.trajectory, args.trajectory)
+        print(f"trajectory written to {args.trajectory} ({len(inputs.trajectory)} points)")
     return EXIT_OK
 
 
@@ -216,11 +194,11 @@ def build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="run one solver on a circuit and query spec")
     solve.add_argument("--circuit", required=True)
     solve.add_argument("--query", required=True)
-    solve.add_argument("--method", required=True, choices=["pac", "smooth", "budget", "naive", "mp", "amp", "ind"])
+    solve.add_argument("--method", required=True, choices=list(METHODS))
     solve.add_argument("--epsilon", type=float, default=0.01)
     solve.add_argument("--delta", type=float, default=0.01)
     solve.add_argument("--budget", type=int, default=None)
-    solve.add_argument("--cap", type=int, default=None)
+    solve.add_argument("--cap", type=int, default=DEFAULT_CAP)
     solve.add_argument("--batch-size", type=int, default=5000)
     solve.add_argument("--period", type=int, default=100)
     solve.add_argument("--radius", type=int, default=1)

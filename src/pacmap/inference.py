@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import (
+    _CHUNK_ELEMS,
     MARGINAL,
     BernoulliLeaf,
     Circuit,
@@ -115,13 +116,18 @@ class ConditionalOracle:
         self._upward = upward
 
         # Per sum node: cumulative child-selection probabilities under the
-        # cached upward pass.  Unreachable (zero-mass) nodes keep None.
+        # cached upward pass, and the last child with positive mass (a float
+        # cumsum can end below 1, and a draw past it must not land in a
+        # zero-mass child).  Unreachable (zero-mass) nodes keep None.
         cums: list[np.ndarray | None] = [None] * len(circuit.nodes)
+        last_live = [0] * len(circuit.nodes)
         for i, node in enumerate(circuit.nodes):
             if isinstance(node, SumNode) and upward[i] > -np.inf:
-                logits = np.log(node.weights) + upward[list(node.children)] - upward[i]
-                cums[i] = np.cumsum(np.exp(logits))
+                probs = np.exp(np.log(node.weights) + upward[list(node.children)] - upward[i])
+                cums[i] = np.cumsum(probs)
+                last_live[i] = int(np.flatnonzero(probs > 0.0)[-1])
         self._sum_cums = cums
+        self._sum_last_live = last_live
         self._evidence_mask = np.zeros(circuit.num_vars, dtype=bool)
         for v in spec.evidence:
             self._evidence_mask[v] = True
@@ -164,7 +170,7 @@ class ConditionalOracle:
             raise ValueError("count must be >= 1")
         stream = as_stream(rng)
         nn = len(self.circuit.nodes)
-        chunk = max(1, 4_000_000 // nn)
+        chunk = max(1, _CHUNK_ELEMS // nn)
         parts = []
         remaining = count
         while remaining > 0:
@@ -194,7 +200,7 @@ class ConditionalOracle:
                 cum = self._sum_cums[i]
                 rows = np.nonzero(mask)[0]
                 choice = np.searchsorted(cum, uniforms_at(rows, i), side="right")
-                np.clip(choice, 0, len(node.children) - 1, out=choice)
+                np.clip(choice, 0, self._sum_last_live[i], out=choice)
                 for k, ch in enumerate(node.children):
                     sel = rows[choice == k]
                     if sel.size:
@@ -217,14 +223,6 @@ class ConditionalOracle:
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:
     """Build a conditional oracle; raises ZeroEvidenceError when p(e) = 0."""
     return ConditionalOracle(circuit, spec)
-
-
-def conditional_log_prob(oracle: ConditionalOracle, query) -> float:
-    return oracle.conditional_log_prob(query)
-
-
-def sample_conditional(oracle: ConditionalOracle, count: int, rng: int | DrawStream) -> np.ndarray:
-    return oracle.sample(count, rng)
 
 
 def sample_joint(circuit: Circuit, count: int, rng: int | DrawStream) -> np.ndarray:
@@ -269,11 +267,14 @@ class TabularDistribution:
             return cls(np.log(p), check_tol=1e-9)
 
     def log_prob_rows(self, query_rows: np.ndarray) -> np.ndarray:
-        query_rows = np.atleast_2d(np.asarray(query_rows, dtype=np.int64))
+        """ln p(q) for complete 0/1 query rows; MARGINAL entries are refused."""
+        query_rows = np.atleast_2d(np.asarray(query_rows))
         if query_rows.shape[1] != self.num_query:
             raise ValueError("query arity mismatch")
+        if query_rows.size and (query_rows.min() < 0 or query_rows.max() > 1):
+            raise ValueError("tabular query rows must be 0/1 valued")
         shifts = np.arange(self.num_query - 1, -1, -1, dtype=np.int64)
-        idx = (query_rows << shifts).sum(axis=1)
+        idx = (query_rows.astype(np.int64) << shifts).sum(axis=1)
         return self.log_probs[idx]
 
     def conditional_log_prob(self, query) -> float:

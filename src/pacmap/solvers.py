@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
@@ -202,11 +202,13 @@ class SampleSet:
                 self.best_bits = bits[i].copy()
 
 
-@dataclass
-class _ScanResult:
-    committed: int
-    stop_kind: str | None  # "det" | "pac" | None
-    exact: bool = False
+def _certify(p_hat: float, p_check: float, m: int, eps: float, delta: float, need_nat: float) -> Certificate | None:
+    """The certificate the stopping rules grant at this point, if any."""
+    if p_hat >= p_check * (1.0 - eps):
+        return Exact() if p_hat >= p_check else DeterministicEps(eps)
+    if m >= 1 and p_hat > 0.0 and m >= need_nat / p_hat:
+        return Pac(eps, delta)
+    return None
 
 
 def _scan_draws(
@@ -214,11 +216,15 @@ def _scan_draws(
     bits: np.ndarray,
     log_probs: np.ndarray,
     eps: float,
+    delta: float,
     need_nat: float,
     trajectory: TrajectorySink | None,
-) -> _ScanResult:
+) -> tuple[int, Certificate | None]:
     """Fold a batch of draws into `state`, stopping at the first draw where a
     stopping rule holds.  Draws after the stop index are not committed.
+
+    Returns the number of committed draws and the certificate granted at the
+    last of them, if any.
     """
     b = bits.shape[0]
     keys_np = pack_rows(bits)
@@ -237,21 +243,11 @@ def _scan_draws(
     p_check = np.clip(-np.expm1(np.minimum(cum_mass, 0.0)), 0.0, None)
     m_abs = state.m + np.arange(1, b + 1)
 
-    cond_det = p_hat >= p_check * (1.0 - eps)
     with np.errstate(divide="ignore"):
-        cond_pac = m_abs >= need_nat / p_hat
-    stop = cond_det | cond_pac
-
-    if stop.any():
-        pos = int(np.argmax(stop))
-        committed = pos + 1
-        if cond_det[pos]:
-            result = _ScanResult(committed, "det", exact=bool(p_hat[pos] >= p_check[pos]))
-        else:
-            result = _ScanResult(committed, "pac")
-    else:
-        committed = b
-        result = _ScanResult(committed, None)
+        stop = (p_hat >= p_check * (1.0 - eps)) | (m_abs >= need_nat / p_hat)
+    committed = int(np.argmax(stop)) + 1 if stop.any() else b
+    last = committed - 1
+    cert = _certify(float(p_hat[last]), float(p_check[last]), int(m_abs[last]), eps, delta, need_nat)
 
     if trajectory is not None:
         base = 1.0 - p_hat[:committed] / (1.0 - eps)
@@ -271,13 +267,13 @@ def _scan_draws(
     for i in prefix_new:
         atoms[keys_py[i]] = float(log_probs[i])
     state.m += committed
-    state.log_total_mass = float(cum_mass[committed - 1])
-    prefix_best = float(cum_best[committed - 1])
+    state.log_total_mass = float(cum_mass[last])
+    prefix_best = float(cum_best[last])
     if prefix_best > state.best_log_prob:
         first = int(np.argmax(log_probs[:committed]))
         state.best_bits = bits[first].copy()
         state.best_log_prob = prefix_best
-    return result
+    return committed, cert
 
 
 def _score_and_insert(state: SampleSet, oracle, rows: np.ndarray) -> int:
@@ -302,6 +298,62 @@ def _finish(state: SampleSet, cert: Certificate, oracle_calls: int, t0: float) -
     )
 
 
+def _adaptive(
+    oracle,
+    params: PacParams,
+    cap: int | None,
+    warm: Sequence[np.ndarray] | None,
+    rng: int | DrawStream,
+    batch_size: int,
+    trajectory: TrajectorySink | list | None,
+    radius: int = 0,
+    next_segment: Callable[[], int] | None = None,
+) -> Solution:
+    """The adaptive loop behind pac_map and smooth_pac_map.
+
+    With `next_segment`, the Hamming ball of `radius` around the leading
+    candidate is scored and inserted after each segment of next_segment()
+    random draws.  Without it the draws run in one unbounded segment.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    t0 = time.perf_counter()
+    stream = as_stream(rng)
+    sink = trajectory.append if isinstance(trajectory, list) else trajectory
+    eps, delta = params.epsilon, params.delta
+    need_nat = (1.0 - eps) * math.log(1.0 / delta)
+
+    state = SampleSet()
+    oracle_calls = 0
+    if warm is not None and len(warm):
+        oracle_calls += _score_and_insert(state, oracle, np.stack([np.asarray(w) for w in warm]))
+
+    while True:
+        segment = next_segment() if next_segment is not None else math.inf
+        while segment > 0:
+            take = min(batch_size, segment, math.inf if cap is None else cap - state.m)
+            bits = oracle.sample(take, stream)
+            log_probs = np.asarray(oracle.log_prob_rows(bits), dtype=np.float64)
+            committed, cert = _scan_draws(state, bits, log_probs, eps, delta, need_nat, sink)
+            oracle_calls += committed
+            if committed < take:
+                stream.rewind(take - committed)
+            if cert is not None:
+                return _finish(state, cert, oracle_calls, t0)
+            if cap is not None and state.m >= cap:
+                return _finish(state, Budget(pareto_front(state.p_hat(), state.m)), oracle_calls, t0)
+            segment -= committed
+
+        if state.best_bits is not None:
+            ball = hamming_ball(state.best_bits, min(radius, oracle.num_query))
+            oracle_calls += _score_and_insert(state, oracle, np.stack(list(ball)))
+            cert = _certify(state.p_hat(), state.residual(), state.m, eps, delta, need_nat)
+            if cert is not None:
+                return _finish(state, cert, oracle_calls, t0)
+
+
 def pac_map(
     oracle,
     params: PacParams,
@@ -321,37 +373,7 @@ def pac_map(
     the realized sample.  Warm-start atoms join the candidate set before the
     loop without counting as draws.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    t0 = time.perf_counter()
-    stream = as_stream(rng)
-    sink = trajectory.append if isinstance(trajectory, list) else trajectory
-    eps, delta = params.epsilon, params.delta
-    need_nat = (1.0 - eps) * math.log(1.0 / delta)
-
-    state = SampleSet()
-    oracle_calls = 0
-    if warm is not None and len(warm):
-        oracle_calls += _score_and_insert(state, oracle, np.stack([np.asarray(w) for w in warm]))
-
-    while True:
-        take = batch_size if cap is None else min(batch_size, cap - state.m)
-        bits = oracle.sample(take, stream)
-        log_probs = np.asarray(oracle.log_prob_rows(bits), dtype=np.float64)
-        res = _scan_draws(state, bits, log_probs, eps, need_nat, sink)
-        oracle_calls += res.committed
-        if res.committed < take:
-            stream.rewind(take - res.committed)
-        if res.stop_kind == "det":
-            cert = Exact() if res.exact else DeterministicEps(eps)
-            return _finish(state, cert, oracle_calls, t0)
-        if res.stop_kind == "pac":
-            return _finish(state, Pac(eps, delta), oracle_calls, t0)
-        if cap is not None and state.m >= cap:
-            front = pareto_front(state.p_hat(), state.m)
-            return _finish(state, Budget(front), oracle_calls, t0)
+    return _adaptive(oracle, params, cap, warm, rng, batch_size, trajectory)
 
 
 def smooth_pac_map(
@@ -382,19 +404,7 @@ def smooth_pac_map(
         raise ValueError("exploit_period must be >= 1")
     if eta is not None and not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
-    t0 = time.perf_counter()
-    stream = as_stream(rng)
-    coin_stream = stream.spawn("explore-coin") if eta is not None else None
-    sink = trajectory.append if isinstance(trajectory, list) else trajectory
-    eps, delta = params.epsilon, params.delta
-    need_nat = (1.0 - eps) * math.log(1.0 / delta)
-
-    state = SampleSet()
-    oracle_calls = 0
-    if warm is not None and len(warm):
-        oracle_calls += _score_and_insert(state, oracle, np.stack([np.asarray(w) for w in warm]))
+    coin_stream = as_stream(rng).spawn("explore-coin") if eta is not None else None
 
     def next_segment() -> int:
         """Number of draws before the next exploitation pass."""
@@ -403,72 +413,11 @@ def smooth_pac_map(
         count = 0
         while True:
             coins = coin_stream.uniform_block(64, 1).ravel() < (1.0 - eta)
-            split = int(np.argmin(coins)) if not coins.all() else None
-            if split is not None:
-                return count + split
+            if not coins.all():
+                return count + int(np.argmin(coins))
             count += 64
 
-    while True:
-        segment = next_segment()
-        while segment > 0:
-            take = min(batch_size, segment)
-            if cap is not None:
-                take = min(take, cap - state.m)
-            if take == 0:
-                break
-            bits = oracle.sample(take, stream)
-            log_probs = np.asarray(oracle.log_prob_rows(bits), dtype=np.float64)
-            res = _scan_draws(state, bits, log_probs, eps, need_nat, sink)
-            oracle_calls += res.committed
-            if res.committed < take:
-                stream.rewind(take - res.committed)
-            if res.stop_kind == "det":
-                cert = Exact() if res.exact else DeterministicEps(eps)
-                return _finish(state, cert, oracle_calls, t0)
-            if res.stop_kind == "pac":
-                return _finish(state, Pac(eps, delta), oracle_calls, t0)
-            segment -= res.committed
-        if cap is not None and state.m >= cap:
-            front = pareto_front(state.p_hat(), state.m)
-            return _finish(state, Budget(front), oracle_calls, t0)
-
-        if state.best_bits is not None:
-            ball = np.stack(list(hamming_ball(state.best_bits, min(radius, oracle.num_query))))
-            oracle_calls += _score_and_insert(state, oracle, ball)
-            p_hat, p_check = state.p_hat(), state.residual()
-            if p_hat >= p_check * (1.0 - eps):
-                cert = Exact() if p_hat >= p_check else DeterministicEps(eps)
-                return _finish(state, cert, oracle_calls, t0)
-            if state.m >= 1 and p_hat > 0.0 and state.m >= need_nat / p_hat:
-                return _finish(state, Pac(eps, delta), oracle_calls, t0)
-
-
-def _draw_summary(oracle, budget: int, warm, stream: DrawStream):
-    """Draw exactly `budget` samples, score everything, and summarize.
-
-    Returns (state, oracle_calls) where state holds the deduplicated mass,
-    the first-seen argmax and m = budget.
-    """
-    warm_rows = (
-        np.stack([np.asarray(w, dtype=np.int8) for w in warm])
-        if warm is not None and len(warm)
-        else np.empty((0, oracle.num_query), dtype=np.int8)
-    )
-    draws = oracle.sample(budget, stream)
-    all_rows = np.concatenate([warm_rows, draws]) if warm_rows.size else draws
-    log_probs = np.asarray(oracle.log_prob_rows(all_rows), dtype=np.float64)
-
-    keys = pack_rows(all_rows)
-    _, first_pos = np.unique(keys, return_index=True)
-    distinct = log_probs[first_pos]
-    state = SampleSet()
-    state.m = budget
-    state.log_total_mass = float(np.logaddexp.reduce(distinct))
-    best = int(np.argmax(log_probs))
-    state.best_bits = all_rows[best].copy()
-    state.best_log_prob = float(log_probs[best])
-    state.atoms = dict(zip(keys.tolist(), log_probs.tolist()))
-    return state, all_rows.shape[0]
+    return _adaptive(oracle, params, cap, warm, rng, batch_size, trajectory, radius, next_segment)
 
 
 def budget_pac_map(
@@ -489,44 +438,40 @@ def budget_pac_map(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
-    state, oracle_calls = _draw_summary(oracle, budget, warm, as_stream(rng))
+    warm_rows = (
+        np.stack([np.asarray(w, dtype=np.int8) for w in warm])
+        if warm is not None and len(warm)
+        else np.empty((0, oracle.num_query), dtype=np.int8)
+    )
+    draws = oracle.sample(budget, as_stream(rng))
+    all_rows = np.concatenate([warm_rows, draws]) if warm_rows.size else draws
+    log_probs = np.asarray(oracle.log_prob_rows(all_rows), dtype=np.float64)
+
+    keys = pack_rows(all_rows)
+    _, first_pos = np.unique(keys, return_index=True)
+    best = int(np.argmax(log_probs))
+    state = SampleSet(
+        atoms=dict(zip(keys.tolist(), log_probs.tolist())),
+        m=budget,
+        log_total_mass=float(np.logaddexp.reduce(log_probs[first_pos])),
+        best_bits=all_rows[best].copy(),
+        best_log_prob=float(log_probs[best]),
+    )
     p_hat, p_check = state.p_hat(), state.residual()
     if p_hat >= p_check:
         front = ParetoFront(p_hat, budget, ((0.0, 0.0),))
-        return _finish(state, Exact(), oracle_calls, t0), front
+        return _finish(state, Exact(), all_rows.shape[0], t0), front
     front = pareto_front(p_hat, budget, grid)
-    return _finish(state, Budget(front), oracle_calls, t0), front
+    return _finish(state, Budget(front), all_rows.shape[0], t0), front
 
 
 def naive_map(oracle, draws: int, rng: int | DrawStream = 0) -> Solution:
     """Draw a fixed number of samples and return the best-scoring one.
 
-    The certificate is always the realized budget frontier.
+    budget_pac_map without warm starts; the certificate is always the
+    realized budget frontier, even where budget_pac_map would call it exact.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    t0 = time.perf_counter()
-    state, oracle_calls = _draw_summary(oracle, draws, None, as_stream(rng))
-    p_hat, p_check = state.p_hat(), state.residual()
-    if p_hat >= p_check:
-        front = ParetoFront(p_hat, draws, ((0.0, 0.0),))
-    else:
-        front = pareto_front(p_hat, draws)
-    return _finish(state, Budget(front), oracle_calls, t0)
-
-
-def emit_trajectory(
-    oracle,
-    params: PacParams,
-    method: str = "pac",
-    **kwargs,
-) -> tuple[Solution, list[TrajectoryPoint]]:
-    """Run pac_map or smooth_pac_map with a list sink attached."""
-    points: list[TrajectoryPoint] = []
-    if method == "pac":
-        solution = pac_map(oracle, params, trajectory=points, **kwargs)
-    elif method == "smooth":
-        solution = smooth_pac_map(oracle, params, trajectory=points, **kwargs)
-    else:
-        raise ValueError("method must be 'pac' or 'smooth'")
-    return solution, points
+    sol, front = budget_pac_map(oracle, draws, rng=rng)
+    return replace(sol, certificate=Budget(front))

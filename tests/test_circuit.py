@@ -72,6 +72,8 @@ def test_parse_forward_reference_error():
         ("spn v1\nvars 1\nleaf 5 bernoulli 0 0.5\nroot 0\n", "out of order"),
         ("spn v1\nvars 1\nleaf 0 bernoulli 0 1.5\nroot 0\n", "outside"),
         ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nroot 0\nvars 2\n", "after root"),
+        ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nsum 2 0:nan 1:1\nroot 2\n", "line 5: .*not finite"),
+        ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nsum 2 0:1 1:inf\nroot 2\n", "line 5: .*not finite"),
     ],
 )
 def test_parse_errors(text, match):
@@ -155,6 +157,24 @@ def test_evaluate_mixture():
     )
     c = parse_circuit(text)
     assert evaluate_complete(c, [1]) == pytest.approx(math.log(0.62), abs=1e-12)
+    # The max pass keeps the heavier weighted child; MARGINAL maximizes the leaves.
+    best = c.max_forward(np.array([[1], [0], [-1]]))[c.root]
+    assert np.exp(best) == pytest.approx([0.54, 0.32, 0.54], abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_degenerate_theta_evaluates_without_warnings():
+    # theta 0 and 1 are legal; both mixture children are -inf at x0 = 1.
+    text = (
+        "spn v1\nvars 2\nleaf 0 bernoulli 0 0\nleaf 1 bernoulli 0 0.0\nsum 2 0:0.5 1:0.5\n"
+        "leaf 3 bernoulli 1 1\nprod 4 2 3\nroot 4\n"
+    )
+    c = parse_circuit(text)
+    assert evaluate_complete(c, [0, 1]) == 0.0
+    assert evaluate_complete(c, [1, 1]) == -math.inf
+    assert evaluate_complete(c, [0, 0]) == -math.inf
+    assert evaluate_marginal(c, {}, [0, 1]) == 0.0
+    assert c.max_forward(np.array([[1, -1]]))[c.root, 0] == -math.inf
 
 
 def test_marginalize_everything_is_one(small_circuits):

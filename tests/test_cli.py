@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+from pacmap.bench import BenchConfig
 from pacmap.circuit import circuit_from_pmf, save_circuit
-from pacmap.cli import main
+from pacmap.cli import build_parser, main
 
 
 @pytest.fixture
@@ -78,6 +79,11 @@ def test_solve_baseline_and_warm_start(problem_dir, capsys):
 def test_warm_from_rejected_for_heuristics(problem_dir):
     _, cpath, qpath = problem_dir
     assert main(["solve", "--circuit", cpath, "--query", qpath, "--method", "mp", "--warm-from", "amp"]) == 2
+
+
+def test_solve_cap_defaults_to_bench_sample_cap():
+    args = build_parser().parse_args(["solve", "--circuit", "c", "--query", "q", "--method", "pac"])
+    assert args.cap == BenchConfig(circuits=("c",)).sample_cap == 10**6
 
 
 def test_solve_budget_requires_budget(problem_dir):

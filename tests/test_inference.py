@@ -130,6 +130,24 @@ def test_sampler_matches_table_in_tv(small_circuits):
     assert total_variation(emp, np.exp(table.log_probs)) <= 0.01
 
 
+def test_sampler_never_descends_into_zero_mass_child():
+    # With x0 = 0 observed, the root's last child (node 9, x0 = 1) has zero
+    # mass and keeps no descent table.  Its leaves have theta 1, so a draw
+    # with x1 = 1 would come from that branch.
+    text = (
+        "spn v1\nvars 2\nleaf 0 indicator 0 0\nleaf 1 bernoulli 1 0\nprod 2 0 1\n"
+        "leaf 3 indicator 0 1\nleaf 4 bernoulli 1 1\nprod 5 3 4\n"
+        "leaf 6 indicator 0 1\nleaf 7 bernoulli 1 1\nprod 8 6 7\nsum 9 5:0.5 8:0.5\n"
+        "sum 10 2:0.5 9:0.5\nroot 10\n"
+    )
+    oracle = make_oracle(parse_circuit(text), QuerySpec((1,), {0: 0}))
+    assert oracle._sum_cums[9] is None
+    # A float cumsum that ends below 1 leaves uniforms past its end.
+    oracle._sum_cums[10] = oracle._sum_cums[10] * 0.5
+    draws = oracle.sample(200, 3)
+    assert not draws.any()
+
+
 def test_seed_determinism_across_batch_sizes(small_circuits):
     c = small_circuits[(8, 3)]
     spec = QuerySpec(tuple(range(8)))
@@ -204,6 +222,14 @@ def test_brute_force_tie_breaks_to_smallest_pattern():
     bits, logp = brute_force_map(table)
     assert bits.tolist() == [0, 0, 0]
     assert logp == pytest.approx(math.log(1 / 8))
+
+
+def test_tabular_lookup_rejects_marginal_entries():
+    table = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="0/1"):
+        table.log_prob_rows([[-1, 1]])
+    with pytest.raises(ValueError, match="0/1"):
+        table.log_prob_rows([[0, 2]])
 
 
 def test_tabular_sampler_and_lookup():

@@ -14,7 +14,6 @@ from pacmap.solvers import (
     PacParams,
     SampleSet,
     budget_pac_map,
-    emit_trajectory,
     hamming_ball,
     naive_map,
     pac_map,
@@ -138,6 +137,48 @@ def test_batched_engine_matches_sequential_reference(seed):
     assert sol2.draws_used == want_m and sol2.certificate.kind == want_kind
 
 
+BATCH_SIZES = (1, 7, 100, 5000)
+
+
+def _outcome(sol):
+    return sol.q_hat.tolist(), sol.certificate, sol.draws_used, sol.oracle_calls
+
+
+@pytest.mark.parametrize("eta", [None, 0.1], ids=["period", "eta"])
+@pytest.mark.parametrize("seed", range(6))
+def test_smooth_engine_is_batch_size_invariant(seed, eta):
+    # Seeds cover exact, pac and budget stops, cold and warm.
+    table = random_table(8, derive_seed(seed, "smooth"), alpha=(0.02, 0.5, 2.0)[seed % 3])
+    warm = [np.zeros(8, dtype=np.int8)] if seed % 2 else None
+    outcomes = [
+        _outcome(
+            smooth_pac_map(
+                table, PacParams(0.02, 0.02), radius=1, exploit_period=9, cap=300, warm=warm,
+                rng=DrawStream(seed), eta=eta, batch_size=bs,
+            )
+        )
+        for bs in BATCH_SIZES
+    ]
+    assert all(o == outcomes[0] for o in outcomes[1:])
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_budget_solvers_match_engine_at_every_batch_size(warm):
+    # budget_pac_map draws its whole budget in one batch.  Where no stopping
+    # rule fires first, the adaptive engine capped at the same budget must
+    # commit the same draws and reach the same answer at every batch size.
+    table = TabularDistribution.from_probs(np.random.default_rng(4).dirichlet(np.full(2**10, 5.0)))
+    rows = [np.zeros(10, dtype=np.int8)] if warm else None
+    sol, _ = budget_pac_map(table, 400, warm=rows, rng=DrawStream(3))
+    assert isinstance(sol.certificate, Budget)
+    want = _outcome(sol)
+    if not warm:
+        assert _outcome(naive_map(table, 400, rng=DrawStream(3))) == want
+    for bs in BATCH_SIZES:
+        got = pac_map(table, PacParams(0.01, 0.01), cap=400, warm=rows, rng=DrawStream(3), batch_size=bs)
+        assert _outcome(got) == want
+
+
 def test_pac_map_cap_yields_budget_certificate():
     table = random_table(10, 123, alpha=1.0)
     sol = pac_map(table, PacParams(0.01, 0.01), cap=50, rng=3)
@@ -165,7 +206,8 @@ def test_warm_start_monotone_and_uncounted():
 
 def test_trajectory_point_mass_single_point():
     table = TabularDistribution.from_probs([0.0, 1.0])
-    sol, points = emit_trajectory(table, PacParams(0.1, 0.1), method="pac", rng=2)
+    points = []
+    pac_map(table, PacParams(0.1, 0.1), rng=2, trajectory=points)
     assert len(points) == 1
     p = points[0]
     assert (p.m, p.p_hat, p.p_check) == (1, 1.0, 0.0)
@@ -174,7 +216,8 @@ def test_trajectory_point_mass_single_point():
 def test_trajectory_monotone_and_consistent():
     table = random_table(8, 31)
     eps, delta = 0.05, 0.05
-    sol, points = emit_trajectory(table, PacParams(eps, delta), method="pac", rng=6)
+    points = []
+    sol = pac_map(table, PacParams(eps, delta), rng=6, trajectory=points)
     assert len(points) == sol.draws_used
     p_hats = [p.p_hat for p in points]
     p_checks = [p.p_check for p in points]
