@@ -26,9 +26,6 @@ from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_ora
 from .rng import DrawStream, as_stream, derive_seed
 from .solvers import (
     Budget,
-    DeterministicEps,
-    Exact,
-    Pac,
     PacParams,
     Solution,
     TrajectorySink,
@@ -274,17 +271,13 @@ def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig
     if entry.kind == "baseline":
         return sol.log_p_hat, "", None, None, 0, False
     cert = sol.certificate
-    if isinstance(cert, Exact):
-        eps, delta = 0.0, 0.0
-    elif isinstance(cert, DeterministicEps):
-        eps, delta = cert.epsilon, 0.0
-    elif isinstance(cert, Pac):
-        eps, delta = cert.epsilon, cert.delta
-    else:
-        # Budget: report the config tolerance with its realized admissible level.
+    if isinstance(cert, Budget):
+        # Report the config tolerance with its realized admissible level.
         p_hat = math.exp(sol.log_p_hat)
         eps = cfg.epsilon
         delta = 0.0 if cfg.epsilon >= 1.0 - p_hat else pareto_delta(p_hat, cfg.epsilon, sol.draws_used)
+    else:
+        eps, delta = cert.epsilon, cert.delta
     timed_out = isinstance(cert, Budget) and entry.kind == "adaptive"
     return sol.log_p_hat, cert.kind, eps, delta, sol.draws_used, timed_out
 

@@ -24,7 +24,7 @@ from .inference import (
     parse_query_spec,
     tabulate_conditional,
 )
-from .solvers import Budget, DeterministicEps, Exact, Pac, PacParams, budget_pac_map, pac_map
+from .solvers import Budget, PacParams, budget_pac_map, pac_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,15 +51,9 @@ def _load_problem(args):
 
 
 def _cert_fields(cert) -> tuple[str, str, str]:
-    if isinstance(cert, Exact):
-        return "exact", "0.0", "0.0"
-    if isinstance(cert, DeterministicEps):
-        return "det-eps", repr(cert.epsilon), "0.0"
-    if isinstance(cert, Pac):
-        return "pac", repr(cert.epsilon), repr(cert.delta)
     if isinstance(cert, Budget):
-        return "budget", "", ""
-    return "", "", ""
+        return cert.kind, "", ""
+    return cert.kind, repr(cert.epsilon), repr(cert.delta)
 
 
 def _write_trajectory(points, path) -> None:
@@ -137,7 +131,7 @@ def cmd_pareto(args) -> int:
         writer.writerow(["epsilon", "delta"])
         for eps, delta in front.points:
             writer.writerow([repr(eps), repr(delta)])
-    kind, _, _ = _cert_fields(sol.certificate)
+    kind = sol.certificate.kind
     print(
         f"budget={args.budget} p_hat={front.p_hat!r} cert={kind} "
         f"points={len(front.points)} out={args.out}"
@@ -164,7 +158,7 @@ def cmd_illustrate(args) -> int:
     trajectory = []
     sol = pac_map(oracle, PacParams(args.epsilon, args.delta), rng=args.seed, trajectory=trajectory)
     _write_trajectory(trajectory, args.out)
-    kind, _, _ = _cert_fields(sol.certificate)
+    kind = sol.certificate.kind
     final_stop = trajectory[-1].stop_time_m if trajectory else 0
     print(
         f"draws={sol.draws_used} cert={kind} p_hat={float(np.exp(sol.log_p_hat))!r} "

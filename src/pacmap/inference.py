@@ -138,11 +138,14 @@ class ConditionalOracle:
         """ln p(q | e) for a batch of query assignments, shape (B, |Q|).
 
         Entries left at MARGINAL are summed out, so partial rows yield
-        conditional marginals of the assigned variables.
+        conditional marginals of the assigned variables; any entry other than
+        0, 1 and MARGINAL is refused.
         """
-        query_rows = np.atleast_2d(np.asarray(query_rows, dtype=np.int8))
+        query_rows = np.atleast_2d(np.asarray(query_rows))
         if query_rows.shape[1] != self.num_query:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
+        if not ((query_rows == 0) | (query_rows == 1) | (query_rows == MARGINAL)).all():
+            raise ValueError("query entries must be 0, 1 or MARGINAL")
         rows = np.repeat(self._template[None, :], query_rows.shape[0], axis=0)
         rows[:, self.query_vars] = query_rows
         return self.circuit.log_root(rows) - self.log_p_evidence
@@ -256,6 +259,10 @@ class TabularDistribution:
         self.log_probs = log_probs
         self.num_query = n
         self._cdf = np.cumsum(np.exp(log_probs))
+        # A draw past the cdf's end (its mass may fall short of 1 within
+        # check_tol) must land on an atom with positive mass: the first one at
+        # which the cdf reaches its end.
+        self._last_live = int(np.searchsorted(self._cdf, self._cdf[-1]))
 
     @classmethod
     def from_probs(cls, probs: Sequence[float] | np.ndarray) -> "TabularDistribution":
@@ -286,7 +293,7 @@ class TabularDistribution:
         stream = as_stream(rng)
         u = stream.uniform_block(count, 1).ravel()
         idx = np.searchsorted(self._cdf, u, side="right")
-        np.clip(idx, 0, len(self.log_probs) - 1, out=idx)
+        np.clip(idx, 0, self._last_live, out=idx)
         shifts = np.arange(self.num_query - 1, -1, -1, dtype=np.int64)
         return ((idx[:, None] >> shifts) & 1).astype(np.int8)
 

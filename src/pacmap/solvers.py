@@ -2,9 +2,11 @@
 
 All solvers consume an oracle object exposing ``num_query``,
 ``sample(count, stream)`` and ``log_prob_rows(rows)`` (both ConditionalOracle
-and TabularDistribution qualify).  They share one candidate-set engine whose
-batched internals are observationally identical to a draw-by-draw loop: the
-reported stop index is the first draw at which a stopping rule holds.
+and TabularDistribution qualify).  All four build their candidate set through
+one fold, SampleSet.fold, which takes warm starts, draw batches, Hamming balls
+and fixed budgets alike.  Its batched internals are observationally identical
+to a draw-by-draw loop: the reported stop index is the first draw at which a
+stopping rule holds.
 
 Stopping rules, with p-hat the best scored candidate and p-check the residual
 mass 1 - (total mass of distinct candidates):
@@ -24,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -54,14 +56,20 @@ class ParetoFront:
     points: tuple[tuple[float, float], ...]
 
 
+# Every certificate but Budget carries the (epsilon, delta) it guarantees.
+
+
 @dataclass(frozen=True)
 class Exact:
+    epsilon: ClassVar[float] = 0.0
+    delta: ClassVar[float] = 0.0
     kind: str = field(default="exact", init=False)
 
 
 @dataclass(frozen=True)
 class DeterministicEps:
     epsilon: float
+    delta: ClassVar[float] = 0.0
     kind: str = field(default="det-eps", init=False)
 
 
@@ -165,17 +173,30 @@ def hamming_ball(center: Sequence[int] | np.ndarray, radius: int) -> Iterator[np
 # -- candidate-set engine -----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Fold:
+    """Running state after each row one SampleSet.fold call committed."""
+
+    p_hat: np.ndarray
+    p_check: np.ndarray
+    m: np.ndarray
+    grant: int  # the stop code at the last committed row; 0 if none held
+
+
 @dataclass
 class SampleSet:
-    """Deduplicated candidates with running mass and draw counter.
+    """Deduplicated candidates with running mass and counters.
 
-    `m` counts random draws only: warm starts and neighborhood scans insert
-    atoms without touching it.  Duplicates increment `m` but are stored once,
+    Every solver builds its candidate set through `fold`, the only code that
+    writes these fields.  `m` counts random draws only: warm starts and
+    neighborhood scans enter the set without touching it.  `rows` counts every
+    committed row, each one an oracle evaluation.  Duplicates are stored once,
     and the residual mass sums distinct atoms only.
     """
 
-    atoms: dict = field(default_factory=dict)
+    atoms: set = field(default_factory=set)
     m: int = 0
+    rows: int = 0
     log_total_mass: float = -math.inf
     best_bits: np.ndarray | None = None
     best_log_prob: float = -math.inf
@@ -187,113 +208,88 @@ class SampleSet:
     def p_hat(self) -> float:
         return math.exp(self.best_log_prob) if self.best_log_prob > -math.inf else 0.0
 
-    def insert_atoms(self, bits: np.ndarray, log_probs: np.ndarray) -> None:
-        """Insert scored atoms without counting draws (warm starts, scans)."""
-        bits = np.atleast_2d(bits)
-        keys = pack_rows(bits).tolist()
-        for i, key in enumerate(keys):
-            if key in self.atoms:
-                continue
-            lp = float(log_probs[i])
-            self.atoms[key] = lp
-            self.log_total_mass = np.logaddexp(self.log_total_mass, lp)
-            if lp > self.best_log_prob:
-                self.best_log_prob = lp
-                self.best_bits = bits[i].copy()
+    def fold(
+        self,
+        bits: np.ndarray,
+        log_probs: np.ndarray,
+        draws: bool,
+        stop: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ) -> Fold:
+        """Fold a block of scored rows into the set, in row order.
+
+        Computes p-hat, p-check and the draw count as they stand after each
+        row.  With `stop`, a function of those three arrays that is nonzero
+        where a stopping rule holds, only the prefix ending at the first such
+        row is committed; without it every row is.  Committed rows count as
+        random draws when `draws` is set.
+        """
+        log_probs = np.asarray(log_probs, dtype=np.float64)
+        b = bits.shape[0]
+        keys_np = pack_rows(bits)
+        keys = keys_np.tolist()
+        _, first_pos = np.unique(keys_np, return_index=True)
+        is_new = np.zeros(b, dtype=bool)
+        is_new[first_pos] = True
+        is_new &= ~np.fromiter((k in self.atoms for k in keys), dtype=bool, count=b)
+
+        masked = np.where(is_new, log_probs, -np.inf)
+        cum_mass = np.logaddexp.accumulate(np.concatenate(([self.log_total_mass], masked)))[1:]
+        cum_best = np.maximum.accumulate(np.concatenate(([self.best_log_prob], log_probs)))[1:]
+        p_hat = np.exp(cum_best)
+        p_check = np.clip(-np.expm1(np.minimum(cum_mass, 0.0)), 0.0, None)
+        m = self.m + (np.arange(1, b + 1) if draws else np.zeros(b, dtype=np.int64))
+        codes = stop(p_hat, p_check, m) if stop is not None else np.zeros(b, dtype=np.int64)
+        committed = int(np.argmax(codes != 0)) + 1 if codes.any() else b
+        last = committed - 1
+
+        self.atoms.update(keys[:committed])
+        self.m = int(m[last])
+        self.rows += committed
+        self.log_total_mass = float(cum_mass[last])
+        if cum_best[last] > self.best_log_prob:
+            self.best_bits = bits[int(np.argmax(log_probs[:committed]))].copy()
+            self.best_log_prob = float(cum_best[last])
+        return Fold(p_hat[:committed], p_check[:committed], m[:committed], int(codes[last]))
 
 
-def _certify(p_hat: float, p_check: float, m: int, eps: float, delta: float, need_nat: float) -> Certificate | None:
-    """The certificate the stopping rules grant at this point, if any."""
-    if p_hat >= p_check * (1.0 - eps):
-        return Exact() if p_hat >= p_check else DeterministicEps(eps)
-    if m >= 1 and p_hat > 0.0 and m >= need_nat / p_hat:
-        return Pac(eps, delta)
-    return None
+class _Rules:
+    """The stopping rules at tolerance (epsilon, delta)."""
+
+    def __init__(self, params: PacParams):
+        self.eps, self.delta = params.epsilon, params.delta
+        self.need_nat = (1.0 - self.eps) * math.log(1.0 / self.delta)
+        # Indexed by the codes `grant` returns.
+        self.certificates = (None, Pac(self.eps, self.delta), DeterministicEps(self.eps), Exact())
+
+    def grant(self, p_hat, p_check, m) -> np.ndarray:
+        """Per state: 0 where no rule holds, else the index of the certificate
+        granted, the deterministic rule taking precedence.  Takes arrays or
+        scalars of equal shape."""
+        p_hat = np.asarray(p_hat, dtype=np.float64)
+        det = (p_hat >= p_check * (1.0 - self.eps)).astype(np.int8)
+        with np.errstate(divide="ignore"):
+            # need_nat > 0, so m = 0 or p_hat = 0 never passes.
+            pac = (m >= self.need_nat / p_hat).astype(np.int8)
+        # p_hat >= p_check implies det, so this is 3, 2, 1 or 0.
+        return np.maximum(pac, 2 * det + (p_hat >= p_check))
 
 
-def _scan_draws(
-    state: SampleSet,
-    bits: np.ndarray,
-    log_probs: np.ndarray,
-    eps: float,
-    delta: float,
-    need_nat: float,
-    trajectory: TrajectorySink | None,
-) -> tuple[int, Certificate | None]:
-    """Fold a batch of draws into `state`, stopping at the first draw where a
-    stopping rule holds.  Draws after the stop index are not committed.
-
-    Returns the number of committed draws and the certificate granted at the
-    last of them, if any.
-    """
-    b = bits.shape[0]
-    keys_np = pack_rows(bits)
-    keys_py = keys_np.tolist()
-    _, first_pos = np.unique(keys_np, return_index=True)
-    is_first = np.zeros(b, dtype=bool)
-    is_first[first_pos] = True
-    atoms = state.atoms
-    is_old = np.fromiter((k in atoms for k in keys_py), dtype=bool, count=b)
-    is_new = is_first & ~is_old
-
-    masked = np.where(is_new, log_probs, -np.inf)
-    cum_mass = np.logaddexp.accumulate(np.concatenate(([state.log_total_mass], masked)))[1:]
-    cum_best = np.maximum.accumulate(np.concatenate(([state.best_log_prob], log_probs)))[1:]
-    p_hat = np.exp(cum_best)
-    p_check = np.clip(-np.expm1(np.minimum(cum_mass, 0.0)), 0.0, None)
-    m_abs = state.m + np.arange(1, b + 1)
-
-    with np.errstate(divide="ignore"):
-        stop = (p_hat >= p_check * (1.0 - eps)) | (m_abs >= need_nat / p_hat)
-    committed = int(np.argmax(stop)) + 1 if stop.any() else b
-    last = committed - 1
-    cert = _certify(float(p_hat[last]), float(p_check[last]), int(m_abs[last]), eps, delta, need_nat)
-
-    if trajectory is not None:
-        base = 1.0 - p_hat[:committed] / (1.0 - eps)
-        miss = np.where(base > 0.0, base, 0.0) ** m_abs[:committed]
-        for j in range(committed):
-            trajectory(
-                TrajectoryPoint(
-                    int(m_abs[j]),
-                    float(p_hat[j]),
-                    float(p_check[j]),
-                    float(miss[j]),
-                    math.ceil(need_nat / p_hat[j]),
-                )
-            )
-
-    prefix_new = np.nonzero(is_new[:committed])[0]
-    for i in prefix_new:
-        atoms[keys_py[i]] = float(log_probs[i])
-    state.m += committed
-    state.log_total_mass = float(cum_mass[last])
-    prefix_best = float(cum_best[last])
-    if prefix_best > state.best_log_prob:
-        first = int(np.argmax(log_probs[:committed]))
-        state.best_bits = bits[first].copy()
-        state.best_log_prob = prefix_best
-    return committed, cert
+def _warm_set(oracle, warm: Sequence[np.ndarray] | None) -> SampleSet:
+    """A candidate set holding the scored warm-start atoms and no draws."""
+    state = SampleSet()
+    if warm is not None and len(warm):
+        rows = np.stack([np.asarray(w, dtype=np.int8) for w in warm])
+        state.fold(rows, oracle.log_prob_rows(rows), draws=False)
+    return state
 
 
-def _score_and_insert(state: SampleSet, oracle, rows: np.ndarray) -> int:
-    """Score candidate rows through the oracle and insert them; returns the
-    number of oracle evaluations performed."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
-    if rows.shape[0] == 0:
-        return 0
-    log_probs = np.asarray(oracle.log_prob_rows(rows), dtype=np.float64)
-    state.insert_atoms(rows, log_probs)
-    return rows.shape[0]
-
-
-def _finish(state: SampleSet, cert: Certificate, oracle_calls: int, t0: float) -> Solution:
+def _finish(state: SampleSet, cert: Certificate, t0: float) -> Solution:
     return Solution(
         q_hat=state.best_bits,
         log_p_hat=state.best_log_prob,
         certificate=cert,
         draws_used=state.m,
-        oracle_calls=oracle_calls,
+        oracle_calls=state.rows,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -311,9 +307,12 @@ def _adaptive(
 ) -> Solution:
     """The adaptive loop behind pac_map and smooth_pac_map.
 
-    With `next_segment`, the Hamming ball of `radius` around the leading
-    candidate is scored and inserted after each segment of next_segment()
-    random draws.  Without it the draws run in one unbounded segment.
+    Each batch of draws is folded up to the first draw where a stopping rule
+    holds; the draws after it go back to the stream.  With `next_segment`, the
+    Hamming ball of `radius` around the leading candidate is folded in after
+    each segment of next_segment() random draws, and the rules are checked
+    once the whole ball is in.  Without it the draws run in one unbounded
+    segment.  The warm-start atoms are folded in first, with no check.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
@@ -322,36 +321,44 @@ def _adaptive(
     t0 = time.perf_counter()
     stream = as_stream(rng)
     sink = trajectory.append if isinstance(trajectory, list) else trajectory
-    eps, delta = params.epsilon, params.delta
-    need_nat = (1.0 - eps) * math.log(1.0 / delta)
-
-    state = SampleSet()
-    oracle_calls = 0
-    if warm is not None and len(warm):
-        oracle_calls += _score_and_insert(state, oracle, np.stack([np.asarray(w) for w in warm]))
+    rules = _Rules(params)
+    state = _warm_set(oracle, warm)
 
     while True:
         segment = next_segment() if next_segment is not None else math.inf
         while segment > 0:
             take = min(batch_size, segment, math.inf if cap is None else cap - state.m)
             bits = oracle.sample(take, stream)
-            log_probs = np.asarray(oracle.log_prob_rows(bits), dtype=np.float64)
-            committed, cert = _scan_draws(state, bits, log_probs, eps, delta, need_nat, sink)
-            oracle_calls += committed
+            fold = state.fold(bits, oracle.log_prob_rows(bits), draws=True, stop=rules.grant)
+            committed = len(fold.m)
             if committed < take:
                 stream.rewind(take - committed)
+            if sink is not None:
+                base = 1.0 - fold.p_hat / (1.0 - rules.eps)
+                miss = np.where(base > 0.0, base, 0.0) ** fold.m
+                for j in range(committed):
+                    sink(
+                        TrajectoryPoint(
+                            int(fold.m[j]),
+                            float(fold.p_hat[j]),
+                            float(fold.p_check[j]),
+                            float(miss[j]),
+                            math.ceil(rules.need_nat / fold.p_hat[j]),
+                        )
+                    )
+            cert = rules.certificates[fold.grant]
             if cert is not None:
-                return _finish(state, cert, oracle_calls, t0)
+                return _finish(state, cert, t0)
             if cap is not None and state.m >= cap:
-                return _finish(state, Budget(pareto_front(state.p_hat(), state.m)), oracle_calls, t0)
+                return _finish(state, Budget(pareto_front(state.p_hat(), state.m)), t0)
             segment -= committed
 
         if state.best_bits is not None:
-            ball = hamming_ball(state.best_bits, min(radius, oracle.num_query))
-            oracle_calls += _score_and_insert(state, oracle, np.stack(list(ball)))
-            cert = _certify(state.p_hat(), state.residual(), state.m, eps, delta, need_nat)
+            ball = np.stack(list(hamming_ball(state.best_bits, min(radius, oracle.num_query))))
+            state.fold(ball, oracle.log_prob_rows(ball), draws=False)
+            cert = rules.certificates[int(rules.grant(state.p_hat(), state.residual(), state.m))]
             if cert is not None:
-                return _finish(state, cert, oracle_calls, t0)
+                return _finish(state, cert, t0)
 
 
 def pac_map(
@@ -438,31 +445,15 @@ def budget_pac_map(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
-    warm_rows = (
-        np.stack([np.asarray(w, dtype=np.int8) for w in warm])
-        if warm is not None and len(warm)
-        else np.empty((0, oracle.num_query), dtype=np.int8)
-    )
+    state = _warm_set(oracle, warm)
     draws = oracle.sample(budget, as_stream(rng))
-    all_rows = np.concatenate([warm_rows, draws]) if warm_rows.size else draws
-    log_probs = np.asarray(oracle.log_prob_rows(all_rows), dtype=np.float64)
-
-    keys = pack_rows(all_rows)
-    _, first_pos = np.unique(keys, return_index=True)
-    best = int(np.argmax(log_probs))
-    state = SampleSet(
-        atoms=dict(zip(keys.tolist(), log_probs.tolist())),
-        m=budget,
-        log_total_mass=float(np.logaddexp.reduce(log_probs[first_pos])),
-        best_bits=all_rows[best].copy(),
-        best_log_prob=float(log_probs[best]),
-    )
+    state.fold(draws, oracle.log_prob_rows(draws), draws=True)
     p_hat, p_check = state.p_hat(), state.residual()
     if p_hat >= p_check:
         front = ParetoFront(p_hat, budget, ((0.0, 0.0),))
-        return _finish(state, Exact(), all_rows.shape[0], t0), front
+        return _finish(state, Exact(), t0), front
     front = pareto_front(p_hat, budget, grid)
-    return _finish(state, Budget(front), all_rows.shape[0], t0), front
+    return _finish(state, Budget(front), t0), front
 
 
 def naive_map(oracle, draws: int, rng: int | DrawStream = 0) -> Solution:

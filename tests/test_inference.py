@@ -232,6 +232,24 @@ def test_tabular_lookup_rejects_marginal_entries():
         table.log_prob_rows([[0, 2]])
 
 
+def test_oracle_refuses_entries_outside_0_1_marginal():
+    oracle = make_oracle(BERN7, QuerySpec((0,)))
+    for bad in ([[2]], [[5]], [[-2]]):
+        with pytest.raises(ValueError, match="MARGINAL"):
+            oracle.log_prob_rows(bad)
+    assert oracle.log_prob_rows([[1], [0], [-1]]) == pytest.approx(np.log([0.7, 0.3, 1.0]))
+
+
+def test_tabular_sampler_never_returns_zero_mass_atom():
+    # Mass 0.9999995 lies within check_tol of 1, so uniforms past the cdf's
+    # end exist; draw 1753591 of seed 0 is one.
+    table = TabularDistribution(np.array([math.log(0.9999995), -np.inf]))
+    stream = DrawStream(0, cursor=1753590)
+    assert stream.uniform_block(3).max() >= table._cdf[-1]
+    stream.rewind(3)
+    assert not table.sample(3, stream).any()
+
+
 def test_tabular_sampler_and_lookup():
     table = TabularDistribution.from_probs([0.5, 0.3, 0.15, 0.05])
     draws = table.sample(40_000, 5)

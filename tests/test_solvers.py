@@ -179,6 +179,36 @@ def test_budget_solvers_match_engine_at_every_batch_size(warm):
         assert _outcome(got) == want
 
 
+@pytest.mark.parametrize("n, alpha, table_seed", [(6, 0.1, 1), (8, 0.3, 2), (6, 1.0, 3)])
+def test_exploiting_and_warm_runs_are_pac_sound(n, alpha, table_seed):
+    # Criterion 3's check for the runs that can stop on a p-hat taken from
+    # atoms they never sampled: Hamming-ball scans (period and eta schedule)
+    # and a warm start at the best atom just below the tolerance.
+    eps = delta = 0.1
+    runs = 400
+    params = PacParams(eps, delta)
+    table = random_table(n, table_seed, alpha=alpha)
+    _, log_pstar = brute_force_map(table)
+    threshold = log_pstar + math.log1p(-eps)
+    below = np.flatnonzero(table.log_probs < threshold)
+    near = int(below[np.argmax(table.log_probs[below])])
+    near_bits = ((near >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    configs = {
+        "smooth-period": lambda s: smooth_pac_map(table, params, exploit_period=10, rng=s, batch_size=64),
+        "smooth-eta": lambda s: smooth_pac_map(table, params, eta=0.1, rng=s, batch_size=64),
+        "pac-warm": lambda s: pac_map(table, params, warm=[near_bits], rng=s, batch_size=64),
+        "smooth-warm": lambda s: smooth_pac_map(
+            table, params, exploit_period=10, warm=[near_bits], rng=s, batch_size=64
+        ),
+    }
+    bound = delta + 3 * math.sqrt(delta * (1 - delta) / runs)
+    rates = {
+        name: sum(run(DrawStream(derive_seed(table_seed, name, r))).log_p_hat < threshold for r in range(runs)) / runs
+        for name, run in configs.items()
+    }
+    assert all(rate <= bound for rate in rates.values()), (rates, bound)
+
+
 def test_pac_map_cap_yields_budget_certificate():
     table = random_table(10, 123, alpha=1.0)
     sol = pac_map(table, PacParams(0.01, 0.01), cap=50, rng=3)
@@ -411,12 +441,26 @@ def test_sample_set_dedup_and_ties():
     state = SampleSet()
     bits = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.int8)
     logs = np.log([0.4, 0.4, 0.4])
-    state.insert_atoms(bits, logs)
+    fold = state.fold(bits, logs, draws=False)
     assert len(state.atoms) == 2
     assert state.m == 0
+    assert len(fold.m) == state.rows == 3  # no stopping rule: every row commits
     assert state.best_bits.tolist() == [0, 1]  # first atom attaining the max
     assert math.exp(state.log_total_mass) == pytest.approx(0.8)
     assert state.residual() == pytest.approx(0.2)
+
+
+def test_sample_set_fold_commits_prefix_through_first_stop():
+    state = SampleSet()
+    state.fold(np.array([[0, 0]], dtype=np.int8), np.log([0.1]), draws=False)
+    bits = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.int8)
+    fold = state.fold(bits, np.log([0.2, 0.3, 0.4]), draws=True, stop=lambda p_hat, p_check, m: m >= 2)
+    assert fold.m.tolist() == [1, 2] and fold.grant == 1
+    assert fold.p_hat.tolist() == pytest.approx([0.2, 0.3])
+    assert fold.p_check.tolist() == pytest.approx([0.7, 0.4])
+    assert (state.m, state.rows, len(state.atoms)) == (2, 3, 3)
+    assert state.best_bits.tolist() == [1, 0]  # the uncommitted [1, 1] never counts
+    assert math.exp(state.log_total_mass) == pytest.approx(0.6)
 
 
 def test_duplicates_increment_m_but_not_mass():
