@@ -165,7 +165,7 @@ class Circuit:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compile(self):
+    def _compile(self) -> "_Plan":
         nodes = self.nodes
         level = np.zeros(len(nodes), dtype=np.int64)
         for i, node in enumerate(nodes):
@@ -182,45 +182,85 @@ class Circuit:
             log1 = np.log(theta)
             # log1p(-0) is -0.0; an indicator's exact log(1 - v) keeps +0.0.
             log0 = np.where(is_ind, np.log(1.0 - theta), np.log1p(-theta))
-        leaf_plan = {
-            "ids": np.asarray(leaves, dtype=np.int64),
-            "vars": np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
-            "log0": log0,
-            "log1": log1,
-            # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or,
-            # in a max pass, takes its larger value.
-            "max_marginal": np.maximum(log0, log1),
-        }
 
-        levels = []
+        # Each level runs its products, then its sums, one op per child count.
+        def op(group: list[int]) -> "_Op":
+            kids = np.asarray([nodes[i].children for i in group], dtype=np.int64).T
+            logw = None
+            if isinstance(nodes[group[0]], SumNode):
+                logw = np.log(np.asarray([nodes[i].weights for i in group], dtype=np.float64)).T[:, :, None]
+            return _Op(np.asarray(group, dtype=np.int64), kids, logw)
+
+        ops = []
         for lev in range(1, int(level.max()) + 1 if len(nodes) > 1 else 1):
-            ids = np.nonzero(level == lev)[0]
-            prods = [i for i in ids if isinstance(nodes[i], ProductNode)]
-            sums = [i for i in ids if isinstance(nodes[i], SumNode)]
-            entry = {}
-            if prods:
-                flat = np.concatenate([np.asarray(nodes[i].children, dtype=np.int64) for i in prods])
-                counts = np.asarray([len(nodes[i].children) for i in prods], dtype=np.int64)
-                entry["prod"] = (
-                    np.asarray(prods, dtype=np.int64),
-                    flat,
-                    np.concatenate(([0], np.cumsum(counts)[:-1])),
-                )
-            if sums:
-                flat = np.concatenate([np.asarray(nodes[i].children, dtype=np.int64) for i in sums])
-                logw = np.concatenate(
-                    [np.log(np.asarray(nodes[i].weights, dtype=np.float64)) for i in sums]
-                )
-                counts = np.asarray([len(nodes[i].children) for i in sums], dtype=np.int64)
-                entry["sum"] = (
-                    np.asarray(sums, dtype=np.int64),
-                    flat,
-                    logw,
-                    np.concatenate(([0], np.cumsum(counts)[:-1])),
-                    counts,
-                )
-            levels.append(entry)
-        return leaf_plan, levels
+            ids = np.nonzero(level == lev)[0].tolist()
+            for kind in (ProductNode, SumNode):
+                groups: dict[int, list[int]] = {}
+                for i in ids:
+                    if isinstance(nodes[i], kind):
+                        groups.setdefault(len(nodes[i].children), []).append(i)
+                ops.extend(op(groups[k]) for k in sorted(groups))
+        return _Plan(
+            width=self.num_vars,
+            root=self.root,
+            live=np.arange(len(nodes), dtype=np.int64),
+            leaf_rows=np.asarray(leaves, dtype=np.int64),
+            leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
+            log0=log0,
+            log1=log1,
+            ops=tuple(ops),
+            consts=np.empty(0, dtype=np.float64),
+        )
+
+    def _fold(self, columns: Sequence[int], upward: np.ndarray) -> "_Plan":
+        """The plan restricted to the nodes whose scope meets `columns`.
+
+        `columns` lists the variables that the plan's input columns hold, in
+        order; `upward` is one upward pass (num_nodes,) with every other
+        variable fixed.  A node whose scope misses `columns` takes the same
+        value in every row, so a dead child of a live node becomes a constant
+        row holding its entry of `upward`.  It keeps its place in its
+        parent's child list, so every live node sums the same terms in the
+        same order as in the full plan, and its value is bit-identical to the
+        full evaluation of the rows with the other variables filled in.
+        """
+        full = self._plan
+        if tuple(columns) == tuple(range(self.num_vars)):
+            return full  # every node is live and column v holds variable v
+        col_of = np.full(self.num_vars, -1, dtype=np.int64)
+        col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
+        leaf_cols = col_of[full.leaf_cols]
+        live = np.zeros(len(self.nodes), dtype=bool)
+        live[full.leaf_rows] = leaf_cols >= 0
+        kept = []
+        for op in full.ops:
+            keep = live[op.kids].any(axis=0)
+            live[op.ids] = keep
+            if keep.any():
+                kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
+
+        # Value rows: live nodes in id order, then the constants.
+        live_ids = np.flatnonzero(live)
+        const = np.zeros(len(self.nodes), dtype=bool)
+        const[self.root] = True
+        for op in kept:
+            const[op.kids] = True
+        dead = np.flatnonzero(const & ~live)
+        row_of = np.full(len(self.nodes), -1, dtype=np.int64)
+        row_of[live_ids] = np.arange(live_ids.size)
+        row_of[dead] = live_ids.size + np.arange(dead.size)
+        on = live[full.leaf_rows]
+        return _Plan(
+            width=len(columns),
+            root=int(row_of[self.root]),
+            live=live_ids,
+            leaf_rows=row_of[full.leaf_rows[on]],
+            leaf_cols=leaf_cols[on],
+            log0=full.log0[on],
+            log1=full.log1[on],
+            ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
+            consts=np.asarray(upward, dtype=np.float64)[dead],
+        )
 
     def log_forward(self, rows: np.ndarray) -> np.ndarray:
         """Log value of every node for a batch of (possibly partial) rows.
@@ -228,9 +268,10 @@ class Circuit:
         `rows` has shape (B, num_vars) with entries in {0, 1, MARGINAL}; a
         MARGINAL entry sums the corresponding leaf over its domain.  Returns
         (num_nodes, B) float64.  For large batches prefer log_root, which
-        chunks to bound scratch memory.
+        chunks to bound scratch memory.  This and max_forward run the full
+        plan through the same level loop that runs a query-folded plan.
         """
-        return self._forward(rows, maximize=False)
+        return self._forward(rows, self._plan, maximize=False)
 
     def max_forward(self, rows: np.ndarray) -> np.ndarray:
         """log_forward with every sum replaced by its largest weighted child.
@@ -238,52 +279,141 @@ class Circuit:
         A MARGINAL entry is maximized over {0, 1} at the leaves rather than
         summed out.  Same shapes as log_forward.
         """
-        return self._forward(rows, maximize=True)
+        return self._forward(rows, self._plan, maximize=True)
 
-    def _forward(self, rows: np.ndarray, maximize: bool) -> np.ndarray:
+    def _forward(self, rows: np.ndarray, plan: "_Plan", maximize: bool) -> np.ndarray:
+        """The one level loop: evaluate `plan` on (B, plan.width) rows.
+
+        Returns the (plan rows, B) value matrix: for the full plan one row per
+        node; for a folded plan (see _fold) its live nodes, then its constant
+        rows.
+        """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
-        if rows.shape[1] != self.num_vars:
-            raise ValueError(f"assignment rows have {rows.shape[1]} variables, expected {self.num_vars}")
-        leaf_plan, levels = self._plan
-        nn, b = len(self.nodes), rows.shape[0]
-        values = np.empty((nn, b), dtype=np.float64)
+        if rows.shape[1] != plan.width:
+            raise ValueError(f"assignment rows have {rows.shape[1]} variables, expected {plan.width}")
+        b = rows.shape[0]
+        values = np.empty((plan.size, b), dtype=np.float64)
+        values[plan.size - plan.consts.size :] = plan.consts[:, None]
 
-        if leaf_plan["ids"].size:
-            col = rows[:, leaf_plan["vars"]].T
-            marginal = leaf_plan["max_marginal"][:, None] if maximize else 0.0
-            values[leaf_plan["ids"]] = np.where(
+        if plan.leaf_rows.size:
+            col = rows[:, plan.leaf_cols].T
+            # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or,
+            # in a max pass, takes its larger value.
+            marginal = np.maximum(plan.log0, plan.log1)[:, None] if maximize else 0.0
+            values[plan.leaf_rows] = np.where(
                 col == MARGINAL,
                 marginal,
-                np.where(col == 1, leaf_plan["log1"][:, None], leaf_plan["log0"][:, None]),
+                np.where(col == 1, plan.log1[:, None], plan.log0[:, None]),
             )
 
-        for entry in levels:
-            if "prod" in entry:
-                ids, flat, offsets = entry["prod"]
-                values[ids] = np.add.reduceat(values[flat], offsets, axis=0)
-            if "sum" in entry:
-                ids, flat, logw, offsets, counts = entry["sum"]
-                terms = values[flat] + logw[:, None]
-                mx = np.maximum.reduceat(terms, offsets, axis=0)
-                if maximize:
-                    values[ids] = mx
-                    continue
-                # A sum whose children are all -inf keeps exp(-inf - floor) = 0
-                # and log(0) = -inf, instead of the NaN from -inf - -inf.
-                np.maximum(mx, _LOG_FLOOR, out=mx)
-                total = np.add.reduceat(np.exp(terms - np.repeat(mx, counts, axis=0)), offsets, axis=0)
-                with np.errstate(divide="ignore"):
-                    values[ids] = mx + np.log(total)
+        # Children are added in np.add.reduceat's order (see _reduceat_sum), so
+        # every value is the one a segmented reduceat over the children gives;
+        # reduceat along axis 0 runs column by column and took about ten times
+        # as long.
+        for op in plan.ops:
+            if op.logw is None:
+                values[op.ids] = _reduceat_sum(list(values[op.kids]))
+                continue
+            terms = values[op.kids] + op.logw
+            mx = terms.max(axis=0)
+            if maximize:
+                values[op.ids] = mx
+                continue
+            # A sum whose children are all -inf keeps exp(-inf - floor) = 0
+            # and log(0) = -inf, instead of the NaN from -inf - -inf.
+            np.maximum(mx, _LOG_FLOOR, out=mx)
+            total = _reduceat_sum(list(np.exp(terms - mx)))
+            with np.errstate(divide="ignore"):
+                values[op.ids] = mx + np.log(total)
         return values
 
     def log_root(self, rows: np.ndarray) -> np.ndarray:
         """Root log value per row, chunking the batch to bound memory."""
+        return self._root(rows, self._plan)
+
+    def _root(self, rows: np.ndarray, plan: "_Plan") -> np.ndarray:
+        """Root value of `plan` per row, one chunk of rows at a time.
+
+        Only the root row of each chunk's value matrix is copied out, so peak
+        memory is one chunk's matrix however many rows there are.
+        """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
-        chunk = max(1, _CHUNK_ELEMS // len(self.nodes))
-        if rows.shape[0] <= chunk:
-            return self.log_forward(rows)[self.root]
-        parts = [self.log_forward(rows[i : i + chunk])[self.root] for i in range(0, rows.shape[0], chunk)]
-        return np.concatenate(parts)
+        chunk = max(1, _CHUNK_ELEMS // plan.size)
+        out = np.empty(rows.shape[0], dtype=np.float64)
+        for i in range(0, rows.shape[0], chunk):
+            out[i : i + chunk] = self._forward(rows[i : i + chunk], plan, maximize=False)[plan.root]
+        return out
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One level's product or sum nodes that have k children each."""
+
+    ids: np.ndarray  # (m,) value rows of the nodes
+    kids: np.ndarray  # (k, m): row j holds every node's j-th child
+    logw: np.ndarray | None  # (k, m, 1) log sum weights aligned with kids; None for products
+
+
+def _reduceat_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """terms[0] + terms[1] + ..., bit for bit as np.add.reduceat along axis 0.
+
+    reduceat adds a segment's first row to the pairwise sum of its other
+    rows.  Overwrites the arrays in `terms`.
+    """
+    total = terms[0]
+    if len(terms) > 1:
+        total += _pairwise_sum(terms[1:])
+    return total
+
+
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum of equal-shape arrays in the order of numpy's pairwise summation.
+
+    Overwrites the arrays in `terms`.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+    if n <= 128:
+        acc = terms[:8]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                acc[j] += terms[i + j]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for t in terms[i:]:
+            total += t
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A compiled evaluation plan: leaf table, level ops and constant rows.
+
+    Value rows 0..len(live)-1 hold the nodes in `live` (ascending ids) and the
+    last consts.size rows hold constants.  Leaf rows read input columns
+    `leaf_cols` of a (B, width) block.
+    """
+
+    width: int
+    root: int
+    live: np.ndarray
+    leaf_rows: np.ndarray
+    leaf_cols: np.ndarray
+    log0: np.ndarray
+    log1: np.ndarray
+    ops: tuple[_Op, ...]
+    consts: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.live.size + self.consts.size
 
 
 def evaluate_complete(circuit: Circuit, assignment: Sequence[int] | np.ndarray) -> float:
@@ -623,15 +753,21 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
 
     Keys preserve the big-endian ordering of bits_to_index, so sorting keys
     sorts assignments lexicographically.  ``keys.tolist()`` yields hashable
-    Python values for either representation.
+    Python values for either representation.  Extra memory is O(B) bytes:
+    the rows are packed 8 bits to a byte and read as big-endian words.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint8))
+    rows = np.atleast_2d(np.asarray(rows))
     n = rows.shape[1]
-    if n <= 64:
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-        return (rows.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-    packed = np.packbits(rows, axis=1)
-    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
+    packed = np.packbits(rows, axis=1)  # zero-padded on the right to whole bytes
+    if n > 64:
+        return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
+    k = packed.shape[1]
+    width = 1 << (k - 1).bit_length()  # bytes in the smallest word that holds k
+    if k < width:
+        packed = np.concatenate((np.zeros((packed.shape[0], width - k), dtype=np.uint8), packed), axis=1)
+    keys = packed.view(f">u{width}").ravel().astype(np.uint64)
+    keys >>= np.uint64(8 * k - n)
+    return keys
 
 
 def enumerate_assignments(n: int) -> np.ndarray:

@@ -93,8 +93,13 @@ class ConditionalOracle:
     """Exact p(q | e) queries and i.i.d. conditional sampling.
 
     Construction runs one upward pass with evidence fixed and query/nuisance
-    variables summed out, caching ln p(e) and the per-sum-node child-descent
-    distributions.  Instances are immutable and shareable; sampling draws are
+    variables summed out, caching ln p(e), and folds the circuit's plan on
+    the query: a node is live when its scope meets Q, and every other node
+    takes its cached upward value in every row.  Scoring evaluates only the
+    live nodes, straight on the (B, |Q|) query block, bit-identical to a
+    full pass over the rows with evidence filled in.  Sampling walks only
+    the live nodes, with per-sum-node child-descent distributions from the
+    upward pass.  Instances are immutable and shareable; sampling draws are
     indexed by a counter-based stream, so results do not depend on batching.
     """
 
@@ -108,29 +113,38 @@ class ConditionalOracle:
         template = np.full(circuit.num_vars, MARGINAL, dtype=np.int8)
         for v, val in spec.evidence.items():
             template[v] = val
-        self._template = template
         upward = circuit.log_forward(template[None, :])[:, 0]
         self.log_p_evidence = float(upward[circuit.root])
         if self.log_p_evidence == -np.inf:
             raise ZeroEvidenceError("evidence has probability zero under the circuit")
-        self._upward = upward
+        self._plan = circuit._fold(spec.query_vars, upward)
+        live = self._plan.live
+        self._live = live.tolist()
+        slot_of = np.full(len(circuit.nodes), -1, dtype=np.int64)
+        slot_of[live] = np.arange(live.size)
+        self._slot_of = slot_of.tolist()
+        # A live leaf's variable is a query variable; keep its column by slot.
+        leaf_col = np.full(live.size, -1, dtype=np.int64)
+        leaf_col[self._plan.leaf_rows] = self._plan.leaf_cols
+        self._leaf_col = leaf_col.tolist()
 
-        # Per sum node: cumulative child-selection probabilities under the
+        # Per live sum node: cumulative child-selection probabilities under the
         # cached upward pass, and the last child with positive mass (a float
         # cumsum can end below 1, and a draw past it must not land in a
-        # zero-mass child).  Unreachable (zero-mass) nodes keep None.
+        # zero-mass child).  Dead and unreachable (zero-mass) nodes keep None.
         cums: list[np.ndarray | None] = [None] * len(circuit.nodes)
         last_live = [0] * len(circuit.nodes)
-        for i, node in enumerate(circuit.nodes):
-            if isinstance(node, SumNode) and upward[i] > -np.inf:
-                probs = np.exp(np.log(node.weights) + upward[list(node.children)] - upward[i])
-                cums[i] = np.cumsum(probs)
-                last_live[i] = int(np.flatnonzero(probs > 0.0)[-1])
+        for op in self._plan.ops:
+            if op.logw is None:
+                continue
+            for i in live[op.ids].tolist():
+                if upward[i] > -np.inf:
+                    node = circuit.nodes[i]
+                    probs = np.exp(np.log(node.weights) + upward[list(node.children)] - upward[i])
+                    cums[i] = np.cumsum(probs)
+                    last_live[i] = int(np.flatnonzero(probs > 0.0)[-1])
         self._sum_cums = cums
         self._sum_last_live = last_live
-        self._evidence_mask = np.zeros(circuit.num_vars, dtype=bool)
-        for v in spec.evidence:
-            self._evidence_mask[v] = True
 
     # -- exact queries ------------------------------------------------------
 
@@ -146,9 +160,9 @@ class ConditionalOracle:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
         if not ((query_rows == 0) | (query_rows == 1) | (query_rows == MARGINAL)).all():
             raise ValueError("query entries must be 0, 1 or MARGINAL")
-        rows = np.repeat(self._template[None, :], query_rows.shape[0], axis=0)
-        rows[:, self.query_vars] = query_rows
-        return self.circuit.log_root(rows) - self.log_p_evidence
+        out = self.circuit._root(query_rows, self._plan)
+        out -= self.log_p_evidence
+        return out
 
     def conditional_log_prob(self, query: Sequence[int] | np.ndarray) -> float:
         q = np.asarray(query, dtype=np.int8)
@@ -161,19 +175,19 @@ class ConditionalOracle:
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         """Draw i.i.d. samples from P(Q | e); returns (count, |Q|) int8.
 
-        Ancestral descent from the root: sum nodes pick one child with the
-        cached conditional probabilities, product nodes descend everywhere,
-        free leaves sample their variable and evidence leaves keep the fixed
-        value.  Nuisance values are discarded by the final projection onto
-        the query columns.  Draw j always consumes substream j; the uniform
-        for (draw, node) is a pure counter function, so it is materialized
-        only where the descent actually lands.
+        Ancestral descent from the root over the live nodes: sum nodes pick
+        one child with the cached conditional probabilities, product nodes
+        descend into their live children, and leaves sample their query
+        variable.  A dead subtree would only set evidence or nuisance
+        values, which the result discards, so it is never entered.  Draw j
+        always consumes substream j; the uniform for (draw, node id) is a
+        pure counter function, so it is materialized only where the descent
+        actually lands, and skipping dead nodes changes no draw.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         stream = as_stream(rng)
-        nn = len(self.circuit.nodes)
-        chunk = max(1, _CHUNK_ELEMS // nn)
+        chunk = max(1, _CHUNK_ELEMS // self._plan.size)
         parts = []
         remaining = count
         while remaining > 0:
@@ -184,21 +198,23 @@ class ConditionalOracle:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _descend(self, seed: int, base: int, b: int) -> np.ndarray:
-        circuit, nn = self.circuit, len(self.circuit.nodes)
-        width = np.uint64(nn)
-        bits = np.repeat(self._template[None, :], b, axis=0)
-        active = np.zeros((nn, b), dtype=bool)
-        active[circuit.root] = True
+        nodes, live, slot_of = self.circuit.nodes, self._live, self._slot_of
+        width = np.uint64(len(nodes))
+        bits = np.full((b, self.num_query), MARGINAL, dtype=np.int8)
+        active = np.zeros((len(live), b), dtype=bool)
+        if slot_of[self.circuit.root] >= 0:  # else Q misses the root's scope
+            active[slot_of[self.circuit.root]] = True
 
         def uniforms_at(rows: np.ndarray, node_id: int) -> np.ndarray:
             counters = (np.uint64(base) + rows.astype(np.uint64)) * width + np.uint64(node_id)
             return counter_uniforms(seed, counters)
 
-        for i in range(nn - 1, -1, -1):
-            mask = active[i]
+        for slot in range(len(live) - 1, -1, -1):
+            mask = active[slot]
             if not mask.any():
                 continue
-            node = circuit.nodes[i]
+            i = live[slot]
+            node = nodes[i]
             if isinstance(node, SumNode):
                 cum = self._sum_cums[i]
                 rows = np.nonzero(mask)[0]
@@ -206,21 +222,18 @@ class ConditionalOracle:
                 np.clip(choice, 0, self._sum_last_live[i], out=choice)
                 for k, ch in enumerate(node.children):
                     sel = rows[choice == k]
-                    if sel.size:
-                        active[ch, sel] = True
+                    if sel.size and slot_of[ch] >= 0:
+                        active[slot_of[ch], sel] = True
             elif isinstance(node, ProductNode):
                 for ch in node.children:
-                    active[ch] |= mask
+                    if slot_of[ch] >= 0:
+                        active[slot_of[ch]] |= mask
+            elif isinstance(node, BernoulliLeaf):
+                rows = np.nonzero(mask)[0]
+                bits[rows, self._leaf_col[slot]] = (uniforms_at(rows, i) < node.theta).astype(np.int8)
             else:
-                var = node.var
-                if self._evidence_mask[var]:
-                    continue
-                if isinstance(node, BernoulliLeaf):
-                    rows = np.nonzero(mask)[0]
-                    bits[rows, var] = (uniforms_at(rows, i) < node.theta).astype(np.int8)
-                else:
-                    bits[mask, var] = node.value
-        return bits[:, self.query_vars]
+                bits[mask, self._leaf_col[slot]] = node.value
+        return bits
 
 
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:

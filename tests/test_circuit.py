@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,44 @@ def test_evaluate_mixture():
     assert np.exp(best) == pytest.approx([0.54, 0.32, 0.54], abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 16, 17, 130, 200])
+def test_products_add_children_in_reduceat_order(k):
+    # Random terms show the order of the additions; the leading theta-0
+    # leaves at x = 0 (-0.0) and MARGINAL entries (+0.0) show signed zeros.
+    rng = np.random.default_rng(k)
+    theta = rng.uniform(0.01, 0.99, size=k)
+    theta[:2] = 0.0
+    c = Circuit([BernoulliLeaf(v, float(t)) for v, t in enumerate(theta)] + [ProductNode(tuple(range(k)))], k, k)
+    rows = rng.choice(np.array([0, 1, -1], dtype=np.int8), size=(500, k))
+    rows[:, :2] = rng.choice(np.array([0, -1], dtype=np.int8), size=(500, min(k, 2)))
+    rows[:100, 2:] = -1
+    values = c.log_forward(rows)
+    want = np.add.reduceat(values[:k], [0], axis=0)[0]
+    assert values[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 17, 130])
+def test_sums_match_segmented_log_sum_exp(k):
+    # A mixture of k leaves of one variable, some with theta 0 or 1, so that
+    # rows with every child at -inf occur.
+    rng = np.random.default_rng(k)
+    theta = rng.uniform(0.01, 0.99, size=k)
+    theta[: (k + 1) // 2] = rng.choice([0.0, 1.0], size=(k + 1) // 2)
+    weights = rng.dirichlet(np.ones(k))
+    nodes = [BernoulliLeaf(0, float(t)) for t in theta] + [SumNode(tuple(range(k)), tuple(weights.tolist()))]
+    c = Circuit(nodes, k, 1)
+    rows = np.array([[0], [1], [-1]] * 10, dtype=np.int8)
+    best = c.max_forward(rows)
+    want = np.maximum.reduceat(best[:k] + np.log(weights)[:, None], [0], axis=0)[0]
+    assert best[k].tobytes() == want.tobytes()
+    values = c.log_forward(rows)
+    terms = values[:k] + np.log(weights)[:, None]
+    mx = np.maximum(np.maximum.reduceat(terms, [0], axis=0), np.finfo(np.float64).min)
+    with np.errstate(divide="ignore"):
+        want = (mx + np.log(np.add.reduceat(np.exp(terms - mx), [0], axis=0)))[0]
+    assert values[k].tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_degenerate_theta_evaluates_without_warnings():
     # theta 0 and 1 are legal; both mixture children are -inf at x0 = 1.
@@ -309,6 +348,29 @@ def test_pack_rows_matches_bits_to_index():
     rows = enumerate_assignments(6)
     keys = pack_rows(rows)
     assert keys.tolist() == list(range(64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 20, 33, 63, 64])
+def test_pack_rows_keys_are_bits_to_index_at_every_width(n):
+    rows = np.random.default_rng(n).integers(0, 2, size=(300, n)).astype(np.int8)
+    rows[0], rows[1] = 0, 1
+    keys = pack_rows(rows)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [bits_to_index(r) for r in rows]
+
+
+def test_pack_rows_memory_is_linear_in_rows():
+    # 10^6 rows of 20 bits: the keys take 8 MB; widening every bit to uint64
+    # took about 320 MB.
+    rows = np.random.default_rng(0).integers(0, 2, size=(10**6, 20)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        keys = pack_rows(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(rows), peak
+    assert keys[:5].tolist() == [bits_to_index(r) for r in rows[:5]]
 
 
 def test_pack_rows_wide_fallback():

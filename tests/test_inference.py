@@ -1,10 +1,22 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacmap.circuit import circuit_from_pmf, generate_random_circuit, pack_rows, parse_circuit
+import pacmap.circuit as circuit_module
+from pacmap.circuit import (
+    MARGINAL,
+    BernoulliLeaf,
+    Circuit,
+    circuit_from_pmf,
+    generate_deterministic_circuit,
+    generate_random_circuit,
+    pack_rows,
+    parse_circuit,
+)
 from pacmap.inference import (
     QuerySpec,
     TabularDistribution,
@@ -105,6 +117,86 @@ def test_mmap_consistency_random_specs(seed):
     assert oracle.conditional_log_prob(q) == pytest.approx(want, rel=1e-9)
 
 
+# -- query-folded plan ---------------------------------------------------------
+
+
+def _degenerate_theta_circuit() -> Circuit:
+    """generate_random_circuit(12, ...) with the leaves of even variables at theta 0 or 1."""
+    c = generate_random_circuit(12, depth=3, fanout=2, seed=8)
+    nodes = [
+        BernoulliLeaf(nd.var, float(nd.var % 4 == 0)) if isinstance(nd, BernoulliLeaf) and nd.var % 2 == 0 else nd
+        for nd in c.nodes
+    ]
+    return Circuit(nodes, c.root, c.num_vars)
+
+
+_PMF = np.random.default_rng(5).dirichlet(np.full(64, 0.3))
+_PMF[_PMF < np.quantile(_PMF, 0.4)] = 0.0
+
+_N16 = generate_random_circuit(16, 3, 2, 101)
+FOLD_CASES = {
+    "evidence+nuisance": (
+        generate_random_circuit(32, 3, 2, 202),
+        QuerySpec(
+            (1, 4, 9, 17, 30),
+            {0: 1, 2: 0, 3: 1, 8: 0, 20: 1, 31: 0},
+            tuple(sorted(set(range(32)) - {0, 1, 2, 3, 4, 8, 9, 17, 20, 30, 31})),
+        ),
+    ),
+    # Evidence x0 = 1, x1 = 0 sends the indicators of x0 = 0 and x1 = 1 to
+    # -inf, and they are dead children of live products.
+    "deterministic": (generate_deterministic_circuit(6, seed=2), QuerySpec((2, 3, 5), {0: 1, 1: 0}, (4,))),
+    # One product per atom with six indicator children in variable order.
+    "pmf": (circuit_from_pmf(_PMF / _PMF.sum()), QuerySpec((1, 4, 5), {0: 1}, (2, 3))),
+    "theta 0/1": (_degenerate_theta_circuit(), QuerySpec((0, 2, 3, 6, 9), {1: 0, 5: 1}, (4, 7, 8, 10, 11))),
+    "one query variable": (_N16, QuerySpec((7,), {0: 1, 1: 1}, (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15))),
+    "every node live": (_N16, QuerySpec(tuple(range(16)))),
+}
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_folded_scoring_is_bit_identical_to_full_pass(case):
+    c, spec = FOLD_CASES[case]
+    oracle = make_oracle(c, spec)
+    q_mask = sum(1 << v for v in spec.query_vars)
+    live = [i for i, scope in enumerate(c.scopes) if scope & q_mask]
+    assert oracle._plan.live.tolist() == live
+    if case == "every node live":
+        assert len(live) == len(c.nodes) and oracle._plan.consts.size == 0
+    rng = np.random.default_rng(3)
+    q_rows = rng.integers(0, 2, size=(400, oracle.num_query)).astype(np.int8)
+    partial = np.where(rng.random(q_rows.shape) < 0.3, MARGINAL, q_rows).astype(np.int8)
+    for block in (q_rows, partial, oracle.sample(400, 7)):
+        full = np.full((len(block), c.num_vars), MARGINAL, dtype=np.int8)
+        for v, val in spec.evidence.items():
+            full[:, v] = val
+        full[:, list(spec.query_vars)] = block
+        want = c.log_root(full) - oracle.log_p_evidence
+        assert oracle.log_prob_rows(block).tobytes() == want.tobytes()
+
+
+def test_scoring_memory_is_one_chunk(monkeypatch):
+    # Each chunk's value matrix must be released once its root row is copied.
+    monkeypatch.setattr(circuit_module, "_CHUNK_ELEMS", 200_000)
+    c = generate_random_circuit(64, 3, 2, 303)
+    oracle = make_oracle(c, QuerySpec(tuple(range(0, 64, 2)), {}, tuple(range(1, 64, 2))))
+    for score, size, width in (
+        (c.log_root, len(c.nodes), c.num_vars),
+        (oracle.log_prob_rows, oracle._plan.size, oracle.num_query),
+    ):
+        chunk = 200_000 // size
+        rows = np.random.default_rng(0).integers(0, 2, size=(8 * chunk, width)).astype(np.int8)
+        peaks = []
+        for block in (rows[:chunk], rows):
+            tracemalloc.start()
+            try:
+                score(block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -163,6 +255,37 @@ def test_sample_joint_has_model_support(small_circuits):
     joint = sample_joint(c, 5, 2)
     assert joint.shape == (5, 6)
     assert set(np.unique(joint)) <= {0, 1}
+
+
+# sha256 of oracle.sample(count, DrawStream(29)).tobytes(), recorded before
+# the sampler walked only the query-live nodes.
+SAMPLE_DIGESTS = {
+    ("evidence+nuisance", 1): "a4e9167dc11a5b8ba7e09c85bafdea0b6e0b399ce50086545509017050b33097",
+    ("evidence+nuisance", 5000): "e9358bad2a2946faed17529094c8340777be70a1f8d47a707d64d19bcadeb019",
+    ("deterministic", 1): "faee935763044f124d7526755a5058a33f9402a595994d59eddd4be8546ff201",
+    ("deterministic", 5000): "4567bd7eb525fd2ae3fd4ba3ba757110a2c9b36ecf07fa168d80d14a41a3ae1e",
+    ("n64", 1): "0ec2ba93863c8db22896bd28f62d67b097e8cb6ed6d6998c497c18eef30b1737",
+    ("n64", 5000): "a134d73602ff3136017d957481ca99ebe6d0d7c8483944a4b5c27d2fa21b3608",
+}
+
+
+@pytest.mark.parametrize("name,count", list(SAMPLE_DIGESTS))
+def test_sampler_draws_are_pinned(name, count):
+    circuits = {
+        "evidence+nuisance": lambda: generate_random_circuit(16, depth=3, fanout=2, seed=101),
+        "deterministic": lambda: generate_deterministic_circuit(6, seed=2),
+        "n64": lambda: generate_random_circuit(64, depth=3, fanout=2, seed=303),
+    }
+    specs = {
+        "evidence+nuisance": QuerySpec((0, 3, 7, 9, 12), {1: 1, 4: 0, 10: 1, 15: 0}, (2, 5, 6, 8, 11, 13, 14)),
+        "deterministic": QuerySpec((2, 3, 5), {0: 1, 1: 0}, (4,)),
+        "n64": QuerySpec(
+            tuple(range(0, 64, 4)), {v: v % 2 for v in range(1, 64, 4)}, tuple(v for v in range(64) if v % 4 > 1)
+        ),
+    }
+    draws = make_oracle(circuits[name](), specs[name]).sample(count, DrawStream(29))
+    assert draws.shape == (count, len(specs[name].query_vars))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name, count]
 
 
 def test_nuisance_projection_samples_only_query_vars(small_circuits):
