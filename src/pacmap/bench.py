@@ -25,6 +25,7 @@ from .circuit import Circuit, evaluate_marginal, generate_random_circuit, load_c
 from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
 from .rng import DrawStream, as_stream, derive_seed
 from .solvers import (
+    DEFAULT_BATCH_SIZE,
     Budget,
     PacParams,
     Solution,
@@ -120,7 +121,7 @@ class BenchConfig:
     epsilon: float = 0.01
     delta: float = 0.01
     sample_cap: int = DEFAULT_CAP
-    batch_size: int = 5000
+    batch_size: int = DEFAULT_BATCH_SIZE
     exploit_period: int = 100
     radius: int = 1
     seed: int = 0

@@ -35,8 +35,8 @@ import numpy as np
 
 MARGINAL = -1
 
-# Cap on scratch elements (nodes x batch rows) per evaluation chunk.
-_CHUNK_ELEMS = 4_000_000
+# Cap on the bytes of one chunk's scratch matrix (plan rows x batch rows).
+_CHUNK_BYTES = 4_000_000
 
 # Finite stand-in for a -inf running max in the log-sum-exp of a sum node.
 _LOG_FLOOR = np.finfo(np.float64).min
@@ -182,6 +182,14 @@ class Circuit:
             log1 = np.log(theta)
             # log1p(-0) is -0.0; an indicator's exact log(1 - v) keeps +0.0.
             log0 = np.where(is_ind, np.log(1.0 - theta), np.log1p(-theta))
+        # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or, in a
+        # max pass, takes its larger value.
+        leaf_table = np.stack(
+            (
+                np.stack((log0, log1, np.zeros_like(log0)), axis=1),
+                np.stack((log0, log1, np.maximum(log0, log1)), axis=1),
+            )
+        )
 
         # Each level runs its products, then its sums, one op per child count.
         def op(group: list[int]) -> "_Op":
@@ -206,8 +214,7 @@ class Circuit:
             live=np.arange(len(nodes), dtype=np.int64),
             leaf_rows=np.asarray(leaves, dtype=np.int64),
             leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
-            log0=log0,
-            log1=log1,
+            leaf_table=leaf_table,
             ops=tuple(ops),
             consts=np.empty(0, dtype=np.float64),
         )
@@ -256,8 +263,7 @@ class Circuit:
             live=live_ids,
             leaf_rows=row_of[full.leaf_rows[on]],
             leaf_cols=leaf_cols[on],
-            log0=full.log0[on],
-            log1=full.log1[on],
+            leaf_table=full.leaf_table[:, on],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
             consts=np.asarray(upward, dtype=np.float64)[dead],
         )
@@ -270,16 +276,17 @@ class Circuit:
         (num_nodes, B) float64.  For large batches prefer log_root, which
         chunks to bound scratch memory.  This and max_forward run the full
         plan through the same level loop that runs a query-folded plan.
+        Any other entry raises ValueError.
         """
-        return self._forward(rows, self._plan, maximize=False)
+        return self._forward(_check_entries(rows), self._plan, maximize=False)
 
     def max_forward(self, rows: np.ndarray) -> np.ndarray:
         """log_forward with every sum replaced by its largest weighted child.
 
         A MARGINAL entry is maximized over {0, 1} at the leaves rather than
-        summed out.  Same shapes as log_forward.
+        summed out.  Same shapes and checks as log_forward.
         """
-        return self._forward(rows, self._plan, maximize=True)
+        return self._forward(_check_entries(rows), self._plan, maximize=True)
 
     def _forward(self, rows: np.ndarray, plan: "_Plan", maximize: bool) -> np.ndarray:
         """The one level loop: evaluate `plan` on (B, plan.width) rows.
@@ -296,15 +303,10 @@ class Circuit:
         values[plan.size - plan.consts.size :] = plan.consts[:, None]
 
         if plan.leaf_rows.size:
-            col = rows[:, plan.leaf_cols].T
-            # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or,
-            # in a max pass, takes its larger value.
-            marginal = np.maximum(plan.log0, plan.log1)[:, None] if maximize else 0.0
-            values[plan.leaf_rows] = np.where(
-                col == MARGINAL,
-                marginal,
-                np.where(col == 1, plan.log1[:, None], plan.log0[:, None]),
-            )
+            # One gather: entry 0 or 1 picks log0 or log1, and MARGINAL (-1)
+            # picks the last column.
+            table = plan.leaf_table[int(maximize)]
+            values[plan.leaf_rows] = table[np.arange(table.shape[0])[:, None], rows.T[plan.leaf_cols]]
 
         # Children are added in np.add.reduceat's order (see _reduceat_sum), so
         # every value is the one a segmented reduceat over the children gives;
@@ -329,7 +331,7 @@ class Circuit:
 
     def log_root(self, rows: np.ndarray) -> np.ndarray:
         """Root log value per row, chunking the batch to bound memory."""
-        return self._root(rows, self._plan)
+        return self._root(_check_entries(rows), self._plan)
 
     def _root(self, rows: np.ndarray, plan: "_Plan") -> np.ndarray:
         """Root value of `plan` per row, one chunk of rows at a time.
@@ -338,11 +340,26 @@ class Circuit:
         memory is one chunk's matrix however many rows there are.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
-        chunk = max(1, _CHUNK_ELEMS // plan.size)
+        chunk = _chunk_rows(plan.size, np.dtype(np.float64).itemsize)
         out = np.empty(rows.shape[0], dtype=np.float64)
         for i in range(0, rows.shape[0], chunk):
             out[i : i + chunk] = self._forward(rows[i : i + chunk], plan, maximize=False)[plan.root]
         return out
+
+
+def _check_entries(rows) -> np.ndarray:
+    """`rows` as an int8 block; raises ValueError on entries other than 0, 1
+    and MARGINAL, which the leaf step would read as some other entry."""
+    rows = np.atleast_2d(np.asarray(rows))
+    if not ((rows == 0) | (rows == 1) | (rows == MARGINAL)).all():
+        raise ValueError("assignment entries must be 0, 1 or MARGINAL")
+    return rows.astype(np.int8, copy=False)
+
+
+def _chunk_rows(plan_size: int, itemsize: int) -> int:
+    """Rows per chunk that keep a (plan_size, rows) scratch matrix of
+    `itemsize`-byte entries within _CHUNK_BYTES (read at call time)."""
+    return max(1, _CHUNK_BYTES // (plan_size * itemsize))
 
 
 @dataclass(frozen=True)
@@ -406,8 +423,7 @@ class _Plan:
     live: np.ndarray
     leaf_rows: np.ndarray
     leaf_cols: np.ndarray
-    log0: np.ndarray
-    log1: np.ndarray
+    leaf_table: np.ndarray  # (2, leaves, 3): [log0, log1, MARGINAL value] for the sum pass, the max pass
     ops: tuple[_Op, ...]
     consts: np.ndarray
 

@@ -24,7 +24,7 @@ from .inference import (
     parse_query_spec,
     tabulate_conditional,
 )
-from .solvers import Budget, PacParams, budget_pac_map, pac_map
+from .solvers import DEFAULT_BATCH_SIZE, Budget, PacParams, budget_pac_map, pac_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,7 +193,12 @@ def build_parser() -> _Parser:
     solve.add_argument("--delta", type=float, default=0.01)
     solve.add_argument("--budget", type=int, default=None)
     solve.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    solve.add_argument("--batch-size", type=int, default=5000)
+    solve.add_argument(
+        "--batch-size",
+        type=int,
+        default=DEFAULT_BATCH_SIZE,
+        help="largest draw batch of pac and smooth; batches start at 64 draws and double",
+    )
     solve.add_argument("--period", type=int, default=100)
     solve.add_argument("--radius", type=int, default=1)
     solve.add_argument("--warm-from", default=None)

@@ -13,12 +13,13 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import (
-    _CHUNK_ELEMS,
     MARGINAL,
     BernoulliLeaf,
     Circuit,
     ProductNode,
     SumNode,
+    _check_entries,
+    _chunk_rows,
     enumerate_assignments,
 )
 from .rng import DrawStream, as_stream, counter_uniforms
@@ -155,11 +156,9 @@ class ConditionalOracle:
         conditional marginals of the assigned variables; any entry other than
         0, 1 and MARGINAL is refused.
         """
-        query_rows = np.atleast_2d(np.asarray(query_rows))
+        query_rows = _check_entries(query_rows)
         if query_rows.shape[1] != self.num_query:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
-        if not ((query_rows == 0) | (query_rows == 1) | (query_rows == MARGINAL)).all():
-            raise ValueError("query entries must be 0, 1 or MARGINAL")
         out = self.circuit._root(query_rows, self._plan)
         out -= self.log_p_evidence
         return out
@@ -187,20 +186,19 @@ class ConditionalOracle:
         if count < 1:
             raise ValueError("count must be >= 1")
         stream = as_stream(rng)
-        chunk = max(1, _CHUNK_ELEMS // self._plan.size)
-        parts = []
-        remaining = count
-        while remaining > 0:
-            take = min(chunk, remaining)
-            parts.append(self._descend(stream.seed, stream.cursor, take))
-            stream.cursor += take
-            remaining -= take
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        chunk = _chunk_rows(self._plan.size, np.dtype(bool).itemsize)
+        bits = np.full((count, self.num_query), MARGINAL, dtype=np.int8)
+        for i in range(0, count, chunk):
+            block = bits[i : i + chunk]
+            self._descend(stream.seed, stream.cursor, block)
+            stream.cursor += block.shape[0]
+        return bits
 
-    def _descend(self, seed: int, base: int, b: int) -> np.ndarray:
+    def _descend(self, seed: int, base: int, bits: np.ndarray) -> None:
+        """Fill the (b, |Q|) block `bits` with draws base, ..., base + b - 1."""
         nodes, live, slot_of = self.circuit.nodes, self._live, self._slot_of
         width = np.uint64(len(nodes))
-        bits = np.full((b, self.num_query), MARGINAL, dtype=np.int8)
+        b = bits.shape[0]
         active = np.zeros((len(live), b), dtype=bool)
         if slot_of[self.circuit.root] >= 0:  # else Q misses the root's scope
             active[slot_of[self.circuit.root]] = True
@@ -233,7 +231,6 @@ class ConditionalOracle:
                 bits[rows, self._leaf_col[slot]] = (uniforms_at(rows, i) < node.theta).astype(np.int8)
             else:
                 bits[mask, self._leaf_col[slot]] = node.value
-        return bits
 
 
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -34,6 +33,9 @@ from .circuit import pack_rows
 from .rng import DrawStream, as_stream
 
 DEFAULT_BATCH_SIZE = 5000
+# The adaptive solvers' first draw batch; each later batch doubles, up to the
+# batch size.  Most certified runs stop within tens to hundreds of draws.
+_FIRST_BATCH = 64
 DEFAULT_PARETO_GRID = 100
 
 
@@ -148,26 +150,29 @@ def pareto_front(p_hat: float, budget: int, grid: int = DEFAULT_PARETO_GRID) -> 
     return ParetoFront(p_hat, budget, tuple(points))
 
 
-def hamming_ball(center: Sequence[int] | np.ndarray, radius: int) -> Iterator[np.ndarray]:
-    """All assignments within Hamming distance `radius` of center.
+def hamming_ball(center: Sequence[int] | np.ndarray, radius: int) -> np.ndarray:
+    """All assignments within Hamming distance `radius` of center, as rows.
 
-    Ordered by distance, then by big-endian bit pattern; the center comes
-    first.  Yields sum_{k<=r} C(n, k) assignments.
+    Returns an (N, n) int8 array, N = sum_{k<=r} C(n, k), ordered by
+    distance, then by big-endian bit pattern; the center comes first.
     """
     center = np.asarray(center, dtype=np.int8)
     n = center.shape[0]
     if not (0 <= radius <= n):
         raise ValueError(f"radius must lie in [0, {n}]")
-    for k in range(radius + 1):
-        rows = []
-        for combo in combinations(range(n), k):
-            row = center.copy()
-            row[list(combo)] ^= 1
-            rows.append(row)
-        block = np.stack(rows)
-        order = np.argsort(pack_rows(block), kind="stable")
-        for idx in order:
-            yield block[idx]
+    blocks = [center[None, :]]
+    flips = np.arange(n)[:, None]  # the k-subsets of positions, one per row
+    for k in range(1, radius + 1):
+        if k > 1:  # extend each (k-1)-subset by every position after its last
+            last = flips[:, -1]
+            counts = n - 1 - last
+            parent = np.repeat(np.arange(flips.shape[0]), counts)
+            offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            flips = np.column_stack((flips[parent], last[parent] + 1 + offset))
+        block = np.repeat(center[None, :], flips.shape[0], axis=0)
+        block[np.repeat(np.arange(flips.shape[0]), k), flips.ravel()] ^= 1
+        blocks.append(block[np.argsort(pack_rows(block), kind="stable")])
+    return np.concatenate(blocks)
 
 
 # -- candidate-set engine -----------------------------------------------------
@@ -307,12 +312,15 @@ def _adaptive(
 ) -> Solution:
     """The adaptive loop behind pac_map and smooth_pac_map.
 
-    Each batch of draws is folded up to the first draw where a stopping rule
-    holds; the draws after it go back to the stream.  With `next_segment`, the
-    Hamming ball of `radius` around the leading candidate is folded in after
-    each segment of next_segment() random draws, and the rules are checked
-    once the whole ball is in.  Without it the draws run in one unbounded
-    segment.  The warm-start atoms are folded in first, with no check.
+    Draw batches start at _FIRST_BATCH draws and double, up to batch_size and
+    to the draws left before `cap`.  Each batch is sampled and scored whole,
+    then folded up to the first draw where a stopping rule holds.  With
+    `next_segment`, the batch is folded in segments of next_segment() random
+    draws, and after each segment the Hamming ball of `radius` around the
+    leading candidate is folded in and the rules are checked once the whole
+    ball is in.  Without it the draws run in one unbounded segment.  The
+    warm-start atoms are folded in first, with no check.  Whatever stops the
+    run, the draws it did not use go back to the stream.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
@@ -323,16 +331,36 @@ def _adaptive(
     sink = trajectory.append if isinstance(trajectory, list) else trajectory
     rules = _Rules(params)
     state = _warm_set(oracle, warm)
+    segment = next_segment() if next_segment is not None else math.inf
 
-    while True:
-        segment = next_segment() if next_segment is not None else math.inf
-        while segment > 0:
-            take = min(batch_size, segment, math.inf if cap is None else cap - state.m)
-            bits = oracle.sample(take, stream)
-            fold = state.fold(bits, oracle.log_prob_rows(bits), draws=True, stop=rules.grant)
+    def exploit() -> Certificate | None:
+        """Fold the balls due at the end of each finished segment; a
+        zero-length segment ends at once."""
+        nonlocal segment
+        while segment == 0:
+            if state.best_bits is not None:
+                ball = hamming_ball(state.best_bits, min(radius, oracle.num_query))
+                state.fold(ball, oracle.log_prob_rows(ball), draws=False)
+                cert = rules.certificates[int(rules.grant(state.p_hat(), state.residual(), state.m))]
+                if cert is not None:
+                    return cert
+            segment = next_segment()
+        return None
+
+    cert = exploit()
+    size = _FIRST_BATCH
+    while cert is None:
+        take = min(size, batch_size, math.inf if cap is None else cap - state.m)
+        size *= 2
+        bits = oracle.sample(take, stream)
+        log_probs = oracle.log_prob_rows(bits)
+        used = 0
+        while cert is None and used < take:
+            end = min(take, used + segment)
+            fold = state.fold(bits[used:end], log_probs[used:end], draws=True, stop=rules.grant)
             committed = len(fold.m)
-            if committed < take:
-                stream.rewind(take - committed)
+            used += committed
+            segment -= committed
             if sink is not None:
                 base = 1.0 - fold.p_hat / (1.0 - rules.eps)
                 miss = np.where(base > 0.0, base, 0.0) ** fold.m
@@ -347,18 +375,12 @@ def _adaptive(
                         )
                     )
             cert = rules.certificates[fold.grant]
-            if cert is not None:
-                return _finish(state, cert, t0)
-            if cap is not None and state.m >= cap:
-                return _finish(state, Budget(pareto_front(state.p_hat(), state.m)), t0)
-            segment -= committed
-
-        if state.best_bits is not None:
-            ball = np.stack(list(hamming_ball(state.best_bits, min(radius, oracle.num_query))))
-            state.fold(ball, oracle.log_prob_rows(ball), draws=False)
-            cert = rules.certificates[int(rules.grant(state.p_hat(), state.residual(), state.m))]
-            if cert is not None:
-                return _finish(state, cert, t0)
+            if cert is None and cap is not None and state.m >= cap:
+                cert = Budget(pareto_front(state.p_hat(), state.m))
+            if cert is None:
+                cert = exploit()
+        stream.rewind(take - used)
+    return _finish(state, cert, t0)
 
 
 def pac_map(
@@ -379,6 +401,10 @@ def pac_map(
     Reaching `cap` random draws first downgrades to a budget certificate over
     the realized sample.  Warm-start atoms join the candidate set before the
     loop without counting as draws.
+
+    Draws are sampled and scored in batches of 64, 128, 256, ... draws, up
+    to `batch_size`, the largest batch; draws past the stop go back to the
+    stream.  The answer does not depend on `batch_size`.
     """
     return _adaptive(oracle, params, cap, warm, rng, batch_size, trajectory)
 
@@ -404,6 +430,11 @@ def smooth_pac_map(
     the deterministic schedule with an explore-coin Bernoulli(1 - eta) per
     iteration.  Stopping rules are those of pac_map, evaluated over the full
     candidate set, including right after an exploitation pass.
+
+    Batches grow as in pac_map, up to `batch_size`, and the exploitation
+    schedule does not cut them: each batch is sampled and scored whole, then
+    folded one exploitation period at a time.  The answer does not depend on
+    `batch_size`.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import pacmap
 from pacmap.circuit import (
+    MARGINAL,
     BernoulliLeaf,
     Circuit,
     CircuitFormatError,
     CircuitStructureError,
+    IndicatorLeaf,
     ProductNode,
     SumNode,
     WeightNormalizationWarning,
@@ -161,6 +163,36 @@ def test_evaluate_mixture():
     # The max pass keeps the heavier weighted child; MARGINAL maximizes the leaves.
     best = c.max_forward(np.array([[1], [0], [-1]]))[c.root]
     assert np.exp(best) == pytest.approx([0.54, 0.32, 0.54], abs=1e-12)
+
+
+@pytest.mark.parametrize("maximize", [False, True], ids=["sum", "max"])
+def test_leaf_values_are_log0_log1_or_the_marginal_entry(maximize):
+    # Bernoulli leaves (some at theta 0 or 1) and indicators under one product.
+    rng = np.random.default_rng(11)
+    k = 40
+    theta = rng.uniform(0.01, 0.99, size=k)
+    theta[::5] = rng.choice([0.0, 1.0], size=len(theta[::5]))
+    leaves = [IndicatorLeaf(v, v % 2) if v % 3 == 0 else BernoulliLeaf(v, float(theta[v])) for v in range(k)]
+    c = Circuit(leaves + [ProductNode(tuple(range(k)))], k, k)
+    rows = rng.choice(np.array([0, 1, MARGINAL], dtype=np.int8), size=(300, k))
+    values = (c.max_forward if maximize else c.log_forward)(rows)
+    with np.errstate(divide="ignore"):
+        for v, leaf in enumerate(leaves):
+            if isinstance(leaf, IndicatorLeaf):
+                log1, log0 = np.log(float(leaf.value)), np.log(1.0 - leaf.value)
+            else:
+                log1, log0 = np.log(leaf.theta), np.log1p(-leaf.theta)
+            marginal = max(log0, log1) if maximize else 0.0
+            want = np.where(rows[:, v] == MARGINAL, marginal, np.where(rows[:, v] == 1, log1, log0))
+            assert values[v].tobytes() == want.tobytes(), v
+
+
+def test_evaluators_refuse_entries_outside_0_1_marginal():
+    c = parse_circuit(ONE_LEAF)
+    for bad in ([[2]], [[-2]], [[3]], [[255]]):
+        for evaluate in (c.log_forward, c.max_forward, c.log_root):
+            with pytest.raises(ValueError, match="MARGINAL"):
+                evaluate(np.array(bad))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 16, 17, 130, 200])

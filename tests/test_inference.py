@@ -176,21 +176,25 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case):
 
 
 def test_scoring_memory_is_one_chunk(monkeypatch):
-    # Each chunk's value matrix must be released once its root row is copied.
-    monkeypatch.setattr(circuit_module, "_CHUNK_ELEMS", 200_000)
+    # Each chunk's scratch matrix must be released once its result rows are
+    # copied out: scoring keeps (plan rows x chunk) float64 values, sampling
+    # a (plan rows x chunk) bool matrix of active nodes.
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 1_600_000)
     c = generate_random_circuit(64, 3, 2, 303)
     oracle = make_oracle(c, QuerySpec(tuple(range(0, 64, 2)), {}, tuple(range(1, 64, 2))))
-    for score, size, width in (
-        (c.log_root, len(c.nodes), c.num_vars),
-        (oracle.log_prob_rows, oracle._plan.size, oracle.num_query),
+    for run, size, itemsize, width in (
+        (c.log_root, len(c.nodes), 8, c.num_vars),
+        (oracle.log_prob_rows, oracle._plan.size, 8, oracle.num_query),
+        (lambda rows: oracle.sample(len(rows), 0), oracle._plan.size, 1, oracle.num_query),
     ):
-        chunk = 200_000 // size
+        chunk = circuit_module._chunk_rows(size, itemsize)
+        assert chunk == 1_600_000 // (size * itemsize)
         rows = np.random.default_rng(0).integers(0, 2, size=(8 * chunk, width)).astype(np.int8)
         peaks = []
         for block in (rows[:chunk], rows):
             tracemalloc.start()
             try:
-                score(block)
+                run(block)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

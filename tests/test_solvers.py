@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -177,6 +178,98 @@ def test_budget_solvers_match_engine_at_every_batch_size(warm):
     for bs in BATCH_SIZES:
         got = pac_map(table, PacParams(0.01, 0.01), cap=400, warm=rows, rng=DrawStream(3), batch_size=bs)
         assert _outcome(got) == want
+
+
+class CountingOracle:
+    """Pass-through oracle that records the size of every sample and score call."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.num_query = oracle.num_query
+        self.sampled, self.scored = [], []
+
+    def sample(self, count, rng):
+        self.sampled.append(count)
+        return self.oracle.sample(count, rng)
+
+    def log_prob_rows(self, rows):
+        self.scored.append(len(rows))
+        return self.oracle.log_prob_rows(rows)
+
+
+PARAMS = PacParams(0.01, 0.01)
+STOP_PATHS = {
+    # name: (table, solver on (oracle, stream), check on (solution, trajectory, oracle))
+    "pac mid-batch": (
+        (8, 2, 0.5),
+        lambda o, s, pts: pac_map(o, PARAMS, rng=s, trajectory=pts),
+        lambda sol, pts, o: o.sampled == [64, 128] and sol.draws_used < 64 + 128,
+    ),
+    "smooth mid-segment": (
+        (8, 2, 0.5),
+        lambda o, s, pts: smooth_pac_map(o, PARAMS, exploit_period=9, rng=s, trajectory=pts),
+        lambda sol, pts, o: sol.draws_used % 9 != 0 and sol.draws_used < 64 + 128,
+    ),
+    # The ball covers every atom, so the first ball check certifies; no rule
+    # held at the fifth draw.
+    "smooth ball check mid-batch": (
+        (6, 21, 1.0),
+        lambda o, s, pts: smooth_pac_map(o, PARAMS, radius=6, exploit_period=5, rng=s, trajectory=pts),
+        lambda sol, pts, o: (
+            o.sampled == [64]
+            and sol.draws_used == 5
+            and pts[-1].p_hat < pts[-1].p_check * 0.99
+            and pts[-1].m < pts[-1].stop_time_m
+        ),
+    ),
+    # At eta = 0.9 nine segments in ten are empty: more balls than draws.
+    "eta zero-length segments": (
+        (8, 2, 0.5),
+        lambda o, s, pts: smooth_pac_map(o, PARAMS, eta=0.9, rng=s, trajectory=pts),
+        lambda sol, pts, o: len(o.scored) - len(o.sampled) > sol.draws_used + 1,
+    ),
+    "cap": (
+        (12, 4, 5.0),
+        lambda o, s, pts: pac_map(o, PARAMS, cap=1000, rng=s, trajectory=pts),
+        lambda sol, pts, o: isinstance(sol.certificate, Budget) and sol.draws_used == 1000,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(STOP_PATHS))
+def test_every_stop_returns_the_unused_draws(path):
+    shape, run, check = STOP_PATHS[path]
+    oracle = CountingOracle(random_table(*shape))
+    stream = DrawStream(3, cursor=1000)
+    points = []
+    sol = run(oracle, stream, points)
+    assert check(sol, points, oracle), (sol, oracle.sampled)
+    assert stream.cursor == 1000 + sol.draws_used
+
+
+@pytest.mark.parametrize("batch_size", [1, 50, 100, 5000])
+@pytest.mark.parametrize("cap", [30, 1000, 3000])
+@pytest.mark.parametrize("smooth", [False, True], ids=["pac", "smooth"])
+def test_draw_batches_double_from_64_up_to_batch_size_and_cap(batch_size, cap, smooth):
+    # A flat table: every run stops at the cap.
+    oracle = CountingOracle(random_table(12, 4, alpha=5.0))
+    if smooth:
+        sol = smooth_pac_map(oracle, PARAMS, exploit_period=7, cap=cap, rng=5, batch_size=batch_size)
+    else:
+        sol = pac_map(oracle, PARAMS, cap=cap, rng=5, batch_size=batch_size)
+    assert sol.draws_used == cap == sum(oracle.sampled)
+    m = 0
+    for i, size in enumerate(oracle.sampled):
+        assert size == min(64 * 2**i, batch_size, cap - m)
+        m += size
+
+
+def test_smooth_samples_whole_batches_across_exploitation_periods():
+    # 64 + 128 + ... + 2048 = 4032 draws, then the last 968 up to the cap.
+    oracle = CountingOracle(random_table(12, 4, alpha=5.0))
+    sol = smooth_pac_map(oracle, PARAMS, exploit_period=100, cap=5000, rng=3, batch_size=5000)
+    assert isinstance(sol.certificate, Budget)
+    assert oracle.sampled == [64, 128, 256, 512, 1024, 2048, 968]
 
 
 @pytest.mark.parametrize("n, alpha, table_seed", [(6, 0.1, 1), (8, 0.3, 2), (6, 1.0, 3)])
@@ -372,6 +465,23 @@ def test_hamming_ball_examples():
     assert sum(1 for _ in hamming_ball(np.zeros(10, dtype=np.int8), 2)) == 56
     with pytest.raises(ValueError):
         list(hamming_ball([0, 0], 3))
+
+
+def test_hamming_ball_matches_combinations_reference():
+    rng = np.random.default_rng(0)
+    for n in range(1, 11):
+        for radius in range(min(n, 3) + 1):
+            center = rng.integers(0, 2, n).astype(np.int8)
+            want = []
+            for k in range(radius + 1):
+                group = []
+                for combo in combinations(range(n), k):
+                    row = center.copy()
+                    row[list(combo)] ^= 1
+                    group.append(row.tolist())
+                want.extend(sorted(group))
+            ball = hamming_ball(center, radius)
+            assert ball.dtype == np.int8 and ball.tolist() == want, (n, radius)
 
 
 def test_hamming_ball_order_distance_then_pattern():
