@@ -296,9 +296,9 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     evidence = draw_evidence(circuit, e_vars, cfg.evidence_mode, DrawStream(derive_seed(base, "evidence")))
                     spec = QuerySpec(part.query_vars, evidence, ())
                     spec.validate(circuit.num_vars)
-                except Exception:
+                except Exception as exc:
                     records.append(
-                        BenchRecord(dataset, trial, prop, "instance", None, None, 0.0, "error", None, None, 0, False)
+                        BenchRecord(dataset, trial, prop, "instance", None, None, 0.0, _why(exc), None, None, 0, False)
                     )
                     continue
                 group: list[BenchRecord] = []
@@ -312,16 +312,21 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                         group.append(
                             BenchRecord(dataset, trial, prop, method, log_p, None, ms, cert, eps, delta, draws, timed_out)
                         )
-                    except Exception:
+                    except Exception as exc:
                         ms = (time.perf_counter() - t0) * 1000.0
                         group.append(
-                            BenchRecord(dataset, trial, prop, method, None, None, ms, "error", None, None, 0, False)
+                            BenchRecord(dataset, trial, prop, method, None, None, ms, _why(exc), None, None, 0, False)
                         )
                 ok = [r for r in group if r.log_p_hat is not None]
                 ranks = rank_methods([r.log_p_hat for r in ok]) if ok else []
                 rank_of = {id(r): rank for r, rank in zip(ok, ranks)}
                 records.extend(replace(r, rank=rank_of.get(id(r))) for r in group)
     return records
+
+
+def _why(exc: Exception) -> str:
+    """The cert of a record whose instance or method raised: "Type: message"."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _fmt(value) -> str:

@@ -293,7 +293,7 @@ class Circuit:
 
         Returns the (plan rows, B) value matrix: for the full plan one row per
         node; for a folded plan (see _fold) its live nodes, then its constant
-        rows.
+        rows; for a ball plan (see _ball_plan) the slots come before them.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
         if rows.shape[1] != plan.width:
@@ -413,8 +413,9 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 class _Plan:
     """A compiled evaluation plan: leaf table, level ops and constant rows.
 
-    Value rows 0..len(live)-1 hold the nodes in `live` (ascending ids) and the
-    last consts.size rows hold constants.  Leaf rows read input columns
+    Value rows 0..len(live)-1 hold the nodes in `live` (ascending ids; a ball
+    plan follows them with its slots, see _ball_plan) and the last
+    consts.size rows hold constants.  Leaf rows read input columns
     `leaf_cols` of a (B, width) block.
     """
 
@@ -430,6 +431,67 @@ class _Plan:
     @property
     def size(self) -> int:
         return self.live.size + self.consts.size
+
+
+def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
+    """`plan` extended to score a row and all its one-flip neighbours in one pass.
+
+    A row that differs from the center only in column q changes only the
+    nodes whose scope holds q.  The extended plan keeps plan's value rows,
+    which hold the center's values, and adds one slot row per (node, q) with
+    q in the node's scope, which holds the node's value with column q
+    flipped.  Its input row is [center, 1 - center], and a leaf's slot reads
+    the flipped copy of its column.  Each op evaluates its nodes and their
+    slots together; a slot's child is the child's slot for q where the child
+    has one and the child's center row elsewhere.  So every slot is computed
+    from the same inputs by the same arithmetic as in a full pass over the
+    flipped row, and is bit-identical to it.
+
+    Returns the plan, with value rows plan's live rows, then the slots, then
+    plan's constants, and the (width + 1,) value rows of the root for the
+    center and for each flipped column.
+    """
+    width, n_live = plan.width, plan.live.size
+    # holds[r, q]: the scope of value row r holds input column q.
+    holds = np.zeros((plan.size, width), dtype=bool)
+    holds[plan.leaf_rows, plan.leaf_cols] = True
+    for op in plan.ops:
+        holds[op.ids] = holds[op.kids].any(axis=0)
+    flat = holds.ravel()
+    keys = np.flatnonzero(flat)  # slot k is (row, column) divmod(keys[k], width)
+    shift = np.where(np.arange(plan.size) < n_live, 0, keys.size)  # constants move past the slots
+
+    def slot(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Extended value row of the slot (r, q), which must exist."""
+        return n_live + np.searchsorted(keys, r * width + q)
+
+    def flipped(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Extended value row of plan row r when column q is flipped."""
+        return np.where(flat[r * width + q], slot(r, q), r + shift[r])
+
+    ops = []
+    for op in plan.ops:
+        j, q = np.divmod(np.flatnonzero(holds[op.ids]), width)
+        ops.append(
+            _Op(
+                np.concatenate((op.ids, slot(op.ids[j], q))),
+                np.concatenate((op.kids + shift[op.kids], flipped(op.kids[:, j], q)), axis=1),
+                None if op.logw is None else np.concatenate((op.logw, op.logw[:, j]), axis=1),
+            )
+        )
+    root = plan.root + int(shift[plan.root])
+    roots = np.concatenate(([root], flipped(np.full(width, plan.root), np.arange(width))))
+    ball = _Plan(
+        width=2 * width,
+        root=root,
+        live=np.concatenate((plan.live, plan.live[keys // width])),
+        leaf_rows=np.concatenate((plan.leaf_rows, slot(plan.leaf_rows, plan.leaf_cols))),
+        leaf_cols=np.concatenate((plan.leaf_cols, plan.leaf_cols + width)),
+        leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table), axis=1),
+        ops=tuple(ops),
+        consts=plan.consts,
+    )
+    return ball, roots
 
 
 def evaluate_complete(circuit: Circuit, assignment: Sequence[int] | np.ndarray) -> float:

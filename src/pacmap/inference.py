@@ -18,6 +18,7 @@ from .circuit import (
     Circuit,
     ProductNode,
     SumNode,
+    _ball_plan,
     _check_entries,
     _chunk_rows,
     enumerate_assignments,
@@ -98,10 +99,18 @@ class ConditionalOracle:
     the query: a node is live when its scope meets Q, and every other node
     takes its cached upward value in every row.  Scoring evaluates only the
     live nodes, straight on the (B, |Q|) query block, bit-identical to a
-    full pass over the rows with evidence filled in.  Sampling walks only
-    the live nodes, with per-sum-node child-descent distributions from the
-    upward pass.  Instances are immutable and shareable; sampling draws are
-    indexed by a counter-based stream, so results do not depend on batching.
+    full pass over the rows with evidence filled in.  A batch that is a
+    radius-1 Hamming ball around its first row (as smooth_pac_map scores)
+    is scored incrementally instead: a row that flips query column q
+    changes only the nodes whose scope holds q, so one pass over the first
+    row and a value slot per (live node, q) gives every row's score, bit for
+    bit the folded pass's.  The slot plan is compiled once per oracle, at
+    the first such batch.  Sampling walks only the live nodes, with
+    per-sum-node child-descent distributions from the upward pass.
+    Instances are shareable and their answers never change (two threads
+    that compile the slot plan at once build the same one); sampling draws
+    are indexed by a counter-based stream, so results do not depend on
+    batching.
     """
 
     def __init__(self, circuit: Circuit, spec: QuerySpec):
@@ -146,6 +155,7 @@ class ConditionalOracle:
                     last_live[i] = int(np.flatnonzero(probs > 0.0)[-1])
         self._sum_cums = cums
         self._sum_last_live = last_live
+        self._ball: tuple | None = None  # _ball_plan(self._plan), built by the first ball scored
 
     # -- exact queries ------------------------------------------------------
 
@@ -155,13 +165,31 @@ class ConditionalOracle:
         Entries left at MARGINAL are summed out, so partial rows yield
         conditional marginals of the assigned variables; any entry other than
         0, 1 and MARGINAL is refused.
+
+        A radius-1 Hamming ball (more than one row, entries 0/1 only, every
+        row within distance 1 of row 0) is scored in one pass over row 0 and
+        its flipped variants (see _ball_plan); every other batch takes the
+        folded pass.  Both give the same bytes.
         """
         query_rows = _check_entries(query_rows)
         if query_rows.shape[1] != self.num_query:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
-        out = self.circuit._root(query_rows, self._plan)
+        flips = _ball_flips(query_rows)
+        if flips is None:
+            out = self.circuit._root(query_rows, self._plan)
+        else:
+            out = self._score_ball(query_rows[0], flips)
         out -= self.log_p_evidence
         return out
+
+    def _score_ball(self, center: np.ndarray, flips: np.ndarray) -> np.ndarray:
+        """Root values of the rows `center` with column flips[i] flipped (none
+        where flips[i] is -1), from one pass over the center and every flip."""
+        if self._ball is None:
+            self._ball = _ball_plan(self._plan)
+        plan, roots = self._ball
+        values = self.circuit._forward(np.concatenate((center, 1 - center))[None, :], plan, maximize=False)
+        return values[roots[flips + 1], 0]
 
     def conditional_log_prob(self, query: Sequence[int] | np.ndarray) -> float:
         q = np.asarray(query, dtype=np.int8)
@@ -200,17 +228,21 @@ class ConditionalOracle:
         width = np.uint64(len(nodes))
         b = bits.shape[0]
         active = np.zeros((len(live), b), dtype=bool)
+        # reached[slot] is set with the first active row of the slot, so an
+        # unreached slot is skipped without looking at its row of `active`.
+        reached = [False] * len(live)
         if slot_of[self.circuit.root] >= 0:  # else Q misses the root's scope
             active[slot_of[self.circuit.root]] = True
+            reached[slot_of[self.circuit.root]] = True
 
         def uniforms_at(rows: np.ndarray, node_id: int) -> np.ndarray:
             counters = (np.uint64(base) + rows.astype(np.uint64)) * width + np.uint64(node_id)
             return counter_uniforms(seed, counters)
 
         for slot in range(len(live) - 1, -1, -1):
-            mask = active[slot]
-            if not mask.any():
+            if not reached[slot]:
                 continue
+            mask = active[slot]
             i = live[slot]
             node = nodes[i]
             if isinstance(node, SumNode):
@@ -222,15 +254,33 @@ class ConditionalOracle:
                     sel = rows[choice == k]
                     if sel.size and slot_of[ch] >= 0:
                         active[slot_of[ch], sel] = True
+                        reached[slot_of[ch]] = True
             elif isinstance(node, ProductNode):
                 for ch in node.children:
                     if slot_of[ch] >= 0:
                         active[slot_of[ch]] |= mask
+                        reached[slot_of[ch]] = True
             elif isinstance(node, BernoulliLeaf):
                 rows = np.nonzero(mask)[0]
                 bits[rows, self._leaf_col[slot]] = (uniforms_at(rows, i) < node.theta).astype(np.int8)
             else:
                 bits[mask, self._leaf_col[slot]] = node.value
+
+
+def _ball_flips(rows: np.ndarray) -> np.ndarray | None:
+    """The column in which each row differs from row 0 (-1 for none) when the
+    checked int8 block `rows` is a radius-1 ball; None otherwise.
+
+    Row 1 is looked at first, so a batch of draws is refused without a
+    (B, |Q|) temporary.
+    """
+    if len(rows) < 2 or np.count_nonzero(rows[1] != rows[0]) > 1 or rows.min() == MARGINAL:
+        return None
+    diff = rows != rows[0]
+    counts = diff.sum(axis=1)
+    if counts.max() > 1:
+        return None
+    return np.where(counts, diff.argmax(axis=1), -1)
 
 
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:

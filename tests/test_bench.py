@@ -203,6 +203,19 @@ def test_timed_out_rows_carry_budget_cert():
         assert r.delta is not None
 
 
+def test_errored_rows_say_why():
+    # Share 0.01 leaves no query variable at n = 16, and smooth refuses a
+    # zero exploitation period; mp still runs and is ranked alone.
+    cfg = _small_cfg(trials=1, query_proportions=(0.01, 0.5), methods=("smooth", "mp"), exploit_period=0)
+    records = run_benchmark(cfg)
+    assert [(r.query_prop, r.method) for r in records] == 2 * [(0.01, "instance"), (0.5, "smooth"), (0.5, "mp")]
+    for instance, smooth, mp in zip(records[::3], records[1::3], records[2::3]):
+        assert instance.cert == "ValueError: proportion 0.01 leaves an empty query or evidence set for n=16"
+        assert smooth.cert == "ValueError: exploit_period must be >= 1"
+        assert instance.log_p_hat is smooth.log_p_hat is smooth.rank is None
+        assert mp.rank == 1 and mp.log_p_hat is not None
+
+
 def test_log_p_hat_reproducible_by_rescoring():
     cfg = _small_cfg(trials=1, query_proportions=(0.25,))
     records = run_benchmark(cfg)

@@ -30,6 +30,7 @@ from pacmap.inference import (
     tabulate_conditional,
 )
 from pacmap.rng import DrawStream
+from pacmap.solvers import hamming_ball
 from conftest import ref_conditional_prob, ref_marginal_prob, total_variation
 
 BERN7 = parse_circuit("spn v1\nvars 1\nleaf 0 bernoulli 0 0.7\nroot 0\n")
@@ -155,24 +156,49 @@ FOLD_CASES = {
 
 
 @pytest.mark.parametrize("case", list(FOLD_CASES))
-def test_folded_scoring_is_bit_identical_to_full_pass(case):
+def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
     c, spec = FOLD_CASES[case]
     oracle = make_oracle(c, spec)
+    n = oracle.num_query
     q_mask = sum(1 << v for v in spec.query_vars)
     live = [i for i, scope in enumerate(c.scopes) if scope & q_mask]
     assert oracle._plan.live.tolist() == live
     if case == "every node live":
         assert len(live) == len(c.nodes) and oracle._plan.consts.size == 0
     rng = np.random.default_rng(3)
-    q_rows = rng.integers(0, 2, size=(400, oracle.num_query)).astype(np.int8)
+    q_rows = rng.integers(0, 2, size=(400, n)).astype(np.int8)
     partial = np.where(rng.random(q_rows.shape) < 0.3, MARGINAL, q_rows).astype(np.int8)
-    for block in (q_rows, partial, oracle.sample(400, 7)):
+    # Radius-1 balls around row 0 take the incremental path; with one query
+    # variable every batch of complete rows is such a ball.
+    balls = [hamming_ball(center, 1) for center in (np.zeros(n), np.ones(n), *oracle.sample(2, 11))]
+    rest = np.concatenate((balls[2][1:], balls[2][[0, 0, 1, -1]]))
+    shuffled = np.concatenate((balls[2][:1], rest[rng.permutation(len(rest))]))
+    near_misses = []
+    for ball in balls:
+        marginal = ball.copy()
+        marginal[-1, 0] = MARGINAL
+        near_misses += [marginal, ball[:1]]
+        if n > 1:
+            far = ball.copy()
+            far[-1] = ball[0]
+            far[-1, :2] ^= 1
+            near_misses.append(far)
+    blocks = [(q_rows, n == 1), (partial, False), (oracle.sample(400, 7), n == 1)]
+    blocks += [(ball, True) for ball in balls] + [(shuffled, True)]
+    blocks += [(block, False) for block in near_misses]
+
+    incremental = []
+    score_ball = oracle._score_ball
+    monkeypatch.setattr(oracle, "_score_ball", lambda *args: incremental.append(1) or score_ball(*args))
+    for block, is_ball in blocks:
         full = np.full((len(block), c.num_vars), MARGINAL, dtype=np.int8)
         for v, val in spec.evidence.items():
             full[:, v] = val
         full[:, list(spec.query_vars)] = block
         want = c.log_root(full) - oracle.log_p_evidence
+        taken = len(incremental)
         assert oracle.log_prob_rows(block).tobytes() == want.tobytes()
+        assert len(incremental) - taken == is_ball
 
 
 def test_scoring_memory_is_one_chunk(monkeypatch):
