@@ -3,7 +3,9 @@
 All three return an assignment over the query variables re-scored through
 the conditional oracle, so probabilities are comparable across methods.
 Nuisance variables are maximized internally and discarded.  Leaf argmax ties
-(theta = 0.5) break to 0, matching the brute-force tie rule.
+(theta = 0.5) break to 0, matching the brute-force tie rule.  max_product
+and arg_max_product run on the circuit's compiled plan (one bottom-up op
+loop, Circuit._max_product) and never look at node objects.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MARGINAL, BernoulliLeaf, Circuit, IndicatorLeaf, ProductNode, SumNode
-from .inference import ConditionalOracle, QuerySpec, make_oracle
+from .circuit import MARGINAL, Circuit
+from .inference import ConditionalOracle, QuerySpec, _evidence_row, make_oracle
 
 
 @dataclass(frozen=True)
@@ -25,49 +27,24 @@ class BaselineResult:
     wall_time: float
 
 
-def _evidence_row(circuit: Circuit, spec: QuerySpec) -> np.ndarray:
-    row = np.full(circuit.num_vars, MARGINAL, dtype=np.int8)
-    for v, val in spec.evidence.items():
-        row[v] = val
-    return row
-
-
-def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> BaselineResult:
-    """Linear-time heuristic: one max-sum upward pass, one argmax trace down.
-
-    At sum nodes the trace follows the child attaining the weighted max
-    (first one on ties); at product nodes it descends everywhere; free leaves
-    contribute their own argmax value.
-    """
+def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None, amp: bool) -> BaselineResult:
     spec.validate(circuit.num_vars)
     t0 = time.perf_counter()
-    row = _evidence_row(circuit, spec)
-    values = circuit.max_forward(row)[:, 0]
-
-    assignment = row.copy()
-    stack = [circuit.root]
-    while stack:
-        i = stack.pop()
-        node = circuit.nodes[i]
-        if isinstance(node, SumNode):
-            scores = np.log(node.weights) + values[list(node.children)]
-            stack.append(node.children[int(np.argmax(scores))])
-        elif isinstance(node, ProductNode):
-            stack.extend(node.children)
-        else:
-            var = node.var
-            if assignment[var] != MARGINAL:
-                continue
-            if isinstance(node, BernoulliLeaf):
-                assignment[var] = 1 if node.theta > 0.5 else 0
-            else:
-                assignment[var] = node.value
-
-    q_hat = assignment[list(spec.query_vars)].copy()
+    q_hat = circuit._max_product(_evidence_row(circuit.num_vars, spec), amp)[list(spec.query_vars)]
     if oracle is None:
         oracle = make_oracle(circuit, spec)
     log_p = oracle.conditional_log_prob(q_hat)
-    return BaselineResult(q_hat, log_p, "mp", time.perf_counter() - t0)
+    return BaselineResult(q_hat, log_p, "amp" if amp else "mp", time.perf_counter() - t0)
+
+
+def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> BaselineResult:
+    """Linear-time heuristic: one max-sum upward pass, one argmax trace.
+
+    At sum nodes the trace follows the child attaining the weighted max
+    (first one on ties); at product nodes it takes every child; free leaves
+    contribute their own argmax value.
+    """
+    return _baseline(circuit, spec, oracle, amp=False)
 
 
 def arg_max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> BaselineResult:
@@ -83,42 +60,7 @@ def arg_max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle
     dominance, sums enforce it directly).  The root candidate is projected
     onto the query set.
     """
-    spec.validate(circuit.num_vars)
-    t0 = time.perf_counter()
-    evidence_row = _evidence_row(circuit, spec)
-    nn, n = len(circuit.nodes), circuit.num_vars
-    max_vals = circuit.max_forward(evidence_row)[:, 0]
-    cand = np.full((nn, n), MARGINAL, dtype=np.int8)
-    trace = np.full((nn, n), MARGINAL, dtype=np.int8)
-
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, (BernoulliLeaf, IndicatorLeaf)):
-            var = node.var
-            if evidence_row[var] != MARGINAL:
-                value = evidence_row[var]
-            elif isinstance(node, BernoulliLeaf):
-                value = 1 if node.theta > 0.5 else 0
-            else:
-                value = node.value
-            cand[i, var] = value
-            trace[i, var] = value
-        elif isinstance(node, ProductNode):
-            for ch in node.children:
-                set_mask = cand[ch] != MARGINAL
-                cand[i, set_mask] = cand[ch, set_mask]
-                trace[i, set_mask] = trace[ch, set_mask]
-        else:
-            best_child = int(np.argmax(np.log(node.weights) + max_vals[list(node.children)]))
-            trace[i] = trace[node.children[best_child]]
-            rows = np.concatenate([cand[list(node.children)], trace[i][None, :]])
-            scores = circuit.log_forward(rows)[i]
-            cand[i] = rows[int(np.argmax(scores))]
-
-    q_hat = cand[circuit.root][list(spec.query_vars)].copy()
-    if oracle is None:
-        oracle = make_oracle(circuit, spec)
-    log_p = oracle.conditional_log_prob(q_hat)
-    return BaselineResult(q_hat, log_p, "amp", time.perf_counter() - t0)
+    return _baseline(circuit, spec, oracle, amp=True)
 
 
 def independent_map(oracle: ConditionalOracle) -> BaselineResult:

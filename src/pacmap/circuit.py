@@ -215,6 +215,7 @@ class Circuit:
             leaf_rows=np.asarray(leaves, dtype=np.int64),
             leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
             leaf_table=leaf_table,
+            leaf_theta=theta,
             ops=tuple(ops),
             consts=np.empty(0, dtype=np.float64),
         )
@@ -264,6 +265,7 @@ class Circuit:
             leaf_rows=row_of[full.leaf_rows[on]],
             leaf_cols=leaf_cols[on],
             leaf_table=full.leaf_table[:, on],
+            leaf_theta=full.leaf_theta[on],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
             consts=np.asarray(upward, dtype=np.float64)[dead],
         )
@@ -333,18 +335,56 @@ class Circuit:
         """Root log value per row, chunking the batch to bound memory."""
         return self._root(_check_entries(rows), self._plan)
 
-    def _root(self, rows: np.ndarray, plan: "_Plan") -> np.ndarray:
-        """Root value of `plan` per row, one chunk of rows at a time.
+    def _root(self, rows: np.ndarray, plan: "_Plan", at: np.ndarray | None = None) -> np.ndarray:
+        """Root value of `plan` per row (row i's value at plan row at[i] where
+        `at` is given), one chunk of rows at a time.
 
-        Only the root row of each chunk's value matrix is copied out, so peak
-        memory is one chunk's matrix however many rows there are.
+        Only one entry per row of each chunk's value matrix is copied out, so
+        peak memory is one chunk's matrix however many rows there are.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
         chunk = _chunk_rows(plan.size, np.dtype(np.float64).itemsize)
         out = np.empty(rows.shape[0], dtype=np.float64)
         for i in range(0, rows.shape[0], chunk):
-            out[i : i + chunk] = self._forward(rows[i : i + chunk], plan, maximize=False)[plan.root]
+            block = rows[i : i + chunk]
+            where = plan.root if at is None else (at[i : i + chunk], np.arange(block.shape[0]))
+            # No name holds a chunk's matrix, so it is freed before the next one.
+            out[i : i + chunk] = self._forward(block, plan, maximize=False)[where]
         return out
+
+    def _max_product(self, row: np.ndarray, amp: bool) -> np.ndarray:
+        """The max-product baselines' assignment for the evidence row `row`.
+
+        One bottom-up loop over the full plan keeps per node the trace of the
+        max pass.  A leaf takes its evidence entry, else 1 only where theta >
+        0.5; a product joins its children's traces, whose scopes are disjoint,
+        as their elementwise max (MARGINAL is -1); a sum takes the trace of
+        its first child with the largest weighted max value.  With `amp` each
+        node also keeps a candidate, built as the trace at leaves and
+        products; at a sum it is the first best of the children's candidates
+        and the sum's own trace, scored at the sum node, and all candidates of
+        one op are scored together.  Returns the root's candidate with `amp`,
+        else the root's trace: a (num_vars,) row that keeps the evidence.
+        """
+        plan = self._plan
+        max_vals = self._forward(row[None, :], plan, maximize=True)[:, 0]
+        trace = np.full((plan.size, plan.width), MARGINAL, dtype=np.int8)
+        fixed = row[plan.leaf_cols]
+        trace[plan.leaf_rows, plan.leaf_cols] = np.where(fixed == MARGINAL, plan.leaf_theta > 0.5, fixed)
+        cand = trace.copy() if amp else None
+        for op in plan.ops:
+            m = op.ids.size
+            if op.logw is None:
+                trace[op.ids] = trace[op.kids].max(axis=0)
+                if amp:
+                    cand[op.ids] = cand[op.kids].max(axis=0)
+                continue
+            trace[op.ids] = trace[op.kids[np.argmax(max_vals[op.kids] + op.logw[:, :, 0], axis=0), np.arange(m)]]
+            if amp:
+                rows = np.concatenate((cand[op.kids], trace[op.ids][None]))  # (k + 1, m, width)
+                scores = self._root(rows.reshape(-1, plan.width), plan, np.tile(op.ids, len(rows)))
+                cand[op.ids] = rows[scores.reshape(len(rows), m).argmax(axis=0), np.arange(m)]
+        return (cand if amp else trace)[plan.root]
 
 
 def _check_entries(rows) -> np.ndarray:
@@ -425,6 +465,7 @@ class _Plan:
     leaf_rows: np.ndarray
     leaf_cols: np.ndarray
     leaf_table: np.ndarray  # (2, leaves, 3): [log0, log1, MARGINAL value] for the sum pass, the max pass
+    leaf_theta: np.ndarray  # (leaves,) p(leaf = 1): theta, or an indicator's value
     ops: tuple[_Op, ...]
     consts: np.ndarray
 
@@ -488,6 +529,7 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         leaf_rows=np.concatenate((plan.leaf_rows, slot(plan.leaf_rows, plan.leaf_cols))),
         leaf_cols=np.concatenate((plan.leaf_cols, plan.leaf_cols + width)),
         leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table), axis=1),
+        leaf_theta=np.concatenate((plan.leaf_theta, plan.leaf_theta)),
         ops=tuple(ops),
         consts=plan.consts,
     )

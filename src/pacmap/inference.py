@@ -14,10 +14,7 @@ import numpy as np
 
 from .circuit import (
     MARGINAL,
-    BernoulliLeaf,
     Circuit,
-    ProductNode,
-    SumNode,
     _ball_plan,
     _check_entries,
     _chunk_rows,
@@ -105,8 +102,9 @@ class ConditionalOracle:
     changes only the nodes whose scope holds q, so one pass over the first
     row and a value slot per (live node, q) gives every row's score, bit for
     bit the folded pass's.  The slot plan is compiled once per oracle, at
-    the first such batch.  Sampling walks only the live nodes, with
-    per-sum-node child-descent distributions from the upward pass.
+    the first such batch.  Sampling walks the folded plan's ops from the
+    root down, choosing sum children from per-op cumulative tables built
+    from the upward pass at construction.
     Instances are shareable and their answers never change (two threads
     that compile the slot plan at once build the same one); sampling draws
     are indexed by a counter-based stream, so results do not depend on
@@ -120,41 +118,28 @@ class ConditionalOracle:
         self.query_vars = np.asarray(spec.query_vars, dtype=np.int64)
         self.num_query = len(spec.query_vars)
 
-        template = np.full(circuit.num_vars, MARGINAL, dtype=np.int8)
-        for v, val in spec.evidence.items():
-            template[v] = val
-        upward = circuit.log_forward(template[None, :])[:, 0]
+        upward = circuit.log_forward(_evidence_row(circuit.num_vars, spec)[None, :])[:, 0]
         self.log_p_evidence = float(upward[circuit.root])
         if self.log_p_evidence == -np.inf:
             raise ZeroEvidenceError("evidence has probability zero under the circuit")
-        self._plan = circuit._fold(spec.query_vars, upward)
-        live = self._plan.live
-        self._live = live.tolist()
-        slot_of = np.full(len(circuit.nodes), -1, dtype=np.int64)
-        slot_of[live] = np.arange(live.size)
-        self._slot_of = slot_of.tolist()
-        # A live leaf's variable is a query variable; keep its column by slot.
-        leaf_col = np.full(live.size, -1, dtype=np.int64)
-        leaf_col[self._plan.leaf_rows] = self._plan.leaf_cols
-        self._leaf_col = leaf_col.tolist()
+        self._plan = plan = circuit._fold(spec.query_vars, upward)
 
-        # Per live sum node: cumulative child-selection probabilities under the
-        # cached upward pass, and the last child with positive mass (a float
+        # Per op of the plan, None for products; for the m sums of a k-child
+        # op, an (m, k) table whose row j holds node j's cumulative
+        # child-selection probabilities under the cached upward pass, and an
+        # (m,) index of each node's last child with positive mass (a float
         # cumsum can end below 1, and a draw past it must not land in a
-        # zero-mass child).  Dead and unreachable (zero-mass) nodes keep None.
-        cums: list[np.ndarray | None] = [None] * len(circuit.nodes)
-        last_live = [0] * len(circuit.nodes)
-        for op in self._plan.ops:
+        # zero-mass child).  A zero-mass node's row is NaN; no draw enters it.
+        up = np.concatenate((upward[plan.live], plan.consts))
+        self._descent: list[tuple[np.ndarray, np.ndarray] | None] = []
+        for op in plan.ops:
             if op.logw is None:
+                self._descent.append(None)
                 continue
-            for i in live[op.ids].tolist():
-                if upward[i] > -np.inf:
-                    node = circuit.nodes[i]
-                    probs = np.exp(np.log(node.weights) + upward[list(node.children)] - upward[i])
-                    cums[i] = np.cumsum(probs)
-                    last_live[i] = int(np.flatnonzero(probs > 0.0)[-1])
-        self._sum_cums = cums
-        self._sum_last_live = last_live
+            with np.errstate(invalid="ignore"):
+                probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
+            last = len(probs) - 1 - np.argmax(probs[::-1] > 0.0, axis=0)
+            self._descent.append((np.ascontiguousarray(np.cumsum(probs, axis=0).T), last))
         self._ball: tuple | None = None  # _ball_plan(self._plan), built by the first ball scored
 
     # -- exact queries ------------------------------------------------------
@@ -202,14 +187,15 @@ class ConditionalOracle:
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         """Draw i.i.d. samples from P(Q | e); returns (count, |Q|) int8.
 
-        Ancestral descent from the root over the live nodes: sum nodes pick
-        one child with the cached conditional probabilities, product nodes
-        descend into their live children, and leaves sample their query
-        variable.  A dead subtree would only set evidence or nuisance
-        values, which the result discards, so it is never entered.  Draw j
-        always consumes substream j; the uniform for (draw, node id) is a
-        pure counter function, so it is materialized only where the descent
-        actually lands, and skipping dead nodes changes no draw.
+        Ancestral descent from the root over the folded plan, op by op in
+        reverse and node by node within an op: a sum picks one child with
+        the cached conditional probabilities, a product descends into its
+        live children, and a leaf samples its query variable as u < theta.
+        A dead child, a constant row of the plan, would only set evidence or
+        nuisance values, which the result discards, so it is never entered.
+        Draw j always consumes substream j; the uniform for (draw, node id)
+        is a pure counter function, so it is materialized only where the
+        descent actually lands, and skipping dead nodes changes no draw.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -224,47 +210,59 @@ class ConditionalOracle:
 
     def _descend(self, seed: int, base: int, bits: np.ndarray) -> None:
         """Fill the (b, |Q|) block `bits` with draws base, ..., base + b - 1."""
-        nodes, live, slot_of = self.circuit.nodes, self._live, self._slot_of
-        width = np.uint64(len(nodes))
-        b = bits.shape[0]
-        active = np.zeros((len(live), b), dtype=bool)
-        # reached[slot] is set with the first active row of the slot, so an
-        # unreached slot is skipped without looking at its row of `active`.
-        reached = [False] * len(live)
-        if slot_of[self.circuit.root] >= 0:  # else Q misses the root's scope
-            active[slot_of[self.circuit.root]] = True
-            reached[slot_of[self.circuit.root]] = True
+        plan = self._plan
+        width = np.uint64(len(self.circuit.nodes))
+        n_live = plan.live.size  # plan rows 0..n_live-1; a child row past them is a constant
+        active = np.zeros((n_live, bits.shape[0]), dtype=bool)
+        # reached[r] is set with the first active draw of plan row r, so an
+        # unreached row is skipped without looking at its row of `active`.
+        reached = [False] * n_live
+        if plan.root < n_live:  # else Q misses the root's scope
+            active[plan.root] = True
+            reached[plan.root] = True
 
         def uniforms_at(rows: np.ndarray, node_id: int) -> np.ndarray:
             counters = (np.uint64(base) + rows.astype(np.uint64)) * width + np.uint64(node_id)
             return counter_uniforms(seed, counters)
 
-        for slot in range(len(live) - 1, -1, -1):
-            if not reached[slot]:
-                continue
-            mask = active[slot]
-            i = live[slot]
-            node = nodes[i]
-            if isinstance(node, SumNode):
-                cum = self._sum_cums[i]
+        # Parents come in later ops than their children, so walking the ops
+        # backwards settles each node's draws before it is entered.
+        for op, descent in zip(reversed(plan.ops), reversed(self._descent)):
+            step = zip(op.ids.tolist(), plan.live[op.ids].tolist(), op.kids.T.tolist())
+            for j, (r, node_id, kids) in enumerate(step):
+                if not reached[r]:
+                    continue
+                mask = active[r]
+                if descent is None:
+                    for ch in kids:
+                        if ch < n_live:
+                            active[ch] |= mask
+                            reached[ch] = True
+                    continue
+                cums, last = descent
                 rows = np.nonzero(mask)[0]
-                choice = np.searchsorted(cum, uniforms_at(rows, i), side="right")
-                np.clip(choice, 0, self._sum_last_live[i], out=choice)
-                for k, ch in enumerate(node.children):
+                choice = np.searchsorted(cums[j], uniforms_at(rows, node_id), side="right")
+                np.minimum(choice, last[j], out=choice)
+                for k, ch in enumerate(kids):
                     sel = rows[choice == k]
-                    if sel.size and slot_of[ch] >= 0:
-                        active[slot_of[ch], sel] = True
-                        reached[slot_of[ch]] = True
-            elif isinstance(node, ProductNode):
-                for ch in node.children:
-                    if slot_of[ch] >= 0:
-                        active[slot_of[ch]] |= mask
-                        reached[slot_of[ch]] = True
-            elif isinstance(node, BernoulliLeaf):
-                rows = np.nonzero(mask)[0]
-                bits[rows, self._leaf_col[slot]] = (uniforms_at(rows, i) < node.theta).astype(np.int8)
-            else:
-                bits[mask, self._leaf_col[slot]] = node.value
+                    if sel.size and ch < n_live:
+                        active[ch, sel] = True
+                        reached[ch] = True
+        # An indicator's theta is its value, which u < theta gives for u in [0, 1).
+        leaves = zip(
+            plan.leaf_rows.tolist(), plan.live[plan.leaf_rows].tolist(), plan.leaf_cols.tolist(), plan.leaf_theta.tolist()
+        )
+        for r, node_id, col, theta in leaves:
+            if reached[r]:
+                rows = np.nonzero(active[r])[0]
+                bits[rows, col] = (uniforms_at(rows, node_id) < theta).astype(np.int8)
+
+
+def _evidence_row(num_vars: int, spec: QuerySpec) -> np.ndarray:
+    """The (num_vars,) int8 row holding the evidence, MARGINAL elsewhere."""
+    row = np.full(num_vars, MARGINAL, dtype=np.int8)
+    row[list(spec.evidence)] = list(spec.evidence.values())
+    return row
 
 
 def _ball_flips(rows: np.ndarray) -> np.ndarray | None:

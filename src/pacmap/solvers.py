@@ -107,7 +107,7 @@ class TrajectoryPoint:
     p_hat: float
     p_check: float
     miss_bound: float
-    stop_time_m: int
+    stop_time_m: int | float  # stop_time: math.inf while p_hat is 0
 
 
 TrajectorySink = Callable[[TrajectoryPoint], None]
@@ -128,9 +128,12 @@ def stop_time(p_hat: float, eps: float, delta: float) -> int | float:
 
 
 def pareto_delta(p_hat: float, eps: float, budget: int) -> float:
-    """Minimal admissible failure probability (1 - p_hat/(1-eps))^M."""
-    if not (0.0 < p_hat < 1.0):
-        raise ValueError("p_hat must lie in (0, 1)")
+    """Minimal admissible failure probability (1 - p_hat/(1-eps))^M.
+
+    p_hat = 0 (an estimate that underflows exp) gives 1.0.
+    """
+    if not (0.0 <= p_hat < 1.0):
+        raise ValueError("p_hat must lie in [0, 1)")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not (0.0 <= eps < 1.0 - p_hat):
@@ -371,7 +374,7 @@ def _adaptive(
                             float(fold.p_hat[j]),
                             float(fold.p_check[j]),
                             float(miss[j]),
-                            math.ceil(rules.need_nat / fold.p_hat[j]),
+                            stop_time(fold.p_hat[j], rules.eps, rules.delta),
                         )
                     )
             cert = rules.certificates[fold.grant]

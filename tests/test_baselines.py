@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -112,9 +113,27 @@ def test_independent_tie_breaks_to_zero():
 
 
 def test_leaf_tie_breaks_to_zero_in_mp():
-    c = parse_circuit("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nroot 0\n")
-    res = max_product(c, QuerySpec((0,)))
-    assert res.q_hat.tolist() == [0]
+    # A free leaf takes 1 only where theta > 0.5, an indicator its value, and
+    # an evidence leaf its evidence.  In the last case amp scores (x0, x1) =
+    # (1, 1) above (0, 0) unless x0 keeps its evidence 0; the mode is x1 = 0.
+    one_leaf = "spn v1\nvars 1\nleaf 0 {}\nroot 0\n"
+    evidence_leaf = (
+        "spn v1\nvars 2\nleaf 0 bernoulli 0 0.9\nleaf 1 bernoulli 1 0.9\nprod 2 0 1\n"
+        "leaf 3 indicator 0 0\nleaf 4 indicator 1 0\nprod 5 3 4\nsum 6 2:0.7 5:0.3\nroot 6\n"
+    )
+    cases = [
+        (one_leaf.format("bernoulli 0 0.5"), QuerySpec((0,)), 0),
+        (one_leaf.format(f"bernoulli 0 {float(np.nextafter(0.5, 1))!r}"), QuerySpec((0,)), 1),
+        (one_leaf.format("bernoulli 0 0"), QuerySpec((0,)), 0),
+        (one_leaf.format("bernoulli 0 1"), QuerySpec((0,)), 1),
+        (one_leaf.format("indicator 0 1"), QuerySpec((0,)), 1),
+        (one_leaf.format("indicator 0 0"), QuerySpec((0,)), 0),
+        (evidence_leaf, QuerySpec((1,), {0: 0}), 0),
+    ]
+    for text, spec, expected in cases:
+        for method in (max_product, arg_max_product):
+            res = method(parse_circuit(text), spec)
+            assert res.q_hat.tolist() == [expected], (text, method.__name__)
 
 
 def test_results_cover_exactly_query_vars(small_circuits):
@@ -154,3 +173,50 @@ def test_runtime_scaling_mp_linear_amp_quadratic():
     amp_slope = np.polyfit(np.log(sizes), np.log(amp_times), 1)[0]
     assert mp_slope <= 1.2, f"mp slope {mp_slope:.2f} (sizes {sizes})"
     assert amp_slope <= 2.2, f"amp slope {amp_slope:.2f} (sizes {sizes})"
+
+
+def _digest_instances(name):
+    """(circuit, spec) pairs of one digest case."""
+    if name.startswith("n"):
+        n, seed = {"n16": (16, 101), "n32": (32, 202), "n64": (64, 303), "n256": (256, 404)}[name]
+        c = generate_random_circuit(n, depth=3, fanout=2, seed=seed)
+        out = []
+        for share in (0.1, 0.25, 0.5):
+            for trial in range(3):
+                gen = np.random.default_rng([seed, int(share * 100), trial])
+                query = np.sort(gen.permutation(n)[: round(share * n)])
+                bits = gen.integers(0, 2, n)
+                evidence = {v: int(bits[v]) for v in range(n) if v not in set(query.tolist())}
+                out.append((c, QuerySpec(tuple(query.tolist()), evidence)))
+        return out
+    if name == "deterministic":
+        return [(generate_deterministic_circuit(8, seed=9), QuerySpec((0, 2, 3, 5), {1: 1, 7: 0}, (4, 6)))]
+    if name == "pmf":
+        c = circuit_from_pmf(np.random.default_rng(5).dirichlet(np.full(16, 0.3)))
+        return [(c, QuerySpec((0, 1, 2, 3))), (c, QuerySpec((1, 3), {0: 1}, (2,)))]
+    return [(parse_circuit("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nroot 0\n"), QuerySpec((0,)))]
+
+
+# sha256 over q_hat bytes and repr(log_p_hat) of mp, then amp, on every
+# instance of a case, recorded before the baselines ran on the compiled plan.
+BASELINE_DIGESTS = {
+    "n16": "571cc0877fa3872ae607fa1ea75a340fa8342b3f1fb2dc6e2dcbaf22e04ca4f8",
+    "n32": "4b4e856f2b9a51dc0aaac2eb280e536cf09fd24c9c1f9d6fd95972cb5bbe9b80",
+    "n64": "9b14596431d2994e64b7628bdc228dc1e04dc890663c92ccfbbcd40fa0bea74f",
+    "n256": "71a88539d70a2d3ff76e4867dabe821cae851a9d498ea433c66013eef8e7fb8a",
+    "deterministic": "03cab157c4f6b6520e8e39110c4d435883f03521d5c9d783d3653665138e73e5",
+    "pmf": "08ed99c50116cebb39c0c1afc7a0268ffc013169da991366937e6cc699c0fbd4",
+    "leaf-0.5": "89d5a798aeec3f79e78333155994c0282772f6e54c84dc28437f9e34206d18be",
+}
+
+
+@pytest.mark.parametrize("name", list(BASELINE_DIGESTS))
+def test_baseline_answers_are_pinned(name):
+    h = hashlib.sha256()
+    for c, spec in _digest_instances(name):
+        oracle = make_oracle(c, spec)
+        for method in (max_product, arg_max_product):
+            res = method(c, spec, oracle=oracle)
+            h.update(res.q_hat.tobytes())
+            h.update(repr(res.log_p_hat).encode())
+    assert h.hexdigest() == BASELINE_DIGESTS[name]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacmap.circuit import pack_rows
-from pacmap.inference import TabularDistribution, brute_force_map, superlevel_mass
+from pacmap.circuit import pack_rows, parse_circuit
+from pacmap.inference import QuerySpec, TabularDistribution, brute_force_map, make_oracle, superlevel_mass
 from pacmap.rng import DrawStream, derive_seed
 from pacmap.solvers import (
     Budget,
@@ -379,7 +379,32 @@ def test_pareto_delta_range_errors():
     with pytest.raises(ValueError):
         pareto_delta(0.5, 0.6, 10)
     with pytest.raises(ValueError):
-        pareto_delta(0.0, 0.1, 10)
+        pareto_delta(-0.1, 0.1, 10)
+    with pytest.raises(ValueError):
+        pareto_delta(1.0, 0.0, 10)
+
+
+def test_underflowing_estimate_gets_a_budget_certificate():
+    # The mode of 1100 fair bits has probability 2^-1100, which exp rounds to
+    # p_hat = 0: no rule can hold, and the frontier is delta = 1 throughout.
+    n = 1100
+    text = "".join(f"leaf {v} bernoulli {v} 0.5\n" for v in range(n))
+    circuit = parse_circuit(f"spn v1\nvars {n}\n{text}prod {n} {' '.join(map(str, range(n)))}\nroot {n}\n")
+    oracle = make_oracle(circuit, QuerySpec(tuple(range(n))))
+    assert pareto_delta(0.0, 0.5, 10) == 1.0
+    solutions = [budget_pac_map(oracle, 10)[0], naive_map(oracle, 10)]
+    for trajectory in (None, []):
+        solutions.append(pac_map(oracle, PacParams(0.01, 0.01), cap=10, trajectory=trajectory))
+        solutions.append(smooth_pac_map(oracle, PacParams(0.01, 0.01), cap=10, trajectory=trajectory))
+        if trajectory is not None:
+            assert len(trajectory) == 20
+            assert all(p.p_hat == 0.0 and p.stop_time_m == math.inf and p.miss_bound == 1.0 for p in trajectory)
+    for sol in solutions:
+        assert isinstance(sol.certificate, Budget)
+        assert sol.draws_used == 10
+        assert sol.log_p_hat == pytest.approx(n * math.log(0.5))
+        assert sol.certificate.front.p_hat == 0.0
+        assert {delta for _, delta in sol.certificate.front.points} == {1.0}
 
 
 def test_pareto_front_grid_shape():
