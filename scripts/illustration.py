@@ -11,12 +11,12 @@ two panels of the usual convergence picture.
 """
 
 import argparse
-import csv
 import math
 
 import numpy as np
 
 from pacmap.circuit import circuit_from_pmf
+from pacmap.cli import _write_trajectory
 from pacmap.inference import QuerySpec, make_oracle
 from pacmap.rng import DrawStream
 from pacmap.solvers import PacParams, pac_map
@@ -54,12 +54,7 @@ def main() -> None:
         trajectory=trajectory,
     )
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "p_hat", "p_check", "miss_bound", "stop_time"])
-        for p in trajectory:
-            writer.writerow([p.m, repr(p.p_hat), repr(p.p_check), repr(p.miss_bound), p.stop_time_m])
-
+    _write_trajectory(trajectory, args.out)
     print(f"wrote {args.out} ({len(trajectory)} draws)")
     print(
         f"stopped at m={sol.draws_used} with a {sol.certificate.kind} certificate, "

@@ -57,7 +57,7 @@ from .solvers import (
     smooth_pac_map,
     stop_time,
 )
-from .baselines import BaselineResult, arg_max_product, independent_map, max_product
+from .baselines import arg_max_product, independent_map, max_product
 from .bench import (
     BenchConfig,
     BenchRecord,

@@ -1,7 +1,8 @@
 """Deterministic MAP heuristics used for comparison and warm starts.
 
-All three return an assignment over the query variables re-scored through
-the conditional oracle, so probabilities are comparable across methods.
+All three return a `Solution` with no certificate and no draws, its query
+assignment re-scored through the conditional oracle, so probabilities are
+comparable across methods; `oracle_calls` counts the rows scored.
 Nuisance variables are maximized internally and discarded.  Leaf argmax ties
 (theta = 0.5) break to 0, matching the brute-force tie rule.  max_product
 and arg_max_product run on the circuit's compiled plan (one bottom-up op
@@ -11,33 +12,25 @@ loop, Circuit._max_product) and never look at node objects.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MARGINAL, Circuit
-from .inference import ConditionalOracle, QuerySpec, _evidence_row, make_oracle
+from .circuit import MARGINAL, Circuit, _evidence_row
+from .inference import ConditionalOracle, QuerySpec, make_oracle
+from .solvers import Solution
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    q_hat: np.ndarray
-    log_p_hat: float
-    method: str
-    wall_time: float
-
-
-def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None, amp: bool) -> BaselineResult:
+def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None, amp: bool) -> Solution:
     spec.validate(circuit.num_vars)
     t0 = time.perf_counter()
-    q_hat = circuit._max_product(_evidence_row(circuit.num_vars, spec), amp)[list(spec.query_vars)]
+    q_hat = circuit._max_product(_evidence_row(circuit.num_vars, spec.evidence), amp)[list(spec.query_vars)]
     if oracle is None:
         oracle = make_oracle(circuit, spec)
     log_p = oracle.conditional_log_prob(q_hat)
-    return BaselineResult(q_hat, log_p, "amp" if amp else "mp", time.perf_counter() - t0)
+    return Solution(q_hat, log_p, None, 0, 1, time.perf_counter() - t0)
 
 
-def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> BaselineResult:
+def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> Solution:
     """Linear-time heuristic: one max-sum upward pass, one argmax trace.
 
     At sum nodes the trace follows the child attaining the weighted max
@@ -47,7 +40,7 @@ def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | N
     return _baseline(circuit, spec, oracle, amp=False)
 
 
-def arg_max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> BaselineResult:
+def arg_max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> Solution:
     """Quadratic-time candidate propagation.
 
     Every node carries a candidate assignment to the free variables in its
@@ -63,7 +56,7 @@ def arg_max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle
     return _baseline(circuit, spec, oracle, amp=True)
 
 
-def independent_map(oracle: ConditionalOracle) -> BaselineResult:
+def independent_map(oracle: ConditionalOracle) -> Solution:
     """Set each query variable to its univariate conditional argmax.
 
     Uses 2|Q| marginal evaluations, two per variable with every other free
@@ -79,4 +72,4 @@ def independent_map(oracle: ConditionalOracle) -> BaselineResult:
     marginals = oracle.log_prob_rows(rows)
     q_hat = (marginals[0::2] > marginals[1::2]).astype(np.int8)
     log_p = oracle.conditional_log_prob(q_hat)
-    return BaselineResult(q_hat, log_p, "ind", time.perf_counter() - t0)
+    return Solution(q_hat, log_p, None, 0, 2 * nq + 1, time.perf_counter() - t0)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import BaselineResult, arg_max_product, independent_map, max_product
+from .baselines import arg_max_product, independent_map, max_product
 from .circuit import Circuit, evaluate_marginal, generate_random_circuit, load_circuit
 from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
 from .rng import DrawStream, as_stream, derive_seed
@@ -29,7 +29,6 @@ from .solvers import (
     Budget,
     PacParams,
     Solution,
-    TrajectorySink,
     budget_pac_map,
     naive_map,
     pac_map,
@@ -46,8 +45,6 @@ DEFAULT_CAP = 10**6
 class MethodInputs:
     """Everything a registered method may read; each method uses a subset."""
 
-    circuit: Circuit
-    spec: QuerySpec
     oracle: ConditionalOracle
     params: PacParams | None
     cap: int | None
@@ -57,7 +54,7 @@ class MethodInputs:
     radius: int
     rng: int | DrawStream
     warm: Sequence[np.ndarray] | None = None
-    trajectory: TrajectorySink | list | None = None
+    trajectory: list | None = None
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class Method:
     a cap), "fixed" (draws exactly `budget` samples) or "baseline"
     (deterministic heuristic)."""
 
-    run: Callable[[MethodInputs], Solution | BaselineResult]
+    run: Callable[[MethodInputs], Solution]
     kind: str
     takes_warm: bool = False
 
@@ -89,8 +86,8 @@ METHODS: dict[str, Method] = {
     ),
     "budget": Method(lambda a: budget_pac_map(a.oracle, a.budget, warm=a.warm, rng=a.rng)[0], "fixed", takes_warm=True),
     "naive": Method(lambda a: naive_map(a.oracle, a.budget, rng=a.rng), "fixed"),
-    "mp": Method(lambda a: max_product(a.circuit, a.spec, oracle=a.oracle), "baseline"),
-    "amp": Method(lambda a: arg_max_product(a.circuit, a.spec, oracle=a.oracle), "baseline"),
+    "mp": Method(lambda a: max_product(a.oracle.circuit, a.oracle.spec, oracle=a.oracle), "baseline"),
+    "amp": Method(lambda a: arg_max_product(a.oracle.circuit, a.oracle.spec, oracle=a.oracle), "baseline"),
     "ind": Method(lambda a: independent_map(a.oracle), "baseline"),
 }
 # The paper's ranking run: every method except the fixed-budget solvers.
@@ -262,16 +259,15 @@ def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig
     """Run one method; returns (log_p_hat, cert_kind, eps, delta, draws, timed_out)."""
     entry = METHODS[method]
     params = PacParams(cfg.epsilon, cfg.delta)
-    oracle = make_oracle(circuit, spec)
     sol = entry.run(
         MethodInputs(
-            circuit, spec, oracle, params, cap=cfg.sample_cap, budget=cfg.sample_cap, batch_size=cfg.batch_size,
+            make_oracle(circuit, spec), params, cap=cfg.sample_cap, budget=cfg.sample_cap, batch_size=cfg.batch_size,
             exploit_period=cfg.exploit_period, radius=cfg.radius, rng=DrawStream(seed),
         )
     )
-    if entry.kind == "baseline":
-        return sol.log_p_hat, "", None, None, 0, False
     cert = sol.certificate
+    if cert is None:
+        return sol.log_p_hat, "", None, None, sol.draws_used, False
     if isinstance(cert, Budget):
         # Report the config tolerance with its realized admissible level.
         p_hat = math.exp(sol.log_p_hat)

@@ -563,12 +563,17 @@ def evaluate_marginal(
         raise ValueError(f"variables {sorted(missing)} neither assigned nor marginalized")
     if (marg | keys) - set(range(circuit.num_vars)):
         raise ValueError("variable index out of range")
-    row = np.full(circuit.num_vars, MARGINAL, dtype=np.int8)
     for v, val in evidence.items():
         if val not in (0, 1):
             raise ValueError(f"evidence value for variable {v} must be 0 or 1")
-        row[v] = val
-    return float(circuit.log_root(row[None, :])[0])
+    return float(circuit.log_root(_evidence_row(circuit.num_vars, evidence)[None, :])[0])
+
+
+def _evidence_row(num_vars: int, evidence: dict[int, int]) -> np.ndarray:
+    """The (num_vars,) int8 row holding the evidence, MARGINAL elsewhere."""
+    row = np.full(num_vars, MARGINAL, dtype=np.int8)
+    row[list(evidence)] = list(evidence.values())
+    return row
 
 
 # -- text format ------------------------------------------------------------

@@ -51,6 +51,8 @@ def _load_problem(args):
 
 
 def _cert_fields(cert) -> tuple[str, str, str]:
+    if cert is None:
+        return "", "", ""
     if isinstance(cert, Budget):
         return cert.kind, "", ""
     return cert.kind, repr(cert.epsilon), repr(cert.delta)
@@ -65,11 +67,9 @@ def _write_trajectory(points, path) -> None:
 
 
 def cmd_solve(args) -> int:
-    circuit, spec = _load_problem(args)
-    oracle = make_oracle(circuit, spec)
     method, entry = args.method, METHODS[args.method]
     inputs = MethodInputs(
-        circuit, spec, oracle, PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None,
+        make_oracle(*_load_problem(args)), PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None,
         cap=args.cap, budget=args.budget, batch_size=args.batch_size, exploit_period=args.period,
         radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
     )
@@ -83,16 +83,6 @@ def cmd_solve(args) -> int:
     if entry.kind == "fixed" and args.budget is None:
         raise ValueError(f"--budget is required for method {method!r}")
 
-    if entry.kind == "baseline":
-        result = entry.run(inputs)
-        print(
-            f"result method={method} q={_bitstring(result.q_hat)} "
-            f"log_p_hat={result.log_p_hat!r} cert= epsilon= delta= draws=0 "
-            f"oracle_calls= wall_ms={result.wall_time * 1000.0:.3g}"
-        )
-        print(f"{method} assignment over {len(result.q_hat)} query vars, ln p = {result.log_p_hat:.6f}")
-        return EXIT_OK
-
     sol = entry.run(inputs)
     kind, eps_s, delta_s = _cert_fields(sol.certificate)
     print(
@@ -101,7 +91,7 @@ def cmd_solve(args) -> int:
         f"oracle_calls={sol.oracle_calls} wall_ms={sol.wall_time * 1000.0:.3g}"
     )
     print(
-        f"{method} finished after {sol.draws_used} draws with a {kind} certificate; "
+        f"{method} finished after {sol.draws_used} draws with {f'a {kind}' if kind else 'no'} certificate; "
         f"ln p(q|e) = {sol.log_p_hat:.6f}"
     )
     if args.trajectory:

@@ -18,6 +18,7 @@ from .circuit import (
     _ball_plan,
     _check_entries,
     _chunk_rows,
+    _evidence_row,
     enumerate_assignments,
 )
 from .rng import DrawStream, as_stream, counter_uniforms
@@ -118,7 +119,7 @@ class ConditionalOracle:
         self.query_vars = np.asarray(spec.query_vars, dtype=np.int64)
         self.num_query = len(spec.query_vars)
 
-        upward = circuit.log_forward(_evidence_row(circuit.num_vars, spec)[None, :])[:, 0]
+        upward = circuit.log_forward(_evidence_row(circuit.num_vars, spec.evidence)[None, :])[:, 0]
         self.log_p_evidence = float(upward[circuit.root])
         if self.log_p_evidence == -np.inf:
             raise ZeroEvidenceError("evidence has probability zero under the circuit")
@@ -256,13 +257,6 @@ class ConditionalOracle:
             if reached[r]:
                 rows = np.nonzero(active[r])[0]
                 bits[rows, col] = (uniforms_at(rows, node_id) < theta).astype(np.int8)
-
-
-def _evidence_row(num_vars: int, spec: QuerySpec) -> np.ndarray:
-    """The (num_vars,) int8 row holding the evidence, MARGINAL elsewhere."""
-    row = np.full(num_vars, MARGINAL, dtype=np.int8)
-    row[list(spec.evidence)] = list(spec.evidence.values())
-    return row
 
 
 def _ball_flips(rows: np.ndarray) -> np.ndarray | None:

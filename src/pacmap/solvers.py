@@ -95,7 +95,7 @@ Certificate = Exact | DeterministicEps | Pac | Budget
 class Solution:
     q_hat: np.ndarray
     log_p_hat: float
-    certificate: Certificate
+    certificate: Certificate | None  # None from the heuristics in baselines.py
     draws_used: int
     oracle_calls: int
     wall_time: float
@@ -108,9 +108,6 @@ class TrajectoryPoint:
     p_check: float
     miss_bound: float
     stop_time_m: int | float  # stop_time: math.inf while p_hat is 0
-
-
-TrajectorySink = Callable[[TrajectoryPoint], None]
 
 
 def stop_time(p_hat: float, eps: float, delta: float) -> int | float:
@@ -309,7 +306,7 @@ def _adaptive(
     warm: Sequence[np.ndarray] | None,
     rng: int | DrawStream,
     batch_size: int,
-    trajectory: TrajectorySink | list | None,
+    trajectory: list | None,
     radius: int = 0,
     next_segment: Callable[[], int] | None = None,
 ) -> Solution:
@@ -331,7 +328,6 @@ def _adaptive(
         raise ValueError("batch_size must be >= 1")
     t0 = time.perf_counter()
     stream = as_stream(rng)
-    sink = trajectory.append if isinstance(trajectory, list) else trajectory
     rules = _Rules(params)
     state = _warm_set(oracle, warm)
     segment = next_segment() if next_segment is not None else math.inf
@@ -364,11 +360,11 @@ def _adaptive(
             committed = len(fold.m)
             used += committed
             segment -= committed
-            if sink is not None:
+            if trajectory is not None:
                 base = 1.0 - fold.p_hat / (1.0 - rules.eps)
                 miss = np.where(base > 0.0, base, 0.0) ** fold.m
                 for j in range(committed):
-                    sink(
+                    trajectory.append(
                         TrajectoryPoint(
                             int(fold.m[j]),
                             float(fold.p_hat[j]),
@@ -394,7 +390,7 @@ def pac_map(
     rng: int | DrawStream = 0,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    trajectory: TrajectorySink | list | None = None,
+    trajectory: list | None = None,
 ) -> Solution:
     """Adaptive solver: draw until a certificate is available.
 
@@ -423,7 +419,7 @@ def smooth_pac_map(
     *,
     eta: float | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    trajectory: TrajectorySink | list | None = None,
+    trajectory: list | None = None,
 ) -> Solution:
     """pac_map plus periodic exploitation of the leading candidate.
 

@@ -29,7 +29,7 @@ def test_max_product_factorized():
     res = max_product(FACTORIZED, QuerySpec((0, 1)))
     assert res.q_hat.tolist() == [1, 0]
     assert res.log_p_hat == pytest.approx(math.log(0.7 * 0.8), rel=1e-12)
-    assert res.method == "mp"
+    assert (res.certificate, res.draws_used, res.oracle_calls) == (None, 0, 1)
 
 
 def test_arg_max_product_factorized_matches_mp():
@@ -43,7 +43,7 @@ def test_independent_map_factorized_is_exact():
     oracle = make_oracle(FACTORIZED, QuerySpec((0, 1)))
     res = independent_map(oracle)
     assert res.q_hat.tolist() == [1, 0]
-    assert res.method == "ind"
+    assert (res.certificate, res.draws_used, res.oracle_calls) == (None, 0, 2 * 2 + 1)
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (6, 1), (8, 2), (10, 3)])
@@ -134,6 +134,31 @@ def test_leaf_tie_breaks_to_zero_in_mp():
         for method in (max_product, arg_max_product):
             res = method(parse_circuit(text), spec)
             assert res.q_hat.tolist() == [expected], (text, method.__name__)
+
+
+def test_sum_ties_keep_the_first_child_and_candidate():
+    # (1, 0) and (0, 1) tie bit for bit in both circuits: the mirrored
+    # products' terms are only swapped.  In `mirror` the two children's
+    # weighted maxima tie too, and mp follows the first.  In `third` the
+    # heavier third child leads mp to (1, 1), while amp's candidates (1, 0)
+    # and (0, 1) tie above it and amp keeps the first.
+    mirrored = (
+        "spn v1\nvars 2\nleaf 0 bernoulli 0 0.9\nleaf 1 bernoulli 1 0.1\nprod 2 0 1\n"
+        "leaf 3 bernoulli 0 0.1\nleaf 4 bernoulli 1 0.9\nprod 5 3 4\n"
+    )
+    mirror = parse_circuit(mirrored + "sum 6 2:0.5 5:0.5\nroot 6\n")
+    third = parse_circuit(
+        mirrored + "leaf 6 bernoulli 0 0.7\nleaf 7 bernoulli 1 0.7\nprod 8 6 7\nsum 9 2:0.25 5:0.25 8:0.5\nroot 9\n"
+    )
+    spec = QuerySpec((0, 1))
+    for c, mp_bits in ((mirror, [1, 0]), (third, [1, 1])):
+        oracle = make_oracle(c, spec)
+        scores = oracle.log_prob_rows(np.array([[1, 0], [0, 1]], dtype=np.int8))
+        assert scores[0] == scores[1]
+        assert max_product(c, spec, oracle=oracle).q_hat.tolist() == mp_bits
+        amp = arg_max_product(c, spec, oracle=oracle)
+        assert amp.q_hat.tolist() == [1, 0]
+        assert amp.log_p_hat == scores[0]
 
 
 def test_results_cover_exactly_query_vars(small_circuits):

@@ -54,16 +54,29 @@ def test_zero_evidence_exits_three(tmp_path):
     assert main(["solve", "--circuit", str(cpath), "--query", str(qpath), "--method", "pac"]) == 3
 
 
-def test_solve_pac_machine_line(problem_dir, capsys):
+@pytest.mark.parametrize("method", ["pac", "smooth", "budget", "naive", "mp", "amp", "ind"])
+def test_solve_pac_machine_line(problem_dir, capsys, method):
     _, cpath, qpath = problem_dir
-    assert main(["solve", "--circuit", cpath, "--query", qpath, "--method", "pac", "--seed", "3"]) == 0
+    budget = ["--budget", "64"] if method in ("budget", "naive") else []
+    assert main(["solve", "--circuit", cpath, "--query", qpath, "--method", method, "--seed", "3", *budget]) == 0
     out = capsys.readouterr().out
     line = [l for l in out.splitlines() if l.startswith("result ")][0]
-    fields = dict(kv.split("=", 1) for kv in line[len("result ") :].split(" "))
-    assert fields["method"] == "pac"
+    pairs = [kv.split("=", 1) for kv in line[len("result ") :].split(" ")]
+    assert [key for key, _ in pairs] == [
+        "method", "q", "log_p_hat", "cert", "epsilon", "delta", "draws", "oracle_calls", "wall_ms"
+    ]
+    fields = dict(pairs)
+    assert fields["method"] == method
     assert fields["q"] in {"00", "01", "10", "11"}
     assert float(fields["log_p_hat"]) <= 0.0
-    assert fields["cert"] in {"exact", "det-eps", "pac", "budget"}
+    oracle_calls = int(fields["oracle_calls"])
+    if method in ("mp", "amp", "ind"):
+        # One re-scored answer; ind also scores two marginals per query variable.
+        assert (fields["cert"], fields["epsilon"], fields["delta"], fields["draws"]) == ("", "", "", "0")
+        assert oracle_calls == (5 if method == "ind" else 1)
+    else:
+        assert fields["cert"] in {"exact", "det-eps", "pac", "budget"}
+        assert oracle_calls >= int(fields["draws"]) >= 1
 
 
 def test_solve_baseline_and_warm_start(problem_dir, capsys):
