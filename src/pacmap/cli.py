@@ -73,6 +73,8 @@ def cmd_solve(args) -> int:
         cap=args.cap, budget=args.budget, batch_size=args.batch_size, exploit_period=args.period,
         radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
     )
+    if args.trajectory and entry.kind != "adaptive":
+        raise ValueError(f"--trajectory is not supported with method {method!r}, which records no trajectory")
     if args.warm_from:
         if not entry.takes_warm:
             raise ValueError(f"--warm-from is not supported with method {method!r}")

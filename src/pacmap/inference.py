@@ -24,6 +24,10 @@ from .circuit import (
 from .rng import DrawStream, as_stream, counter_uniforms
 
 _TABULAR_CAP = 24
+# Sampling scratch, in bytes per draw, of the leaf step per query column and
+# of a sum step per (node, draw) pair it reached (see _compile_descent).
+_LEAF_BYTES = 36
+_PAIR_BYTES = 64
 
 
 class ZeroEvidenceError(ValueError):
@@ -104,8 +108,10 @@ class ConditionalOracle:
     row and a value slot per (live node, q) gives every row's score, bit for
     bit the folded pass's.  The slot plan is compiled once per oracle, at
     the first such batch.  Sampling walks the folded plan's ops from the
-    root down, choosing sum children from per-op cumulative tables built
-    from the upward pass at construction.
+    root down with a few numpy calls per op, whatever its node count: a
+    (nodes, draws) bool matrix holds the draws that reach each node, sums
+    choose children from per-op cumulative tables built from the upward
+    pass at construction, and leaves are resolved per query column.
     Instances are shareable and their answers never change (two threads
     that compile the slot plan at once build the same one); sampling draws
     are indexed by a counter-based stream, so results do not depend on
@@ -125,22 +131,7 @@ class ConditionalOracle:
             raise ZeroEvidenceError("evidence has probability zero under the circuit")
         self._plan = plan = circuit._fold(spec.query_vars, upward)
 
-        # Per op of the plan, None for products; for the m sums of a k-child
-        # op, an (m, k) table whose row j holds node j's cumulative
-        # child-selection probabilities under the cached upward pass, and an
-        # (m,) index of each node's last child with positive mass (a float
-        # cumsum can end below 1, and a draw past it must not land in a
-        # zero-mass child).  A zero-mass node's row is NaN; no draw enters it.
-        up = np.concatenate((upward[plan.live], plan.consts))
-        self._descent: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for op in plan.ops:
-            if op.logw is None:
-                self._descent.append(None)
-                continue
-            with np.errstate(invalid="ignore"):
-                probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
-            last = len(probs) - 1 - np.argmax(probs[::-1] > 0.0, axis=0)
-            self._descent.append((np.ascontiguousarray(np.cumsum(probs, axis=0).T), last))
+        self._compile_descent(upward)
         self._ball: tuple | None = None  # _ball_plan(self._plan), built by the first ball scored
 
     # -- exact queries ------------------------------------------------------
@@ -185,24 +176,104 @@ class ConditionalOracle:
 
     # -- sampling -----------------------------------------------------------
 
+    def _compile_descent(self, upward: np.ndarray) -> None:
+        """The sampler's tables, from the plan and the cached upward pass.
+
+        The descent's `active` matrix holds one row of reached draws per live
+        node, except that a live node whose one parent is a product shares
+        that parent's row (it is reached by exactly the same draws), and one
+        sink row stands for every constant child, which no draw needs to
+        enter.  row_of maps plan rows to active rows.
+        """
+        plan, n_live = self._plan, self._plan.live.size
+        kids = np.concatenate([np.empty(0, np.int64)] + [op.kids.ravel() for op in plan.ops])
+        parents = np.bincount(kids, minlength=plan.size)
+        row_of = np.arange(plan.size)
+        shared = {}  # per product op with live children that have other parents, those (child, parent) plan rows
+        for i in reversed(range(len(plan.ops))):  # parents first
+            op = plan.ops[i]
+            if op.logw is None:
+                live = op.kids < n_live
+                sole = live & (parents[op.kids] == 1)
+                row_of[op.kids[sole]] = row_of[op.ids[np.nonzero(sole)[1]]]
+                many = live > sole
+                if many.any():
+                    shared[i] = op.kids[many], op.ids[np.nonzero(many)[1]]
+        own = row_of[:n_live] == np.arange(n_live)  # the rows that keep their own active row
+        self._active_rows = int(own.sum())
+        row_of[:n_live] = (np.cumsum(own) - 1)[row_of[:n_live]]
+        row_of[n_live:] = self._active_rows
+        self._root_row = int(row_of[plan.root]) if plan.root < n_live else None  # None: Q misses the root's scope
+
+        # Per op, the tables of its step, and a bound on the step's scratch
+        # per draw: the reached nodes of one op have disjoint scopes, so a
+        # draw reaches at most |Q| // (fewest query columns under a node) of
+        # an op's sums.
+        up = np.concatenate((upward[plan.live], plan.consts))
+        cols = np.zeros(plan.size, dtype=np.int64)  # query columns under each plan row
+        cols[plan.leaf_rows] = 1
+        sum_bytes = 0
+        self._descent: list[tuple] = []
+        for i, op in enumerate(plan.ops):
+            if op.logw is None:
+                cols[op.ids] = cols[op.kids].sum(axis=0)
+                self._descent.append(_rounds(*(row_of[rows] for rows in shared[i])) if i in shared else ())
+                continue
+            width = cols[op.kids].max(axis=0)
+            cols[op.ids] = width
+            sum_bytes = max(sum_bytes, op.ids.size + _PAIR_BYTES * min(op.ids.size, self.num_query // int(width.min())))
+            # For the m sums of a k-child op: an (m, k) table whose row j holds
+            # node j's cumulative child-selection probabilities under the
+            # cached upward pass, and an (m,) index of each node's last child
+            # with positive mass (a float cumsum can end below 1, and a draw
+            # past it must not land in a zero-mass child).  A zero-mass node's
+            # row is NaN; no draw enters it.
+            with np.errstate(invalid="ignore"):
+                probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
+            last = len(probs) - 1 - np.argmax(probs[::-1] > 0.0, axis=0)
+            cums = np.ascontiguousarray(np.cumsum(probs, axis=0).T)
+            self._descent.append((cums, last, row_of[op.kids], row_of[op.ids], plan.live[op.ids].astype(np.uint64)))
+
+        # Leaves by query column, flattened: entry c * slots + s is the s-th
+        # leaf of query column c (a column with fewer leaves repeats its
+        # last), with its active row, node id and theta.  A draw reaches
+        # exactly one leaf per column.
+        order = np.lexsort((plan.leaf_rows, plan.leaf_cols))
+        count = np.bincount(plan.leaf_cols, minlength=self.num_query)
+        if not count.all():  # only an unvalidated circuit can lack one
+            raise ValueError(f"query variable {self.spec.query_vars[int(np.argmin(count))]} has no leaf in the circuit")
+        slot = np.minimum(np.arange(count.max()), count[:, None] - 1) + (np.cumsum(count) - count)[:, None]
+        leaf = order[slot]  # (|Q|, slots) indices into the plan's leaf arrays
+        self._leaf_slots = np.arange(leaf.size).reshape(leaf.shape)
+        self._leaf_rows = row_of[plan.leaf_rows[leaf]]
+        self._leaf_ids = plan.live[plan.leaf_rows[leaf]].ravel().astype(np.uint64)
+        self._leaf_theta = plan.leaf_theta[leaf].ravel()
+        # Bytes per draw that one chunk of the descent holds at its peak: the
+        # draw's column of `active` and its counter base, plus the larger of
+        # the sum steps' and the leaf step's scratch.
+        self._sample_row_bytes = self._active_rows + 1 + 8 + max(sum_bytes, _LEAF_BYTES * self.num_query)
+
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         """Draw i.i.d. samples from P(Q | e); returns (count, |Q|) int8.
 
         Ancestral descent from the root over the folded plan, op by op in
-        reverse and node by node within an op: a sum picks one child with
-        the cached conditional probabilities, a product descends into its
-        live children, and a leaf samples its query variable as u < theta.
-        A dead child, a constant row of the plan, would only set evidence or
-        nuisance values, which the result discards, so it is never entered.
-        Draw j always consumes substream j; the uniform for (draw, node id)
-        is a pure counter function, so it is materialized only where the
-        descent actually lands, and skipping dead nodes changes no draw.
+        reverse, each op for all its nodes and draws at once: every (sum,
+        draw) pair reached picks one child with the cached conditional
+        probabilities, a product passes its draws to its live children, and
+        each query column's one reached leaf samples its variable as u <
+        theta.  A dead child, a constant row of the plan, would only set
+        evidence or nuisance values, which the result discards, so it is
+        never entered.  Draw j always consumes substream j; the uniform for
+        (draw, node id) is a pure counter function, so it is materialized
+        only where the descent actually lands, and neither skipping dead
+        nodes nor the chunking of the batch (by the scratch bytes per draw,
+        see _compile_descent) changes any draw.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         stream = as_stream(rng)
-        chunk = _chunk_rows(self._plan.size, np.dtype(bool).itemsize)
-        bits = np.full((count, self.num_query), MARGINAL, dtype=np.int8)
+        chunk = _chunk_rows(self._sample_row_bytes, 1)
+        bits = np.empty((count, self.num_query), dtype=np.int8)  # the leaf step writes every entry
         for i in range(0, count, chunk):
             block = bits[i : i + chunk]
             self._descend(stream.seed, stream.cursor, block)
@@ -210,53 +281,74 @@ class ConditionalOracle:
         return bits
 
     def _descend(self, seed: int, base: int, bits: np.ndarray) -> None:
-        """Fill the (b, |Q|) block `bits` with draws base, ..., base + b - 1."""
-        plan = self._plan
+        """Fill the (b, |Q|) block `bits` with draws base, ..., base + b - 1.
+
+        `active` holds the draws that reach each node (see _compile_descent).
+        Each op costs a few numpy calls, whatever its node count, and so does
+        each leaf slot.
+        """
+        b = bits.shape[0]
         width = np.uint64(len(self.circuit.nodes))
-        n_live = plan.live.size  # plan rows 0..n_live-1; a child row past them is a constant
-        active = np.zeros((n_live, bits.shape[0]), dtype=bool)
-        # reached[r] is set with the first active draw of plan row r, so an
-        # unreached row is skipped without looking at its row of `active`.
-        reached = [False] * n_live
-        if plan.root < n_live:  # else Q misses the root's scope
-            active[plan.root] = True
-            reached[plan.root] = True
-
-        def uniforms_at(rows: np.ndarray, node_id: int) -> np.ndarray:
-            counters = (np.uint64(base) + rows.astype(np.uint64)) * width + np.uint64(node_id)
-            return counter_uniforms(seed, counters)
-
+        draw_keys = (np.uint64(base) + np.arange(b, dtype=np.uint64)) * width  # + node id: the counter
+        active = np.zeros((self._active_rows + 1, b), dtype=bool)
+        if self._root_row is not None:
+            active[self._root_row] = True
         # Parents come in later ops than their children, so walking the ops
-        # backwards settles each node's draws before it is entered.
-        for op, descent in zip(reversed(plan.ops), reversed(self._descent)):
-            step = zip(op.ids.tolist(), plan.live[op.ids].tolist(), op.kids.T.tolist())
-            for j, (r, node_id, kids) in enumerate(step):
-                if not reached[r]:
-                    continue
-                mask = active[r]
-                if descent is None:
-                    for ch in kids:
-                        if ch < n_live:
-                            active[ch] |= mask
-                            reached[ch] = True
-                    continue
-                cums, last = descent
-                rows = np.nonzero(mask)[0]
-                choice = np.searchsorted(cums[j], uniforms_at(rows, node_id), side="right")
-                np.minimum(choice, last[j], out=choice)
-                for k, ch in enumerate(kids):
-                    sel = rows[choice == k]
-                    if sel.size and ch < n_live:
-                        active[ch, sel] = True
-                        reached[ch] = True
+        # backwards settles each node's draws before it is entered.  A
+        # product's children share its row unless they have other parents.
+        for op, step in zip(reversed(self._plan.ops), reversed(self._descent)):
+            if op.logw is None:
+                for kids, parents in step:
+                    active[kids] |= active[parents]
+            else:
+                _descend_sums(step, active, draw_keys, seed)
+        slots = self._leaf_slots
+        which = np.repeat(slots[:, :1], b, axis=1)
+        for s in range(1, slots.shape[1]):
+            np.copyto(which, slots[:, s : s + 1], where=active[self._leaf_rows[:, s]])
+        del active
+        keys = self._leaf_ids[which]
+        keys += draw_keys
+        u = counter_uniforms(seed, keys)
+        del keys
         # An indicator's theta is its value, which u < theta gives for u in [0, 1).
-        leaves = zip(
-            plan.leaf_rows.tolist(), plan.live[plan.leaf_rows].tolist(), plan.leaf_cols.tolist(), plan.leaf_theta.tolist()
-        )
-        for r, node_id, col, theta in leaves:
-            if reached[r]:
-                rows = np.nonzero(active[r])[0]
-                bits[rows, col] = (uniforms_at(rows, node_id) < theta).astype(np.int8)
+        bits[...] = (u < self._leaf_theta[which]).T
+
+
+def _descend_sums(step: tuple, active: np.ndarray, draw_keys: np.ndarray, seed: int) -> None:
+    """One sum op's descent step: every (node, draw) pair it reached picks a
+    child, and the child's row of `active` gets the draw.  Its scratch is
+    freed on return, before the next op allocates its own."""
+    cums, last, kids, rows, node_ids = step
+    b = active.shape[1]
+    j, d = np.divmod(np.flatnonzero(active[rows]), b)
+    keys = draw_keys[d]
+    keys += node_ids[j]
+    u = counter_uniforms(seed, keys)
+    del keys
+    # The count of cumsum entries <= u, which is searchsorted(side="right");
+    # the last entry only adds where the clip takes last[j] anyway.
+    choice = np.zeros(j.size, dtype=np.intp)
+    for i in range(cums.shape[1] - 1):
+        choice += cums[j, i] <= u
+    del u
+    np.minimum(choice, last[j], out=choice)
+    reached = kids[choice, j]
+    reached *= b
+    reached += d
+    active.reshape(-1)[reached] = True
+
+
+def _rounds(kids: np.ndarray, parents: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(child, parent) row pairs split into rounds in which no child repeats,
+    so that one fancy-indexed OR per round is exact: the i-th pair of a child
+    goes to round i."""
+    order = np.argsort(kids, kind="stable")
+    ranked = kids[order]
+    first = np.r_[True, ranked[1:] != ranked[:-1]]
+    rank = np.empty(kids.size, dtype=np.int64)
+    rank[order] = np.arange(kids.size) - np.maximum.accumulate(np.where(first, np.arange(kids.size), 0))
+    return tuple((kids[rank == r], parents[rank == r]) for r in range(int(rank.max(initial=-1)) + 1))
 
 
 def _ball_flips(rows: np.ndarray) -> np.ndarray | None:

@@ -49,13 +49,17 @@ def derive_seed(seed: int, *tags: int | str) -> int:
 
 def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """Map uint64 counters to float64 uniforms in [0, 1)."""
-    z = np.uint64(seed & _MASK64) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA_U64
+    z = counters.astype(np.uint64)  # a copy, mixed in place: one temporary at a time
+    z += np.uint64(1)
+    z *= _GAMMA_U64
+    z += np.uint64(seed & _MASK64)
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)) * _DOUBLE_SCALE
+    z >>= np.uint64(11)
+    return z * _DOUBLE_SCALE
 
 
 @dataclass

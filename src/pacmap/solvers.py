@@ -312,9 +312,10 @@ def _adaptive(
 ) -> Solution:
     """The adaptive loop behind pac_map and smooth_pac_map.
 
-    Draw batches start at _FIRST_BATCH draws and double, up to batch_size and
-    to the draws left before `cap`.  Each batch is sampled and scored whole,
-    then folded up to the first draw where a stopping rule holds.  With
+    Draw batches start at _FIRST_BATCH draws and double, up to batch_size, to
+    the draws left before `cap` and to those left before the PAC rule holds
+    at the current p-hat.  Each batch is sampled and scored whole, then
+    folded up to the first draw where a stopping rule holds.  With
     `next_segment`, the batch is folded in segments of next_segment() random
     draws, and after each segment the Hamming ball of `radius` around the
     leading candidate is folded in and the rules are checked once the whole
@@ -346,10 +347,17 @@ def _adaptive(
             segment = next_segment()
         return None
 
+    def pac_left() -> int | float:
+        """Draws after which the PAC rule holds at the current p-hat (at least
+        one).  p-hat never falls, so a batch capped there samples no draw past
+        the stop."""
+        stop = rules.need_nat / state.p_hat() if state.p_hat() > 0.0 else math.inf
+        return max(1, math.ceil(stop) - state.m) if stop < math.inf else math.inf
+
     cert = exploit()
     size = _FIRST_BATCH
     while cert is None:
-        take = min(size, batch_size, math.inf if cap is None else cap - state.m)
+        take = min(size, batch_size, math.inf if cap is None else cap - state.m, pac_left())
         size *= 2
         bits = oracle.sample(take, stream)
         log_probs = oracle.log_prob_rows(bits)
@@ -402,8 +410,9 @@ def pac_map(
     loop without counting as draws.
 
     Draws are sampled and scored in batches of 64, 128, 256, ... draws, up
-    to `batch_size`, the largest batch; draws past the stop go back to the
-    stream.  The answer does not depend on `batch_size`.
+    to `batch_size`, the largest batch, and never past the draw at which the
+    PAC rule holds for the current estimate; draws past the stop go back to
+    the stream.  The answer does not depend on `batch_size`.
     """
     return _adaptive(oracle, params, cap, warm, rng, batch_size, trajectory)
 

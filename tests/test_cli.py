@@ -94,6 +94,28 @@ def test_warm_from_rejected_for_heuristics(problem_dir):
     assert main(["solve", "--circuit", cpath, "--query", qpath, "--method", "mp", "--warm-from", "amp"]) == 2
 
 
+@pytest.mark.parametrize("method", ["budget", "naive", "mp", "amp", "ind"])
+def test_trajectory_rejected_for_methods_that_record_none(problem_dir, capsys, method):
+    dirpath, cpath, qpath = problem_dir
+    out_csv = dirpath / "traj.csv"
+    budget = ["--budget", "64"] if method in ("budget", "naive") else []
+    argv = ["solve", "--circuit", cpath, "--query", qpath, "--method", method, "--trajectory", str(out_csv), *budget]
+    assert main(argv) == 2
+    assert "--trajectory is not supported" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("method", ["pac", "smooth"])
+def test_trajectory_written_for_adaptive_methods(problem_dir, capsys, method):
+    dirpath, cpath, qpath = problem_dir
+    out_csv = dirpath / "traj.csv"
+    argv = ["solve", "--circuit", cpath, "--query", qpath, "--method", method, "--trajectory", str(out_csv)]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert len(rows) >= 1
+    assert f"({len(rows)} points)" in capsys.readouterr().out
+
+
 def test_solve_cap_defaults_to_bench_sample_cap():
     args = build_parser().parse_args(["solve", "--circuit", "c", "--query", "q", "--method", "pac"])
     assert args.cap == BenchConfig(circuits=("c",)).sample_cap == 10**6

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pacmap.circuit as circuit_module
+import pacmap.inference as inference_module
 from pacmap.circuit import (
     MARGINAL,
     BernoulliLeaf,
@@ -18,6 +19,7 @@ from pacmap.circuit import (
     parse_circuit,
 )
 from pacmap.inference import (
+    ConditionalOracle,
     QuerySpec,
     TabularDistribution,
     ZeroEvidenceError,
@@ -29,12 +31,13 @@ from pacmap.inference import (
     superlevel_mass,
     tabulate_conditional,
 )
-from pacmap.rng import DrawStream
+from pacmap.rng import DrawStream, counter_uniforms
 from pacmap.solvers import hamming_ball
 from conftest import ref_conditional_prob, ref_marginal_prob, total_variation
 
 BERN7 = parse_circuit("spn v1\nvars 1\nleaf 0 bernoulli 0 0.7\nroot 0\n")
 POINT_MASS = circuit_from_pmf([0.0, 0.0, 1.0, 0.0])  # mode at bits 10
+HALF_QUERY = QuerySpec(tuple(range(0, 64, 2)), {}, tuple(range(1, 64, 2)))  # share 0.5 of n = 64
 
 
 # -- query specs --------------------------------------------------------------
@@ -202,17 +205,21 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
 
 
 def test_scoring_memory_is_one_chunk(monkeypatch):
-    # Each chunk's scratch matrix must be released once its result rows are
-    # copied out, before the next chunk's is allocated: scoring keeps (plan
-    # rows x chunk) float64 values, sampling a (plan rows x chunk) bool matrix
-    # of active nodes.  Two live matrices put scoring's ratio near 1.6-1.7.
+    # Each chunk's scratch must be released once its result rows are copied
+    # out, before the next chunk's is allocated: scoring keeps (plan rows x
+    # chunk) float64 values; sampling keeps a bool matrix of reached nodes,
+    # then per query column and draw a leaf slot, counter, uniform and theta,
+    # which on this circuit outweigh the sum steps' scratch.  Two live
+    # matrices put scoring's ratio near 1.6-1.7.
     monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 1_600_000)
     c = generate_random_circuit(64, 3, 2, 303)
-    oracle = make_oracle(c, QuerySpec(tuple(range(0, 64, 2)), {}, tuple(range(1, 64, 2))))
+    oracle = make_oracle(c, HALF_QUERY)
+    sample_bytes = oracle._active_rows + 1 + 8 + inference_module._LEAF_BYTES * oracle.num_query
+    assert oracle._sample_row_bytes == sample_bytes
     for run, size, itemsize, width in (
         (c.log_root, len(c.nodes), 8, c.num_vars),
         (oracle.log_prob_rows, oracle._plan.size, 8, oracle.num_query),
-        (lambda rows: oracle.sample(len(rows), 0), oracle._plan.size, 1, oracle.num_query),
+        (lambda rows: oracle.sample(len(rows), 0), sample_bytes, 1, oracle.num_query),
     ):
         chunk = circuit_module._chunk_rows(size, itemsize)
         assert chunk == 1_600_000 // (size * itemsize)
@@ -226,6 +233,8 @@ def test_scoring_memory_is_one_chunk(monkeypatch):
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+        if itemsize == 1:  # sampling's scratch stays within the chunk budget
+            assert peaks[0] - chunk * width <= 1_600_000, peaks
 
 
 # -- sampling -----------------------------------------------------------------
@@ -328,6 +337,87 @@ def test_sampler_draws_are_pinned(name, count):
     draws = make_oracle(circuits[name](), specs[name]).sample(count, DrawStream(29))
     assert draws.shape == (count, len(specs[name].query_vars))
     assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name, count]
+
+
+# Smooth, decomposable and a DAG: sums 8/9, 10/11, 17/18 and 19/20 share
+# their children, and within one op products 14/15/16 share 8 and 10 and
+# products 21/22/23 share 17 and 19.
+SHARED_CHILDREN = parse_circuit(
+    "spn v1\nvars 4\n"
+    "leaf 0 bernoulli 0 0.2\nleaf 1 bernoulli 0 0.7\nleaf 2 bernoulli 1 0.4\nleaf 3 bernoulli 1 0.9\n"
+    "leaf 4 bernoulli 2 0.3\nleaf 5 bernoulli 2 0.6\nleaf 6 bernoulli 3 0.1\nleaf 7 bernoulli 3 0.8\n"
+    "sum 8 0:0.3 1:0.7\nsum 9 0:0.6 1:0.4\nsum 10 2:0.5 3:0.5\nsum 11 3:0.2 2:0.8\n"
+    "prod 12 4 6\nprod 13 5 7\n"
+    "prod 14 8 10\nprod 15 8 11\nprod 16 9 10\n"
+    "sum 17 12:0.35 13:0.65\nsum 18 13:0.55 12:0.45\n"
+    "sum 19 14:0.5 15:0.3 16:0.2\nsum 20 15:0.4 14:0.35 16:0.25\n"
+    "prod 21 19 17\nprod 22 20 17\nprod 23 19 18\n"
+    "sum 24 21:0.5 22:0.3 23:0.2\nroot 24\n"
+)
+SHARED_SPECS = {"evidence": QuerySpec((3, 0, 1), {2: 1}), "full": QuerySpec((0, 1, 2, 3))}
+# sha256 of oracle.sample(count, DrawStream(29)).tobytes(), recorded while
+# the sampler still walked the plan node by node.
+SHARED_DIGESTS = {
+    ("evidence", 1): "85f90dfea1d8027e1463e5ca971a250110a20df0119d204a74220bc63516d15b",
+    ("evidence", 5000): "4356462c6c157f3a829b76d7cf19e05bb5a5acf8b5cc4a828f8a95e30f2b9c00",
+    ("full", 1): "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae",
+    ("full", 5000): "ebde1a6fa42234f0ed76d4f2ae4f1c9204807634111e025f0a1b4dacbb3f64d3",
+}
+
+
+@pytest.mark.parametrize("name,count", list(SHARED_DIGESTS))
+def test_sampler_draws_are_pinned_with_shared_children(name, count):
+    draws = make_oracle(SHARED_CHILDREN, SHARED_SPECS[name]).sample(count, DrawStream(29))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == SHARED_DIGESTS[name, count]
+
+
+@pytest.mark.parametrize("circuit", ["shared", "n64"])
+def test_sample_bytes_do_not_depend_on_chunking(circuit, monkeypatch):
+    if circuit == "shared":
+        oracle = make_oracle(SHARED_CHILDREN, SHARED_SPECS["evidence"])
+    else:
+        oracle = make_oracle(generate_random_circuit(64, 3, 2, 303), HALF_QUERY)
+    calls = []
+    descend = ConditionalOracle._descend
+
+    def counted(self, *args):
+        calls.append(args[-1].shape[0])
+        return descend(self, *args)
+
+    monkeypatch.setattr(ConditionalOracle, "_descend", counted)
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 10**9)
+    whole = oracle.sample(5000, DrawStream(29))
+    assert calls == [5000]
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 60_000)
+    assert oracle.sample(5000, DrawStream(29)).tobytes() == whole.tobytes()
+    assert len(calls) >= 4
+
+
+def test_sampler_draws_uniforms_once_per_sum_op(monkeypatch):
+    # One chunk draws every uniform of a sum op in one call, and every leaf
+    # uniform in one more, however many nodes the descent reaches.
+    oracle = make_oracle(generate_random_circuit(64, 3, 2, 303), HALF_QUERY)
+    assert circuit_module._chunk_rows(oracle._sample_row_bytes, 1) >= 640
+    calls = []
+
+    def counted(seed, counters):
+        calls.append(counters.size)
+        return counter_uniforms(seed, counters)
+
+    monkeypatch.setattr(inference_module, "counter_uniforms", counted)
+    draws = oracle.sample(640, DrawStream(29))
+    monkeypatch.undo()
+    assert draws.tobytes() == oracle.sample(640, DrawStream(29)).tobytes()
+    sum_ops = sum(op.logw is not None for op in oracle._plan.ops)
+    assert 0 < len(calls) <= sum_ops + 1
+
+
+def test_oracle_refuses_a_query_variable_without_a_leaf():
+    # Only an unvalidated circuit can lack a leaf for a variable; the sampler
+    # resolves one leaf per query column, so the oracle refuses it.
+    c = parse_circuit("spn v1\nvars 2\nleaf 0 bernoulli 0 0.5\nroot 0\n", validate=False)
+    with pytest.raises(ValueError, match="query variable 1 has no leaf"):
+        make_oracle(c, QuerySpec((0, 1)))
 
 
 def test_nuisance_projection_samples_only_query_vars(small_circuits):

@@ -12,6 +12,7 @@ from pacmap.solvers import (
     Budget,
     DeterministicEps,
     Exact,
+    Pac,
     PacParams,
     SampleSet,
     budget_pac_map,
@@ -200,10 +201,12 @@ class CountingOracle:
 PARAMS = PacParams(0.01, 0.01)
 STOP_PATHS = {
     # name: (table, solver on (oracle, stream), check on (solution, trajectory, oracle))
+    # The second batch ends at the PAC stop for p-hat after 64 draws (draw
+    # 179); p-hat rose within it, so the rule held earlier.
     "pac mid-batch": (
         (8, 2, 0.5),
         lambda o, s, pts: pac_map(o, PARAMS, rng=s, trajectory=pts),
-        lambda sol, pts, o: o.sampled == [64, 128] and sol.draws_used < 64 + 128,
+        lambda sol, pts, o: o.sampled == [64, 115] and sol.draws_used < 64 + 115,
     ),
     "smooth mid-segment": (
         (8, 2, 0.5),
@@ -262,6 +265,22 @@ def test_draw_batches_double_from_64_up_to_batch_size_and_cap(batch_size, cap, s
     for i, size in enumerate(oracle.sampled):
         assert size == min(64 * 2**i, batch_size, cap - m)
         m += size
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["pac", "smooth"])
+def test_batches_stop_at_the_pac_rule_for_the_current_estimate(smooth):
+    # The mode (p = 0.05) turns up within the first 64 draws and no other
+    # atom comes close, so p-hat stays 0.05 and the PAC rule holds at draw
+    # ceil(0.99 * ln(100) / 0.05) = 92: the second batch stops there.
+    probs = np.full(2**10, 0.95 / (2**10 - 1))
+    probs[0] = 0.05
+    oracle = CountingOracle(TabularDistribution.from_probs(probs))
+    if smooth:
+        sol = smooth_pac_map(oracle, PARAMS, exploit_period=100, rng=4)
+    else:
+        sol = pac_map(oracle, PARAMS, rng=4)
+    assert isinstance(sol.certificate, Pac) and sol.draws_used == 92
+    assert oracle.sampled == [64, 28]
 
 
 def test_smooth_samples_whole_batches_across_exploitation_periods():
