@@ -173,17 +173,20 @@ def parse_bench_config(text: str) -> BenchConfig:
         key, val = key.strip(), val.strip()
         if key not in known:
             raise ValueError(f"config line {ln}: unknown key {key!r}")
-        if key in _LIST_KEYS:
-            items = tuple(tok.strip() for tok in val.split(",") if tok.strip())
-            if key == "query_proportions":
-                items = tuple(float(tok) for tok in items)
-            values[key] = items
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        else:
-            values[key] = val
+        try:
+            if key in _LIST_KEYS:
+                items = tuple(tok.strip() for tok in val.split(",") if tok.strip())
+                if key == "query_proportions":
+                    items = tuple(float(tok) for tok in items)
+                values[key] = items
+            elif key in _INT_KEYS:
+                values[key] = int(val)
+            elif key in _FLOAT_KEYS:
+                values[key] = float(val)
+            else:
+                values[key] = val
+        except ValueError as exc:
+            raise ValueError(f"config line {ln}: {key}: {exc}") from None
     return BenchConfig(**values)
 
 
@@ -198,7 +201,10 @@ def resolve_circuit(spec: str) -> tuple[str, Circuit]:
         params = {}
         for tok in spec[4:].split("/"):
             key, _, val = tok.partition("=")
-            params[key.strip()] = int(val)
+            try:
+                params[key.strip()] = int(val)
+            except ValueError:
+                raise ValueError(f"generator spec {spec!r}: {key.strip()!r} takes an integer, got {val!r}") from None
         missing = {"n", "depth", "fanout", "seed"} - set(params)
         if missing:
             raise ValueError(f"generator spec {spec!r} missing {sorted(missing)}")

@@ -230,7 +230,8 @@ class Circuit:
         row holding its entry of `upward`.  It keeps its place in its
         parent's child list, so every live node sums the same terms in the
         same order as in the full plan, and its value is bit-identical to the
-        full evaluation of the rows with the other variables filled in.
+        full evaluation of the rows with the other variables filled in.  The
+        root's scope must meet `columns`.
         """
         full = self._plan
         if tuple(columns) == tuple(range(self.num_vars)):
@@ -250,7 +251,6 @@ class Circuit:
         # Value rows: live nodes in id order, then the constants.
         live_ids = np.flatnonzero(live)
         const = np.zeros(len(self.nodes), dtype=bool)
-        const[self.root] = True
         for op in kept:
             const[op.kids] = True
         dead = np.flatnonzero(const & ~live)
@@ -835,7 +835,7 @@ def circuit_from_pmf(probs: Sequence[float] | np.ndarray) -> Circuit:
     n = int(np.log2(len(p)))
     if 2**n != len(p):
         raise ValueError("pmf length must be a power of two")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("pmf must be non-negative and sum to 1")
     nodes: list[Node] = []
 
@@ -843,17 +843,14 @@ def circuit_from_pmf(probs: Sequence[float] | np.ndarray) -> Circuit:
         nodes.append(node)
         return len(nodes) - 1
 
-    children, weights = [], []
-    for idx in range(len(p)):
-        if p[idx] <= 0.0:
-            continue
-        bits = index_to_bits(idx, n)
-        leaves = tuple(add(IndicatorLeaf(v, int(bits[v]))) for v in range(n))
+    atoms = np.flatnonzero(p > 0.0)
+    children = []
+    for bits in index_to_bits(atoms, n):
+        leaves = tuple(add(IndicatorLeaf(v, int(bit))) for v, bit in enumerate(bits))
         children.append(add(ProductNode(leaves)))
-        weights.append(float(p[idx]))
     if not children:
         raise ValueError("pmf has no positive atoms")
-    root = add(SumNode(tuple(children), tuple(weights)))
+    root = add(SumNode(tuple(children), tuple(p[atoms].tolist())))
     return Circuit(nodes, root, n)
 
 
@@ -868,9 +865,9 @@ def bits_to_index(bits: Sequence[int] | np.ndarray) -> int:
     return value
 
 
-def index_to_bits(index: int, n: int) -> np.ndarray:
-    """Inverse of bits_to_index; returns an int8 vector of length n."""
-    return np.array([(index >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.int8)
+def index_to_bits(index: int | np.ndarray, n: int) -> np.ndarray:
+    """Inverse of bits_to_index for indices below 2**63: an int8 (n,) vector, or (len(index), n)."""
+    return ((np.asarray(index, dtype=np.int64)[..., None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -899,5 +896,4 @@ def enumerate_assignments(n: int) -> np.ndarray:
     """All 2^n assignments as an int8 matrix in bits_to_index order."""
     if n > 24:
         raise ValueError("refusing to enumerate more than 2^24 assignments")
-    idx = np.arange(2**n, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    return index_to_bits(np.arange(2**n), n)

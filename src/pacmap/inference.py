@@ -20,6 +20,8 @@ from .circuit import (
     _chunk_rows,
     _evidence_row,
     enumerate_assignments,
+    index_to_bits,
+    pack_rows,
 )
 from .rng import DrawStream, as_stream, counter_uniforms
 
@@ -111,7 +113,10 @@ class ConditionalOracle:
     root down with a few numpy calls per op, whatever its node count: a
     (nodes, draws) bool matrix holds the draws that reach each node, sums
     choose children from per-op cumulative tables built from the upward
-    pass at construction, and leaves are resolved per query column.
+    pass at construction, +inf from each node's last positive-mass child on,
+    and leaves are resolved per query column.  A sum op of m nodes bounds the
+    scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.  A query
+    variable outside the root's scope is refused, so the root is live.
     Instances are shareable and their answers never change (two threads
     that compile the slot plan at once build the same one); sampling draws
     are indexed by a counter-based stream, so results do not depend on
@@ -120,6 +125,9 @@ class ConditionalOracle:
 
     def __init__(self, circuit: Circuit, spec: QuerySpec):
         spec.validate(circuit.num_vars)
+        for v in spec.query_vars:  # only an unvalidated circuit can miss one
+            if not circuit.scopes[circuit.root] >> v & 1:
+                raise ValueError(f"query variable {v} has no leaf under the root")
         self.circuit = circuit
         self.spec = spec
         self.query_vars = np.asarray(spec.query_vars, dtype=np.int64)
@@ -203,36 +211,31 @@ class ConditionalOracle:
         self._active_rows = int(own.sum())
         row_of[:n_live] = (np.cumsum(own) - 1)[row_of[:n_live]]
         row_of[n_live:] = self._active_rows
-        self._root_row = int(row_of[plan.root]) if plan.root < n_live else None  # None: Q misses the root's scope
+        self._root_row = int(row_of[plan.root])
 
         # Per op, the tables of its step, and a bound on the step's scratch
-        # per draw: the reached nodes of one op have disjoint scopes, so a
-        # draw reaches at most |Q| // (fewest query columns under a node) of
-        # an op's sums.
+        # per draw: the reached sums of one op have disjoint scopes that each
+        # hold a query column, so a draw reaches at most min(m, |Q|) of them.
         up = np.concatenate((upward[plan.live], plan.consts))
-        cols = np.zeros(plan.size, dtype=np.int64)  # query columns under each plan row
-        cols[plan.leaf_rows] = 1
         sum_bytes = 0
         self._descent: list[tuple] = []
         for i, op in enumerate(plan.ops):
             if op.logw is None:
-                cols[op.ids] = cols[op.kids].sum(axis=0)
                 self._descent.append(_rounds(*(row_of[rows] for rows in shared[i])) if i in shared else ())
                 continue
-            width = cols[op.kids].max(axis=0)
-            cols[op.ids] = width
-            sum_bytes = max(sum_bytes, op.ids.size + _PAIR_BYTES * min(op.ids.size, self.num_query // int(width.min())))
-            # For the m sums of a k-child op: an (m, k) table whose row j holds
-            # node j's cumulative child-selection probabilities under the
-            # cached upward pass, and an (m,) index of each node's last child
-            # with positive mass (a float cumsum can end below 1, and a draw
-            # past it must not land in a zero-mass child).  A zero-mass node's
-            # row is NaN; no draw enters it.
+            sum_bytes = max(sum_bytes, op.ids.size + _PAIR_BYTES * min(op.ids.size, self.num_query))
+            # For the m sums of a k-child op: an (m, k - 1) table whose row j
+            # holds node j's cumulative child-selection probabilities under
+            # the cached upward pass, +inf from its last child with positive
+            # mass onward.  A draw picks the child at the count of entries <=
+            # u, so a u past a float cumsum that ends below 1 still lands on
+            # that last child, never on a zero-mass one.  No draw enters a
+            # zero-mass node, whose row holds no finite entry.
             with np.errstate(invalid="ignore"):
                 probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
-            last = len(probs) - 1 - np.argmax(probs[::-1] > 0.0, axis=0)
-            cums = np.ascontiguousarray(np.cumsum(probs, axis=0).T)
-            self._descent.append((cums, last, row_of[op.kids], row_of[op.ids], plan.live[op.ids].astype(np.uint64)))
+            later = np.logical_or.accumulate(probs[:0:-1] > 0.0, axis=0)[::-1]  # a later child has mass
+            cums = np.where(later, np.cumsum(probs[:-1], axis=0), np.inf).T.copy()
+            self._descent.append((cums, row_of[op.kids], row_of[op.ids], plan.live[op.ids].astype(np.uint64)))
 
         # Leaves by query column, flattened: entry c * slots + s is the s-th
         # leaf of query column c (a column with fewer leaves repeats its
@@ -240,8 +243,6 @@ class ConditionalOracle:
         # exactly one leaf per column.
         order = np.lexsort((plan.leaf_rows, plan.leaf_cols))
         count = np.bincount(plan.leaf_cols, minlength=self.num_query)
-        if not count.all():  # only an unvalidated circuit can lack one
-            raise ValueError(f"query variable {self.spec.query_vars[int(np.argmin(count))]} has no leaf in the circuit")
         slot = np.minimum(np.arange(count.max()), count[:, None] - 1) + (np.cumsum(count) - count)[:, None]
         leaf = order[slot]  # (|Q|, slots) indices into the plan's leaf arrays
         self._leaf_slots = np.arange(leaf.size).reshape(leaf.shape)
@@ -291,8 +292,7 @@ class ConditionalOracle:
         width = np.uint64(len(self.circuit.nodes))
         draw_keys = (np.uint64(base) + np.arange(b, dtype=np.uint64)) * width  # + node id: the counter
         active = np.zeros((self._active_rows + 1, b), dtype=bool)
-        if self._root_row is not None:
-            active[self._root_row] = True
+        active[self._root_row] = True
         # Parents come in later ops than their children, so walking the ops
         # backwards settles each node's draws before it is entered.  A
         # product's children share its row unless they have other parents.
@@ -319,20 +319,18 @@ def _descend_sums(step: tuple, active: np.ndarray, draw_keys: np.ndarray, seed: 
     """One sum op's descent step: every (node, draw) pair it reached picks a
     child, and the child's row of `active` gets the draw.  Its scratch is
     freed on return, before the next op allocates its own."""
-    cums, last, kids, rows, node_ids = step
+    cums, kids, rows, node_ids = step
     b = active.shape[1]
     j, d = np.divmod(np.flatnonzero(active[rows]), b)
     keys = draw_keys[d]
     keys += node_ids[j]
     u = counter_uniforms(seed, keys)
     del keys
-    # The count of cumsum entries <= u, which is searchsorted(side="right");
-    # the last entry only adds where the clip takes last[j] anyway.
+    # The count of table entries <= u, which is searchsorted(side="right").
     choice = np.zeros(j.size, dtype=np.intp)
-    for i in range(cums.shape[1] - 1):
+    for i in range(cums.shape[1]):
         choice += cums[j, i] <= u
     del u
-    np.minimum(choice, last[j], out=choice)
     reached = kids[choice, j]
     reached *= b
     reached += d
@@ -397,6 +395,8 @@ class TabularDistribution:
             raise ValueError("table length must be a power of two")
         if n > _TABULAR_CAP:
             raise ValueError(f"table dimension {n} exceeds cap {_TABULAR_CAP}")
+        if np.isnan(log_probs).any():
+            raise ValueError("table holds NaN entries")
         total = np.exp(np.logaddexp.reduce(log_probs))
         if abs(total - 1.0) > check_tol:
             raise ValueError(f"table mass {total!r} deviates from 1 beyond {check_tol}")
@@ -411,22 +411,20 @@ class TabularDistribution:
     @classmethod
     def from_probs(cls, probs: Sequence[float] | np.ndarray) -> "TabularDistribution":
         p = np.asarray(probs, dtype=np.float64)
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
+        if not (np.isfinite(p).all() and (p >= 0).all() and p.sum() > 0):
+            raise ValueError("probabilities must be finite, non-negative and not all zero")
         p = p / p.sum()
         with np.errstate(divide="ignore"):
             return cls(np.log(p), check_tol=1e-9)
 
     def log_prob_rows(self, query_rows: np.ndarray) -> np.ndarray:
-        """ln p(q) for complete 0/1 query rows; MARGINAL entries are refused."""
+        """ln p(q) for complete 0/1 query rows; any other entry, MARGINAL too, is refused."""
         query_rows = np.atleast_2d(np.asarray(query_rows))
         if query_rows.shape[1] != self.num_query:
             raise ValueError("query arity mismatch")
-        if query_rows.size and (query_rows.min() < 0 or query_rows.max() > 1):
+        if not ((query_rows == 0) | (query_rows == 1)).all():
             raise ValueError("tabular query rows must be 0/1 valued")
-        shifts = np.arange(self.num_query - 1, -1, -1, dtype=np.int64)
-        idx = (query_rows.astype(np.int64) << shifts).sum(axis=1)
-        return self.log_probs[idx]
+        return self.log_probs[pack_rows(query_rows.astype(np.int8, copy=False)).astype(np.intp)]
 
     def conditional_log_prob(self, query) -> float:
         return float(self.log_prob_rows(np.asarray(query)[None, :])[0])
@@ -438,8 +436,7 @@ class TabularDistribution:
         u = stream.uniform_block(count, 1).ravel()
         idx = np.searchsorted(self._cdf, u, side="right")
         np.clip(idx, 0, self._last_live, out=idx)
-        shifts = np.arange(self.num_query - 1, -1, -1, dtype=np.int64)
-        return ((idx[:, None] >> shifts) & 1).astype(np.int8)
+        return index_to_bits(idx, self.num_query)
 
 
 def tabulate_conditional(oracle: ConditionalOracle) -> TabularDistribution:
@@ -453,9 +450,7 @@ def tabulate_conditional(oracle: ConditionalOracle) -> TabularDistribution:
 def brute_force_map(table: TabularDistribution) -> tuple[np.ndarray, float]:
     """Exact mode by full scan; ties resolve to the smallest bit pattern."""
     idx = int(np.argmax(table.log_probs))
-    n = table.num_query
-    bits = ((idx >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
-    return bits, float(table.log_probs[idx])
+    return index_to_bits(idx, table.num_query), float(table.log_probs[idx])
 
 
 def superlevel_mass(table: TabularDistribution, epsilon: float) -> float:

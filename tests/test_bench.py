@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ def test_parse_config_round_trip():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown key"):
         parse_bench_config("circuits = a\nbogus = 1\n")
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("circuits = a\ntrials = abc\n", "config line 2: trials: invalid literal for int() with base 10: 'abc'"),
+        ("circuits = a\n\nquery_proportions = 0.1, x\n", "config line 3: query_proportions: could not convert"),
+        ("epsilon = small\n", "config line 1: epsilon: could not convert"),
+    ],
+)
+def test_parse_config_value_errors_name_the_line(text, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        parse_bench_config(text)
+
+
+def test_resolve_generator_spec_errors_name_the_key_and_spec():
+    spec = "gen:n=16/depth=x/fanout=2/seed=1"
+    with pytest.raises(ValueError, match=re.escape(f"generator spec {spec!r}: 'depth' takes an integer, got 'x'")):
+        resolve_circuit(spec)
+    with pytest.raises(ValueError, match=re.escape("missing ['seed']")):
+        resolve_circuit("gen:n=16/depth=3/fanout=2")
 
 
 def test_config_validation():

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -82,6 +83,68 @@ def test_parse_forward_reference_error():
 def test_parse_errors(text, match):
     with pytest.raises(CircuitFormatError, match=match):
         parse_circuit(text)
+
+
+_HEAD = "spn v1\nvars 1\n"
+_LEAF = _HEAD + "leaf 0 bernoulli 0 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,match",
+    [
+        (_HEAD + "vars 2\n", 3, "duplicate vars line"),
+        ("spn v1\nvars 1 2\n", 2, "vars line takes one integer"),
+        ("spn v1\nvars x\n", 2, "bad variable count 'x'"),
+        (_LEAF + "root\n", 4, "root line takes one node id"),
+        (_LEAF + "root 0 0\n", 4, "root line takes one node id"),
+        (_LEAF + "node 1 0\n", 4, "unknown directive 'node'"),
+        (_LEAF + "prod\n", 4, "prod line missing node id"),
+        (_HEAD + "leaf 0 bernoulli 0\n", 3, "leaf line takes"),
+        (_HEAD + "leaf 0 bernoulli 0 x\n", 3, "bad theta 'x'"),
+        (_HEAD + "leaf 0 indicator 0 2\n", 3, "indicator value must be 0 or 1"),
+        (_HEAD + "leaf 0 indicator 0 x\n", 3, "bad indicator value 'x'"),
+        (_LEAF + "leaf 1 bernoulli 0 0.5\nsum 2 0:x 1:1\n", 5, "bad weight 'x'"),
+        (_LEAF + "sum 1 0\n", 4, "sum child '0' must be <child>:<weight>"),
+        (_LEAF + "sum 1 x:1\n", 4, "bad child id 'x'"),
+        (_LEAF + "prod 1\n", 4, "product node needs at least one child"),
+        (_LEAF + "prod 1 0 2\n", 4, "forward reference to node 2"),
+        (_HEAD + "leaf -1 bernoulli 0 0.5\n", 3, "node id must be non-negative"),
+        (_HEAD + "leaf 0.0 bernoulli 0 0.5\n", 3, "bad node id '0.0'"),
+        (_HEAD + "leaf 0 bernoulli -1 0.5\n", 3, "variable index must be non-negative"),
+        (_LEAF + "root -1\n", 4, "root id must be non-negative"),
+        ("", None, "empty input"),
+        ("# only a comment\n", None, "empty input"),
+        ("spn v1\n", None, "missing vars line"),
+    ],
+)
+def test_parse_refusals_carry_the_line(text, line, match):
+    with pytest.raises(CircuitFormatError, match=re.escape(match)) as err:
+        parse_circuit(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "nodes,root,num_vars,match",
+    [
+        ([], 0, 1, "circuit has no nodes"),
+        ([BernoulliLeaf(0, 0.5)], 1, 1, "root id 1 out of range"),
+        ([BernoulliLeaf(0, 0.5)], 0, 0, "num_vars must be >= 1"),
+        ([BernoulliLeaf(0, 0.5), ProductNode(())], 1, 1, "node 1 has no children"),
+        ([BernoulliLeaf(0, 0.5), ProductNode((1,))], 1, 1, "node 1 has a non-topological child reference"),
+        ([BernoulliLeaf(3, 0.5)], 0, 2, "node 0 references variable 3 >= 2"),
+        (
+            [BernoulliLeaf(0, 0.5), BernoulliLeaf(1, 0.5), SumNode((0, 1), (0.5, 0.5))],
+            2,
+            2,
+            "node 2: smoothness violation",
+        ),
+        ([BernoulliLeaf(0, 0.5), BernoulliLeaf(0, 0.5), ProductNode((0, 1))], 2, 1, "node 2: decomposability"),
+        ([BernoulliLeaf(0, 0.5)], 0, 2, "root scope does not cover"),
+    ],
+)
+def test_circuit_constructor_refusals(nodes, root, num_vars, match):
+    with pytest.raises(CircuitStructureError, match=re.escape(match)):
+        Circuit(nodes, root, num_vars)
 
 
 def test_parse_error_reports_line_number():
@@ -359,6 +422,12 @@ def test_circuit_from_pmf_reproduces_table():
             assert got == pytest.approx(math.log(p), rel=1e-12)
 
 
+@pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.25, 0.25], [np.inf, 0.5, 0.25, 0.25], [0.5, 0.5, -0.25, 0.25]])
+def test_circuit_from_pmf_refuses_non_finite_or_negative_mass(probs):
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        circuit_from_pmf(probs)
+
+
 def test_deterministic_circuit_is_valid():
     c = pacmap.generate_deterministic_circuit(6, seed=3)
     report = validate_structure(c)
@@ -374,6 +443,12 @@ def test_deterministic_circuit_is_valid():
 def test_bits_index_round_trip(n, idx):
     idx %= 2**n
     assert bits_to_index(index_to_bits(idx, n)) == idx
+
+
+def test_index_to_bits_decodes_arrays_row_by_row():
+    idx = np.array([0, 5, 113, 255])
+    assert np.array_equal(index_to_bits(idx, 8), np.stack([index_to_bits(int(i), 8) for i in idx]))
+    assert index_to_bits(idx, 8).dtype == np.int8 and index_to_bits(7, 3).tolist() == [1, 1, 1]
 
 
 def test_pack_rows_matches_bits_to_index():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,20 @@ def test_parse_query_spec_defaults_to_nuisance():
         parse_query_spec("Q 0\nV 0\n", 2)
     with pytest.raises(ValueError, match="malformed"):
         parse_query_spec("E 0\n", 2)
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("Q 0\nQ\n", "line 2: expected 'Q|E|V <var> ...'"),
+        ("Q x\n", "line 1: expected"),
+        ("Q 0\n# comment\nE 2 1\n", "line 3: variable 2 out of range"),
+        ("V -1\n", "line 1: variable -1 out of range"),
+    ],
+)
+def test_parse_query_spec_refusals_name_the_line(text, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        parse_query_spec(text, 2)
 
 
 # -- oracle construction ------------------------------------------------------
@@ -264,29 +279,30 @@ def test_sampler_matches_table_in_tv(small_circuits):
 
 def test_sampler_never_descends_into_zero_mass_child():
     # With x0 = 0 observed, the root's last child (node 9, x0 = 1) has zero
-    # mass and its descent row is NaN.  Its leaves have theta 1, so a draw
-    # with x1 = 1 would come from that branch.
+    # mass, and so do both of node 9's children.  Their leaves have theta 1,
+    # so a draw with x1 = 1 would come from that branch.
     text = (
         "spn v1\nvars 2\nleaf 0 indicator 0 0\nleaf 1 bernoulli 1 0\nprod 2 0 1\n"
         "leaf 3 indicator 0 1\nleaf 4 bernoulli 1 1\nprod 5 3 4\n"
         "leaf 6 indicator 0 1\nleaf 7 bernoulli 1 1\nprod 8 6 7\nsum 9 5:0.5 8:0.5\n"
-        "sum 10 2:0.5 9:0.5\nroot 10\n"
+        "leaf 10 indicator 0 0\nleaf 11 bernoulli 1 0\nprod 12 10 11\n"
+        "sum 13 2:0.4 12:0.3 9:0.3\nroot 13\n"
     )
     oracle = make_oracle(parse_circuit(text), QuerySpec((1,), {0: 0}))
 
     def descent(node):
-        """The sum node's cumsum row (a view) and last positive child."""
+        """The sum node's row of its op's cumulative table (a view)."""
         r = np.searchsorted(oracle._plan.live, node)
         for op, table in zip(oracle._plan.ops, oracle._descent):
             if r in op.ids:
-                j = int(np.flatnonzero(op.ids == r)[0])
-                return table[0][j], table[1][j]
+                return table[0][int(np.flatnonzero(op.ids == r)[0])]
 
-    assert np.isnan(descent(9)[0]).all()
-    cum, last = descent(10)
-    assert cum.tolist() == [1.0, 1.0] and last == 0
-    # A float cumsum that ends below 1 leaves uniforms past its end.
-    cum *= 0.5
+    assert np.isposinf(descent(9)).all()
+    cum = descent(13)
+    assert cum[0] == pytest.approx(4 / 7) and cum[1] == np.inf
+    # A float cumsum can end below the node's mass, which leaves uniforms
+    # past its last finite entry.
+    cum[0] *= 0.5
     draws = oracle.sample(200, 3)
     assert not draws.any()
 
@@ -420,6 +436,20 @@ def test_oracle_refuses_a_query_variable_without_a_leaf():
         make_oracle(c, QuerySpec((0, 1)))
 
 
+def test_oracle_refuses_a_query_variable_outside_the_root():
+    # Leaf 2 holds x1 but no path from the root reaches it, so the circuit
+    # says nothing about x1: scored as a conditional over (x0, x1), the four
+    # rows' probabilities would sum to 2.
+    c = parse_circuit(
+        "spn v1\nvars 2\nleaf 0 bernoulli 0 0.3\nleaf 1 bernoulli 0 0.6\nleaf 2 bernoulli 1 0.9\n"
+        "sum 3 0:0.5 1:0.5\nroot 3\n",
+        validate=False,
+    )
+    with pytest.raises(ValueError, match="query variable 1 has no leaf under the root"):
+        make_oracle(c, QuerySpec((0, 1)))
+    assert make_oracle(c, QuerySpec((0,), {}, (1,))).sample(4, 0).shape == (4, 1)
+
+
 def test_nuisance_projection_samples_only_query_vars(small_circuits):
     c = small_circuits[(8, 2)]
     spec = QuerySpec((2, 6), {0: 1}, tuple(v for v in range(8) if v not in (0, 2, 6)))
@@ -485,6 +515,34 @@ def test_tabular_lookup_rejects_marginal_entries():
         table.log_prob_rows([[-1, 1]])
     with pytest.raises(ValueError, match="0/1"):
         table.log_prob_rows([[0, 2]])
+
+
+def test_tabular_lookup_rejects_non_integer_and_out_of_range_entries():
+    table = TabularDistribution.from_probs([0.25] * 4)
+    for bad in ([[0.5, 1.0]], [[2, 0]], [[-1, 0]], [[0, 0], [1, 0.5]]):
+        with pytest.raises(ValueError, match="0/1"):
+            table.log_prob_rows(bad)
+    assert table.log_prob_rows([[1.0, 0.0], [0, 1]]) == pytest.approx(np.log([0.25, 0.25]))
+
+
+def test_tabular_lookup_follows_the_bit_pattern_order():
+    table = TabularDistribution.from_probs(np.arange(1, 17))
+    assert np.array_equal(table.log_prob_rows(circuit_module.enumerate_assignments(4)), table.log_probs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TabularDistribution(np.full(4, np.nan)),
+        lambda: TabularDistribution(np.log([np.nan, 0.5, 0.25, 0.25])),
+        lambda: TabularDistribution.from_probs([np.nan, 0.5, 0.25, 0.25]),
+        lambda: TabularDistribution.from_probs([np.inf, 0.5, 0.25, 0.25]),
+        lambda: TabularDistribution.from_probs([0.0] * 4),
+    ],
+)
+def test_tabular_refuses_non_finite_or_massless_tables(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_oracle_refuses_entries_outside_0_1_marginal():
