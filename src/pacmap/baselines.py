@@ -22,6 +22,8 @@ from .solvers import Solution
 
 def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None, amp: bool) -> Solution:
     spec.validate(circuit.num_vars)
+    if oracle is not None and (oracle.circuit is not circuit or oracle.spec != spec):
+        raise ValueError("oracle was built for another circuit or query spec")
     t0 = time.perf_counter()
     q_hat = circuit._max_product(_evidence_row(circuit.num_vars, spec.evidence), amp)[list(spec.query_vars)]
     if oracle is None:

@@ -127,6 +127,8 @@ class BenchConfig:
     def __post_init__(self):
         if not self.circuits:
             raise ValueError("config needs at least one circuit")
+        if not self.methods or not self.query_proportions:
+            raise ValueError("config needs at least one method and one query proportion")
         if any(not (0.0 < p < 1.0) for p in self.query_proportions):
             raise ValueError("query proportions must lie in (0, 1)")
         if self.trials < 1 or self.sample_cap < 1 or self.batch_size < 1:
@@ -176,6 +178,8 @@ def parse_bench_config(text: str) -> BenchConfig:
         try:
             if key in _LIST_KEYS:
                 items = tuple(tok.strip() for tok in val.split(",") if tok.strip())
+                if not items:
+                    raise ValueError("needs at least one value")
                 if key == "query_proportions":
                     items = tuple(float(tok) for tok in items)
                 values[key] = items

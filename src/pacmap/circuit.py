@@ -17,9 +17,9 @@ Text format (UTF-8, line oriented, ``#`` starts a comment)::
     root <id>
 
 Node ids are consecutive integers starting at 0, children must be declared
-on earlier lines, and the single ``root`` line comes last.  Sum weights are
-normalized at load; a WeightNormalizationWarning is emitted when the raw
-weights deviate from sum 1 by more than 1e-6.
+on earlier lines, and the single ``root`` line comes last.  Sum weights that
+sum to 1 within 1e-6 are kept as written, so parse(serialize(c)) reproduces
+c exactly; others are normalized at load with a WeightNormalizationWarning.
 
 Assignments are int8 vectors with values 0/1; the sentinel ``MARGINAL``
 (-1) marks a variable summed out during evaluation.
@@ -51,7 +51,11 @@ class CircuitFormatError(ValueError):
 
 
 class CircuitStructureError(ValueError):
-    """Circuit violates smoothness/decomposability or scope coverage."""
+    """A refused circuit; `.report` is the StructureReport of a structural violation, else None."""
+
+    def __init__(self, message: str, report: "StructureReport | None" = None):
+        self.report = report
+        super().__init__(message)
 
 
 class WeightNormalizationWarning(UserWarning):
@@ -110,7 +114,7 @@ def compute_scopes(circuit_or_nodes) -> list[int]:
 
 
 def validate_structure(circuit: "Circuit") -> StructureReport:
-    """Check smoothness of sums and decomposability of products."""
+    """Check smoothness, decomposability and that the root covers every variable."""
     violations: list[tuple[int, str, str]] = []
     scopes = circuit.scopes
     for i, node in enumerate(circuit.nodes):
@@ -125,15 +129,18 @@ def validate_structure(circuit: "Circuit") -> StructureReport:
                     violations.append((i, "decomposability", "product children share variables"))
                     break
                 acc |= scopes[ch]
+    if scopes[circuit.root] != (1 << circuit.num_vars) - 1:
+        violations.append((circuit.root, "scope", "root scope does not cover all declared variables"))
     is_smooth = not any(v[1] == "smoothness" for v in violations)
     is_decomposable = not any(v[1] == "decomposability" for v in violations)
     return StructureReport(is_smooth, is_decomposable, tuple(violations))
 
 
 class Circuit:
-    """Immutable circuit with a level-grouped vectorized evaluator."""
+    """Immutable circuit with a level-grouped vectorized evaluator; construction
+    refuses bad references and parameters and any validate_structure violation."""
 
-    def __init__(self, nodes: Sequence[Node], root: int, num_vars: int, validate: bool = True):
+    def __init__(self, nodes: Sequence[Node], root: int, num_vars: int):
         if not nodes:
             raise CircuitStructureError("circuit has no nodes")
         if not (0 <= root < len(nodes)):
@@ -149,18 +156,25 @@ class Circuit:
                     raise CircuitStructureError(f"node {i} has no children")
                 if any(not (0 <= ch < i) for ch in node.children):
                     raise CircuitStructureError(f"node {i} has a non-topological child reference")
+                if isinstance(node, SumNode):
+                    if len(node.weights) != len(node.children):
+                        raise CircuitStructureError(f"node {i} has {len(node.weights)} weights for its children")
+                    if not all(0.0 < w < np.inf for w in node.weights):  # NaN fails too
+                        raise CircuitStructureError(f"node {i} has a weight that is not positive and finite")
+                    if abs(sum(node.weights) - 1.0) > 1e-6:
+                        raise CircuitStructureError(f"node {i} weights sum to {sum(node.weights)!r}, not 1")
             else:
                 if not (0 <= node.var < num_vars):
                     raise CircuitStructureError(f"node {i} references variable {node.var} >= {num_vars}")
+                if isinstance(node, BernoulliLeaf) and not (0.0 <= node.theta <= 1.0):
+                    raise CircuitStructureError(f"node {i} has theta {node.theta} outside [0, 1]")
+                if isinstance(node, IndicatorLeaf) and node.value not in (0, 1):
+                    raise CircuitStructureError(f"node {i} has indicator value {node.value}, not 0 or 1")
         self.scopes: tuple[int, ...] = tuple(compute_scopes(self.nodes))
-        if validate:
-            report = validate_structure(self)
-            if report.violations:
-                nid, prop, desc = report.violations[0]
-                raise CircuitStructureError(f"node {nid}: {prop} violation ({desc})")
-            full = (1 << num_vars) - 1
-            if self.scopes[self.root] != full:
-                raise CircuitStructureError("root scope does not cover all declared variables")
+        report = validate_structure(self)
+        if report.violations:
+            nid, prop, desc = report.violations[0]
+            raise CircuitStructureError(f"node {nid}: {prop} violation ({desc})", report)
         self._plan = self._compile()
 
     # -- evaluation ---------------------------------------------------------
@@ -230,8 +244,7 @@ class Circuit:
         row holding its entry of `upward`.  It keeps its place in its
         parent's child list, so every live node sums the same terms in the
         same order as in the full plan, and its value is bit-identical to the
-        full evaluation of the rows with the other variables filled in.  The
-        root's scope must meet `columns`.
+        full evaluation of the rows with the other variables filled in.
         """
         full = self._plan
         if tuple(columns) == tuple(range(self.num_vars)):
@@ -579,12 +592,11 @@ def _evidence_row(num_vars: int, evidence: dict[int, int]) -> np.ndarray:
 # -- text format ------------------------------------------------------------
 
 
-def parse_circuit(text: str, validate: bool = True) -> Circuit:
-    """Parse the line-oriented circuit format.
+def parse_circuit(text: str) -> Circuit:
+    """Parse the line-oriented circuit format (see the module docstring).
 
-    With validate=False the structural checks (smoothness, decomposability,
-    root scope) are skipped so that validate_structure can report violations
-    on otherwise well-formed files.
+    A malformed line raises CircuitFormatError with its line number, and a
+    circuit that Circuit refuses raises its CircuitStructureError.
     """
     nodes: list[Node] = []
     num_vars: int | None = None
@@ -689,7 +701,8 @@ def parse_circuit(text: str, validate: bool = True) -> Circuit:
                     WeightNormalizationWarning,
                     stacklevel=2,
                 )
-            nodes.append(SumNode(tuple(children), tuple(w / total for w in weights)))
+                weights = [w / total for w in weights]
+            nodes.append(SumNode(tuple(children), tuple(weights)))
         else:  # prod
             if len(tokens) < 3:
                 fail("product node needs at least one child", ln)
@@ -707,7 +720,7 @@ def parse_circuit(text: str, validate: bool = True) -> Circuit:
         raise CircuitFormatError("missing vars line")
     if root is None:
         raise CircuitFormatError("root undeclared")
-    return Circuit(nodes, root, num_vars, validate=validate)
+    return Circuit(nodes, root, num_vars)
 
 
 def _parse_int(token: str, what: str, ln: int) -> int:
@@ -737,9 +750,9 @@ def serialize_circuit(circuit: Circuit) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_circuit(path, validate: bool = True) -> Circuit:
+def load_circuit(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read(), validate=validate)
+        return parse_circuit(fh.read())
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -103,8 +103,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    circuit = load_circuit(args.circuit, validate=False)
-    report = validate_structure(circuit)
+    try:
+        report = validate_structure(load_circuit(args.circuit))
+    except CircuitStructureError as exc:
+        if exc.report is None:
+            raise
+        report = exc.report
     print(f"smooth: {'yes' if report.is_smooth else 'no'}")
     print(f"decomposable: {'yes' if report.is_decomposable else 'no'}")
     for nid, prop, desc in report.violations:
@@ -212,7 +216,7 @@ def build_parser() -> _Parser:
     pareto.add_argument("--out", required=True)
     pareto.set_defaults(func=cmd_pareto)
 
-    validate = sub.add_parser("validate", help="report smoothness/decomposability")
+    validate = sub.add_parser("validate", help="report smoothness, decomposability and root-scope coverage")
     validate.add_argument("--circuit", required=True)
     validate.set_defaults(func=cmd_validate)
 

@@ -115,8 +115,8 @@ class ConditionalOracle:
     choose children from per-op cumulative tables built from the upward
     pass at construction, +inf from each node's last positive-mass child on,
     and leaves are resolved per query column.  A sum op of m nodes bounds the
-    scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.  A query
-    variable outside the root's scope is refused, so the root is live.
+    scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.  Every Circuit
+    is smooth, decomposable and rooted over every variable, so the root is live.
     Instances are shareable and their answers never change (two threads
     that compile the slot plan at once build the same one); sampling draws
     are indexed by a counter-based stream, so results do not depend on
@@ -125,9 +125,6 @@ class ConditionalOracle:
 
     def __init__(self, circuit: Circuit, spec: QuerySpec):
         spec.validate(circuit.num_vars)
-        for v in spec.query_vars:  # only an unvalidated circuit can miss one
-            if not circuit.scopes[circuit.root] >> v & 1:
-                raise ValueError(f"query variable {v} has no leaf under the root")
         self.circuit = circuit
         self.spec = spec
         self.query_vars = np.asarray(spec.query_vars, dtype=np.int64)

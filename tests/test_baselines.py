@@ -25,6 +25,20 @@ FACTORIZED = parse_circuit(
 )
 
 
+def test_baselines_refuse_an_oracle_built_for_another_instance():
+    c = generate_random_circuit(4, 2, 2, 1)
+    s1 = QuerySpec((0, 1), {2: 0, 3: 1})
+    s2 = QuerySpec((2, 3), {0: 1, 1: 1})
+    twin = generate_random_circuit(4, 2, 2, 1)  # equal nodes, another object
+    for baseline in (max_product, arg_max_product):
+        for oracle in (make_oracle(c, s2), make_oracle(twin, s1)):
+            with pytest.raises(ValueError, match="oracle was built for another circuit or query spec"):
+                baseline(c, s1, oracle=oracle)
+        # An equal spec is the same query.
+        same = baseline(c, s1, oracle=make_oracle(c, QuerySpec((0, 1), {2: 0, 3: 1})))
+        assert same.log_p_hat == baseline(c, s1).log_p_hat
+
+
 def test_max_product_factorized():
     res = max_product(FACTORIZED, QuerySpec((0, 1)))
     assert res.q_hat.tolist() == [1, 0]

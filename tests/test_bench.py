@@ -134,6 +134,9 @@ def test_parse_config_rejects_unknown_key():
         ("circuits = a\ntrials = abc\n", "config line 2: trials: invalid literal for int() with base 10: 'abc'"),
         ("circuits = a\n\nquery_proportions = 0.1, x\n", "config line 3: query_proportions: could not convert"),
         ("epsilon = small\n", "config line 1: epsilon: could not convert"),
+        ("circuits =\n", "config line 1: circuits: needs at least one value"),
+        ("circuits = a\nmethods = ,\n", "config line 2: methods: needs at least one value"),
+        ("circuits = a\nquery_proportions =\n", "config line 2: query_proportions: needs at least one value"),
     ],
 )
 def test_parse_config_value_errors_name_the_line(text, match):
@@ -154,6 +157,9 @@ def test_config_validation():
         BenchConfig(circuits=("a",), methods=("mp", "nope"))
     with pytest.raises(ValueError, match="at least one circuit"):
         BenchConfig(circuits=())
+    for empty in ({"methods": ()}, {"query_proportions": ()}):
+        with pytest.raises(ValueError, match="at least one method and one query proportion"):
+            BenchConfig(circuits=("a",), **empty)
 
 
 def test_resolve_generator_spec():

@@ -123,6 +123,9 @@ def test_parse_refusals_carry_the_line(text, line, match):
     assert err.value.line == line
 
 
+_TWO = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9)]  # two leaves of x0
+
+
 @pytest.mark.parametrize(
     "nodes,root,num_vars,match",
     [
@@ -140,6 +143,24 @@ def test_parse_refusals_carry_the_line(text, line, match):
         ),
         ([BernoulliLeaf(0, 0.5), BernoulliLeaf(0, 0.5), ProductNode((0, 1))], 2, 1, "node 2: decomposability"),
         ([BernoulliLeaf(0, 0.5)], 0, 2, "root scope does not cover"),
+        # Leaf 2 holds x1, but no path from the root reaches it.
+        (
+            [BernoulliLeaf(0, 0.3), BernoulliLeaf(0, 0.6), BernoulliLeaf(1, 0.9), SumNode((0, 1), (0.5, 0.5))],
+            3,
+            2,
+            "node 3: scope violation (root scope does not cover all declared variables)",
+        ),
+        ([BernoulliLeaf(0, 1.5)], 0, 1, "node 0 has theta 1.5 outside [0, 1]"),
+        ([BernoulliLeaf(0, -0.1)], 0, 1, "node 0 has theta -0.1 outside [0, 1]"),
+        ([BernoulliLeaf(0, math.nan)], 0, 1, "node 0 has theta nan outside [0, 1]"),
+        ([IndicatorLeaf(0, 2)], 0, 1, "node 0 has indicator value 2, not 0 or 1"),
+        (_TWO + [SumNode((0, 1), (0.5,))], 2, 1, "node 2 has 1 weights for its children"),
+        (_TWO + [SumNode((0, 1), (0.5, 0.5, 0.0))], 2, 1, "node 2 has 3 weights for its children"),
+        (_TWO + [SumNode((0, 1), (0.5, -0.5))], 2, 1, "node 2 has a weight that is not positive and finite"),
+        (_TWO + [SumNode((0, 1), (1.0, 0.0))], 2, 1, "node 2 has a weight that is not positive and finite"),
+        (_TWO + [SumNode((0, 1), (0.5, math.nan))], 2, 1, "node 2 has a weight that is not positive and finite"),
+        (_TWO + [SumNode((0, 1), (0.5, math.inf))], 2, 1, "node 2 has a weight that is not positive and finite"),
+        (_TWO + [SumNode((0, 1), (0.9, 0.9))], 2, 1, "node 2 weights sum to 1.8, not 1"),
     ],
 )
 def test_circuit_constructor_refusals(nodes, root, num_vars, match):
@@ -182,18 +203,18 @@ def test_validate_structure_smooth_and_decomposable():
 
 def test_validate_structure_smoothness_violation():
     nodes = [BernoulliLeaf(0, 0.2), BernoulliLeaf(1, 0.9), SumNode((0, 1), (0.5, 0.5))]
-    c = Circuit(nodes, 2, 2, validate=False)
-    report = validate_structure(c)
+    with pytest.raises(CircuitStructureError) as err:
+        Circuit(nodes, 2, 2)
+    report = err.value.report
     assert not report.is_smooth and report.is_decomposable
     assert report.violations[0][:2] == (2, "smoothness")
-    with pytest.raises(CircuitStructureError):
-        Circuit(nodes, 2, 2)
 
 
 def test_validate_structure_decomposability_violation():
     nodes = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9), ProductNode((0, 1))]
-    c = Circuit(nodes, 2, 1, validate=False)
-    report = validate_structure(c)
+    with pytest.raises(CircuitStructureError) as err:
+        Circuit(nodes, 2, 1)
+    report = err.value.report
     assert report.is_decomposable is False
     assert report.violations[0][:2] == (2, "decomposability")
 
@@ -368,17 +389,16 @@ def test_round_trip_identity_small():
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_round_trip_generated(seed):
-    c = generate_random_circuit(16, depth=3, fanout=2, seed=seed)
-    rt = parse_circuit(serialize_circuit(c))
-    assert rt.num_vars == c.num_vars and rt.root == c.root
-    assert len(rt.nodes) == len(c.nodes)
-    for a, b in zip(rt.nodes, c.nodes):
-        assert type(a) is type(b)
-        if isinstance(a, SumNode):
-            assert a.children == b.children
-            assert np.allclose(a.weights, b.weights, atol=1e-12, rtol=0)
-        else:
-            assert a == b
+    # Weights that sum to 1 within 1e-6 are kept as written, so every node
+    # comes back bit for bit.
+    pmf = np.random.default_rng(seed).dirichlet(np.full(16, 0.5))
+    for c in (
+        generate_random_circuit(16, depth=3, fanout=2, seed=seed),
+        pacmap.generate_deterministic_circuit(5, seed),
+        circuit_from_pmf(pmf),
+    ):
+        rt = parse_circuit(serialize_circuit(c))
+        assert (rt.nodes, rt.root, rt.num_vars) == (c.nodes, c.root, c.num_vars)
 
 
 def test_serialized_weights_sum_to_one():

@@ -141,6 +141,21 @@ def test_validate_reports_structure(problem_dir, capsys, tmp_path):
     assert "smooth: no" in out and "smoothness" in out
 
 
+def test_validate_reports_root_scope_coverage(tmp_path, capsys):
+    # solve refuses this file, and validate says why instead of "no violations".
+    path = tmp_path / "short.spn"
+    path.write_text("spn v1\nvars 2\nleaf 0 bernoulli 0 0.3\nroot 0\n")
+    assert main(["validate", "--circuit", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "smooth: yes" in out and "decomposable: yes" in out
+    assert "violation: node 0: scope: root scope does not cover all declared variables" in out
+    assert "no violations" not in out
+    query = tmp_path / "q.txt"
+    query.write_text("Q 0\nQ 1\n")
+    assert main(["solve", "--circuit", str(path), "--query", str(query), "--method", "mp"]) == 2
+    assert "root scope does not cover all declared variables" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path, capsys):
     cpath = tmp_path / "b7.spn"
     cpath.write_text("spn v1\nvars 1\nleaf 0 bernoulli 0 0.7\nroot 0\n")

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 import pacmap.circuit as circuit_module
 import pacmap.inference as inference_module
+from pacmap.baselines import arg_max_product, independent_map, max_product
 from pacmap.circuit import (
     MARGINAL,
     BernoulliLeaf,
     Circuit,
+    CircuitStructureError,
+    ProductNode,
+    SumNode,
     circuit_from_pmf,
+    enumerate_assignments,
+    evaluate_complete,
     generate_deterministic_circuit,
     generate_random_circuit,
     pack_rows,
@@ -428,26 +435,62 @@ def test_sampler_draws_uniforms_once_per_sum_op(monkeypatch):
     assert 0 < len(calls) <= sum_ops + 1
 
 
-def test_oracle_refuses_a_query_variable_without_a_leaf():
-    # Only an unvalidated circuit can lack a leaf for a variable; the sampler
-    # resolves one leaf per query column, so the oracle refuses it.
-    c = parse_circuit("spn v1\nvars 2\nleaf 0 bernoulli 0 0.5\nroot 0\n", validate=False)
-    with pytest.raises(ValueError, match="query variable 1 has no leaf"):
-        make_oracle(c, QuerySpec((0, 1)))
+def _mutate(nodes: tuple, n: int, data) -> list:
+    """`nodes` with at most one mutation: a repointed child, a leaf moved to
+    another variable, or a theta or sum weight made invalid."""
+    kind = data.draw(st.sampled_from(["none", "repoint", "reuse", "theta", "weight"]))
+    inner = [i for i, nd in enumerate(nodes) if isinstance(nd, (SumNode, ProductNode))]
+    leaves = [i for i, nd in enumerate(nodes) if isinstance(nd, BernoulliLeaf)]
+    sums = [i for i in inner if isinstance(nodes[i], SumNode)]
+    nodes = list(nodes)
+    if kind == "repoint":
+        i = data.draw(st.sampled_from(inner))
+        kids = list(nodes[i].children)
+        kids[data.draw(st.integers(0, len(kids) - 1))] = data.draw(st.integers(0, i - 1))
+        nodes[i] = replace(nodes[i], children=tuple(kids))
+    elif kind == "reuse":
+        i = data.draw(st.sampled_from(leaves))
+        nodes[i] = BernoulliLeaf(data.draw(st.integers(0, n - 1)), nodes[i].theta)
+    elif kind == "theta":
+        i = data.draw(st.sampled_from(leaves))
+        nodes[i] = BernoulliLeaf(nodes[i].var, data.draw(st.sampled_from([1.5, -0.1, math.nan, math.inf])))
+    elif kind == "weight" and sums:
+        i = data.draw(st.sampled_from(sums))
+        w = list(nodes[i].weights)
+        j = data.draw(st.integers(0, len(w) - 1))
+        bad = data.draw(st.sampled_from([-0.5, 0.0, math.nan, math.inf, w[j] + 0.5, None]))
+        w = w[:j] + w[j + 1 :] if bad is None else w[:j] + [bad] + w[j + 1 :]
+        nodes[i] = SumNode(nodes[i].children, tuple(w))
+    return nodes
 
 
-def test_oracle_refuses_a_query_variable_outside_the_root():
-    # Leaf 2 holds x1 but no path from the root reaches it, so the circuit
-    # says nothing about x1: scored as a conditional over (x0, x1), the four
-    # rows' probabilities would sum to 2.
-    c = parse_circuit(
-        "spn v1\nvars 2\nleaf 0 bernoulli 0 0.3\nleaf 1 bernoulli 0 0.6\nleaf 2 bernoulli 1 0.9\n"
-        "sum 3 0:0.5 1:0.5\nroot 3\n",
-        validate=False,
-    )
-    with pytest.raises(ValueError, match="query variable 1 has no leaf under the root"):
-        make_oracle(c, QuerySpec((0, 1)))
-    assert make_oracle(c, QuerySpec((0,), {}, (1,))).sample(4, 0).shape == (4, 1)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(2, 3), st.integers(0, 10_000), st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_circuit_that_builds_answers_exactly(n, depth, fanout, seed, data):
+    # A circuit either is refused at construction or gives a normalized
+    # conditional, 0/1 draws and 0/1 baseline answers on every query.
+    c = generate_random_circuit(n, depth, fanout, seed)
+    nodes = _mutate(c.nodes, n, data)
+    try:
+        c = Circuit(nodes, c.root, n)
+    except CircuitStructureError:
+        return
+    x = sample_joint(c, 1, seed)[0]
+    in_q = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    q = [v for v in range(n) if in_q[v]] or [0]
+    spec = QuerySpec(tuple(q), {v: int(x[v]) for v in range(n) if v not in q})
+    oracle = make_oracle(c, spec)
+
+    rows = enumerate_assignments(len(q))
+    full = np.repeat(x[None, :], len(rows), axis=0)
+    full[:, q] = rows
+    joint = np.array([evaluate_complete(c, row) for row in full])
+    got = np.exp(oracle.log_prob_rows(rows))
+    assert got.sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(got, np.exp(joint - np.logaddexp.reduce(joint)), rtol=0, atol=1e-9)
+    assert set(np.unique(oracle.sample(64, seed)).tolist()) <= {0, 1}
+    for sol in (max_product(c, spec, oracle), arg_max_product(c, spec, oracle), independent_map(oracle)):
+        assert set(sol.q_hat.tolist()) <= {0, 1}
 
 
 def test_nuisance_projection_samples_only_query_vars(small_circuits):

@@ -1,0 +1,39 @@
+"""The experiment scripts run end to end and write what their docstrings say."""
+
+import csv
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+from pacmap.bench import DEFAULT_METHODS, parse_bench_config, resolve_circuit
+from pacmap.circuit import load_circuit, serialize_circuit
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = runpy.run_path(str(ROOT / "scripts" / "make_corpus.py"))["CORPUS"]  # its gen: specs
+
+
+def _run(script: str, *args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_make_corpus_files_reproduce_the_generator_instances(tmp_path):
+    _run("make_corpus.py", "--outdir", str(tmp_path), "--cap", "2000")
+    cfg = parse_bench_config((tmp_path / "bench.conf").read_text(encoding="utf-8"))
+    assert cfg.methods == DEFAULT_METHODS == ("pac", "smooth", "mp", "amp", "ind")
+    assert cfg.sample_cap == 2000 and len(cfg.circuits) == len(CORPUS)
+    for path, spec in zip(cfg.circuits, CORPUS):
+        assert serialize_circuit(load_circuit(path)) == serialize_circuit(resolve_circuit(spec)[1]), path
+
+
+def test_illustration_stops_at_44(tmp_path):
+    out = tmp_path / "x.csv"
+    _run("illustration.py", "--out", str(out))
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert int(rows[-1]["stop_time"]) == 44
