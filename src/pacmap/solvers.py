@@ -195,8 +195,9 @@ class SampleSet:
     Every solver builds its candidate set through `fold`, the only code that
     writes these fields.  `m` counts random draws only: warm starts and
     neighborhood scans enter the set without touching it.  `rows` counts every
-    committed row, each one an oracle evaluation.  Duplicates are stored once,
-    and the residual mass sums distinct atoms only.
+    committed row, each one an oracle evaluation; a Hamming ball that
+    smooth_pac_map does not rescore is not folded and adds none.  Duplicates
+    are stored once, and the residual mass sums distinct atoms only.
     """
 
     atoms: set = field(default_factory=set)
@@ -318,10 +319,11 @@ def _adaptive(
     folded up to the first draw where a stopping rule holds.  With
     `next_segment`, the batch is folded in segments of next_segment() random
     draws, and after each segment the Hamming ball of `radius` around the
-    leading candidate is folded in and the rules are checked once the whole
-    ball is in.  Without it the draws run in one unbounded segment.  The
-    warm-start atoms are folded in first, with no check.  Whatever stops the
-    run, the draws it did not use go back to the stream.
+    leading candidate is folded in, unless it was the last ball folded, and
+    the rules are checked once the whole ball is in.  Without it the draws
+    run in one unbounded segment.  The warm-start atoms are folded in first,
+    with no check.  Whatever stops the run, the draws it did not use go back
+    to the stream.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
@@ -332,15 +334,21 @@ def _adaptive(
     rules = _Rules(params)
     state = _warm_set(oracle, warm)
     segment = next_segment() if next_segment is not None else math.inf
+    centre = None  # the centre of the last ball folded
 
     def exploit() -> Certificate | None:
         """Fold the balls due at the end of each finished segment; a
-        zero-length segment ends at once."""
-        nonlocal segment
+        zero-length segment ends at once.  A ball around the centre of the
+        last one is not scored again: p-hat only rises strictly, so while the
+        leader stands every atom of its ball is in the set, none scores above
+        it, and a second fold would change nothing but the row count."""
+        nonlocal segment, centre
         while segment == 0:
             if state.best_bits is not None:
-                ball = hamming_ball(state.best_bits, min(radius, oracle.num_query))
-                state.fold(ball, oracle.log_prob_rows(ball), draws=False)
+                if not np.array_equal(state.best_bits, centre):
+                    centre = state.best_bits
+                    ball = hamming_ball(centre, min(radius, oracle.num_query))
+                    state.fold(ball, oracle.log_prob_rows(ball), draws=False)
                 cert = rules.certificates[int(rules.grant(state.p_hat(), state.residual(), state.m))]
                 if cert is not None:
                     return cert
@@ -434,10 +442,13 @@ def smooth_pac_map(
 
     After every `exploit_period` random draws the full Hamming ball of
     `radius` around the current best is scored and inserted (these atoms do
-    not count as draws; the residual reflects them).  Passing `eta` replaces
-    the deterministic schedule with an explore-coin Bernoulli(1 - eta) per
-    iteration.  Stopping rules are those of pac_map, evaluated over the full
-    candidate set, including right after an exploitation pass.
+    not count as draws; the residual reflects them).  A ball whose centre
+    was the last one folded is not rescored: its atoms are already in the
+    set, so oracle_calls counts the draws, the warm starts and each distinct
+    ball once.  Passing `eta` replaces the deterministic schedule with an
+    explore-coin Bernoulli(1 - eta) per iteration.  Stopping rules are those
+    of pac_map, evaluated over the full candidate set, including right after
+    an exploitation pass.
 
     Batches grow as in pac_map, up to `batch_size`, and the exploitation
     schedule does not cut them: each batch is sampled and scored whole, then

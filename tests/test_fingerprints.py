@@ -8,6 +8,12 @@ solvers must give the pinned digest at every batch size.  The digests were
 recorded before draw batches grew geometrically and before smooth_pac_map
 sampled whole batches, the radius-2 ones before radius-1 balls were scored
 incrementally; a change that moves any of them changes an answer.
+
+The 17 smooth-* digests whose oracle_calls fell were re-pinned, for
+oracle_calls only, when smooth_pac_map stopped rescoring a ball around the
+centre it had last folded: with the skipped balls' rows credited back to
+oracle_calls every old digest reproduced bit for bit, so q_hat, log_p_hat,
+the certificate, draws_used and the trajectory did not move.
 """
 
 import hashlib
@@ -93,42 +99,42 @@ DIGESTS = {
     ("table-6", "naive"): "f0b57a78eb2df3dcf85c1248384e50fed6676deab11311d3ed26ec82a54fdf72",
     ("table-8", "pac"): "1b04708e2b18478652dc92d7698bf410270aa879f08cc33ea2d7f8f920fe3945",
     ("table-8", "pac-warm"): "32398f4aa26e7806af88ce235cbd45fbd80a0df15958bfce2a027efc6ae830a2",
-    ("table-8", "smooth-period"): "9d1ab05eda02a3c38226682ccd44d772b580578995775434eedf69f0e84ebc6a",
+    ("table-8", "smooth-period"): "ba9aa701df0a8069599b2f915a4f20cf860e25e3edd802471a4b76e226e6fec1",
     ("table-8", "smooth-period-100"): "d262e35ca2fa4211ba252b466ef26458ba09890ffcc1fc82e4dc57a2b4fd466d",
-    ("table-8", "smooth-eta"): "f3bd1979f011b1ded7943554b57589984b4dbf713fe0774fca14100219ddb56d",
-    ("table-8", "smooth-radius-2"): "28efe40637d32a0344e3d35e030028ba0a90549f4f452dd7b0531ca445f3b101",
+    ("table-8", "smooth-eta"): "50c592dc13176136a575727225284b3e52829b313d637ba38987fe28daad3c1e",
+    ("table-8", "smooth-radius-2"): "4e53841e89594dbf8e02e44c6830c1b4dddc874ea41716b78693d4cd124bec0d",
     ("table-8", "budget"): "5bc5a11a44deb861d212d5666db64862d4752ae3ce7273cb8d554c5a9aae58a7",
     ("table-8", "naive"): "5523e21812db366f9c01248dba27548b2cb5191de368e3b8fd3ddb669dff1e54",
     ("table-10", "pac"): "3a554a3b34c24ef667e58789179060dff7d95e6c4c01690c0009bedb2e7d7a03",
     ("table-10", "pac-warm"): "9134f52e8b1c2fb5c5a66eaf25480378e539a3ce0c399377002c3aec51b624ed",
-    ("table-10", "smooth-period"): "857ac728d866e0ceba9e38f720e1f65eb7081afca49ba34c78cbb6fa27f7c517",
-    ("table-10", "smooth-period-100"): "2698b65902107cc7957d18ed1503b8cf1f21f2311aad8d6dd1bd9aa93f950e9f",
-    ("table-10", "smooth-eta"): "ba992916dc93f621ae00b7c118695b8f1654e716a53902625b2ffa40fd3017f4",
-    ("table-10", "smooth-radius-2"): "7f4a4a543e92f58a6a371a90ae410a9862956cf32a8985316f49458c0301dc9b",
+    ("table-10", "smooth-period"): "f5a57fb27223a87859f580748566f371352d47f3634e83ef69e4a41dbf60e61e",
+    ("table-10", "smooth-period-100"): "f355b37a28904eab3f551eac140e498b4078a5afae2b33530716105281153eed",
+    ("table-10", "smooth-eta"): "083f56526394e4e6a7380dc098fcea678b7809dfa7128d3c13151a5d64233dd6",
+    ("table-10", "smooth-radius-2"): "4251b6e1bba76da22977c8e2ae85ac0da48bf28d9fa3b474bbe6a7c446bcd13e",
     ("table-10", "budget"): "fa2437d106bb9ecf46c6d24faa052c736832f251306d22ac34a0e88d199cb465",
     ("table-10", "naive"): "debe8f4f65f4df5d1bfc3f7312784b63d1cadb3d0c16a24955163d47d225ec6a",
     ("table-12-flat", "pac"): "9c854d01746a19067e8259c5a63fcf1c2f92410da3c6bb4ef7559d89ff9a7636",
     ("table-12-flat", "pac-warm"): "f6d7c901691b2690e4b122e6c77ca4b173a4a24a5245d9ed099be827e83caffc",
-    ("table-12-flat", "smooth-period"): "fe64b1be1164a58a78ab2192b23ab5d4c00bf9783938e73eb35b5b414cee1a90",
-    ("table-12-flat", "smooth-period-100"): "1f59693afbb192c6f714a1df88b766c356b6e624e5608574ac2a7af0e2df0a44",
-    ("table-12-flat", "smooth-eta"): "20976be855eb9e04c9b0621f45409d95f581ad1c67812bf7a4b2a2b3342256b6",
-    ("table-12-flat", "smooth-radius-2"): "ff84b19789fcf5289d2e5fccf906734d12a6672c7b4b086deef79abb6fba636d",
+    ("table-12-flat", "smooth-period"): "87409c3fedd1fc147775f5dfd6e2c58d9fa95c40893078ef2ca3bbf5b408984f",
+    ("table-12-flat", "smooth-period-100"): "b7cc42ac3cd12227d8df94b4b485ac3b010e766214c25801d684dda09ce48b96",
+    ("table-12-flat", "smooth-eta"): "a33076555ccc0fb753b5fd942a7d4a4015646b9be68b89778470ccee37c99835",
+    ("table-12-flat", "smooth-radius-2"): "7df243530f4de1e2d465f2445a1d05942e2c2cbe257a1d01b53a35c3622be4c0",
     ("table-12-flat", "budget"): "9d1ccfa4e6567ba0dcf95a74b673be2a1e68dd221b3dc3ddbac7004b22975da0",
     ("table-12-flat", "naive"): "a865cac6460c36e9b562ffd7faac4b5a44370520aea9f52cd83cad0cd53df6d8",
     ("circuit-16", "pac"): "43a49314db1a428823bd1c2305277897c18eafe41d3e10d574121b907f0b2446",
     ("circuit-16", "pac-warm"): "ca6b1cc3034f891b7d7970dd8b93eac2acd8f6a034d8d50e09972968a77369e4",
-    ("circuit-16", "smooth-period"): "cdc10107f5889fcd6bacaea1611abf4f051218c98f92237a20fb4da70f4a0762",
+    ("circuit-16", "smooth-period"): "06b0f08897bb565c1ab47d2b911a1f9968aeda9e3077956861f139110971bd80",
     ("circuit-16", "smooth-period-100"): "43a49314db1a428823bd1c2305277897c18eafe41d3e10d574121b907f0b2446",
     ("circuit-16", "smooth-eta"): "8f122e09e2d82941af932298fcf233ee34767b83264b70dda227a288cfe71953",
-    ("circuit-16", "smooth-radius-2"): "7cee5979ba5d56a8d97dab46c70fec32ebecfd31426a473be6186ee03c5f8ea7",
+    ("circuit-16", "smooth-radius-2"): "32bc260651a3d0cb58de5157f70521e3ab5070b7b2b2ab9fe3d089d5c7736d09",
     ("circuit-16", "budget"): "2ddefd085aa13ed9be17e4eb82b18d17b1257b2a64ba7cdd0cd7ad55e4540f61",
     ("circuit-16", "naive"): "74d8d77e76a0434318146e182cd1f238df6a0aa044e4c08296e8900607aa3f33",
     ("circuit-32", "pac"): "047b11610b1f9b27d754a7ffed08f73a9ebbcb7dc0d9332343b77eb803f87d66",
     ("circuit-32", "pac-warm"): "0ca3314eb753ae37bd26da65c8bf0a2fccf445e8a4fb3476e48c17389661c9b8",
-    ("circuit-32", "smooth-period"): "229e108a252443332bdbd10ad8752bcd3b2da4318bd5dc7fa02a541d8142fd84",
-    ("circuit-32", "smooth-period-100"): "9d603a5a0c8a7610576d9ad343f60162d6aae96982c339805d014d6445b53a6a",
-    ("circuit-32", "smooth-eta"): "ae944de12338f1bf6135b714506c13396e0f67a2c78d05a88e3ede9409db5e58",
-    ("circuit-32", "smooth-radius-2"): "cc15dd686538cabb8b94996b6ef94d0682a6a0d1683e92eec64fb7e6b8f3f5e5",
+    ("circuit-32", "smooth-period"): "4abb0933e1d70c373a62b922f03e452fd610958131762d59dfd63579a932d921",
+    ("circuit-32", "smooth-period-100"): "9be4f9a2199ce982f389ab3223495bc40f2ae36d30cbd4e1fb65a70ebd49196e",
+    ("circuit-32", "smooth-eta"): "e7c7712650355406e90c51a42ec617c8fbe60f2c0b01653bda8e2a26e69391da",
+    ("circuit-32", "smooth-radius-2"): "6f640fa3e47b5c84c23850fc87ec7b5881c3903a3bd14111dacd0eaaa3a95efa",
     ("circuit-32", "budget"): "060d1b22de3de4628905ec93da4e67c03c8daa48b7a6489cd4e950421b04877f",
     ("circuit-32", "naive"): "873b7d43c5b959744bff653212c1e330963c9faf418721e7683689776d8218ce",
     ("deterministic", "pac"): "978b5fbf8a0bcd37535dda1b195f546646f3350378d823a5c884e15227013078",

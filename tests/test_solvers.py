@@ -198,6 +198,25 @@ class CountingOracle:
         return self.oracle.log_prob_rows(rows)
 
 
+def passes_due(stream, eta, draws):
+    """Exploitation passes that smooth_pac_map's explore-coin schedule makes
+    due within `draws` random draws, replayed from the coin stream.  A coin
+    below 1 - eta explores; a segment is the run of exploring coins before
+    the first one that does not, read in blocks of 64 coins whose rest is
+    dropped, and a pass falls due at the end of each segment."""
+    coins = stream.spawn("explore-coin")
+    passes = used = count = 0
+    while True:
+        block = coins.uniform_block(64, 1).ravel() < (1.0 - eta)
+        if block.all():
+            count += 64
+            continue
+        used += count + int(np.argmin(block))
+        if used > draws:
+            return passes
+        passes, count = passes + 1, 0
+
+
 PARAMS = PacParams(0.01, 0.01)
 STOP_PATHS = {
     # name: (table, solver on (oracle, stream), check on (solution, trajectory, oracle))
@@ -225,11 +244,11 @@ STOP_PATHS = {
             and pts[-1].m < pts[-1].stop_time_m
         ),
     ),
-    # At eta = 0.9 nine segments in ten are empty: more balls than draws.
+    # At eta = 0.9 nine segments in ten are empty: more passes than draws.
     "eta zero-length segments": (
         (8, 2, 0.5),
         lambda o, s, pts: smooth_pac_map(o, PARAMS, eta=0.9, rng=s, trajectory=pts),
-        lambda sol, pts, o: len(o.scored) - len(o.sampled) > sol.draws_used + 1,
+        lambda sol, pts, o: passes_due(DrawStream(3), 0.9, sol.draws_used) > sol.draws_used + 1,
     ),
     "cap": (
         (12, 4, 5.0),
@@ -578,6 +597,41 @@ def test_smooth_stops_earlier_when_mode_is_adjacent():
             ).draws_used
         )
     assert np.mean(smooth_stops) < np.mean(pac_stops)
+
+
+class BallRecordingOracle(CountingOracle):
+    """CountingOracle that also keeps the centre and size of every radius-1
+    Hamming ball it scores."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.balls = []
+
+    def log_prob_rows(self, rows):
+        if np.array_equal(rows, hamming_ball(rows[0], 1)):
+            self.balls.append((rows[0].tolist(), len(rows)))
+        return super().log_prob_rows(rows)
+
+
+@pytest.mark.parametrize("cap", [45, 450])
+def test_a_ball_around_an_unchanged_leader_is_scored_once(cap):
+    # A flat table with the mode as warm start: the leader never changes and
+    # the run stops at the cap, after cap / 9 exploitation periods.
+    table = random_table(12, 4, alpha=5.0)
+    mode, _ = brute_force_map(table)
+    oracle = BallRecordingOracle(table)
+    sol = smooth_pac_map(oracle, PARAMS, exploit_period=9, cap=cap, warm=[mode], rng=3)
+    assert isinstance(sol.certificate, Budget) and sol.draws_used == cap
+    assert oracle.balls == [(mode.tolist(), 13)]
+    assert sol.oracle_calls == sol.draws_used + 1 + 13
+
+
+def test_consecutive_scored_balls_have_different_centres():
+    oracle = BallRecordingOracle(random_table(8, 2, 0.5))
+    sol = smooth_pac_map(oracle, PARAMS, eta=0.9, rng=DrawStream(3))
+    centres = [centre for centre, _ in oracle.balls]
+    assert len(centres) > 1 and all(a != b for a, b in zip(centres, centres[1:]))
+    assert sol.oracle_calls == sol.draws_used + sum(size for _, size in oracle.balls)
 
 
 def test_bernoulli_exploit_mode_runs():
