@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -93,22 +93,6 @@ METHODS: dict[str, Method] = {
 # The paper's ranking run: every method except the fixed-budget solvers.
 DEFAULT_METHODS = tuple(name for name, method in METHODS.items() if method.kind != "fixed")
 
-CSV_COLUMNS = (
-    "dataset",
-    "trial",
-    "query_prop",
-    "method",
-    "log_p_hat",
-    "rank",
-    "runtime_ms",
-    "cert",
-    "epsilon",
-    "delta",
-    "draws",
-    "timed_out",
-)
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     circuits: tuple[str, ...]
@@ -131,8 +115,15 @@ class BenchConfig:
             raise ValueError("config needs at least one method and one query proportion")
         if any(not (0.0 < p < 1.0) for p in self.query_proportions):
             raise ValueError("query proportions must lie in (0, 1)")
-        if self.trials < 1 or self.sample_cap < 1 or self.batch_size < 1:
-            raise ValueError("trials, sample_cap and batch_size must be >= 1")
+        for key in ("trials", "sample_cap", "batch_size", "exploit_period", "radius"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("circuits", "methods", "query_proportions"):
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{key} lists {repeated[0]!r} twice")
+        PacParams(self.epsilon, self.delta)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -142,18 +133,24 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; the fields are the columns, in order.  Every field after
+    `method` defaults to what a row whose instance or method raised holds."""
+
     dataset: str
     trial: int
     query_prop: float
     method: str
-    log_p_hat: float | None
-    rank: int | None
-    runtime_ms: float
-    cert: str
-    epsilon: float | None
-    delta: float | None
-    draws: int
-    timed_out: bool
+    log_p_hat: float | None = None
+    rank: int | None = None
+    runtime_ms: float = 0.0
+    cert: str = ""
+    epsilon: float | None = None
+    delta: float | None = None
+    draws: int = 0
+    timed_out: bool = False
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 _LIST_KEYS = {"circuits", "query_proportions", "methods"}
@@ -175,6 +172,8 @@ def parse_bench_config(text: str) -> BenchConfig:
         key, val = key.strip(), val.strip()
         if key not in known:
             raise ValueError(f"config line {ln}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"config line {ln}: duplicate key {key!r}")
         try:
             if key in _LIST_KEYS:
                 items = tuple(tok.strip() for tok in val.split(",") if tok.strip())
@@ -194,6 +193,9 @@ def parse_bench_config(text: str) -> BenchConfig:
     return BenchConfig(**values)
 
 
+_GEN_KEYS = ("n", "depth", "fanout", "seed")
+
+
 def resolve_circuit(spec: str) -> tuple[str, Circuit]:
     """A circuit reference is a file path or a `gen:` generator spec.
 
@@ -205,11 +207,16 @@ def resolve_circuit(spec: str) -> tuple[str, Circuit]:
         params = {}
         for tok in spec[4:].split("/"):
             key, _, val = tok.partition("=")
+            key = key.strip()
+            if key not in _GEN_KEYS:
+                raise ValueError(f"generator spec {spec!r}: unknown key {key!r}")
+            if key in params:
+                raise ValueError(f"generator spec {spec!r}: duplicate key {key!r}")
             try:
-                params[key.strip()] = int(val)
+                params[key] = int(val)
             except ValueError:
-                raise ValueError(f"generator spec {spec!r}: {key.strip()!r} takes an integer, got {val!r}") from None
-        missing = {"n", "depth", "fanout", "seed"} - set(params)
+                raise ValueError(f"generator spec {spec!r}: {key!r} takes an integer, got {val!r}") from None
+        missing = set(_GEN_KEYS) - set(params)
         if missing:
             raise ValueError(f"generator spec {spec!r} missing {sorted(missing)}")
         return spec, generate_random_circuit(params["n"], params["depth"], params["fanout"], params["seed"])
@@ -265,28 +272,27 @@ def rank_methods(log_p_hats) -> list[int]:
     return [1 + sum(1 for other in values if other > mine) for mine in values]
 
 
-def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig, seed: int):
-    """Run one method; returns (log_p_hat, cert_kind, eps, delta, draws, timed_out)."""
+def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig, seed: int) -> dict:
+    """Run one method; returns the BenchRecord fields its Solution fills in:
+    log_p_hat and draws, and cert, epsilon, delta and timed_out when it has
+    a certificate."""
     entry = METHODS[method]
-    params = PacParams(cfg.epsilon, cfg.delta)
     sol = entry.run(
         MethodInputs(
-            make_oracle(circuit, spec), params, cap=cfg.sample_cap, budget=cfg.sample_cap, batch_size=cfg.batch_size,
-            exploit_period=cfg.exploit_period, radius=cfg.radius, rng=DrawStream(seed),
+            make_oracle(circuit, spec), PacParams(cfg.epsilon, cfg.delta), cap=cfg.sample_cap, budget=cfg.sample_cap,
+            batch_size=cfg.batch_size, exploit_period=cfg.exploit_period, radius=cfg.radius, rng=DrawStream(seed),
         )
     )
+    got = {"log_p_hat": sol.log_p_hat, "draws": sol.draws_used}
     cert = sol.certificate
     if cert is None:
-        return sol.log_p_hat, "", None, None, sol.draws_used, False
+        return got
     if isinstance(cert, Budget):
         # Report the config tolerance with its realized admissible level.
         p_hat = math.exp(sol.log_p_hat)
-        eps = cfg.epsilon
         delta = 0.0 if cfg.epsilon >= 1.0 - p_hat else pareto_delta(p_hat, cfg.epsilon, sol.draws_used)
-    else:
-        eps, delta = cert.epsilon, cert.delta
-    timed_out = isinstance(cert, Budget) and entry.kind == "adaptive"
-    return sol.log_p_hat, cert.kind, eps, delta, sol.draws_used, timed_out
+        return got | {"cert": cert.kind, "epsilon": cfg.epsilon, "delta": delta, "timed_out": entry.kind == "adaptive"}
+    return got | {"cert": cert.kind, "epsilon": cert.epsilon, "delta": cert.delta}
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
@@ -303,26 +309,17 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     spec = QuerySpec(part.query_vars, evidence, ())
                     spec.validate(circuit.num_vars)
                 except Exception as exc:
-                    records.append(
-                        BenchRecord(dataset, trial, prop, "instance", None, None, 0.0, _why(exc), None, None, 0, False)
-                    )
+                    records.append(BenchRecord(dataset, trial, prop, "instance", cert=_why(exc)))
                     continue
                 group: list[BenchRecord] = []
                 for method in cfg.methods:
                     t0 = time.perf_counter()
                     try:
-                        log_p, cert, eps, delta, draws, timed_out = _run_method(
-                            method, circuit, spec, cfg, derive_seed(base, "method", method)
-                        )
-                        ms = (time.perf_counter() - t0) * 1000.0
-                        group.append(
-                            BenchRecord(dataset, trial, prop, method, log_p, None, ms, cert, eps, delta, draws, timed_out)
-                        )
+                        got = _run_method(method, circuit, spec, cfg, derive_seed(base, "method", method))
                     except Exception as exc:
-                        ms = (time.perf_counter() - t0) * 1000.0
-                        group.append(
-                            BenchRecord(dataset, trial, prop, method, None, None, ms, _why(exc), None, None, 0, False)
-                        )
+                        got = {"cert": _why(exc)}
+                    ms = (time.perf_counter() - t0) * 1000.0
+                    group.append(BenchRecord(dataset, trial, prop, method, runtime_ms=ms, **got))
                 ok = [r for r in group if r.log_p_hat is not None]
                 ranks = rank_methods([r.log_p_hat for r in ok]) if ok else []
                 rank_of = {id(r): rank for r, rank in zip(ok, ranks)}
@@ -350,22 +347,7 @@ def write_records_csv(records, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.dataset,
-                r.trial,
-                _fmt(r.query_prop),
-                r.method,
-                _fmt(r.log_p_hat),
-                _fmt(r.rank),
-                f"{r.runtime_ms:.3g}",
-                r.cert,
-                _fmt(r.epsilon),
-                _fmt(r.delta),
-                r.draws,
-                _fmt(r.timed_out),
-            ]
-        )
+        writer.writerow(f"{v:.3g}" if k == "runtime_ms" else _fmt(v) for k, v in zip(CSV_COLUMNS, astuple(r)))
 
 
 def render_summary(records: list[BenchRecord]) -> str:

@@ -68,11 +68,6 @@ def _write_trajectory(points, path) -> None:
 
 def cmd_solve(args) -> int:
     method, entry = args.method, METHODS[args.method]
-    inputs = MethodInputs(
-        make_oracle(*_load_problem(args)), PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None,
-        cap=args.cap, budget=args.budget, batch_size=args.batch_size, exploit_period=args.period,
-        radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
-    )
     if args.trajectory and entry.kind != "adaptive":
         raise ValueError(f"--trajectory is not supported with method {method!r}, which records no trajectory")
     if args.warm_from:
@@ -81,9 +76,15 @@ def cmd_solve(args) -> int:
         baselines = [name for name, m in METHODS.items() if m.kind == "baseline"]
         if args.warm_from not in baselines:
             raise ValueError(f"--warm-from expects one of {', '.join(baselines)}")
-        inputs = replace(inputs, warm=[METHODS[args.warm_from].run(inputs).q_hat])
     if entry.kind == "fixed" and args.budget is None:
         raise ValueError(f"--budget is required for method {method!r}")
+    params = PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None
+    inputs = MethodInputs(
+        make_oracle(*_load_problem(args)), params, cap=args.cap, budget=args.budget, batch_size=args.batch_size,
+        exploit_period=args.period, radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
+    )
+    if args.warm_from:
+        inputs = replace(inputs, warm=[METHODS[args.warm_from].run(inputs).q_hat])
 
     sol = entry.run(inputs)
     kind, eps_s, delta_s = _cert_fields(sol.certificate)

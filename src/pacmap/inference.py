@@ -27,7 +27,7 @@ from .rng import DrawStream, as_stream, counter_uniforms
 
 _TABULAR_CAP = 24
 # Sampling scratch, in bytes per draw, of the leaf step per query column and
-# of a sum step per (node, draw) pair it reached (see _compile_descent).
+# of a sum or shared product step per pair it reached (see _compile_descent).
 _LEAF_BYTES = 36
 _PAIR_BYTES = 64
 
@@ -211,16 +211,21 @@ class ConditionalOracle:
         self._root_row = int(row_of[plan.root])
 
         # Per op, the tables of its step, and a bound on the step's scratch
-        # per draw: the reached sums of one op have disjoint scopes that each
-        # hold a query column, so a draw reaches at most min(m, |Q|) of them.
+        # per draw: the m sums, or the m shared (child, parent) pairs, of one
+        # op have disjoint scopes that each hold a query column, so a draw
+        # reaches at most min(m, |Q|) of them.
         up = np.concatenate((upward[plan.live], plan.consts))
-        sum_bytes = 0
+        step_bytes = 0
         self._descent: list[tuple] = []
         for i, op in enumerate(plan.ops):
             if op.logw is None:
-                self._descent.append(_rounds(*(row_of[rows] for rows in shared[i])) if i in shared else ())
+                pairs = tuple(row_of[rows] for rows in shared[i]) if i in shared else ()
+                self._descent.append(pairs)
+                if pairs:
+                    m = pairs[0].size
+                    step_bytes = max(step_bytes, m + _PAIR_BYTES * min(m, self.num_query))
                 continue
-            sum_bytes = max(sum_bytes, op.ids.size + _PAIR_BYTES * min(op.ids.size, self.num_query))
+            step_bytes = max(step_bytes, op.ids.size + _PAIR_BYTES * min(op.ids.size, self.num_query))
             # For the m sums of a k-child op: an (m, k - 1) table whose row j
             # holds node j's cumulative child-selection probabilities under
             # the cached upward pass, +inf from its last child with positive
@@ -248,8 +253,8 @@ class ConditionalOracle:
         self._leaf_theta = plan.leaf_theta[leaf].ravel()
         # Bytes per draw that one chunk of the descent holds at its peak: the
         # draw's column of `active` and its counter base, plus the larger of
-        # the sum steps' and the leaf step's scratch.
-        self._sample_row_bytes = self._active_rows + 1 + 8 + max(sum_bytes, _LEAF_BYTES * self.num_query)
+        # the op steps' and the leaf step's scratch.
+        self._sample_row_bytes = self._active_rows + 1 + 8 + max(step_bytes, _LEAF_BYTES * self.num_query)
 
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         """Draw i.i.d. samples from P(Q | e); returns (count, |Q|) int8.
@@ -292,13 +297,15 @@ class ConditionalOracle:
         active[self._root_row] = True
         # Parents come in later ops than their children, so walking the ops
         # backwards settles each node's draws before it is entered.  A
-        # product's children share its row unless they have other parents.
+        # product's children share its row unless they have other parents;
+        # those get its draws pair by pair, as a sum's chosen children do.
         for op, step in zip(reversed(self._plan.ops), reversed(self._descent)):
-            if op.logw is None:
-                for kids, parents in step:
-                    active[kids] |= active[parents]
-            else:
+            if op.logw is not None:
                 _descend_sums(step, active, draw_keys, seed)
+            elif step:
+                kids, parents = step
+                j, d = np.divmod(np.flatnonzero(active[parents]), b)
+                _mark(active, kids[j], d)
         slots = self._leaf_slots
         which = np.repeat(slots[:, :1], b, axis=1)
         for s in range(1, slots.shape[1]):
@@ -317,8 +324,7 @@ def _descend_sums(step: tuple, active: np.ndarray, draw_keys: np.ndarray, seed: 
     child, and the child's row of `active` gets the draw.  Its scratch is
     freed on return, before the next op allocates its own."""
     cums, kids, rows, node_ids = step
-    b = active.shape[1]
-    j, d = np.divmod(np.flatnonzero(active[rows]), b)
+    j, d = np.divmod(np.flatnonzero(active[rows]), active.shape[1])
     keys = draw_keys[d]
     keys += node_ids[j]
     u = counter_uniforms(seed, keys)
@@ -328,22 +334,16 @@ def _descend_sums(step: tuple, active: np.ndarray, draw_keys: np.ndarray, seed: 
     for i in range(cums.shape[1]):
         choice += cums[j, i] <= u
     del u
-    reached = kids[choice, j]
-    reached *= b
-    reached += d
-    active.reshape(-1)[reached] = True
+    _mark(active, kids[choice, j], d)
 
 
-def _rounds(kids: np.ndarray, parents: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(child, parent) row pairs split into rounds in which no child repeats,
-    so that one fancy-indexed OR per round is exact: the i-th pair of a child
-    goes to round i."""
-    order = np.argsort(kids, kind="stable")
-    ranked = kids[order]
-    first = np.r_[True, ranked[1:] != ranked[:-1]]
-    rank = np.empty(kids.size, dtype=np.int64)
-    rank[order] = np.arange(kids.size) - np.maximum.accumulate(np.where(first, np.arange(kids.size), 0))
-    return tuple((kids[rank == r], parents[rank == r]) for r in range(int(rank.max(initial=-1)) + 1))
+def _mark(active: np.ndarray, kids: np.ndarray, d: np.ndarray) -> None:
+    """Give draw d[i] to active row kids[i] for every i: one flat scatter,
+    exact when a (row, draw) pair repeats, as a shared child's may.
+    Overwrites `kids`."""
+    kids *= active.shape[1]
+    kids += d
+    active.reshape(-1)[kids] = True
 
 
 def _ball_flips(rows: np.ndarray) -> np.ndarray | None:

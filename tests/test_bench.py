@@ -1,12 +1,16 @@
 import io
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pacmap import bench
 from pacmap.bench import (
     BenchConfig,
+    BenchRecord,
     CSV_COLUMNS,
     draw_evidence,
     parse_bench_config,
@@ -137,6 +141,8 @@ def test_parse_config_rejects_unknown_key():
         ("circuits =\n", "config line 1: circuits: needs at least one value"),
         ("circuits = a\nmethods = ,\n", "config line 2: methods: needs at least one value"),
         ("circuits = a\nquery_proportions =\n", "config line 2: query_proportions: needs at least one value"),
+        ("circuits = a\ntrials = 2\n# a comment\ntrials = 3\n", "config line 4: duplicate key 'trials'"),
+        ("circuits = a\ncircuits = b\n", "config line 2: duplicate key 'circuits'"),
     ],
 )
 def test_parse_config_value_errors_name_the_line(text, match):
@@ -150,6 +156,12 @@ def test_resolve_generator_spec_errors_name_the_key_and_spec():
         resolve_circuit(spec)
     with pytest.raises(ValueError, match=re.escape("missing ['seed']")):
         resolve_circuit("gen:n=16/depth=3/fanout=2")
+    spec = "gen:n=8/depth=2/fanout=2/seed=1/sede=4"
+    with pytest.raises(ValueError, match=re.escape(f"generator spec {spec!r}: unknown key 'sede'")):
+        resolve_circuit(spec)
+    spec = "gen:n=8/depth=2/fanout=2/seed=1/seed=4"
+    with pytest.raises(ValueError, match=re.escape(f"generator spec {spec!r}: duplicate key 'seed'")):
+        resolve_circuit(spec)
 
 
 def test_config_validation():
@@ -160,6 +172,15 @@ def test_config_validation():
     for empty in ({"methods": ()}, {"query_proportions": ()}):
         with pytest.raises(ValueError, match="at least one method and one query proportion"):
             BenchConfig(circuits=("a",), **empty)
+    for key in ("trials", "sample_cap", "batch_size", "exploit_period", "radius"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            BenchConfig(circuits=("a",), **{key: 0})
+    for bad in ({"epsilon": 1.5}, {"delta": 0.0}, {"epsilon": float("nan")}):
+        with pytest.raises(ValueError, match=re.escape("epsilon and delta must lie strictly inside (0, 1)")):
+            BenchConfig(circuits=("a",), **bad)
+    for key, values in (("circuits", ("a", "b", "a")), ("methods", ("pac", "pac")), ("query_proportions", (0.1, 0.1))):
+        with pytest.raises(ValueError, match=re.escape(f"{key} lists {values[-1]!r} twice")):
+            BenchConfig(**{"circuits": ("a",), key: values})
 
 
 def test_resolve_generator_spec():
@@ -209,6 +230,31 @@ def test_records_deterministic_apart_from_timing():
         assert (a.cert, a.epsilon, a.delta, a.draws, a.timed_out) == (b.cert, b.epsilon, b.delta, b.draws, b.timed_out)
 
 
+def test_csv_bytes_are_pinned():
+    records = [
+        BenchRecord(GEN16, 0, 0.25, "pac", -1.2345678901234567, 1, 12.3456, "pac", 0.01, 0.01, 1500, False),
+        BenchRecord("d", 1, 0.5, "smooth", -0.1, 2, 1234.5, "budget", 0.01, 0.3, 5, True),
+        BenchRecord("d", 1, 0.5, "mp", -0.5, 3, 0.00012345, "", None, None, 0, False),
+        BenchRecord("d", 1, 0.5, "instance", None, None, 0.0, 'ValueError: bad "x", y', None, None, 0, False),
+    ]
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    assert buf.getvalue() == (
+        "dataset,trial,query_prop,method,log_p_hat,rank,runtime_ms,cert,epsilon,delta,draws,timed_out\n"
+        f"{GEN16},0,0.25,pac,-1.2345678901234567,1,12.3,pac,0.01,0.01,1500,false\n"
+        "d,1,0.5,smooth,-0.1,2,1.23e+03,budget,0.01,0.3,5,true\n"
+        "d,1,0.5,mp,-0.5,3,0.000123,,,,0,false\n"
+        'd,1,0.5,instance,,,0,"ValueError: bad ""x"", y",,,0,false\n'
+    )
+
+
+def test_readme_states_the_bench_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert ",".join(CSV_COLUMNS) in readme.splitlines()
+    listed = re.search(r"`BenchConfig` field names\s*\(([^)]*)\)", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(BenchConfig)]
+
+
 def test_csv_columns_and_shape():
     cfg = _small_cfg(trials=1, query_proportions=(0.5,), methods=("mp", "ind"))
     records = run_benchmark(cfg)
@@ -231,15 +277,19 @@ def test_timed_out_rows_carry_budget_cert():
         assert r.delta is not None
 
 
-def test_errored_rows_say_why():
-    # Share 0.01 leaves no query variable at n = 16, and smooth refuses a
-    # zero exploitation period; mp still runs and is ranked alone.
-    cfg = _small_cfg(trials=1, query_proportions=(0.01, 0.5), methods=("smooth", "mp"), exploit_period=0)
+def test_errored_rows_say_why(monkeypatch):
+    # Share 0.01 leaves no query variable at n = 16, and smooth is made to
+    # raise; mp still runs and is ranked alone.
+    def refuse(inputs):
+        raise ValueError("smooth failed")
+
+    monkeypatch.setitem(bench.METHODS, "smooth", bench.Method(refuse, "adaptive", takes_warm=True))
+    cfg = _small_cfg(trials=1, query_proportions=(0.01, 0.5), methods=("smooth", "mp"))
     records = run_benchmark(cfg)
     assert [(r.query_prop, r.method) for r in records] == 2 * [(0.01, "instance"), (0.5, "smooth"), (0.5, "mp")]
     for instance, smooth, mp in zip(records[::3], records[1::3], records[2::3]):
         assert instance.cert == "ValueError: proportion 0.01 leaves an empty query or evidence set for n=16"
-        assert smooth.cert == "ValueError: exploit_period must be >= 1"
+        assert smooth.cert == "ValueError: smooth failed"
         assert instance.log_p_hat is smooth.log_p_hat is smooth.rank is None
         assert mp.rank == 1 and mp.log_p_hat is not None
 

@@ -105,6 +105,22 @@ def test_trajectory_rejected_for_methods_that_record_none(problem_dir, capsys, m
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--method", "mp", "--trajectory", "traj.csv"], "--trajectory is not supported with method 'mp'"),
+        (["--method", "mp", "--warm-from", "amp"], "--warm-from is not supported with method 'mp'"),
+        (["--method", "pac", "--warm-from", "pac"], "--warm-from expects one of mp, amp, ind"),
+        (["--method", "naive"], "--budget is required for method 'naive'"),
+    ],
+)
+def test_solve_refuses_bad_flags_before_reading_the_circuit(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--circuit", "nope.spn", "--query", "nope.query", *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["pac", "smooth"])
 def test_trajectory_written_for_adaptive_methods(problem_dir, capsys, method):
     dirpath, cpath, qpath = problem_dir
