@@ -21,10 +21,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from pacmap.circuit import generate_deterministic_circuit, generate_random_circuit
+from pacmap.circuit import MARGINAL, generate_deterministic_circuit, generate_random_circuit
 from pacmap.inference import QuerySpec, TabularDistribution, make_oracle
 from pacmap.rng import DrawStream
-from pacmap.solvers import PacParams, budget_pac_map, naive_map, pac_map, smooth_pac_map
+from pacmap.solvers import PacParams, budget_pac_map, hamming_ball, naive_map, pac_map, smooth_pac_map
 
 BATCH_SIZES = (1, 7, 100, 5000)
 PARAMS = PacParams(0.01, 0.01)
@@ -163,3 +163,85 @@ def test_fixed_budget_answers_are_pinned(instance):
     oracle = INSTANCES[instance]()
     for name, run in FIXED.items():
         assert fingerprint(run(oracle, DrawStream(17)), []) == DIGESTS[instance, name], name
+
+
+# -- scoring bytes ---------------------------------------------------------------
+
+# The solver digests above would not notice a change to every score that
+# left the argmax alone.  These pin the bytes of the oracle's scoring passes
+# (the folded pass, with and without MARGINAL entries, and the radius-1 ball
+# pass) and of the full plan's sum and max passes, in node-id order.  They
+# were recorded before evaluation plans were packed.
+def _score_instances():
+    from test_inference import SHARED_CHILDREN
+
+    return {
+        "corpus-n64": (
+            generate_random_circuit(64, 3, 2, 303),
+            QuerySpec(
+                tuple(range(0, 64, 4)), {v: v % 2 for v in range(1, 64, 4)}, tuple(v for v in range(64) if v % 4 > 1)
+            ),
+        ),
+        # Share 0.1 of the stress circuit: every tenth variable is queried.
+        "stress-n256": (
+            generate_random_circuit(256, 3, 2, 404),
+            QuerySpec(
+                tuple(range(0, 256, 10)),
+                {v: v % 3 % 2 for v in range(256) if v % 10 in (3, 7)},
+                tuple(v for v in range(256) if v % 10 not in (0, 3, 7)),
+            ),
+        ),
+        "shared-children": (SHARED_CHILDREN, QuerySpec((3, 0, 1), {2: 1})),
+        # Evidence x0 = 1, x1 = 0 sends the indicators of x0 = 0 and x1 = 1 to -inf.
+        "deterministic": (generate_deterministic_circuit(6, seed=2), QuerySpec((2, 3, 5), {0: 1, 1: 0}, (4,))),
+    }
+
+
+def _scores(circuit, spec) -> dict:
+    oracle = make_oracle(circuit, spec)
+    draws = oracle.sample(2000, DrawStream(31))
+    gen = np.random.default_rng(37)
+    partial = np.where(gen.random(draws.shape) < 0.3, MARGINAL, draws).astype(np.int8)
+    # The evidence row, then 63 rows with draws filled in; MARGINAL elsewhere.
+    rows = np.full((64, circuit.num_vars), MARGINAL, dtype=np.int8)
+    rows[:, list(spec.evidence)] = list(spec.evidence.values())
+    rows[1:, list(spec.query_vars)] = draws[:63]
+    return {
+        "draws": oracle.log_prob_rows(draws),
+        "partial": oracle.log_prob_rows(partial),
+        "ball": oracle.log_prob_rows(hamming_ball(draws[0], 1)),
+        "log_forward": circuit.log_forward(rows),
+        "max_forward": circuit.max_forward(rows),
+    }
+
+
+SCORE_DIGESTS = {
+    ("corpus-n64", "draws"): "dd909fe2d31edce9a97ec1723ef359ec5ddfb0f633f686c8baa3230d9c2848d7",
+    ("corpus-n64", "partial"): "38679093e22ca8141dea2dc6cf40937eba0bc40ed97ad30f5074d78ee44b3de0",
+    ("corpus-n64", "ball"): "df17160ff81a662f9ec2ba234ce85f284b1f8595053d8e35b7060a13d90702f0",
+    ("corpus-n64", "log_forward"): "c508cfa242582a5932f3a41ac4a5874d3fc77158e15f39f30cb13e65d246a8dc",
+    ("corpus-n64", "max_forward"): "2f1099f6faf363e0e4881729b7cd9bc5237ba4efee678080a3f7aa48884a7a46",
+    ("stress-n256", "draws"): "fed91bc2bd23ed82fce0e5bf268f3a3f66645ca5eb6f0afd67088329a9127eaf",
+    ("stress-n256", "partial"): "a8e6acccccdc96a6ecafc358e21932539f75bd93ba231346c89b8a0aace9afb1",
+    ("stress-n256", "ball"): "3b9d0d0b9273ae77f797ebef40c7cbcfa81f255c5eac5584886b1f38bc041c6d",
+    ("stress-n256", "log_forward"): "e3bd8a7cf263a9486e29cf655c325c8c31c03cc825b630efbc8fe972b6cfde1e",
+    ("stress-n256", "max_forward"): "0452c641342d3e58b3d3b8102d6d26c0f820423ac7c928465a81907171e9273f",
+    ("shared-children", "draws"): "d2b02f4483fb87062b3ff6370feb91437a5e44f0c08aa6edb17f2251d6f6e358",
+    ("shared-children", "partial"): "6a5f11ba625c40492b99f5b1197222f2c4d4f11272c64598022f9f17e3b6a904",
+    ("shared-children", "ball"): "0cf1034bb5c43f59a59d035625926e6a6bdc4a61c1a11b76df402c3e7583481e",
+    ("shared-children", "log_forward"): "dcdf4fd363c5c1908c828b4d4d66d8d6bcc77d32d22a3689312a1a986eff1bfe",
+    ("shared-children", "max_forward"): "fc181e513ef2be23e9b81b87c4c0ceaf5b0cfa36ca5d9ea3390a3d9113a5b922",
+    ("deterministic", "draws"): "6dbdcac19771111870837cd63433f33c7baa414b3a18340670bc88750f189a04",
+    ("deterministic", "partial"): "0e0b22c186c22539af43dbd88d00cb4d76416cb751a9f680e622c84e51c2b1c3",
+    ("deterministic", "ball"): "d2e34396ee12a0a5591546e48e8f172f7160a56cd8c095a5e6a55a203393f2c3",
+    ("deterministic", "log_forward"): "ccfa63b9594f6b47103cdadd26cb7170e5e1170f7b164b4bd81df257957451b8",
+    ("deterministic", "max_forward"): "2611236e9cd58c0c65f0f32c04a52ad800f8ce3a68bd5b1fec2301a180c7c530",
+}
+
+
+@pytest.mark.parametrize("instance", ["corpus-n64", "stress-n256", "shared-children", "deterministic"])
+def test_scoring_bytes_are_pinned(instance):
+    circuit, spec = _score_instances()[instance]
+    for call, values in _scores(circuit, spec).items():
+        assert values.dtype == np.float64
+        assert hashlib.sha256(values.tobytes()).hexdigest() == SCORE_DIGESTS[instance, call], call
