@@ -176,6 +176,7 @@ class Circuit:
             nid, prop, desc = report.violations[0]
             raise CircuitStructureError(f"node {nid}: {prop} violation ({desc})", report)
         self._plan = self._compile()
+        self._node_rows = np.argsort(self._plan.live)  # the full plan's value row of each node id
 
     # -- evaluation ---------------------------------------------------------
 
@@ -200,33 +201,38 @@ class Circuit:
         # max pass, takes its larger value.
         leaf_table = np.stack(
             (
-                np.stack((log0, log1, np.zeros_like(log0)), axis=1),
-                np.stack((log0, log1, np.maximum(log0, log1)), axis=1),
+                np.stack((np.zeros_like(log0), log0, log1), axis=1),
+                np.stack((np.maximum(log0, log1), log0, log1), axis=1),
             )
         )
 
         # Each level runs its products, then its sums, one op per child count.
-        def op(group: list[int]) -> "_Op":
-            kids = np.asarray([nodes[i].children for i in group], dtype=np.int64).T
-            logw = None
-            if isinstance(nodes[group[0]], SumNode):
-                logw = np.log(np.asarray([nodes[i].weights for i in group], dtype=np.float64)).T[:, :, None]
-            return _Op(np.asarray(group, dtype=np.int64), kids, logw)
-
-        ops = []
+        groups = []
         for lev in range(1, int(level.max()) + 1 if len(nodes) > 1 else 1):
             ids = np.nonzero(level == lev)[0].tolist()
             for kind in (ProductNode, SumNode):
-                groups: dict[int, list[int]] = {}
+                by_count: dict[int, list[int]] = {}
                 for i in ids:
                     if isinstance(nodes[i], kind):
-                        groups.setdefault(len(nodes[i].children), []).append(i)
-                ops.extend(op(groups[k]) for k in sorted(groups))
+                        by_count.setdefault(len(nodes[i].children), []).append(i)
+                groups.extend(by_count[k] for k in sorted(by_count))
+
+        # Packed rows: the leaves, then each op's nodes in op order.
+        live = np.asarray(leaves + [i for group in groups for i in group], dtype=np.int64)
+        row_of = np.empty(len(nodes), dtype=np.int64)
+        row_of[live] = np.arange(live.size)
+        ops = []
+        for group in groups:
+            kids = row_of[np.asarray([nodes[i].children for i in group], dtype=np.int64).T]
+            logw = None
+            if isinstance(nodes[group[0]], SumNode):
+                logw = np.log(np.asarray([nodes[i].weights for i in group], dtype=np.float64)).T[:, :, None]
+            ops.append(_Op(row_of[group], kids, logw))
         return _Plan(
             width=self.num_vars,
-            root=self.root,
-            live=np.arange(len(nodes), dtype=np.int64),
-            leaf_rows=np.asarray(leaves, dtype=np.int64),
+            root=int(row_of[self.root]),
+            live=live,
+            leaf_rows=np.arange(len(leaves), dtype=np.int64),
             leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
             leaf_table=leaf_table,
             leaf_theta=theta,
@@ -245,6 +251,11 @@ class Circuit:
         parent's child list, so every live node sums the same terms in the
         same order as in the full plan, and its value is bit-identical to the
         full evaluation of the rows with the other variables filled in.
+
+        `upward` is indexed by node id.  The full plan is packed, so its live
+        rows, taken in ascending order, are packed too: the live leaves, then
+        each kept op's live nodes.  They become the folded plan's rows as
+        they are, followed by the constants.
         """
         full = self._plan
         if tuple(columns) == tuple(range(self.num_vars)):
@@ -252,8 +263,9 @@ class Circuit:
         col_of = np.full(self.num_vars, -1, dtype=np.int64)
         col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
         leaf_cols = col_of[full.leaf_cols]
-        live = np.zeros(len(self.nodes), dtype=bool)
-        live[full.leaf_rows] = leaf_cols >= 0
+        on = leaf_cols >= 0
+        live = np.zeros(full.size, dtype=bool)  # by full-plan row
+        live[: on.size] = on
         kept = []
         for op in full.ops:
             keep = live[op.kids].any(axis=0)
@@ -261,26 +273,24 @@ class Circuit:
             if keep.any():
                 kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
 
-        # Value rows: live nodes in id order, then the constants.
-        live_ids = np.flatnonzero(live)
-        const = np.zeros(len(self.nodes), dtype=bool)
+        live_rows = np.flatnonzero(live)
+        const = np.zeros(full.size, dtype=bool)
         for op in kept:
             const[op.kids] = True
         dead = np.flatnonzero(const & ~live)
-        row_of = np.full(len(self.nodes), -1, dtype=np.int64)
-        row_of[live_ids] = np.arange(live_ids.size)
-        row_of[dead] = live_ids.size + np.arange(dead.size)
-        on = live[full.leaf_rows]
+        row_of = np.full(full.size, -1, dtype=np.int64)
+        row_of[live_rows] = np.arange(live_rows.size)
+        row_of[dead] = live_rows.size + np.arange(dead.size)
         return _Plan(
             width=len(columns),
-            root=int(row_of[self.root]),
-            live=live_ids,
-            leaf_rows=row_of[full.leaf_rows[on]],
+            root=int(row_of[full.root]),
+            live=full.live[live_rows],
+            leaf_rows=np.arange(np.count_nonzero(on), dtype=np.int64),
             leaf_cols=leaf_cols[on],
             leaf_table=full.leaf_table[:, on],
             leaf_theta=full.leaf_theta[on],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
-            consts=np.asarray(upward, dtype=np.float64)[dead],
+            consts=np.asarray(upward, dtype=np.float64)[full.live[dead]],
         )
 
     def log_forward(self, rows: np.ndarray) -> np.ndarray:
@@ -290,10 +300,11 @@ class Circuit:
         MARGINAL entry sums the corresponding leaf over its domain.  Returns
         (num_nodes, B) float64.  For large batches prefer log_root, which
         chunks to bound scratch memory.  This and max_forward run the full
-        plan through the same level loop that runs a query-folded plan.
-        Any other entry raises ValueError.
+        plan through the same level loop that runs a query-folded plan, then
+        put its packed rows in node-id order.  Any other entry raises
+        ValueError.
         """
-        return self._forward(_check_entries(rows), self._plan, maximize=False)
+        return self._forward(_check_entries(rows), self._plan, maximize=False)[self._node_rows]
 
     def max_forward(self, rows: np.ndarray) -> np.ndarray:
         """log_forward with every sum replaced by its largest weighted child.
@@ -301,47 +312,56 @@ class Circuit:
         A MARGINAL entry is maximized over {0, 1} at the leaves rather than
         summed out.  Same shapes and checks as log_forward.
         """
-        return self._forward(_check_entries(rows), self._plan, maximize=True)
+        return self._forward(_check_entries(rows), self._plan, maximize=True)[self._node_rows]
 
     def _forward(self, rows: np.ndarray, plan: "_Plan", maximize: bool) -> np.ndarray:
-        """The one level loop: evaluate `plan` on (B, plan.width) rows.
+        """The one level loop: evaluate the packed `plan` on (B, plan.width) rows.
 
-        Returns the (plan rows, B) value matrix: for the full plan one row per
-        node; for a folded plan (see _fold) its live nodes, then its constant
-        rows; for a ball plan (see _ball_plan) the slots come before them.
+        Returns the (plan rows, B) value matrix in the plan's packed order
+        (see _Plan): the leaves, then each op's nodes, then the constants.
+        Every op writes its one slice of it.  The entries of `rows` must be
+        0, 1 or MARGINAL (see _check_entries): the leaf step does not check.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
         if rows.shape[1] != plan.width:
             raise ValueError(f"assignment rows have {rows.shape[1]} variables, expected {plan.width}")
         b = rows.shape[0]
         values = np.empty((plan.size, b), dtype=np.float64)
-        values[plan.size - plan.consts.size :] = plan.consts[:, None]
+        values[plan.live.size :] = plan.consts[:, None]
 
-        if plan.leaf_rows.size:
-            # One gather: entry 0 or 1 picks log0 or log1, and MARGINAL (-1)
-            # picks the last column.
-            table = plan.leaf_table[int(maximize)]
-            values[plan.leaf_rows] = table[np.arange(table.shape[0])[:, None], rows.T[plan.leaf_cols]]
+        # One take from the flat leaf table: entry x of leaf l reads 3l + 1 + x,
+        # so MARGINAL (-1) picks its first column.  mode="clip" spares the
+        # buffered copy that mode="raise" makes for `out`; the entries were
+        # range-checked before this point.
+        n_leaves = plan.leaf_cols.size
+        index = rows.T[plan.leaf_cols] + np.arange(1, 3 * n_leaves, 3)[:, None]
+        np.take(plan.leaf_table[int(maximize)].reshape(-1), index, out=values[:n_leaves], mode="clip")
+        del index
 
         # Children are added in np.add.reduceat's order (see _reduceat_sum), so
         # every value is the one a segmented reduceat over the children gives;
         # reduceat along axis 0 runs column by column and took about ten times
         # as long.
         for op in plan.ops:
+            out = values[op.ids[0] : op.ids[0] + op.ids.size]
             if op.logw is None:
-                values[op.ids] = _reduceat_sum(list(values[op.kids]))
+                _reduceat_sum([np.take(values, kids, axis=0) for kids in op.kids], out)
                 continue
-            terms = values[op.kids] + op.logw
-            mx = terms.max(axis=0)
+            terms = np.take(values, op.kids, axis=0)
+            terms += op.logw
             if maximize:
-                values[op.ids] = mx
+                terms.max(axis=0, out=out)
                 continue
+            mx = terms.max(axis=0)
             # A sum whose children are all -inf keeps exp(-inf - floor) = 0
             # and log(0) = -inf, instead of the NaN from -inf - -inf.
             np.maximum(mx, _LOG_FLOOR, out=mx)
-            total = _reduceat_sum(list(np.exp(terms - mx)))
+            terms -= mx
+            np.exp(terms, out=terms)
+            _reduceat_sum(list(terms), out)
             with np.errstate(divide="ignore"):
-                values[op.ids] = mx + np.log(total)
+                np.log(out, out=out)
+            out += mx
         return values
 
     def log_root(self, rows: np.ndarray) -> np.ndarray:
@@ -419,21 +439,22 @@ def _chunk_rows(plan_size: int, itemsize: int) -> int:
 class _Op:
     """One level's product or sum nodes that have k children each."""
 
-    ids: np.ndarray  # (m,) value rows of the nodes
+    ids: np.ndarray  # (m,) value rows of the nodes, one contiguous range
     kids: np.ndarray  # (k, m): row j holds every node's j-th child
     logw: np.ndarray | None  # (k, m, 1) log sum weights aligned with kids; None for products
 
 
-def _reduceat_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """terms[0] + terms[1] + ..., bit for bit as np.add.reduceat along axis 0.
+def _reduceat_sum(terms: list[np.ndarray], out: np.ndarray) -> None:
+    """Write terms[0] + terms[1] + ... into `out`, bit for bit as
+    np.add.reduceat along axis 0.
 
     reduceat adds a segment's first row to the pairwise sum of its other
     rows.  Overwrites the arrays in `terms`.
     """
-    total = terms[0]
-    if len(terms) > 1:
-        total += _pairwise_sum(terms[1:])
-    return total
+    if len(terms) == 1:
+        np.copyto(out, terms[0])
+    else:
+        np.add(terms[0], _pairwise_sum(terms[1:]), out=out)
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -466,10 +487,13 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 class _Plan:
     """A compiled evaluation plan: leaf table, level ops and constant rows.
 
-    Value rows 0..len(live)-1 hold the nodes in `live` (ascending ids; a ball
-    plan follows them with its slots, see _ball_plan) and the last
-    consts.size rows hold constants.  Leaf rows read input columns
-    `leaf_cols` of a (B, width) block.
+    Every plan is packed: its value rows are the leaves (leaf_rows is
+    arange(leaves)), then each op's nodes in op order, each op one
+    contiguous range, then the consts.size constant rows.  Row r < len(live)
+    holds node live[r], which is not ascending; a ball plan's slot rows sit
+    after the nodes of their leaf block or op (see _ball_plan), and hold the
+    node they are a slot of.  Leaf l reads input column leaf_cols[l] of a
+    (B, width) block.
     """
 
     width: int
@@ -477,7 +501,7 @@ class _Plan:
     live: np.ndarray
     leaf_rows: np.ndarray
     leaf_cols: np.ndarray
-    leaf_table: np.ndarray  # (2, leaves, 3): [log0, log1, MARGINAL value] for the sum pass, the max pass
+    leaf_table: np.ndarray  # (2, leaves, 3): [MARGINAL value, log0, log1] for the sum pass, the max pass
     leaf_theta: np.ndarray  # (leaves,) p(leaf = 1): theta, or an indicator's value
     ops: tuple[_Op, ...]
     consts: np.ndarray
@@ -501,11 +525,12 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     from the same inputs by the same arithmetic as in a full pass over the
     flipped row, and is bit-identical to it.
 
-    Returns the plan, with value rows plan's live rows, then the slots, then
-    plan's constants, and the (width + 1,) value rows of the root for the
-    center and for each flipped column.
+    The extended plan is packed: its value rows are plan's leaves, their
+    slots, then per op its nodes and their slots, then plan's constants.
+    Returns it and the (width + 1,) value rows of the root for the center
+    and for each flipped column.
     """
-    width, n_live = plan.width, plan.live.size
+    width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_cols.size
     # holds[r, q]: the scope of value row r holds input column q.
     holds = np.zeros((plan.size, width), dtype=bool)
     holds[plan.leaf_rows, plan.leaf_cols] = True
@@ -513,11 +538,16 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         holds[op.ids] = holds[op.kids].any(axis=0)
     flat = holds.ravel()
     keys = np.flatnonzero(flat)  # slot k is (row, column) divmod(keys[k], width)
-    shift = np.where(np.arange(plan.size) < n_live, 0, keys.size)  # constants move past the slots
+    # Plan rows in blocks: the leaves, each op's nodes, the constants.  A
+    # block's slots follow it, so its rows move past the slots of earlier
+    # blocks, and slot k, in block [lo, hi), lands on row hi + k.
+    edges = np.asarray([0, n_leaves] + [op.ids[-1] + 1 for op in plan.ops] + [n_live, plan.size])
+    lo, hi = np.repeat(edges[:-1], np.diff(edges)), np.repeat(edges[1:], np.diff(edges))
+    shift = np.concatenate(([0], np.cumsum(holds.sum(axis=1))))[lo]
 
     def slot(r: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Extended value row of the slot (r, q), which must exist."""
-        return n_live + np.searchsorted(keys, r * width + q)
+        return hi[r] + np.searchsorted(keys, r * width + q)
 
     def flipped(r: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Extended value row of plan row r when column q is flipped."""
@@ -528,18 +558,22 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         j, q = np.divmod(np.flatnonzero(holds[op.ids]), width)
         ops.append(
             _Op(
-                np.concatenate((op.ids, slot(op.ids[j], q))),
+                np.concatenate((op.ids + shift[op.ids], slot(op.ids[j], q))),
                 np.concatenate((op.kids + shift[op.kids], flipped(op.kids[:, j], q)), axis=1),
                 None if op.logw is None else np.concatenate((op.logw, op.logw[:, j]), axis=1),
             )
         )
+    live = np.empty(n_live + keys.size, dtype=np.int64)
+    live[np.arange(n_live) + shift[:n_live]] = plan.live
+    slot_rows = keys // width
+    live[hi[slot_rows] + np.arange(keys.size)] = plan.live[slot_rows]
     root = plan.root + int(shift[plan.root])
     roots = np.concatenate(([root], flipped(np.full(width, plan.root), np.arange(width))))
     ball = _Plan(
         width=2 * width,
         root=root,
-        live=np.concatenate((plan.live, plan.live[keys // width])),
-        leaf_rows=np.concatenate((plan.leaf_rows, slot(plan.leaf_rows, plan.leaf_cols))),
+        live=live,
+        leaf_rows=np.arange(2 * n_leaves, dtype=np.int64),
         leaf_cols=np.concatenate((plan.leaf_cols, plan.leaf_cols + width)),
         leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table), axis=1),
         leaf_theta=np.concatenate((plan.leaf_theta, plan.leaf_theta)),

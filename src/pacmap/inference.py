@@ -103,20 +103,24 @@ class ConditionalOracle:
     the query: a node is live when its scope meets Q, and every other node
     takes its cached upward value in every row.  Scoring evaluates only the
     live nodes, straight on the (B, |Q|) query block, bit-identical to a
-    full pass over the rows with evidence filled in.  A batch that is a
-    radius-1 Hamming ball around its first row (as smooth_pac_map scores)
-    is scored incrementally instead: a row that flips query column q
-    changes only the nodes whose scope holds q, so one pass over the first
-    row and a value slot per (live node, q) gives every row's score, bit for
-    bit the folded pass's.  The slot plan is compiled once per oracle, at
-    the first such batch.  Sampling walks the folded plan's ops from the
-    root down with a few numpy calls per op, whatever its node count: a
-    (nodes, draws) bool matrix holds the draws that reach each node, sums
-    choose children from per-op cumulative tables built from the upward
-    pass at construction, +inf from each node's last positive-mass child on,
-    and leaves are resolved per query column.  A sum op of m nodes bounds the
-    scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.  Every Circuit
-    is smooth, decomposable and rooted over every variable, so the root is live.
+    full pass over the rows with evidence filled in.  The folded plan is
+    packed (see circuit._Plan): its value rows are the live leaves, then
+    each op's live nodes, then the constants, and plan.live[r], which is not
+    ascending, names row r's node, by which the sampler keys its uniforms.
+    A batch that is a radius-1 Hamming ball around its first row (as
+    smooth_pac_map scores) is scored incrementally instead: a row that
+    flips query column q changes only the nodes whose scope holds q, so one
+    pass over the first row and a value slot per (live node, q) gives every
+    row's score, bit for bit the folded pass's.  The slot plan, packed too,
+    is compiled once per oracle, at the first such batch.  Sampling walks
+    the folded plan's ops from the root down with a few numpy calls per op,
+    whatever its node count: a (nodes, draws) bool matrix holds the draws
+    that reach each node, sums choose children from per-op cumulative
+    tables built from the upward pass at construction, +inf from each node's
+    last positive-mass child on, and leaves are resolved per query column.
+    A sum op of m nodes bounds the scratch per draw at m + _PAIR_BYTES *
+    min(m, |Q|) bytes.  Every Circuit is smooth, decomposable and rooted
+    over every variable, so the root is live.
     Instances are shareable and their answers never change (two threads
     that compile the slot plan at once build the same one); sampling draws
     are indexed by a counter-based stream, so results do not depend on

@@ -209,11 +209,16 @@ def test_criterion_6_budget_linearity():
     budgets = (10**4, 10**5, 10**6)
     times = []
     calls_ok = True
+    # Each budget's time is the best of three identical runs, so that host
+    # noise and one-off costs weigh less against the per-draw work.
     for m in budgets:
-        t0 = time.perf_counter()
-        sol, _ = budget_pac_map(oracle, m, rng=DrawStream(derive_seed(MASTER, "lin", m)))
-        times.append(time.perf_counter() - t0)
-        calls_ok &= sol.oracle_calls == m
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sol, _ = budget_pac_map(oracle, m, rng=DrawStream(derive_seed(MASTER, "lin", m)))
+            runs.append(time.perf_counter() - t0)
+            calls_ok &= sol.oracle_calls == m
+        times.append(min(runs))
     slope = float(np.polyfit(np.log(budgets), np.log(times), 1)[0])
     _report(
         "criterion-6 budget linearity",

@@ -18,6 +18,7 @@ from pacmap.circuit import (
     CircuitStructureError,
     ProductNode,
     SumNode,
+    _ball_plan,
     circuit_from_pmf,
     enumerate_assignments,
     evaluate_complete,
@@ -187,7 +188,7 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
     n = oracle.num_query
     q_mask = sum(1 << v for v in spec.query_vars)
     live = [i for i, scope in enumerate(c.scopes) if scope & q_mask]
-    assert oracle._plan.live.tolist() == live
+    assert sorted(oracle._plan.live.tolist()) == live
     if case == "every node live":
         assert len(live) == len(c.nodes) and oracle._plan.consts.size == 0
     rng = np.random.default_rng(3)
@@ -224,6 +225,91 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
         taken = len(incremental)
         assert oracle.log_prob_rows(block).tobytes() == want.tobytes()
         assert len(incremental) - taken == is_ball
+
+
+def _assert_packed(plan):
+    """Value rows are the leaves, then each op's nodes in op order, then the
+    constants; every child row is an earlier row or a constant."""
+    n_leaves = plan.leaf_cols.size
+    assert plan.leaf_rows.tolist() == list(range(n_leaves))
+    start = n_leaves
+    for op in plan.ops:
+        assert op.ids.tolist() == list(range(start, start + op.ids.size))
+        assert ((op.kids < start) | (op.kids >= plan.live.size)).all()
+        start += op.ids.size
+    assert start == plan.live.size == plan.size - plan.consts.size
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_plans_are_packed(case):
+    c, spec = FOLD_CASES[case]
+    _assert_packed(c._plan)
+    assert sorted(c._plan.live.tolist()) == list(range(len(c.nodes)))
+    plan = make_oracle(c, spec)._plan
+    _assert_packed(plan)
+    q_mask = sum(1 << v for v in spec.query_vars)
+    in_q = [bin(scope & q_mask).count("1") for scope in c.scopes]
+    assert sorted(plan.live.tolist()) == [i for i in range(len(c.nodes)) if in_q[i]]
+
+    # The ball plan: the leaves and their slots, then per op its nodes and
+    # their slots.  A node has one slot per query variable in its scope.
+    ball, roots = _ball_plan(plan)
+    _assert_packed(ball)
+    n_leaves = plan.leaf_cols.size
+    assert ball.live[: 2 * n_leaves].tolist() == 2 * plan.live[:n_leaves].tolist()
+    for op, ball_op in zip(plan.ops, ball.ops, strict=True):
+        assert ball.live[ball_op.ids[: op.ids.size]].tolist() == plan.live[op.ids].tolist()
+    assert np.bincount(ball.live, minlength=len(c.nodes)).tolist() == [n + (n > 0) for n in in_q]
+    assert ball.live[roots[0]] == c.root and ball.consts is plan.consts
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_full_passes_return_rows_in_node_id_order(case):
+    # Each node's row must follow from its children's rows by the node's own
+    # rule, which a row in any other order breaks.
+    c, spec = FOLD_CASES[case]
+    rows = np.random.default_rng(5).choice(np.array([0, 1, MARGINAL], dtype=np.int8), size=(50, c.num_vars))
+    for maximize, evaluate in ((False, c.log_forward), (True, c.max_forward)):
+        values = evaluate(rows)
+        assert values.shape == (len(c.nodes), 50)
+        with np.errstate(divide="ignore"):
+            for i, node in enumerate(c.nodes):
+                if isinstance(node, ProductNode):
+                    want = values[list(node.children)].sum(axis=0)
+                elif isinstance(node, SumNode):
+                    terms = values[list(node.children)] + np.log(node.weights)[:, None]
+                    want = terms.max(axis=0) if maximize else np.logaddexp.reduce(terms, axis=0)
+                else:
+                    theta = node.theta if isinstance(node, BernoulliLeaf) else float(node.value)
+                    log0, log1 = np.log(1.0 - theta), np.log(theta)
+                    marginal = max(log0, log1) if maximize else 0.0
+                    x = rows[:, node.var]
+                    want = np.where(x == MARGINAL, marginal, np.where(x == 1, log1, log0))
+                np.testing.assert_allclose(values[i], want, rtol=1e-12, atol=1e-12, err_msg=str(i))
+
+
+def test_evaluators_refuse_out_of_range_entries_in_a_valid_batch():
+    # The leaf step reads entry x of leaf l at 3l + 1 + x of a flat table and
+    # clips the index instead of checking it, so a 2 or -2 would silently
+    # read a neighbouring leaf's entry; every entry point must refuse it.
+    c, spec = FOLD_CASES["evidence+nuisance"]
+    oracle = make_oracle(c, spec)
+    rng = np.random.default_rng(6)
+    for bad in (2, -2):
+        rows = rng.integers(0, 2, size=(40, c.num_vars)).astype(np.int8)
+        rows[17, 9] = bad
+        for evaluate in (c.log_forward, c.max_forward, c.log_root):
+            with pytest.raises(ValueError, match="MARGINAL"):
+                evaluate(rows)
+        q_rows = rows[:, list(spec.query_vars)]
+        assert (q_rows == bad).sum() == 1
+        with pytest.raises(ValueError, match="MARGINAL"):
+            oracle.log_prob_rows(q_rows)
+        ball = np.repeat(q_rows[:1], 3, axis=0)  # a radius-1 ball but for the bad entry
+        ball[1, 0] ^= 1
+        ball[2, 1] = bad
+        with pytest.raises(ValueError, match="MARGINAL"):
+            oracle.log_prob_rows(ball)
 
 
 def test_scoring_memory_is_one_chunk(monkeypatch):
@@ -299,7 +385,7 @@ def test_sampler_never_descends_into_zero_mass_child():
 
     def descent(node):
         """The sum node's row of its op's cumulative table (a view)."""
-        r = np.searchsorted(oracle._plan.live, node)
+        r = int(np.flatnonzero(oracle._plan.live == node)[0])
         for op, table in zip(oracle._plan.ops, oracle._descent):
             if r in op.ids:
                 return table[0][int(np.flatnonzero(op.ids == r)[0])]
