@@ -5,8 +5,9 @@ assignment re-scored through the conditional oracle, so probabilities are
 comparable across methods; `oracle_calls` counts the rows scored.
 Nuisance variables are maximized internally and discarded.  Leaf argmax ties
 (theta = 0.5) break to 0, matching the brute-force tie rule.  max_product
-and arg_max_product run on the circuit's compiled plan (one bottom-up op
-loop, Circuit._max_product) and never look at node objects.
+and arg_max_product run on the circuit's compiled plan (Circuit._max_product:
+mp walks down from the root, amp runs one bottom-up op loop) and never look
+at node objects.
 """
 
 from __future__ import annotations

@@ -199,12 +199,8 @@ class Circuit:
             log0 = np.where(is_ind, np.log(1.0 - theta), np.log1p(-theta))
         # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or, in a
         # max pass, takes its larger value.
-        leaf_table = np.stack(
-            (
-                np.stack((np.zeros_like(log0), log0, log1), axis=1),
-                np.stack((np.maximum(log0, log1), log0, log1), axis=1),
-            )
-        )
+        leaf_table = np.stack((np.zeros_like(log0), log0, log1), axis=1)
+        max_table = np.stack((np.maximum(log0, log1), log0, log1), axis=1)
 
         # Each level runs its products, then its sums, one op per child count.
         groups = []
@@ -235,62 +231,84 @@ class Circuit:
             leaf_rows=np.arange(len(leaves), dtype=np.int64),
             leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
             leaf_table=leaf_table,
+            max_table=max_table,
             leaf_theta=theta,
             ops=tuple(ops),
             consts=np.empty(0, dtype=np.float64),
         )
 
-    def _fold(self, columns: Sequence[int], upward: np.ndarray) -> "_Plan":
+    def _fold(self, columns: Sequence[int], upward: np.ndarray, collapse: bool = False) -> "_Plan":
         """The plan restricted to the nodes whose scope meets `columns`.
 
         `columns` lists the variables that the plan's input columns hold, in
-        order; `upward` is one upward pass (num_nodes,) with every other
-        variable fixed.  A node whose scope misses `columns` takes the same
-        value in every row, so a dead child of a live node becomes a constant
-        row holding its entry of `upward`.  It keeps its place in its
-        parent's child list, so every live node sums the same terms in the
-        same order as in the full plan, and its value is bit-identical to the
-        full evaluation of the rows with the other variables filled in.
+        order.  `upward` is the full plan's (size, 3) value matrix for three
+        rows with every other variable fixed and the `columns` variables all
+        MARGINAL, then all 0, then all 1.  A node whose scope misses
+        `columns` takes the same value in every row, so a dead child of a
+        kept node becomes a constant row holding its first entry of `upward`.
+        It keeps its place in its parent's child list, so every kept node
+        sums the same terms in the same order as in the full plan, and its
+        value is bit-identical to the full evaluation of the rows with the
+        other variables filled in.
 
-        `upward` is indexed by node id.  The full plan is packed, so its live
-        rows, taken in ascending order, are packed too: the live leaves, then
-        each kept op's live nodes.  They become the folded plan's rows as
-        they are, followed by the constants.
+        The sampler's plan keeps every node whose scope meets `columns`, and
+        its leaves are the circuit's leaves with their thetas.  A scoring
+        plan (`collapse`) keeps as ops only the nodes whose scope meets two
+        or more of `columns`.  Each child of such a node, or the root, that
+        meets exactly one column c becomes a table leaf: its value is a
+        function of entry c alone, and its table holds the node's three
+        entries of `upward`, which are that function at MARGINAL, 0 and 1,
+        computed by the same arithmetic as in a pass over the rows.  A
+        scoring plan has no thetas.
+
+        One integer pass counts the columns each node meets: a product the
+        sum of its children's counts, because products are decomposable, a
+        sum its first child's, because sums are smooth.  The plan is packed:
+        its leaves, then each kept op's nodes in op order, then the
+        constants, each in full-plan row order.
         """
         full = self._plan
-        if tuple(columns) == tuple(range(self.num_vars)):
+        if not collapse and tuple(columns) == tuple(range(self.num_vars)):
             return full  # every node is live and column v holds variable v
+        # Per full-plan row, the columns its scope meets, as (count << 32) +
+        # the sum of column + 1 over them.  Where the count is 1, the low bits
+        # name that column.  A carry out of the low bits can only raise a
+        # count of 2 or more, so every count reads as 0, 1 or at least 2.
         col_of = np.full(self.num_vars, -1, dtype=np.int64)
         col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
-        leaf_cols = col_of[full.leaf_cols]
-        on = leaf_cols >= 0
-        live = np.zeros(full.size, dtype=bool)  # by full-plan row
-        live[: on.size] = on
+        col = col_of[full.leaf_cols]
+        seen = np.zeros(full.size, dtype=np.int64)
+        seen[: col.size] = np.where(col >= 0, (1 << 32) + 1 + col, 0)
+        fewest = (2 if collapse else 1) << 32  # the fewest columns an op node meets, as counted
+        read = np.zeros(full.size, dtype=bool)  # the kept ops' children, and the root
+        read[full.root] = True
         kept = []
         for op in full.ops:
-            keep = live[op.kids].any(axis=0)
-            live[op.ids] = keep
+            rows = slice(op.ids[0], op.ids[-1] + 1)  # the full plan is packed
+            seen[rows] = seen[op.kids].sum(axis=0) if op.logw is None else seen[op.kids[0]]
+            keep = seen[rows] >= fewest
             if keep.any():
                 kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
+                read[kept[-1].kids] = True
 
-        live_rows = np.flatnonzero(live)
-        const = np.zeros(full.size, dtype=bool)
-        for op in kept:
-            const[op.kids] = True
-        dead = np.flatnonzero(const & ~live)
+        inner = seen >= fewest
+        inner[: col.size] = False
+        leaves = np.flatnonzero(read & ~inner & (seen > 0))
+        dead = np.flatnonzero(read & (seen == 0))
+        order = np.concatenate((leaves, np.flatnonzero(inner), dead))
         row_of = np.full(full.size, -1, dtype=np.int64)
-        row_of[live_rows] = np.arange(live_rows.size)
-        row_of[dead] = live_rows.size + np.arange(dead.size)
+        row_of[order] = np.arange(order.size)
         return _Plan(
             width=len(columns),
             root=int(row_of[full.root]),
-            live=full.live[live_rows],
-            leaf_rows=np.arange(np.count_nonzero(on), dtype=np.int64),
-            leaf_cols=leaf_cols[on],
-            leaf_table=full.leaf_table[:, on],
-            leaf_theta=full.leaf_theta[on],
+            live=full.live[order[: order.size - dead.size]],
+            leaf_rows=np.arange(leaves.size, dtype=np.int64),
+            leaf_cols=(seen[leaves] & 0xFFFFFFFF) - 1,
+            leaf_table=upward[leaves],
+            max_table=None,
+            leaf_theta=None if collapse else full.leaf_theta[leaves],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
-            consts=np.asarray(upward, dtype=np.float64)[full.live[dead]],
+            consts=upward[dead, 0],
         )
 
     def log_forward(self, rows: np.ndarray) -> np.ndarray:
@@ -300,7 +318,7 @@ class Circuit:
         MARGINAL entry sums the corresponding leaf over its domain.  Returns
         (num_nodes, B) float64.  For large batches prefer log_root, which
         chunks to bound scratch memory.  This and max_forward run the full
-        plan through the same level loop that runs a query-folded plan, then
+        plan through the same level loop that runs an oracle's plans, then
         put its packed rows in node-id order.  Any other entry raises
         ValueError.
         """
@@ -335,7 +353,8 @@ class Circuit:
         # range-checked before this point.
         n_leaves = plan.leaf_cols.size
         index = rows.T[plan.leaf_cols] + np.arange(1, 3 * n_leaves, 3)[:, None]
-        np.take(plan.leaf_table[int(maximize)].reshape(-1), index, out=values[:n_leaves], mode="clip")
+        table = plan.max_table if maximize else plan.leaf_table
+        np.take(table.reshape(-1), index, out=values[:n_leaves], mode="clip")
         del index
 
         # Children are added in np.add.reduceat's order (see _reduceat_sum), so
@@ -388,36 +407,57 @@ class Circuit:
     def _max_product(self, row: np.ndarray, amp: bool) -> np.ndarray:
         """The max-product baselines' assignment for the evidence row `row`.
 
-        One bottom-up loop over the full plan keeps per node the trace of the
-        max pass.  A leaf takes its evidence entry, else 1 only where theta >
-        0.5; a product joins its children's traces, whose scopes are disjoint,
-        as their elementwise max (MARGINAL is -1); a sum takes the trace of
-        its first child with the largest weighted max value.  With `amp` each
-        node also keeps a candidate, built as the trace at leaves and
-        products; at a sum it is the first best of the children's candidates
-        and the sum's own trace, scored at the sum node, and all candidates of
-        one op are scored together.  Returns the root's candidate with `amp`,
-        else the root's trace: a (num_vars,) row that keeps the evidence.
+        Both start from one max pass over the full plan.  mp walks down from
+        the root, op by op: a sum passes the walk to its first child with the
+        largest weighted max value, a product to every child, and each leaf
+        reached sets its column to its evidence entry, else to 1 only where
+        theta > 0.5.  Every variable is in the root's scope, so the walk sets
+        every column.
+
+        amp runs one bottom-up loop that keeps per node the trace of the max
+        pass, which is the assignment mp's walk from that node would set, and
+        a candidate.  A leaf's trace is as above; a product joins its
+        children's traces, whose scopes are disjoint, as their elementwise
+        max (MARGINAL is -1); a sum takes the trace of its first child with
+        the largest weighted max value.  The candidate is the trace at leaves
+        and products; at a sum it is the first best of the children's
+        candidates and the sum's own trace, scored at the sum node, and all
+        candidates of one op are scored together.
+
+        Returns mp's assignment, or amp's root candidate: a (num_vars,) row
+        that keeps the evidence.
         """
         plan = self._plan
         max_vals = self._forward(row[None, :], plan, maximize=True)[:, 0]
+        leaf_vals = np.where(row[plan.leaf_cols] == MARGINAL, plan.leaf_theta > 0.5, row[plan.leaf_cols])
+        if not amp:
+            reached = np.zeros(plan.size, dtype=bool)
+            reached[plan.root] = True
+            for op in reversed(plan.ops):
+                at = reached[op.ids]
+                kids = op.kids[:, at]
+                if op.logw is not None:
+                    best = np.argmax(max_vals[kids] + op.logw[:, at, 0], axis=0)
+                    kids = kids[best, np.arange(kids.shape[1])]
+                reached[kids] = True
+            out = row.copy()
+            leaves = reached[plan.leaf_rows]
+            out[plan.leaf_cols[leaves]] = leaf_vals[leaves]
+            return out
         trace = np.full((plan.size, plan.width), MARGINAL, dtype=np.int8)
-        fixed = row[plan.leaf_cols]
-        trace[plan.leaf_rows, plan.leaf_cols] = np.where(fixed == MARGINAL, plan.leaf_theta > 0.5, fixed)
-        cand = trace.copy() if amp else None
+        trace[plan.leaf_rows, plan.leaf_cols] = leaf_vals
+        cand = trace.copy()
         for op in plan.ops:
             m = op.ids.size
             if op.logw is None:
                 trace[op.ids] = trace[op.kids].max(axis=0)
-                if amp:
-                    cand[op.ids] = cand[op.kids].max(axis=0)
+                cand[op.ids] = cand[op.kids].max(axis=0)
                 continue
             trace[op.ids] = trace[op.kids[np.argmax(max_vals[op.kids] + op.logw[:, :, 0], axis=0), np.arange(m)]]
-            if amp:
-                rows = np.concatenate((cand[op.kids], trace[op.ids][None]))  # (k + 1, m, width)
-                scores = self._root(rows.reshape(-1, plan.width), plan, np.tile(op.ids, len(rows)))
-                cand[op.ids] = rows[scores.reshape(len(rows), m).argmax(axis=0), np.arange(m)]
-        return (cand if amp else trace)[plan.root]
+            rows = np.concatenate((cand[op.kids], trace[op.ids][None]))  # (k + 1, m, width)
+            scores = self._root(rows.reshape(-1, plan.width), plan, np.tile(op.ids, len(rows)))
+            cand[op.ids] = rows[scores.reshape(len(rows), m).argmax(axis=0), np.arange(m)]
+        return cand[plan.root]
 
 
 def _check_entries(rows) -> np.ndarray:
@@ -485,7 +525,7 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A compiled evaluation plan: leaf table, level ops and constant rows.
+    """A compiled evaluation plan: leaf tables, level ops and constant rows.
 
     Every plan is packed: its value rows are the leaves (leaf_rows is
     arange(leaves)), then each op's nodes in op order, each op one
@@ -493,7 +533,12 @@ class _Plan:
     holds node live[r], which is not ascending; a ball plan's slot rows sit
     after the nodes of their leaf block or op (see _ball_plan), and hold the
     node they are a slot of.  Leaf l reads input column leaf_cols[l] of a
-    (B, width) block.
+    (B, width) block and takes its entry of leaf_table for that column's
+    MARGINAL, 0 or 1.  A leaf is a circuit leaf, or in a scoring plan (see
+    Circuit._fold) a table leaf: a node whose value depends on that one
+    column alone.  Only the full plan runs max passes, so only it has a
+    max_table.  Only the full plan and the sampler's plan (see
+    Circuit._fold) have leaf thetas.
     """
 
     width: int
@@ -501,8 +546,9 @@ class _Plan:
     live: np.ndarray
     leaf_rows: np.ndarray
     leaf_cols: np.ndarray
-    leaf_table: np.ndarray  # (2, leaves, 3): [MARGINAL value, log0, log1] for the sum pass, the max pass
-    leaf_theta: np.ndarray  # (leaves,) p(leaf = 1): theta, or an indicator's value
+    leaf_table: np.ndarray  # (leaves, 3): the sum pass's value at [MARGINAL, 0, 1]
+    max_table: np.ndarray | None  # (leaves, 3): the max pass's, or None where no max pass runs
+    leaf_theta: np.ndarray | None  # (leaves,) p(leaf = 1): theta or an indicator's value, or None
     ops: tuple[_Op, ...]
     consts: np.ndarray
 
@@ -527,6 +573,7 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
 
     The extended plan is packed: its value rows are plan's leaves, their
     slots, then per op its nodes and their slots, then plan's constants.
+    It runs only sum passes, so it keeps no max table and no thetas.
     Returns it and the (width + 1,) value rows of the root for the center
     and for each flipped column.
     """
@@ -575,8 +622,9 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         live=live,
         leaf_rows=np.arange(2 * n_leaves, dtype=np.int64),
         leaf_cols=np.concatenate((plan.leaf_cols, plan.leaf_cols + width)),
-        leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table), axis=1),
-        leaf_theta=np.concatenate((plan.leaf_theta, plan.leaf_theta)),
+        leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table)),
+        max_table=None,
+        leaf_theta=None,
         ops=tuple(ops),
         consts=plan.consts,
     )

@@ -98,33 +98,43 @@ def parse_query_spec(text: str, num_vars: int) -> QuerySpec:
 class ConditionalOracle:
     """Exact p(q | e) queries and i.i.d. conditional sampling.
 
-    Construction runs one upward pass with evidence fixed and query/nuisance
-    variables summed out, caching ln p(e), and folds the circuit's plan on
-    the query: a node is live when its scope meets Q, and every other node
-    takes its cached upward value in every row.  Scoring evaluates only the
-    live nodes, straight on the (B, |Q|) query block, bit-identical to a
-    full pass over the rows with evidence filled in.  The folded plan is
-    packed (see circuit._Plan): its value rows are the live leaves, then
-    each op's live nodes, then the constants, and plan.live[r], which is not
-    ascending, names row r's node, by which the sampler keys its uniforms.
-    A batch that is a radius-1 Hamming ball around its first row (as
-    smooth_pac_map scores) is scored incrementally instead: a row that
-    flips query column q changes only the nodes whose scope holds q, so one
-    pass over the first row and a value slot per (live node, q) gives every
-    row's score, bit for bit the folded pass's.  The slot plan, packed too,
-    is compiled once per oracle, at the first such batch.  Sampling walks
-    the folded plan's ops from the root down with a few numpy calls per op,
-    whatever its node count: a (nodes, draws) bool matrix holds the draws
-    that reach each node, sums choose children from per-op cumulative
-    tables built from the upward pass at construction, +inf from each node's
-    last positive-mass child on, and leaves are resolved per query column.
-    A sum op of m nodes bounds the scratch per draw at m + _PAIR_BYTES *
-    min(m, |Q|) bytes.  Every Circuit is smooth, decomposable and rooted
-    over every variable, so the root is live.
-    Instances are shareable and their answers never change (two threads
-    that compile the slot plan at once build the same one); sampling draws
-    are indexed by a counter-based stream, so results do not depend on
-    batching.
+    Construction runs one upward pass over three rows, evidence fixed,
+    nuisance variables summed out and the query variables all MARGINAL,
+    then all 0, then all 1, and caches ln p(e) from the first.  Every plan
+    the oracle runs is built from that pass when first needed, and none at
+    construction:
+
+    - The scoring plan, at the first log_prob_rows (see Circuit._fold):
+      every node whose scope meets two or more query variables stays an op,
+      and each of its children that meets exactly one, or the root if it
+      does, becomes a table leaf.  A table leaf's value depends on one query
+      column alone, so its three entries of the upward pass are its values
+      at MARGINAL, 0 and 1.  Nodes that meet no query variable are
+      constants.  Scoring runs the (B, |Q|) query block through it,
+      bit-identical to a full pass over the rows with evidence filled in.
+    - The ball plan, at the first radius-1 Hamming ball scored (as
+      smooth_pac_map scores them): a row that flips query column q changes
+      only the nodes whose scope holds q, so one pass over the first row and
+      a value slot per (scoring-plan node, q) gives every row's score, bit
+      for bit the scoring plan's (see _ball_plan).
+    - The sampler's folded plan and descent tables, at the first sample():
+      the folded plan keeps every node whose scope meets Q and the
+      circuit's own leaves, and plan.live[r] names row r's node, by which
+      the sampler keys its uniforms.  Sampling walks its ops from the root
+      down with a few numpy calls per op, whatever its node count: a
+      (nodes, draws) bool matrix holds the draws that reach each node, sums
+      choose children from per-op cumulative tables built from the upward
+      pass, +inf from each node's last positive-mass child on, and leaves
+      are resolved per query column.  A sum op of m nodes bounds the
+      scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.
+
+    So a sampling-only oracle (sample_joint) never builds a scoring plan,
+    and one that only scores (the baselines) never builds descent tables.
+    Every Circuit is smooth, decomposable and rooted over every variable,
+    so the root meets every query variable.  Instances are shareable and
+    their answers never change (two threads that build a plan at once build
+    the same one); sampling draws are indexed by a counter-based stream, so
+    results do not depend on batching.
     """
 
     def __init__(self, circuit: Circuit, spec: QuerySpec):
@@ -134,14 +144,17 @@ class ConditionalOracle:
         self.query_vars = np.asarray(spec.query_vars, dtype=np.int64)
         self.num_query = len(spec.query_vars)
 
-        upward = circuit.log_forward(_evidence_row(circuit.num_vars, spec.evidence)[None, :])[:, 0]
-        self.log_p_evidence = float(upward[circuit.root])
+        rows = np.repeat(_evidence_row(circuit.num_vars, spec.evidence)[None, :], 3, axis=0)
+        rows[1:, self.query_vars] = [[0], [1]]
+        # By the full plan's value rows; columns: query all MARGINAL, all 0, all 1.
+        self._upward = circuit._forward(rows, circuit._plan, maximize=False)
+        self.log_p_evidence = float(self._upward[circuit._plan.root, 0])
         if self.log_p_evidence == -np.inf:
             raise ZeroEvidenceError("evidence has probability zero under the circuit")
-        self._plan = plan = circuit._fold(spec.query_vars, upward)
-
-        self._compile_descent(upward)
-        self._ball: tuple | None = None  # _ball_plan(self._plan), built by the first ball scored
+        self._score_plan = None  # the scoring plan, built by the first log_prob_rows
+        self._ball: tuple | None = None  # _ball_plan(self._score_plan), built by the first ball scored
+        self._plan = None  # the sampler's folded plan, built with _descent by the first sample
+        self._descent: list[tuple] | None = None
 
     # -- exact queries ------------------------------------------------------
 
@@ -152,17 +165,21 @@ class ConditionalOracle:
         conditional marginals of the assigned variables; any entry other than
         0, 1 and MARGINAL is refused.
 
-        A radius-1 Hamming ball (more than one row, entries 0/1 only, every
-        row within distance 1 of row 0) is scored in one pass over row 0 and
-        its flipped variants (see _ball_plan); every other batch takes the
-        folded pass.  Both give the same bytes.
+        Rows are scored through the scoring plan, whose table leaves read a
+        query column each, built by the first call.  A radius-1 Hamming ball
+        (more than one row, entries 0/1 only, every row within distance 1 of
+        row 0) is scored in one pass over row 0 and its flipped variants (see
+        _ball_plan); every other batch takes the scoring plan's chunked
+        pass.  Both give the same bytes.
         """
         query_rows = _check_entries(query_rows)
         if query_rows.shape[1] != self.num_query:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
+        if self._score_plan is None:
+            self._score_plan = self.circuit._fold(self.spec.query_vars, self._upward, collapse=True)
         flips = _ball_flips(query_rows)
         if flips is None:
-            out = self.circuit._root(query_rows, self._plan)
+            out = self.circuit._root(query_rows, self._score_plan)
         else:
             out = self._score_ball(query_rows[0], flips)
         out -= self.log_p_evidence
@@ -172,7 +189,7 @@ class ConditionalOracle:
         """Root values of the rows `center` with column flips[i] flipped (none
         where flips[i] is -1), from one pass over the center and every flip."""
         if self._ball is None:
-            self._ball = _ball_plan(self._plan)
+            self._ball = _ball_plan(self._score_plan)
         plan, roots = self._ball
         values = self.circuit._forward(np.concatenate((center, 1 - center))[None, :], plan, maximize=False)
         return values[roots[flips + 1], 0]
@@ -185,16 +202,18 @@ class ConditionalOracle:
 
     # -- sampling -----------------------------------------------------------
 
-    def _compile_descent(self, upward: np.ndarray) -> None:
-        """The sampler's tables, from the plan and the cached upward pass.
+    def _compile_descent(self) -> None:
+        """The sampler's folded plan and tables, from the cached upward pass.
 
         The descent's `active` matrix holds one row of reached draws per live
         node, except that a live node whose one parent is a product shares
         that parent's row (it is reached by exactly the same draws), and one
         sink row stands for every constant child, which no draw needs to
-        enter.  row_of maps plan rows to active rows.
+        enter.  row_of maps plan rows to active rows.  _descent is set last,
+        so a thread that sees it sees every other table.
         """
-        plan, n_live = self._plan, self._plan.live.size
+        self._plan = plan = self.circuit._fold(self.spec.query_vars, self._upward)
+        n_live = plan.live.size
         kids = np.concatenate([np.empty(0, np.int64)] + [op.kids.ravel() for op in plan.ops])
         parents = np.bincount(kids, minlength=plan.size)
         row_of = np.arange(plan.size)
@@ -218,13 +237,13 @@ class ConditionalOracle:
         # per draw: the m sums, or the m shared (child, parent) pairs, of one
         # op have disjoint scopes that each hold a query column, so a draw
         # reaches at most min(m, |Q|) of them.
-        up = np.concatenate((upward[plan.live], plan.consts))
+        up = np.concatenate((self._upward[self.circuit._node_rows[plan.live], 0], plan.consts))
         step_bytes = 0
-        self._descent: list[tuple] = []
+        descent = []
         for i, op in enumerate(plan.ops):
             if op.logw is None:
                 pairs = tuple(row_of[rows] for rows in shared[i]) if i in shared else ()
-                self._descent.append(pairs)
+                descent.append(pairs)
                 if pairs:
                     m = pairs[0].size
                     step_bytes = max(step_bytes, m + _PAIR_BYTES * min(m, self.num_query))
@@ -241,7 +260,7 @@ class ConditionalOracle:
                 probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
             later = np.logical_or.accumulate(probs[:0:-1] > 0.0, axis=0)[::-1]  # a later child has mass
             cums = np.where(later, np.cumsum(probs[:-1], axis=0), np.inf).T.copy()
-            self._descent.append((cums, row_of[op.kids], row_of[op.ids], plan.live[op.ids].astype(np.uint64)))
+            descent.append((cums, row_of[op.kids], row_of[op.ids], plan.live[op.ids].astype(np.uint64)))
 
         # Leaves by query column, flattened: entry c * slots + s is the s-th
         # leaf of query column c (a column with fewer leaves repeats its
@@ -259,6 +278,7 @@ class ConditionalOracle:
         # draw's column of `active` and its counter base, plus the larger of
         # the op steps' and the leaf step's scratch.
         self._sample_row_bytes = self._active_rows + 1 + 8 + max(step_bytes, _LEAF_BYTES * self.num_query)
+        self._descent = descent
 
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         """Draw i.i.d. samples from P(Q | e); returns (count, |Q|) int8.
@@ -278,6 +298,8 @@ class ConditionalOracle:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
+        if self._descent is None:
+            self._compile_descent()
         stream = as_stream(rng)
         chunk = _chunk_rows(self._sample_row_bytes, 1)
         bits = np.empty((count, self.num_query), dtype=np.int8)  # the leaf step writes every entry

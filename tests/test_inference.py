@@ -178,6 +178,19 @@ FOLD_CASES = {
     "theta 0/1": (_degenerate_theta_circuit(), QuerySpec((0, 2, 3, 6, 9), {1: 0, 5: 1}, (4, 7, 8, 10, 11))),
     "one query variable": (_N16, QuerySpec((7,), {0: 1, 1: 1}, (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15))),
     "every node live": (_N16, QuerySpec(tuple(range(16)))),
+    # Node 2 meets only x0.  Its parents 5 and 8 meet only x0 under the
+    # evidence on x2, and its parent 12 meets x0 and x1, so node 2 is a
+    # table leaf of 12 and also inside the table leaf 9.
+    "shared one-column node": (
+        parse_circuit(
+            "spn v1\nvars 3\n"
+            "leaf 0 bernoulli 0 0.2\nleaf 1 bernoulli 0 0.7\nsum 2 0:0.4 1:0.6\n"
+            "leaf 3 bernoulli 2 0.3\nleaf 4 bernoulli 2 0.8\nprod 5 2 3\n"
+            "leaf 6 bernoulli 1 0.1\nleaf 7 bernoulli 1 0.6\nprod 8 2 4\nsum 9 5:0.5 8:0.5\n"
+            "prod 10 9 6\nprod 11 7 3\nprod 12 2 11\nsum 13 10:0.5 12:0.5\nroot 13\n"
+        ),
+        QuerySpec((0, 1), {2: 1}),
+    ),
 }
 
 
@@ -185,6 +198,7 @@ FOLD_CASES = {
 def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
     c, spec = FOLD_CASES[case]
     oracle = make_oracle(c, spec)
+    oracle.sample(1, 0)  # builds the sampler's folded plan
     n = oracle.num_query
     q_mask = sum(1 << v for v in spec.query_vars)
     live = [i for i, scope in enumerate(c.scopes) if scope & q_mask]
@@ -245,7 +259,9 @@ def test_plans_are_packed(case):
     c, spec = FOLD_CASES[case]
     _assert_packed(c._plan)
     assert sorted(c._plan.live.tolist()) == list(range(len(c.nodes)))
-    plan = make_oracle(c, spec)._plan
+    oracle = make_oracle(c, spec)
+    oracle.sample(1, 0)  # builds the sampler's folded plan
+    plan = oracle._plan
     _assert_packed(plan)
     q_mask = sum(1 << v for v in spec.query_vars)
     in_q = [bin(scope & q_mask).count("1") for scope in c.scopes]
@@ -261,6 +277,73 @@ def test_plans_are_packed(case):
         assert ball.live[ball_op.ids[: op.ids.size]].tolist() == plan.live[op.ids].tolist()
     assert np.bincount(ball.live, minlength=len(c.nodes)).tolist() == [n + (n > 0) for n in in_q]
     assert ball.live[roots[0]] == c.root and ball.consts is plan.consts
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
+    c, spec = FOLD_CASES[case]
+    oracle = make_oracle(c, spec)
+    oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
+    plan = oracle._score_plan
+    _assert_packed(plan)
+    assert plan.max_table is None and plan.leaf_theta is None
+    q_cols = {v: j for j, v in enumerate(spec.query_vars)}
+
+    def columns(node):
+        return [q_cols[v] for v in range(c.num_vars) if c.scopes[node] >> v & 1 and v in q_cols]
+
+    for op in plan.ops:
+        assert all(len(columns(node)) >= 2 for node in plan.live[op.ids])
+    for leaf, col in zip(plan.live[plan.leaf_rows], plan.leaf_cols, strict=True):
+        assert columns(leaf) == [col]
+    if case == "one query variable":
+        assert plan.ops == () and plan.live.tolist() == [c.root]
+    if case == "shared one-column node":
+        assert sorted(plan.live[plan.leaf_rows].tolist()) == [2, 6, 9, 11]
+        assert sorted(plan.live[plan.leaf_cols.size :].tolist()) == [10, 12, 13]
+
+
+@pytest.mark.parametrize("case", ["evidence+nuisance", "deterministic", "shared one-column node"])
+def test_lazy_plans_give_the_bytes_of_a_fresh_oracle(case):
+    c, spec = FOLD_CASES[case]
+    rows = np.random.default_rng(4).integers(0, 2, size=(50, len(spec.query_vars))).astype(np.int8)
+    ball = hamming_ball(rows[0], 1)
+
+    def answers(oracle, order):
+        out = {}
+        for step in order:
+            if step == "sample":
+                out[step] = oracle.sample(300, DrawStream(8)).tobytes()
+            else:
+                out[step] = oracle.log_prob_rows(rows if step == "score" else ball).tobytes()
+        return out
+
+    fresh = {step: answers(make_oracle(c, spec), [step])[step] for step in ("score", "ball", "sample")}
+    assert answers(make_oracle(c, spec), ["score", "ball", "sample"]) == fresh
+    assert answers(make_oracle(c, spec), ["sample", "ball", "score"]) == fresh
+
+
+def test_each_path_builds_only_the_plan_it_runs(monkeypatch):
+    builds = []
+    fold = Circuit._fold
+
+    def counted(self, columns, upward, collapse=False):
+        builds.append("score" if collapse else "sample")
+        return fold(self, columns, upward, collapse)
+
+    monkeypatch.setattr(Circuit, "_fold", counted)
+    c, spec = FOLD_CASES["evidence+nuisance"]
+    sample_joint(c, 10, 0)
+    assert builds == ["sample"]
+    oracle = make_oracle(c, spec)
+    assert builds == ["sample"]
+    max_product(c, spec, oracle)
+    arg_max_product(c, spec, oracle)
+    independent_map(oracle)
+    oracle.log_prob_rows(hamming_ball(np.zeros(oracle.num_query), 1))
+    assert builds == ["sample", "score"] and oracle._plan is None and oracle._descent is None
+    oracle.sample(10, 0)
+    assert builds == ["sample", "score", "sample"]
 
 
 @pytest.mark.parametrize("case", list(FOLD_CASES))
@@ -322,11 +405,13 @@ def test_scoring_memory_is_one_chunk(monkeypatch):
     monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 1_600_000)
     c = generate_random_circuit(64, 3, 2, 303)
     oracle = make_oracle(c, HALF_QUERY)
+    oracle.sample(1, 0)  # builds the sampler's tables
+    oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
     sample_bytes = oracle._active_rows + 1 + 8 + inference_module._LEAF_BYTES * oracle.num_query
     assert oracle._sample_row_bytes == sample_bytes
     for run, size, itemsize, width in (
         (c.log_root, len(c.nodes), 8, c.num_vars),
-        (oracle.log_prob_rows, oracle._plan.size, 8, oracle.num_query),
+        (oracle.log_prob_rows, oracle._score_plan.size, 8, oracle.num_query),
         (lambda rows: oracle.sample(len(rows), 0), sample_bytes, 1, oracle.num_query),
     ):
         chunk = circuit_module._chunk_rows(size, itemsize)
@@ -382,6 +467,7 @@ def test_sampler_never_descends_into_zero_mass_child():
         "sum 13 2:0.4 12:0.3 9:0.3\nroot 13\n"
     )
     oracle = make_oracle(parse_circuit(text), QuerySpec((1,), {0: 0}))
+    oracle.sample(1, 0)  # builds the sampler's tables
 
     def descent(node):
         """The sum node's row of its op's cumulative table (a view)."""
@@ -506,6 +592,7 @@ def test_sampler_draws_uniforms_once_per_sum_op(monkeypatch):
     # One chunk draws every uniform of a sum op in one call, and every leaf
     # uniform in one more, however many nodes the descent reaches.
     oracle = make_oracle(generate_random_circuit(64, 3, 2, 303), HALF_QUERY)
+    oracle.sample(1, 0)  # builds the sampler's tables
     assert circuit_module._chunk_rows(oracle._sample_row_bytes, 1) >= 640
     calls = []
 
