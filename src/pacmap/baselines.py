@@ -1,8 +1,11 @@
 """Deterministic MAP heuristics used for comparison and warm starts.
 
 All three return a `Solution` with no certificate and no draws, its query
-assignment re-scored through the conditional oracle, so probabilities are
-comparable across methods; `oracle_calls` counts the rows scored.
+assignment scored as ln p(q | e) with the conditional oracle's ln p(e), so
+probabilities are comparable across methods; `oracle_calls` counts the rows
+scored.  max_product and arg_max_product score their one row by a full pass
+of the circuit, which gives the bytes of the oracle's scoring plan without
+building it.
 Nuisance variables are maximized internally and discarded.  Leaf argmax ties
 (theta = 0.5) break to 0, matching the brute-force tie rule.  max_product
 and arg_max_product run on the circuit's compiled plan (Circuit._max_product:
@@ -26,10 +29,14 @@ def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | Non
     if oracle is not None and (oracle.circuit is not circuit or oracle.spec != spec):
         raise ValueError("oracle was built for another circuit or query spec")
     t0 = time.perf_counter()
-    q_hat = circuit._max_product(_evidence_row(circuit.num_vars, spec.evidence), amp)[list(spec.query_vars)]
+    row, query = _evidence_row(circuit.num_vars, spec.evidence), list(spec.query_vars)
+    q_hat = circuit._max_product(row, amp)[query]
     if oracle is None:
         oracle = make_oracle(circuit, spec)
-    log_p = oracle.conditional_log_prob(q_hat)
+    # One full pass over the evidence row with q_hat filled in gives the bytes
+    # of oracle.conditional_log_prob(q_hat) without building a scoring plan.
+    row[query] = q_hat
+    log_p = float(circuit._root(row, circuit._plan)[0] - oracle.log_p_evidence)
     return Solution(q_hat, log_p, None, 0, 1, time.perf_counter() - t0)
 
 

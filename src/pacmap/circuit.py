@@ -253,33 +253,49 @@ class Circuit:
 
         The sampler's plan keeps every node whose scope meets `columns`, and
         its leaves are the circuit's leaves with their thetas.  A scoring
-        plan (`collapse`) keeps as ops only the nodes whose scope meets two
+        plan (`collapse`) keeps as ops only the nodes whose scope meets three
         or more of `columns`.  Each child of such a node, or the root, that
-        meets exactly one column c becomes a table leaf: its value is a
-        function of entry c alone, and its table holds the node's three
-        entries of `upward`, which are that function at MARGINAL, 0 and 1,
-        computed by the same arithmetic as in a pass over the rows.  A
-        scoring plan has no thetas.
+        meets one or two columns becomes a table leaf over its lowest and
+        highest column (a, b), equal for one column: its value is a function
+        of entries a and b alone, and its 9-entry table holds that function
+        at 3 * (x_a + 1) + (x_b + 1).  A one-column node's entries at x_a ==
+        x_b are its three entries of `upward`.  A two-column node's entries
+        are filled bottom-up over the full plan's ops, with no pass over
+        rows: its children's entries are spread to 9 by fixed index maps (see
+        _SPREAD), and its op's arithmetic runs on them through _op_step, the
+        op body of a pass over rows.  So every entry is bit-identical to the
+        node's value in a pass over a row with those entries.  A scoring plan
+        has no thetas.
 
-        One integer pass counts the columns each node meets: a product the
-        sum of its children's counts, because products are decomposable, a
-        sum its first child's, because sums are smooth.  The plan is packed:
-        its leaves, then each kept op's nodes in op order, then the
+        One integer pass counts the columns each node meets, and finds the
+        lowest: a product's count is the sum of its children's counts and its
+        lowest column their lowest, because products are decomposable, a
+        sum's are its first child's, because sums are smooth.  The plan is
+        packed: its leaves, then each kept op's nodes in op order, then the
         constants, each in full-plan row order.
         """
         full = self._plan
         if not collapse and tuple(columns) == tuple(range(self.num_vars)):
             return full  # every node is live and column v holds variable v
         # Per full-plan row, the columns its scope meets, as (count << 32) +
-        # the sum of column + 1 over them.  Where the count is 1, the low bits
-        # name that column.  A carry out of the low bits can only raise a
-        # count of 2 or more, so every count reads as 0, 1 or at least 2.
-        col_of = np.full(self.num_vars, -1, dtype=np.int64)
+        # the sum of column + 1 over them.  A carry out of the low bits can
+        # only raise a count of 3 or more, so every count reads as 0, 1, 2 or
+        # at least 3, and the low bits of a count of 1 or 2 are exact.  And,
+        # for a scoring plan, the lowest of them, len(columns) where it meets
+        # none.
+        col_of = np.full(self.num_vars, len(columns), dtype=np.int64)
         col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
         col = col_of[full.leaf_cols]
+        lowest = np.empty(full.size, dtype=np.int64)
+        lowest[: col.size] = col
         seen = np.zeros(full.size, dtype=np.int64)
-        seen[: col.size] = np.where(col >= 0, (1 << 32) + 1 + col, 0)
-        fewest = (2 if collapse else 1) << 32  # the fewest columns an op node meets, as counted
+        seen[: col.size] = np.where(col < len(columns), (1 << 32) + 1 + col, 0)
+        fewest = (3 if collapse else 1) << 32  # the fewest columns an op node meets, as counted
+        if collapse:
+            # Per row, its three entries of `upward`, then its 9 entries
+            # where it meets two columns (see _SPREAD).
+            entries = np.empty((full.size, 12))
+            entries[:, :3] = upward
         read = np.zeros(full.size, dtype=bool)  # the kept ops' children, and the root
         read[full.root] = True
         kept = []
@@ -290,6 +306,18 @@ class Circuit:
             if keep.any():
                 kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
                 read[kept[-1].kids] = True
+            if not collapse:
+                continue
+            lowest[rows] = lowest[op.kids].min(axis=0) if op.logw is None else lowest[op.kids[0]]
+            two = np.flatnonzero(seen[rows] >> 32 == 2)
+            if two.size:
+                # Each child meets none of its parent's two columns, one or both.
+                kids, ids = op.kids[:, two], op.ids[two]
+                spread = _SPREAD_OF[2 * (seen[kids] >> 32) + (lowest[kids] == lowest[ids])]
+                out = np.empty((two.size, 9))
+                terms = entries.reshape(-1)[12 * kids[:, :, None] + _SPREAD[spread]]
+                _op_step(terms, None if op.logw is None else op.logw[:, two], out, maximize=False)
+                entries[ids, 3:] = out
 
         inner = seen >= fewest
         inner[: col.size] = False
@@ -298,13 +326,19 @@ class Circuit:
         order = np.concatenate((leaves, np.flatnonzero(inner), dead))
         row_of = np.full(full.size, -1, dtype=np.int64)
         row_of[order] = np.arange(order.size)
+        low = (seen[leaves] & 0xFFFFFFFF) - 1  # a one-column leaf's column
+        if collapse:
+            two = seen[leaves] >> 32 == 2
+            a = np.where(two, lowest[leaves], low)
+            b = np.where(two, low - 1 - a, a)  # low + 1 is (a + 1) + (b + 1) where a leaf meets two
+            leaf_table = entries.reshape(-1)[12 * leaves[:, None] + _SPREAD[2 * two]]
         return _Plan(
             width=len(columns),
             root=int(row_of[full.root]),
             live=full.live[order[: order.size - dead.size]],
             leaf_rows=np.arange(leaves.size, dtype=np.int64),
-            leaf_cols=(seen[leaves] & 0xFFFFFFFF) - 1,
-            leaf_table=upward[leaves],
+            leaf_cols=np.stack((a, b), axis=1) if collapse else low,
+            leaf_table=leaf_table if collapse else upward[leaves],
             max_table=None,
             leaf_theta=None if collapse else full.leaf_theta[leaves],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
@@ -347,40 +381,25 @@ class Circuit:
         values = np.empty((plan.size, b), dtype=np.float64)
         values[plan.live.size :] = plan.consts[:, None]
 
-        # One take from the flat leaf table: entry x of leaf l reads 3l + 1 + x,
-        # so MARGINAL (-1) picks its first column.  mode="clip" spares the
-        # buffered copy that mode="raise" makes for `out`; the entries were
-        # range-checked before this point.
-        n_leaves = plan.leaf_cols.size
-        index = rows.T[plan.leaf_cols] + np.arange(1, 3 * n_leaves, 3)[:, None]
+        # One take from the flat leaf table.  Entry x of a one-column leaf l
+        # reads 3l + 1 + x, so MARGINAL (-1) picks its first entry; entries
+        # (x_a, x_b) of a two-column leaf read 9l + 3(x_a + 1) + (x_b + 1).
+        # mode="clip" spares the buffered copy that mode="raise" makes for
+        # `out`; the entries were range-checked before this point.
+        n_leaves = plan.leaf_rows.size
+        if plan.leaf_cols.ndim == 1:
+            index = rows.T[plan.leaf_cols] + np.arange(1, 3 * n_leaves, 3)[:, None]
+        else:
+            index = rows.T[plan.leaf_cols[:, 0]] * np.int8(3)
+            index += rows.T[plan.leaf_cols[:, 1]]
+            index = index + np.arange(4, 9 * n_leaves, 9)[:, None]
         table = plan.max_table if maximize else plan.leaf_table
         np.take(table.reshape(-1), index, out=values[:n_leaves], mode="clip")
         del index
 
-        # Children are added in np.add.reduceat's order (see _reduceat_sum), so
-        # every value is the one a segmented reduceat over the children gives;
-        # reduceat along axis 0 runs column by column and took about ten times
-        # as long.
         for op in plan.ops:
             out = values[op.ids[0] : op.ids[0] + op.ids.size]
-            if op.logw is None:
-                _reduceat_sum([np.take(values, kids, axis=0) for kids in op.kids], out)
-                continue
-            terms = np.take(values, op.kids, axis=0)
-            terms += op.logw
-            if maximize:
-                terms.max(axis=0, out=out)
-                continue
-            mx = terms.max(axis=0)
-            # A sum whose children are all -inf keeps exp(-inf - floor) = 0
-            # and log(0) = -inf, instead of the NaN from -inf - -inf.
-            np.maximum(mx, _LOG_FLOOR, out=mx)
-            terms -= mx
-            np.exp(terms, out=terms)
-            _reduceat_sum(list(terms), out)
-            with np.errstate(divide="ignore"):
-                np.log(out, out=out)
-            out += mx
+            _op_step(np.take(values, op.kids, axis=0), op.logw, out, maximize)
         return values
 
     def log_root(self, rows: np.ndarray) -> np.ndarray:
@@ -475,6 +494,49 @@ def _chunk_rows(plan_size: int, itemsize: int) -> int:
     return max(1, _CHUNK_BYTES // (plan_size * itemsize))
 
 
+def _op_step(terms: np.ndarray, logw: np.ndarray | None, out: np.ndarray, maximize: bool) -> None:
+    """One op's arithmetic: write into the (m, B) `out` its m nodes' values
+    from their children's, terms[j] holding each node's j-th child's.
+
+    A product adds its children, a sum takes the log-sum-exp of its weighted
+    children, or their max in a max pass.  Children are added in
+    np.add.reduceat's order (see _reduceat_sum), so every value is the one a
+    segmented reduceat over the children gives; reduceat along axis 0 runs
+    column by column and took about ten times as long.  Each entry of `out`
+    depends on its own column of `terms` alone.  Overwrites `terms`.
+    """
+    if logw is None:
+        _reduceat_sum(list(terms), out)
+        return
+    terms += logw
+    if maximize:
+        terms.max(axis=0, out=out)
+        return
+    mx = terms.max(axis=0)
+    # A sum whose children are all -inf keeps exp(-inf - floor) = 0 and
+    # log(0) = -inf, instead of the NaN from -inf - -inf.
+    np.maximum(mx, _LOG_FLOOR, out=mx)
+    terms -= mx
+    np.exp(terms, out=terms)
+    _reduceat_sum(list(terms), out)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    out += mx
+
+
+# The index maps that spread a child's entries over its two-column parent's
+# 9, entry 3i + j at (x_a, x_b) = (i - 1, j - 1) for the parent's lowest and
+# highest columns a and b (see Circuit._fold).  They index a row of 12: a
+# node's three values at MARGINAL, 0 and 1, then its own 9 where it meets two
+# columns.  Row 0 spreads a one-column child's value at x_a, row 1 its value
+# at x_b, and row 2 a two-column child's own 9, as its columns are its
+# parent's.  A constant child's three values are equal, and row 0 reads them.
+# _SPREAD_OF picks the row from 2 * the child's column count + whether its
+# lowest column is its parent's.
+_SPREAD = np.array([[0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3, list(range(3, 12))], dtype=np.int64)
+_SPREAD_OF = np.array([0, 0, 1, 0, 2, 2], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class _Op:
     """One level's product or sum nodes that have k children each."""
@@ -532,13 +594,17 @@ class _Plan:
     contiguous range, then the consts.size constant rows.  Row r < len(live)
     holds node live[r], which is not ascending; a ball plan's slot rows sit
     after the nodes of their leaf block or op (see _ball_plan), and hold the
-    node they are a slot of.  Leaf l reads input column leaf_cols[l] of a
-    (B, width) block and takes its entry of leaf_table for that column's
-    MARGINAL, 0 or 1.  A leaf is a circuit leaf, or in a scoring plan (see
-    Circuit._fold) a table leaf: a node whose value depends on that one
-    column alone.  Only the full plan runs max passes, so only it has a
-    max_table.  Only the full plan and the sampler's plan (see
-    Circuit._fold) have leaf thetas.
+    node they are a slot of.
+
+    In the full plan and the sampler's plan (see Circuit._fold), leaf l is a
+    circuit leaf: it reads input column leaf_cols[l] of a (B, width) block
+    and takes its entry of the (leaves, 3) leaf_table for that column's
+    MARGINAL, 0 or 1.  In a scoring plan and its ball plan, leaf l is a
+    table leaf, a node whose value depends on at most two columns: it reads
+    the columns leaf_cols[l] = (a, b), a <= b and a == b for a node that
+    meets one, and takes entry 3 * (x_a + 1) + (x_b + 1) of the (leaves, 9)
+    leaf_table.  Only the full plan runs max passes, so only it has a
+    max_table.  Only the full plan and the sampler's plan have leaf thetas.
     """
 
     width: int
@@ -546,7 +612,7 @@ class _Plan:
     live: np.ndarray
     leaf_rows: np.ndarray
     leaf_cols: np.ndarray
-    leaf_table: np.ndarray  # (leaves, 3): the sum pass's value at [MARGINAL, 0, 1]
+    leaf_table: np.ndarray  # (leaves, 3) or (leaves, 9): the sum pass's values, by the entries read
     max_table: np.ndarray | None  # (leaves, 3): the max pass's, or None where no max pass runs
     leaf_theta: np.ndarray | None  # (leaves,) p(leaf = 1): theta or an indicator's value, or None
     ops: tuple[_Op, ...]
@@ -564,12 +630,15 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     nodes whose scope holds q.  The extended plan keeps plan's value rows,
     which hold the center's values, and adds one slot row per (node, q) with
     q in the node's scope, which holds the node's value with column q
-    flipped.  Its input row is [center, 1 - center], and a leaf's slot reads
-    the flipped copy of its column.  Each op evaluates its nodes and their
-    slots together; a slot's child is the child's slot for q where the child
-    has one and the child's center row elsewhere.  So every slot is computed
-    from the same inputs by the same arithmetic as in a full pass over the
-    flipped row, and is bit-identical to it.
+    flipped.  Its input row is [center, 1 - center].  A leaf has one slot
+    per column it reads: its slot for q reads the flipped copy of column q
+    and its other column, if any, as the leaf does (a one-column table
+    leaf, which reads (q, q), reads the flipped copy twice).  Each op
+    evaluates its nodes and their slots together; a slot's child is the
+    child's slot for q where the child has one and the child's center row
+    elsewhere.  So every slot is computed from the same inputs by the same
+    arithmetic as in a full pass over the flipped row, and is bit-identical
+    to it.
 
     The extended plan is packed: its value rows are plan's leaves, their
     slots, then per op its nodes and their slots, then plan's constants.
@@ -577,10 +646,11 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     Returns it and the (width + 1,) value rows of the root for the center
     and for each flipped column.
     """
-    width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_cols.size
+    width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_rows.size
+    cols = plan.leaf_cols.reshape(n_leaves, -1)  # the one or two input columns each leaf reads
     # holds[r, q]: the scope of value row r holds input column q.
     holds = np.zeros((plan.size, width), dtype=bool)
-    holds[plan.leaf_rows, plan.leaf_cols] = True
+    holds[plan.leaf_rows[:, None], cols] = True
     for op in plan.ops:
         holds[op.ids] = holds[op.kids].any(axis=0)
     flat = holds.ravel()
@@ -616,13 +686,18 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     live[hi[slot_rows] + np.arange(keys.size)] = plan.live[slot_rows]
     root = plan.root + int(shift[plan.root])
     roots = np.concatenate(([root], flipped(np.full(width, plan.root), np.arange(width))))
+    # The leaves' slots come first; the slot (leaf, q) reads the flipped copy
+    # of each of the leaf's columns that is q, and its other column as the
+    # leaf does.
+    leaf, q = np.divmod(keys[: np.searchsorted(keys, n_leaves * width)], width)
+    slot_cols = cols[leaf] + width * (cols[leaf] == q[:, None])
     ball = _Plan(
         width=2 * width,
         root=root,
         live=live,
-        leaf_rows=np.arange(2 * n_leaves, dtype=np.int64),
-        leaf_cols=np.concatenate((plan.leaf_cols, plan.leaf_cols + width)),
-        leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table)),
+        leaf_rows=np.arange(n_leaves + leaf.size, dtype=np.int64),
+        leaf_cols=np.concatenate((cols, slot_cols)).reshape((-1,) + plan.leaf_cols.shape[1:]),
+        leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table[leaf])),
         max_table=None,
         leaf_theta=None,
         ops=tuple(ops),

@@ -27,6 +27,7 @@ from pacmap.circuit import (
     pack_rows,
     parse_circuit,
 )
+from pacmap.bench import random_query_partition
 from pacmap.inference import (
     ConditionalOracle,
     QuerySpec,
@@ -191,6 +192,26 @@ FOLD_CASES = {
         ),
         QuerySpec((0, 1), {2: 1}),
     ),
+    # Query columns: x2 -> 0, x0 -> 1, x1 -> 2, x3 -> 3.  Node 4 meets
+    # columns 1 and 2, and is shared by its two-column parent 11 and its
+    # three-column parent 13.  Node 2 meets only column 2, the highest of its
+    # parent 4 and the lowest of its parent 7, which also has the constant
+    # child 6 under the evidence on x4.
+    "shared two-column node": (
+        parse_circuit(
+            "spn v1\nvars 5\n"
+            "leaf 0 bernoulli 1 0.2\nleaf 1 bernoulli 1 0.7\nsum 2 0:0.4 1:0.6\n"
+            "leaf 3 bernoulli 0 0.3\nprod 4 3 2\n"
+            "leaf 5 bernoulli 3 0.8\nleaf 6 bernoulli 4 0.35\nprod 7 2 5 6\n"
+            "leaf 8 bernoulli 0 0.9\nleaf 9 bernoulli 1 0.1\nprod 10 8 9\nsum 11 4:0.3 10:0.7\n"
+            "leaf 12 bernoulli 2 0.6\nprod 13 4 12\n"
+            "leaf 14 bernoulli 3 0.25\nleaf 15 bernoulli 4 0.55\nprod 16 13 14 15\n"
+            "leaf 17 bernoulli 0 0.45\nleaf 18 bernoulli 2 0.15\nprod 19 17 18\nprod 20 7 19\n"
+            "leaf 21 bernoulli 2 0.85\nleaf 22 bernoulli 3 0.4\nleaf 23 bernoulli 4 0.65\nprod 24 11 21 22 23\n"
+            "sum 25 16:0.5 20:0.3 24:0.2\nroot 25\n"
+        ),
+        QuerySpec((2, 0, 1, 3), {4: 1}),
+    ),
 }
 
 
@@ -244,7 +265,7 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
 def _assert_packed(plan):
     """Value rows are the leaves, then each op's nodes in op order, then the
     constants; every child row is an earlier row or a constant."""
-    n_leaves = plan.leaf_cols.size
+    n_leaves = len(plan.leaf_table)
     assert plan.leaf_rows.tolist() == list(range(n_leaves))
     start = n_leaves
     for op in plan.ops:
@@ -281,29 +302,65 @@ def test_plans_are_packed(case):
 
 @pytest.mark.parametrize("case", list(FOLD_CASES))
 def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
+    # The name is kept from the one-column tables; with two-column table
+    # leaves every op meets three or more query variables.
     c, spec = FOLD_CASES[case]
     oracle = make_oracle(c, spec)
     oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
     plan = oracle._score_plan
     _assert_packed(plan)
     assert plan.max_table is None and plan.leaf_theta is None
+    assert plan.leaf_cols.shape == (plan.leaf_rows.size, 2) and plan.leaf_table.shape == (plan.leaf_rows.size, 9)
     q_cols = {v: j for j, v in enumerate(spec.query_vars)}
 
     def columns(node):
-        return [q_cols[v] for v in range(c.num_vars) if c.scopes[node] >> v & 1 and v in q_cols]
+        return sorted(q_cols[v] for v in range(c.num_vars) if c.scopes[node] >> v & 1 and v in q_cols)
 
     for op in plan.ops:
-        assert all(len(columns(node)) >= 2 for node in plan.live[op.ids])
-    for leaf, col in zip(plan.live[plan.leaf_rows], plan.leaf_cols, strict=True):
-        assert columns(leaf) == [col]
+        assert all(len(columns(node)) >= 3 for node in plan.live[op.ids])
+    # A table leaf reads its lowest and highest column, the same one twice
+    # where it meets one.
+    for leaf, (a, b) in zip(plan.live[plan.leaf_rows], plan.leaf_cols, strict=True):
+        assert a <= b and columns(leaf) == sorted({a, b})
+    layout = {
+        "live": plan.live.tolist(),
+        "leaf_cols": plan.leaf_cols.tolist(),
+        "ops": [plan.live[op.ids].tolist() for op in plan.ops],
+    }
     if case == "one query variable":
-        assert plan.ops == () and plan.live.tolist() == [c.root]
-    if case == "shared one-column node":
-        assert sorted(plan.live[plan.leaf_rows].tolist()) == [2, 6, 9, 11]
-        assert sorted(plan.live[plan.leaf_cols.size :].tolist()) == [10, 12, 13]
+        assert layout == {"live": [c.root], "leaf_cols": [[0, 0]], "ops": []}
+    if case == "shared one-column node":  # two query variables: the root is one table leaf
+        assert layout == {"live": [13], "leaf_cols": [[0, 1]], "ops": []}
+    if case == "shared two-column node":
+        # Leaves in full-plan row order: the circuit's leaves, then by level.
+        assert layout == {
+            "live": [12, 14, 21, 22, 19, 4, 7, 11, 13, 20, 16, 24, 25],
+            "leaf_cols": [[0, 0], [3, 3], [0, 0], [3, 3], [0, 1], [1, 2], [2, 3], [1, 2]],
+            "ops": [[13, 20], [16], [24], [25]],
+        }
+        assert plan.consts.size == 2  # the evidence leaves 15 and 23
 
 
-@pytest.mark.parametrize("case", ["evidence+nuisance", "deterministic", "shared one-column node"])
+# Scoring plans of the n = 256 stress circuit, evidence 0 off the query set:
+# (value rows, table leaves, op nodes) at query shares .1/.25/.5.  With one-
+# column table leaves they were (539, 208, 269), (1233, 512, 616) and
+# (2219, 1024, 1109).
+STRESS_PLAN_SIZES = {0.10: (291, 135, 145), 0.25: (673, 318, 336), 0.50: (1271, 627, 635)}
+
+
+@pytest.mark.parametrize("share", list(STRESS_PLAN_SIZES))
+def test_stress_scoring_plan_sizes_are_pinned(share):
+    c = generate_random_circuit(256, 3, 2, 404)
+    query = random_query_partition(256, share, DrawStream(7)).query_vars
+    spec = QuerySpec(query, {v: 0 for v in range(256) if v not in query})
+    oracle = make_oracle(c, spec)
+    oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
+    plan = oracle._score_plan
+    sizes = (plan.size, plan.leaf_rows.size, sum(op.ids.size for op in plan.ops))
+    assert sizes == STRESS_PLAN_SIZES[share]
+
+
+@pytest.mark.parametrize("case", ["evidence+nuisance", "deterministic", "shared one-column node", "shared two-column node"])
 def test_lazy_plans_give_the_bytes_of_a_fresh_oracle(case):
     c, spec = FOLD_CASES[case]
     rows = np.random.default_rng(4).integers(0, 2, size=(50, len(spec.query_vars))).astype(np.int8)
@@ -339,6 +396,7 @@ def test_each_path_builds_only_the_plan_it_runs(monkeypatch):
     assert builds == ["sample"]
     max_product(c, spec, oracle)
     arg_max_product(c, spec, oracle)
+    assert builds == ["sample"] and oracle._score_plan is None  # mp and amp score by a full pass
     independent_map(oracle)
     oracle.log_prob_rows(hamming_ball(np.zeros(oracle.num_query), 1))
     assert builds == ["sample", "score"] and oracle._plan is None and oracle._descent is None

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacmap.circuit import pack_rows, parse_circuit
-from pacmap.inference import QuerySpec, TabularDistribution, brute_force_map, make_oracle, superlevel_mass
+from pacmap.circuit import enumerate_assignments, generate_random_circuit, pack_rows, parse_circuit
+from pacmap.inference import (
+    QuerySpec,
+    TabularDistribution,
+    brute_force_map,
+    make_oracle,
+    sample_joint,
+    superlevel_mass,
+)
 from pacmap.rng import DrawStream, derive_seed
 from pacmap.solvers import (
     Budget,
@@ -337,6 +344,36 @@ def test_exploiting_and_warm_runs_are_pac_sound(n, alpha, table_seed):
         name: sum(run(DrawStream(derive_seed(table_seed, name, r))).log_p_hat < threshold for r in range(runs)) / runs
         for name, run in configs.items()
     }
+    assert all(rate <= bound for rate in rates.values()), (rates, bound)
+
+
+@pytest.mark.parametrize("n, depth, num_query, seed", [(16, 3, 12, 101), (14, 4, 10, 7), (12, 2, 9, 23)])
+def test_pac_certificates_hold_on_circuit_oracles(n, depth, num_query, seed):
+    # Criterion 3's check through a circuit oracle, so that a sampler or
+    # scoring-plan fault shows as a failure rate.  The truth is the full
+    # plan's joint value of every query assignment with the evidence filled
+    # in, which shares no plan with the oracle's scoring.
+    eps = delta = 0.1
+    runs = 150
+    params = PacParams(eps, delta)
+    c = generate_random_circuit(n, depth, 2, seed)
+    gen = np.random.default_rng(seed)
+    query = tuple(sorted(gen.choice(n, num_query, replace=False).tolist()))
+    x = sample_joint(c, 1, seed)[0]
+    oracle = make_oracle(c, QuerySpec(query, {v: int(x[v]) for v in range(n) if v not in query}))
+    full = np.repeat(x[None, :], 2**num_query, axis=0)
+    full[:, list(query)] = enumerate_assignments(num_query)
+    truth = c.log_root(full)
+    threshold = truth.max() + math.log1p(-eps)
+    configs = {
+        "pac": lambda s: pac_map(oracle, params, rng=s, batch_size=64),
+        "smooth": lambda s: smooth_pac_map(oracle, params, exploit_period=10, rng=s, batch_size=64),
+    }
+    bound = delta + 3 * math.sqrt(delta * (1 - delta) / runs)
+    rates = {}
+    for name, run in configs.items():
+        answers = [run(DrawStream(derive_seed(seed, name, r))).q_hat for r in range(runs)]
+        rates[name] = float(np.mean(truth[pack_rows(np.array(answers)).astype(np.intp)] < threshold))
     assert all(rate <= bound for rate in rates.values()), (rates, bound)
 
 
