@@ -3,9 +3,10 @@
 All three return a `Solution` with no certificate and no draws, its query
 assignment scored as ln p(q | e) with the conditional oracle's ln p(e), so
 probabilities are comparable across methods; `oracle_calls` counts the rows
-scored.  max_product and arg_max_product score their one row by a full pass
-of the circuit, which gives the bytes of the oracle's scoring plan without
-building it.
+scored.  Each baseline scores its rows, one for max_product and
+arg_max_product and 2|Q| + 1 for independent_map, by full passes of the
+circuit with the evidence filled in, which give the bytes of the oracle's
+scoring plan without building it.
 Nuisance variables are maximized internally and discarded.  Leaf argmax ties
 (theta = 0.5) break to 0, matching the brute-force tie rule.  max_product
 and arg_max_product run on the circuit's compiled plan (Circuit._max_product:
@@ -19,7 +20,7 @@ import time
 
 import numpy as np
 
-from .circuit import MARGINAL, Circuit, _evidence_row
+from .circuit import Circuit, _evidence_row
 from .inference import ConditionalOracle, QuerySpec, make_oracle
 from .solvers import Solution
 
@@ -71,15 +72,19 @@ def independent_map(oracle: ConditionalOracle) -> Solution:
 
     Uses 2|Q| marginal evaluations, two per variable with every other free
     variable summed out; q_j = 1 only when p(Q_j=1 | e) strictly exceeds
-    p(Q_j=0 | e) (a tie at 0.5 gives 0).
+    p(Q_j=0 | e) (a tie at 0.5 gives 0).  The marginals and the answer are
+    scored by full passes over rows with the evidence filled in, which give
+    the bytes of the oracle's scoring plan without building it.
     """
+    if not isinstance(oracle, ConditionalOracle):
+        raise ValueError("independent_map needs a circuit's ConditionalOracle")
     t0 = time.perf_counter()
-    nq = oracle.num_query
-    rows = np.full((2 * nq, nq), MARGINAL, dtype=np.int8)
-    for j in range(nq):
-        rows[2 * j, j] = 1
-        rows[2 * j + 1, j] = 0
-    marginals = oracle.log_prob_rows(rows)
+    circuit, query, nq = oracle.circuit, list(oracle.spec.query_vars), oracle.num_query
+    rows = np.repeat(_evidence_row(circuit.num_vars, oracle.spec.evidence)[None, :], 2 * nq, axis=0)
+    rows[2 * np.arange(nq), query] = 1
+    rows[2 * np.arange(nq) + 1, query] = 0
+    marginals = circuit._root(rows, circuit._plan) - oracle.log_p_evidence
     q_hat = (marginals[0::2] > marginals[1::2]).astype(np.int8)
-    log_p = oracle.conditional_log_prob(q_hat)
+    rows[0, query] = q_hat
+    log_p = float(circuit._root(rows[0], circuit._plan)[0] - oracle.log_p_evidence)
     return Solution(q_hat, log_p, None, 0, 2 * nq + 1, time.perf_counter() - t0)

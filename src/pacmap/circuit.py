@@ -230,6 +230,7 @@ class Circuit:
             live=live,
             leaf_rows=np.arange(len(leaves), dtype=np.int64),
             leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
+            leaf_base=np.arange(1, 3 * len(leaves), 3),
             leaf_table=leaf_table,
             max_table=max_table,
             leaf_theta=theta,
@@ -253,49 +254,43 @@ class Circuit:
 
         The sampler's plan keeps every node whose scope meets `columns`, and
         its leaves are the circuit's leaves with their thetas.  A scoring
-        plan (`collapse`) keeps as ops only the nodes whose scope meets three
+        plan (`collapse`) keeps as ops only the nodes whose scope meets five
         or more of `columns`.  Each child of such a node, or the root, that
-        meets one or two columns becomes a table leaf over its lowest and
-        highest column (a, b), equal for one column: its value is a function
-        of entries a and b alone, and its 9-entry table holds that function
-        at 3 * (x_a + 1) + (x_b + 1).  A one-column node's entries at x_a ==
-        x_b are its three entries of `upward`.  A two-column node's entries
-        are filled bottom-up over the full plan's ops, with no pass over
-        rows: its children's entries are spread to 9 by fixed index maps (see
-        _SPREAD), and its op's arithmetic runs on them through _op_step, the
-        op body of a pass over rows.  So every entry is bit-identical to the
-        node's value in a pass over a row with those entries.  A scoring plan
-        has no thetas.
+        meets one to four columns becomes a table leaf: its value is a
+        function of the entries of its columns alone, and its 81-entry table
+        holds that function at sum_i 3**(3 - i) * (x[c_i] + 1) over its
+        column tuple c.  A product's tuple is its children's tuples joined
+        in child order, a sum's is its first child's, and a circuit leaf's
+        is its column; a tuple of fewer than four columns is padded with its
+        first column, and the table does not depend on the padded digits.
+        A one-column node's entries are its three entries of `upward`.  A
+        node that meets two to four columns gets its entries bottom-up over
+        the full plan's ops, with no pass over rows (see _fill_tables): each
+        child's entries are read through _MAP, by the child's column
+        positions in the node's tuple, and the op's arithmetic runs on them
+        through _op_step, the op body of a pass over rows.  So every entry
+        is bit-identical to the node's value in a pass over a row with those
+        entries.  A scoring plan has no thetas.
 
-        One integer pass counts the columns each node meets, and finds the
-        lowest: a product's count is the sum of its children's counts and its
-        lowest column their lowest, because products are decomposable, a
-        sum's are its first child's, because sums are smooth.  The plan is
-        packed: its leaves, then each kept op's nodes in op order, then the
-        constants, each in full-plan row order.
+        One integer pass counts the columns each node meets: a product's
+        count is the sum of its children's counts, because products are
+        decomposable, and a sum's is its first child's, because sums are
+        smooth.  The plan is packed: its leaves, then each kept op's nodes
+        in op order, then the constants, each in full-plan row order.
         """
         full = self._plan
         if not collapse and tuple(columns) == tuple(range(self.num_vars)):
             return full  # every node is live and column v holds variable v
         # Per full-plan row, the columns its scope meets, as (count << 32) +
         # the sum of column + 1 over them.  A carry out of the low bits can
-        # only raise a count of 3 or more, so every count reads as 0, 1, 2 or
-        # at least 3, and the low bits of a count of 1 or 2 are exact.  And,
-        # for a scoring plan, the lowest of them, len(columns) where it meets
-        # none.
+        # only raise a count of 5 or more, so every count reads as 0 to 4 or
+        # at least 5, and the low bits of a count of 1 name its column.
         col_of = np.full(self.num_vars, len(columns), dtype=np.int64)
         col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
         col = col_of[full.leaf_cols]
-        lowest = np.empty(full.size, dtype=np.int64)
-        lowest[: col.size] = col
         seen = np.zeros(full.size, dtype=np.int64)
         seen[: col.size] = np.where(col < len(columns), (1 << 32) + 1 + col, 0)
-        fewest = (3 if collapse else 1) << 32  # the fewest columns an op node meets, as counted
-        if collapse:
-            # Per row, its three entries of `upward`, then its 9 entries
-            # where it meets two columns (see _SPREAD).
-            entries = np.empty((full.size, 12))
-            entries[:, :3] = upward
+        fewest = (5 if collapse else 1) << 32  # the fewest columns an op node meets, as counted
         read = np.zeros(full.size, dtype=bool)  # the kept ops' children, and the root
         read[full.root] = True
         kept = []
@@ -306,18 +301,6 @@ class Circuit:
             if keep.any():
                 kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
                 read[kept[-1].kids] = True
-            if not collapse:
-                continue
-            lowest[rows] = lowest[op.kids].min(axis=0) if op.logw is None else lowest[op.kids[0]]
-            two = np.flatnonzero(seen[rows] >> 32 == 2)
-            if two.size:
-                # Each child meets none of its parent's two columns, one or both.
-                kids, ids = op.kids[:, two], op.ids[two]
-                spread = _SPREAD_OF[2 * (seen[kids] >> 32) + (lowest[kids] == lowest[ids])]
-                out = np.empty((two.size, 9))
-                terms = entries.reshape(-1)[12 * kids[:, :, None] + _SPREAD[spread]]
-                _op_step(terms, None if op.logw is None else op.logw[:, two], out, maximize=False)
-                entries[ids, 3:] = out
 
         inner = seen >= fewest
         inner[: col.size] = False
@@ -326,19 +309,19 @@ class Circuit:
         order = np.concatenate((leaves, np.flatnonzero(inner), dead))
         row_of = np.full(full.size, -1, dtype=np.int64)
         row_of[order] = np.arange(order.size)
-        low = (seen[leaves] & 0xFFFFFFFF) - 1  # a one-column leaf's column
         if collapse:
-            two = seen[leaves] >> 32 == 2
-            a = np.where(two, lowest[leaves], low)
-            b = np.where(two, low - 1 - a, a)  # low + 1 is (a + 1) + (b + 1) where a leaf meets two
-            leaf_table = entries.reshape(-1)[12 * leaves[:, None] + _SPREAD[2 * two]]
+            leaf_cols, leaf_table = _fill_tables(full, seen >> 32, seen & 0xFFFFFFFF, upward, leaves)
+            leaf_base = np.arange(40, 81 * leaves.size, 81)
+        else:
+            leaf_cols, leaf_table, leaf_base = col[leaves], upward[leaves], np.arange(1, 3 * leaves.size, 3)
         return _Plan(
             width=len(columns),
             root=int(row_of[full.root]),
             live=full.live[order[: order.size - dead.size]],
             leaf_rows=np.arange(leaves.size, dtype=np.int64),
-            leaf_cols=np.stack((a, b), axis=1) if collapse else low,
-            leaf_table=leaf_table if collapse else upward[leaves],
+            leaf_cols=leaf_cols,
+            leaf_base=leaf_base,
+            leaf_table=leaf_table,
             max_table=None,
             leaf_theta=None if collapse else full.leaf_theta[leaves],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
@@ -381,18 +364,25 @@ class Circuit:
         values = np.empty((plan.size, b), dtype=np.float64)
         values[plan.live.size :] = plan.consts[:, None]
 
-        # One take from the flat leaf table.  Entry x of a one-column leaf l
-        # reads 3l + 1 + x, so MARGINAL (-1) picks its first entry; entries
-        # (x_a, x_b) of a two-column leaf read 9l + 3(x_a + 1) + (x_b + 1).
-        # mode="clip" spares the buffered copy that mode="raise" makes for
-        # `out`; the entries were range-checked before this point.
+        # One take from the flat leaf table, at leaf_base[l] + an int8 offset
+        # (see _Plan): entry x of a one-column leaf's column, or the int8
+        # sum_i 3**(3 - i) * x_i over a table leaf's four columns, in [-40,
+        # 40], summed by Horner's rule.  mode="clip" spares the buffered copy
+        # that mode="raise" makes for `out`; the entries were range-checked
+        # before this point.  Each gather copies whole rows of the transposed
+        # block, which took half the time of gathering from the strided view
+        # rows.T.
         n_leaves = plan.leaf_rows.size
+        cols = np.ascontiguousarray(rows.T)
         if plan.leaf_cols.ndim == 1:
-            index = rows.T[plan.leaf_cols] + np.arange(1, 3 * n_leaves, 3)[:, None]
+            index = cols[plan.leaf_cols]
         else:
-            index = rows.T[plan.leaf_cols[:, 0]] * np.int8(3)
-            index += rows.T[plan.leaf_cols[:, 1]]
-            index = index + np.arange(4, 9 * n_leaves, 9)[:, None]
+            index = cols[plan.leaf_cols[:, 0]]
+            for i in (1, 2, 3):
+                index *= np.int8(3)
+                index += cols[plan.leaf_cols[:, i]]
+        del cols
+        index = index + plan.leaf_base[:, None]
         table = plan.max_table if maximize else plan.leaf_table
         np.take(table.reshape(-1), index, out=values[:n_leaves], mode="clip")
         del index
@@ -524,17 +514,102 @@ def _op_step(terms: np.ndarray, logw: np.ndarray | None, out: np.ndarray, maximi
     out += mx
 
 
-# The index maps that spread a child's entries over its two-column parent's
-# 9, entry 3i + j at (x_a, x_b) = (i - 1, j - 1) for the parent's lowest and
-# highest columns a and b (see Circuit._fold).  They index a row of 12: a
-# node's three values at MARGINAL, 0 and 1, then its own 9 where it meets two
-# columns.  Row 0 spreads a one-column child's value at x_a, row 1 its value
-# at x_b, and row 2 a two-column child's own 9, as its columns are its
-# parent's.  A constant child's three values are equal, and row 0 reads them.
-# _SPREAD_OF picks the row from 2 * the child's column count + whether its
-# lowest column is its parent's.
-_SPREAD = np.array([[0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3, list(range(3, 12))], dtype=np.int64)
-_SPREAD_OF = np.array([0, 0, 1, 0, 2, 2], dtype=np.int64)
+def _fill_tables(
+    full: "_Plan", count: np.ndarray, low: np.ndarray, upward: np.ndarray, leaves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column tuples and 81-entry tables of the scoring plan's table
+    leaves, the full-plan rows `leaves` (see Circuit._fold).
+
+    `count` holds the columns each full-plan row meets, exact up to 4, and
+    `low` holds column + 1 where the count is 1.  A row that meets c
+    columns needs only its 3**c entries, at sum_{j < c} 3**(c - 1 - j) *
+    (x[t_j] + 1) over its tuple t: a one-column row has its three of
+    `upward`, and a constant row is read at its first.  Only the ops that
+    hold rows meeting two to four columns run, and only on those rows, with
+    one _op_step call per count.  The leaves' entries are spread to 81 at
+    the end.  Returns the (leaves, 4) tuples, padded with their first
+    column, and the (leaves, 81) tables.
+    """
+    size = full.size
+    tup = np.full((size, 4), -1, dtype=np.int64)  # each row's column tuple, -1 past its count
+    one = np.flatnonzero(count == 1)
+    tup[one, 0] = low[one] - 1
+    # One flat array of entries: each row's three of `upward`, then the 3**c
+    # of each row that meets c = 2 to 4 columns, in the order they are
+    # filled.  Row r's entries start at base[r].
+    table = (count >= 2) & (count <= 4)
+    base = 3 * np.arange(size)
+    entries = np.empty(3 * size + int((3 ** count[table]).sum()))
+    entries[: 3 * size] = upward.ravel()
+    free = 3 * size  # where the next row's entries go
+    for op in full.ops:
+        at = np.flatnonzero(table[op.ids[0] : op.ids[-1] + 1])  # the full plan is packed
+        if not at.size:
+            continue
+        at = at[np.argsort(count[op.ids[at]], kind="stable")]  # so each count's nodes are one range
+        kids, ids = op.kids[:, at], op.ids[at]
+        if op.logw is None:
+            # Child j's columns sit at positions start[j] to end[j] - 1 of
+            # the node's tuple, so position t holds column t - start[j] of
+            # the child j that counts the ends <= t.
+            c = count[kids]
+            end = np.cumsum(c, axis=0)
+            start = end - c
+            j = np.minimum((end <= _DIGIT_AT[:, None, None]).sum(axis=1), len(kids) - 1)
+            node = np.arange(at.size)
+            tup[ids] = tup[kids[j, node], _DIGIT_AT[:, None] - start[j, node]].T
+            key = _OFFSET_KEY[c, start]
+        else:
+            tup[ids] = tup[kids[0]]
+            # Where each child's columns sit in the node's tuple.
+            kid_tup = tup[kids]
+            at_pos = (kid_tup[..., None] == tup[ids][:, None, :]).argmax(axis=-1)
+            key = ((at_pos + 1) * (kid_tup >= 0)) @ _KEY_WEIGHTS
+        logw = None if op.logw is None else op.logw[:, at]
+        lo = 0
+        for n, m in enumerate(np.bincount(count[ids], minlength=5).tolist()):
+            if not m:
+                continue
+            g = slice(lo, lo + m)
+            lo += m
+            # A node's entries are those of its 81 whose last 4 - n digits are 0.
+            index = base[kids[:, g]][..., None] + _MAP[:, :: 3 ** (4 - n)][key[:, g]]
+            base[ids[g]] = np.arange(free, free + m * 3**n, 3**n)
+            out = entries[free : free + m * 3**n].reshape(m, 3**n)
+            free += m * 3**n
+            _op_step(entries[index], None if logw is None else logw[:, g], out, maximize=False)
+    cols = tup[leaves]
+    own = base[leaves][:, None] + _MAP[_OFFSET_KEY[count[leaves], 0]]
+    return np.where(cols < 0, cols[:, :1], cols), entries[own]
+
+
+# The map that reads a child's entries for each of its parent's 81 (see
+# _fill_tables).  Entry e of the 81 has digit p, e // 3**(3 - p) % 3, which
+# is x + 1 for the p-th column of the parent's tuple.  A child that meets c
+# columns, whose j-th column is its parent's p_j-th, has row sum_{j < c}
+# 5**(3 - j) * (p_j + 1): entry e reads the child's entry sum_{j < c}
+# 3**(c - 1 - j) * digit(e, p_j).  A constant child has row 0 and is read at
+# its first entry.
+_DIGIT_AT = np.arange(4)
+_KEY_WEIGHTS = 5 ** _DIGIT_AT[::-1]
+
+
+def _child_map() -> np.ndarray:
+    """_MAP, built from (625, 81) int8 steps, which keep import light."""
+    digits = (np.arange(81) // 3 ** _DIGIT_AT[::-1, None] % 3).astype(np.int8)  # (4, 81): digit p of entry e
+    places = np.arange(5**4)[:, None] // _KEY_WEIGHTS % 5 - 1  # (625, 4): p_j, or -1 past the child's count
+    counts = (places >= 0).sum(axis=1)
+    out = np.zeros((5**4, 81), dtype=np.int8)
+    for j in range(4):
+        weight = np.where(places[:, j] >= 0, 3 ** np.maximum(counts - 1 - j, 0), 0).astype(np.int8)
+        out += weight[:, None] * digits[places[:, j]]
+    return out
+
+
+_MAP = _child_map()
+# _MAP's row for a product's child that meets c columns placed from position
+# s of its parent's tuple (s + c <= 4), at positions s to s + c - 1.
+_OFFSET_KEY = np.array([[sum(5 ** (3 - j) * (s + j + 1) for j in range(c)) for s in range(5)] for c in range(5)])
 
 
 @dataclass(frozen=True)
@@ -598,13 +673,18 @@ class _Plan:
 
     In the full plan and the sampler's plan (see Circuit._fold), leaf l is a
     circuit leaf: it reads input column leaf_cols[l] of a (B, width) block
-    and takes its entry of the (leaves, 3) leaf_table for that column's
+    and takes its entry of a 3-entry row of leaf_table for that column's
     MARGINAL, 0 or 1.  In a scoring plan and its ball plan, leaf l is a
-    table leaf, a node whose value depends on at most two columns: it reads
-    the columns leaf_cols[l] = (a, b), a <= b and a == b for a node that
-    meets one, and takes entry 3 * (x_a + 1) + (x_b + 1) of the (leaves, 9)
-    leaf_table.  Only the full plan runs max passes, so only it has a
-    max_table.  Only the full plan and the sampler's plan have leaf thetas.
+    table leaf, a node whose value depends on at most four columns: it
+    reads the four columns c = leaf_cols[l], its column tuple, padded with
+    its first column where it meets fewer, and takes entry sum_i 3**(3 - i)
+    * (x[c_i] + 1) of an 81-entry row of leaf_table, which does not depend
+    on the padded digits.  leaf_base[l] is the index into the flat
+    leaf_table of leaf l's entry where its columns all read 0: 3r + 1 or
+    81r + 40 for its row r, which a ball plan's slot leaves share with
+    their leaf (see _ball_plan).  Only the full plan runs max passes, so
+    only it has a max_table.  Only the full plan and the sampler's plan
+    have leaf thetas.
     """
 
     width: int
@@ -612,7 +692,8 @@ class _Plan:
     live: np.ndarray
     leaf_rows: np.ndarray
     leaf_cols: np.ndarray
-    leaf_table: np.ndarray  # (leaves, 3) or (leaves, 9): the sum pass's values, by the entries read
+    leaf_base: np.ndarray  # (leaves,) the flat leaf_table index at which each leaf's columns all read 0
+    leaf_table: np.ndarray  # (rows, 3) or (rows, 81): the sum pass's values, by the entries read
     max_table: np.ndarray | None  # (leaves, 3): the max pass's, or None where no max pass runs
     leaf_theta: np.ndarray | None  # (leaves,) p(leaf = 1): theta or an indicator's value, or None
     ops: tuple[_Op, ...]
@@ -631,9 +712,9 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     which hold the center's values, and adds one slot row per (node, q) with
     q in the node's scope, which holds the node's value with column q
     flipped.  Its input row is [center, 1 - center].  A leaf has one slot
-    per column it reads: its slot for q reads the flipped copy of column q
-    and its other column, if any, as the leaf does (a one-column table
-    leaf, which reads (q, q), reads the flipped copy twice).  Each op
+    per column it meets: its slot for q reads the flipped copy of column q
+    wherever its tuple holds q, the padded copies included, and its other
+    columns as the leaf does.  Each op
     evaluates its nodes and their slots together; a slot's child is the
     child's slot for q where the child has one and the child's center row
     elsewhere.  So every slot is computed from the same inputs by the same
@@ -642,12 +723,14 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
 
     The extended plan is packed: its value rows are plan's leaves, their
     slots, then per op its nodes and their slots, then plan's constants.
-    It runs only sum passes, so it keeps no max table and no thetas.
+    It shares plan's leaf_table, which each slot reads at its leaf's
+    leaf_base.  It runs only sum passes, so it keeps no max table and no
+    thetas.
     Returns it and the (width + 1,) value rows of the root for the center
     and for each flipped column.
     """
     width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_rows.size
-    cols = plan.leaf_cols.reshape(n_leaves, -1)  # the one or two input columns each leaf reads
+    cols = plan.leaf_cols.reshape(n_leaves, -1)  # the one or four input columns each leaf reads
     # holds[r, q]: the scope of value row r holds input column q.
     holds = np.zeros((plan.size, width), dtype=bool)
     holds[plan.leaf_rows[:, None], cols] = True
@@ -697,7 +780,8 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         live=live,
         leaf_rows=np.arange(n_leaves + leaf.size, dtype=np.int64),
         leaf_cols=np.concatenate((cols, slot_cols)).reshape((-1,) + plan.leaf_cols.shape[1:]),
-        leaf_table=np.concatenate((plan.leaf_table, plan.leaf_table[leaf])),
+        leaf_base=np.concatenate((plan.leaf_base, plan.leaf_base[leaf])),
+        leaf_table=plan.leaf_table,
         max_table=None,
         leaf_theta=None,
         ops=tuple(ops),

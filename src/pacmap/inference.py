@@ -105,13 +105,14 @@ class ConditionalOracle:
     construction:
 
     - The scoring plan, at the first log_prob_rows (see Circuit._fold):
-      every node whose scope meets three or more query variables stays an
-      op, and each of its children that meets one or two, or the root if it
-      does, becomes a table leaf.  A table leaf's value depends on its one
-      or two query columns alone, so it is a 9-entry table over their
-      MARGINAL, 0 and 1: a one-column leaf's entries are its three of the
-      upward pass, and a two-column leaf's are built from its subtree's
-      entries by table algebra, with the arithmetic of a pass over rows.
+      every node whose scope meets five or more query variables stays an
+      op, and each of its children that meets one to four, or the root if it
+      does, becomes a table leaf.  A table leaf's value depends on its query
+      columns alone, so it is an 81-entry table over the MARGINAL, 0 and 1
+      of the four columns of its tuple, padded where it meets fewer: a
+      one-column leaf's entries are its three of the upward pass, and the
+      others' are built from their subtrees' entries by table algebra, with
+      the arithmetic of a pass over rows.
       Nodes that meet no query variable are constants.  Scoring runs the
       (B, |Q|) query block through it, bit-identical to a full pass over the
       rows with evidence filled in.
@@ -119,8 +120,8 @@ class ConditionalOracle:
       smooth_pac_map scores them): a row that flips query column q changes
       only the nodes whose scope holds q, so one pass over the first row and
       a value slot per (scoring-plan node, q) gives every row's score, bit
-      for bit the scoring plan's (see _ball_plan).  A two-column table leaf
-      has two slots.
+      for bit the scoring plan's (see _ball_plan).  A table leaf has one
+      slot per query column it meets.
     - The sampler's folded plan and descent tables, at the first sample():
       the folded plan keeps every node whose scope meets Q and the
       circuit's own leaves, and plan.live[r] names row r's node, by which
@@ -132,10 +133,8 @@ class ConditionalOracle:
       are resolved per query column.  A sum op of m nodes bounds the
       scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.
 
-    So a sampling-only oracle (sample_joint) never builds a scoring plan,
-    and one that only scores (the baselines) never builds descent tables;
-    max_product and arg_max_product score their one row by a full pass and
-    build neither.
+    So a sampling-only oracle (sample_joint) never builds a scoring plan;
+    the baselines score their rows by full passes and build no plan.
     Every Circuit is smooth, decomposable and rooted over every variable,
     so the root meets every query variable.  Instances are shareable and
     their answers never change (two threads that build a plan at once build
@@ -172,12 +171,12 @@ class ConditionalOracle:
         0, 1 and MARGINAL is refused.
 
         Rows are scored through the scoring plan, built by the first call,
-        whose table leaves read one or two query columns each and whose ops
-        all meet three or more.  A radius-1 Hamming ball (more than one row,
-        entries 0/1 only, every row within distance 1 of row 0) is scored in
-        one pass over row 0 and its flipped variants (see _ball_plan); every
-        other batch takes the scoring plan's chunked pass.  Both give the
-        same bytes.
+        whose table leaves read four query columns each, padded where they
+        meet fewer, and whose ops all meet five or more.  A radius-1 Hamming
+        ball (more than one row, entries 0/1 only, every row within distance
+        1 of row 0) is scored in one pass over row 0 and its flipped variants
+        (see _ball_plan); every other batch takes the scoring plan's chunked
+        pass.  Both give the same bytes.
         """
         query_rows = _check_entries(query_rows)
         if query_rows.shape[1] != self.num_query:

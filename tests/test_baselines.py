@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pacmap.baselines import arg_max_product, independent_map, max_product
 from pacmap.circuit import (
+    MARGINAL,
     circuit_from_pmf,
     generate_deterministic_circuit,
     generate_random_circuit,
@@ -15,6 +16,7 @@ from pacmap.circuit import (
 )
 from pacmap.inference import (
     QuerySpec,
+    TabularDistribution,
     brute_force_map,
     make_oracle,
     tabulate_conditional,
@@ -37,6 +39,12 @@ def test_baselines_refuse_an_oracle_built_for_another_instance():
         # An equal spec is the same query.
         same = baseline(c, s1, oracle=make_oracle(c, QuerySpec((0, 1), {2: 0, 3: 1})))
         assert same.log_p_hat == baseline(c, s1).log_p_hat
+
+
+def test_independent_map_refuses_a_table():
+    # It scores by full passes of the oracle's circuit, which a table lacks.
+    with pytest.raises(ValueError, match="ConditionalOracle"):
+        independent_map(TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4]))
 
 
 def test_max_product_factorized():
@@ -186,6 +194,22 @@ def test_results_cover_exactly_query_vars(small_circuits):
     ):
         assert res.q_hat.shape == (3,)
         assert res.log_p_hat > -np.inf
+
+
+def test_baselines_score_the_bytes_of_the_scoring_plan(small_circuits):
+    # The baselines score by full passes; the oracle's scoring plan must give
+    # the same bytes, for ind's marginals as for every answer.
+    c = small_circuits[(10, 4)]
+    for spec in (QuerySpec((1, 5, 9), {0: 1, 2: 0}, (3, 4, 6, 7, 8)), QuerySpec(tuple(range(10)))):
+        oracle = make_oracle(c, spec)
+        for res in (max_product(c, spec, oracle), arg_max_product(c, spec, oracle), independent_map(oracle)):
+            assert res.log_p_hat == oracle.conditional_log_prob(res.q_hat)
+        nq = oracle.num_query
+        rows = np.full((2 * nq, nq), MARGINAL, dtype=np.int8)
+        rows[2 * np.arange(nq), np.arange(nq)] = 1
+        rows[2 * np.arange(nq) + 1, np.arange(nq)] = 0
+        marginals = oracle.log_prob_rows(rows)
+        assert independent_map(oracle).q_hat.tolist() == (marginals[0::2] > marginals[1::2]).tolist()
 
 
 def _best_time(fn, repeats=3):

@@ -180,8 +180,9 @@ FOLD_CASES = {
     "one query variable": (_N16, QuerySpec((7,), {0: 1, 1: 1}, (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15))),
     "every node live": (_N16, QuerySpec(tuple(range(16)))),
     # Node 2 meets only x0.  Its parents 5 and 8 meet only x0 under the
-    # evidence on x2, and its parent 12 meets x0 and x1, so node 2 is a
-    # table leaf of 12 and also inside the table leaf 9.
+    # evidence on x2, and its parent 12 meets x0 and x1.  The root meets
+    # two query columns, so it is the one table leaf, filled through all of
+    # these.
     "shared one-column node": (
         parse_circuit(
             "spn v1\nvars 3\n"
@@ -194,9 +195,10 @@ FOLD_CASES = {
     ),
     # Query columns: x2 -> 0, x0 -> 1, x1 -> 2, x3 -> 3.  Node 4 meets
     # columns 1 and 2, and is shared by its two-column parent 11 and its
-    # three-column parent 13.  Node 2 meets only column 2, the highest of its
-    # parent 4 and the lowest of its parent 7, which also has the constant
-    # child 6 under the evidence on x4.
+    # three-column parent 13.  Node 2 meets only column 2, the last of its
+    # parent 4's tuple and the first of its parent 7's, which also has the
+    # constant child 6 under the evidence on x4.  The root meets four query
+    # columns, so it is the one table leaf, filled through all of these.
     "shared two-column node": (
         parse_circuit(
             "spn v1\nvars 5\n"
@@ -211,6 +213,28 @@ FOLD_CASES = {
             "sum 25 16:0.5 20:0.3 24:0.2\nroot 25\n"
         ),
         QuerySpec((2, 0, 1, 3), {4: 1}),
+    ),
+    # Query columns: x2 -> 0, x0 -> 1, x5 -> 2, x1 -> 3, x4 -> 4, x3 -> 5.
+    # Node 6 joins columns {0, 2} and {1, 3}, so its tuple is (0, 2, 1, 3),
+    # and node 13's is (3, 1, 0, 2) over the same columns, through the
+    # three-column node 11.  Their sum 14 meets four columns and is shared by
+    # its four-column parent 16, behind the constant child 15 under the
+    # evidence on x6, and by its five-column parent 18.  The kept op 22 has
+    # the constant children 20 and 21 (x7 is summed out), and 17, 19 and 26
+    # are table leaves that meet fewer than four columns.
+    "shared four-column node": (
+        parse_circuit(
+            "spn v1\nvars 8\n"
+            "leaf 0 bernoulli 2 0.2\nleaf 1 bernoulli 5 0.7\nprod 2 0 1\n"
+            "leaf 3 bernoulli 0 0.35\nleaf 4 bernoulli 1 0.6\nprod 5 3 4\nprod 6 2 5\n"
+            "leaf 7 bernoulli 0 0.8\nleaf 8 bernoulli 2 0.45\nleaf 9 bernoulli 5 0.15\nprod 10 8 9\n"
+            "prod 11 7 10\nleaf 12 bernoulli 1 0.3\nprod 13 12 11\nsum 14 6:0.4 13:0.6\n"
+            "leaf 15 bernoulli 6 0.9\nprod 16 15 14\nleaf 17 bernoulli 4 0.25\nprod 18 14 17\n"
+            "leaf 19 bernoulli 3 0.55\nleaf 20 bernoulli 6 0.4\nleaf 21 bernoulli 7 0.65\nprod 22 18 19 20 21\n"
+            "leaf 23 bernoulli 4 0.7\nleaf 24 bernoulli 3 0.1\nleaf 25 bernoulli 7 0.5\nprod 26 23 24 25\n"
+            "prod 27 16 26\nsum 28 22:0.3 27:0.7\nroot 28\n"
+        ),
+        QuerySpec((2, 0, 5, 1, 4, 3), {6: 1}, (7,)),
     ),
 }
 
@@ -265,7 +289,7 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
 def _assert_packed(plan):
     """Value rows are the leaves, then each op's nodes in op order, then the
     constants; every child row is an earlier row or a constant."""
-    n_leaves = len(plan.leaf_table)
+    n_leaves = plan.leaf_base.size
     assert plan.leaf_rows.tolist() == list(range(n_leaves))
     start = n_leaves
     for op in plan.ops:
@@ -302,50 +326,62 @@ def test_plans_are_packed(case):
 
 @pytest.mark.parametrize("case", list(FOLD_CASES))
 def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
-    # The name is kept from the one-column tables; with two-column table
-    # leaves every op meets three or more query variables.
+    # The name is kept from the one-column tables; with four-column table
+    # leaves every op meets five or more query variables.
     c, spec = FOLD_CASES[case]
     oracle = make_oracle(c, spec)
     oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
     plan = oracle._score_plan
     _assert_packed(plan)
     assert plan.max_table is None and plan.leaf_theta is None
-    assert plan.leaf_cols.shape == (plan.leaf_rows.size, 2) and plan.leaf_table.shape == (plan.leaf_rows.size, 9)
+    n_leaves = plan.leaf_rows.size
+    assert plan.leaf_cols.shape == (n_leaves, 4) and plan.leaf_table.shape == (n_leaves, 81)
     q_cols = {v: j for j, v in enumerate(spec.query_vars)}
 
     def columns(node):
         return sorted(q_cols[v] for v in range(c.num_vars) if c.scopes[node] >> v & 1 and v in q_cols)
 
     for op in plan.ops:
-        assert all(len(columns(node)) >= 3 for node in plan.live[op.ids])
-    # A table leaf reads its lowest and highest column, the same one twice
-    # where it meets one.
-    for leaf, (a, b) in zip(plan.live[plan.leaf_rows], plan.leaf_cols, strict=True):
-        assert a <= b and columns(leaf) == sorted({a, b})
+        assert all(len(columns(node)) >= 5 for node in plan.live[op.ids])
+    # A table leaf's tuple names exactly the columns it meets, each once,
+    # padded with its first column, and its table ignores the padded digits.
+    for leaf, cols, table in zip(plan.live[plan.leaf_rows], plan.leaf_cols, plan.leaf_table, strict=True):
+        met = columns(leaf)
+        assert sorted(cols[: len(met)]) == met and (cols[len(met) :] == cols[0]).all()
+        by_digits = table.reshape(3 ** len(met), -1)
+        assert (by_digits == by_digits[:, :1]).all()
     layout = {
         "live": plan.live.tolist(),
         "leaf_cols": plan.leaf_cols.tolist(),
         "ops": [plan.live[op.ids].tolist() for op in plan.ops],
     }
+    # With four query variables or fewer the root is one table leaf.  A
+    # product's tuple is its children's in child order, and a sum's is its
+    # first child's.
+    if case in ("deterministic", "pmf"):
+        assert layout == {"live": [c.root], "leaf_cols": [[0, 1, 2, 0]], "ops": []}
     if case == "one query variable":
-        assert layout == {"live": [c.root], "leaf_cols": [[0, 0]], "ops": []}
-    if case == "shared one-column node":  # two query variables: the root is one table leaf
-        assert layout == {"live": [13], "leaf_cols": [[0, 1]], "ops": []}
+        assert layout == {"live": [c.root], "leaf_cols": [[0, 0, 0, 0]], "ops": []}
+    if case == "shared one-column node":
+        assert layout == {"live": [13], "leaf_cols": [[0, 1, 0, 0]], "ops": []}
     if case == "shared two-column node":
+        assert layout == {"live": [25], "leaf_cols": [[1, 2, 0, 3]], "ops": []}
+    if case == "shared four-column node":
         # Leaves in full-plan row order: the circuit's leaves, then by level.
         assert layout == {
-            "live": [12, 14, 21, 22, 19, 4, 7, 11, 13, 20, 16, 24, 25],
-            "leaf_cols": [[0, 0], [3, 3], [0, 0], [3, 3], [0, 1], [1, 2], [2, 3], [1, 2]],
-            "ops": [[13, 20], [16], [24], [25]],
+            "live": [17, 19, 26, 14, 16, 18, 27, 22, 28],
+            "leaf_cols": [[4, 4, 4, 4], [5, 5, 5, 5], [4, 5, 4, 4], [0, 2, 1, 3], [0, 2, 1, 3]],
+            "ops": [[18], [27], [22], [28]],
         }
-        assert plan.consts.size == 2  # the evidence leaves 15 and 23
+        assert plan.consts.size == 2  # the evidence leaf 20 and the nuisance leaf 21
 
 
 # Scoring plans of the n = 256 stress circuit, evidence 0 off the query set:
 # (value rows, table leaves, op nodes) at query shares .1/.25/.5.  With one-
 # column table leaves they were (539, 208, 269), (1233, 512, 616) and
-# (2219, 1024, 1109).
-STRESS_PLAN_SIZES = {0.10: (291, 135, 145), 0.25: (673, 318, 336), 0.50: (1271, 627, 635)}
+# (2219, 1024, 1109); with two-column ones (291, 135, 145), (673, 318, 336)
+# and (1271, 627, 635).
+STRESS_PLAN_SIZES = {0.10: (149, 74, 74), 0.25: (351, 176, 175), 0.50: (693, 346, 346)}
 
 
 @pytest.mark.parametrize("share", list(STRESS_PLAN_SIZES))
@@ -396,8 +432,8 @@ def test_each_path_builds_only_the_plan_it_runs(monkeypatch):
     assert builds == ["sample"]
     max_product(c, spec, oracle)
     arg_max_product(c, spec, oracle)
-    assert builds == ["sample"] and oracle._score_plan is None  # mp and amp score by a full pass
     independent_map(oracle)
+    assert builds == ["sample"] and oracle._score_plan is None  # the baselines score by full passes
     oracle.log_prob_rows(hamming_ball(np.zeros(oracle.num_query), 1))
     assert builds == ["sample", "score"] and oracle._plan is None and oracle._descent is None
     oracle.sample(10, 0)
