@@ -1134,9 +1134,11 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.atleast_2d(np.asarray(rows))
     n = rows.shape[1]
-    packed = np.packbits(rows, axis=1)  # zero-padded on the right to whole bytes
+    # Zero-padded on the right to whole bytes; C-ordered, as the views below
+    # need, whatever the layout of `rows` (no copy when it is C-ordered).
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
     if n > 64:
-        return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     k = packed.shape[1]
     width = 1 << (k - 1).bit_length()  # bytes in the smallest word that holds k
     if k < width:

@@ -23,13 +23,20 @@ from .circuit import (
     index_to_bits,
     pack_rows,
 )
-from .rng import DrawStream, as_stream, counter_uniforms
+from .rng import DrawStream, as_stream, counter_keys, key_offsets, mix53, unit_thresholds
 
 _TABULAR_CAP = 24
 # Sampling scratch, in bytes per draw, of the leaf step per query column and
 # of a sum or shared product step per pair it reached (see _compile_descent).
-_LEAF_BYTES = 36
-_PAIR_BYTES = 64
+# A leaf entry holds its slot through the step, 1 byte or 2 where a column
+# has more than 256 leaves, at most 3 bytes more during the slot passes, and
+# the entries of one block of _LEAF_BLOCK 24 bytes more: their leaf index,
+# key and threshold.  A pair holds its node and
+# draw indices, key and one threshold gather, 8 bytes each, and a 1-byte
+# compare.
+_LEAF_BYTES = 26
+_PAIR_BYTES = 33
+_LEAF_BLOCK = 32768  # leaf entries per block of the leaf step: 256 KB per 8-byte array
 
 
 class ZeroEvidenceError(ValueError):
@@ -130,8 +137,11 @@ class ConditionalOracle:
       (nodes, draws) bool matrix holds the draws that reach each node, sums
       choose children from per-op cumulative tables built from the upward
       pass, +inf from each node's last positive-mass child on, and leaves
-      are resolved per query column.  A sum op of m nodes bounds the
-      scratch per draw at m + _PAIR_BYTES * min(m, |Q|) bytes.
+      are resolved per query column.  Both compare a uniform's 53-bit
+      integer with integer thresholds of those tables and of the leaf
+      thetas (see pacmap.rng), so no float uniform is formed.  A sum op of
+      m nodes bounds the scratch per draw at m + _PAIR_BYTES * min(m, |Q|)
+      bytes, and the leaf step at _LEAF_BYTES * |Q|.
 
     So a sampling-only oracle (sample_joint) never builds a scoring plan;
     the baselines score their rows by full passes and build no plan.
@@ -217,6 +227,13 @@ class ConditionalOracle:
         sink row stands for every constant child, which no draw needs to
         enter.  row_of maps plan rows to active rows.  _descent is set last,
         so a thread that sees it sees every other table.
+
+        The uniform of (draw, node id) has counter draw * width + id, so its
+        key is the draw's key plus key_offsets(id) (see pacmap.rng): each sum
+        op and each leaf slot stores its nodes' offsets, and a chunk computes
+        its draws' keys once.  Each cumulative table and leaf theta is stored
+        as unit_thresholds, which the finalized 53-bit integers are compared
+        with, so every choice is the float compare's.
         """
         self._plan = plan = self.circuit._fold(self.spec.query_vars, self._upward)
         n_live = plan.live.size
@@ -255,34 +272,38 @@ class ConditionalOracle:
                     step_bytes = max(step_bytes, m + _PAIR_BYTES * min(m, self.num_query))
                 continue
             step_bytes = max(step_bytes, op.ids.size + _PAIR_BYTES * min(op.ids.size, self.num_query))
-            # For the m sums of a k-child op: an (m, k - 1) table whose row j
-            # holds node j's cumulative child-selection probabilities under
+            # For the m sums of a k-child op: a (k - 1, m) table whose column
+            # j holds node j's cumulative child-selection probabilities under
             # the cached upward pass, +inf from its last child with positive
-            # mass onward.  A draw picks the child at the count of entries <=
-            # u, so a u past a float cumsum that ends below 1 still lands on
-            # that last child, never on a zero-mass one.  No draw enters a
-            # zero-mass node, whose row holds no finite entry.
+            # mass onward, as unit_thresholds.  A draw picks the child at the
+            # count of entries c <= u, which is the count of thresholds <= k
+            # for its 53-bit integer k, so a u past a float cumsum that ends
+            # below 1 still lands on that last child, never on a zero-mass
+            # one.  No draw enters a zero-mass node, whose column holds no
+            # entry a k reaches.
             with np.errstate(invalid="ignore"):
                 probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
             later = np.logical_or.accumulate(probs[:0:-1] > 0.0, axis=0)[::-1]  # a later child has mass
-            cums = np.where(later, np.cumsum(probs[:-1], axis=0), np.inf).T.copy()
-            descent.append((cums, row_of[op.kids], row_of[op.ids], plan.live[op.ids].astype(np.uint64)))
+            cums = np.where(later, np.cumsum(probs[:-1], axis=0), np.inf)
+            descent.append((unit_thresholds(cums), row_of[op.kids], row_of[op.ids], key_offsets(plan.live[op.ids])))
 
-        # Leaves by query column, flattened: entry c * slots + s is the s-th
-        # leaf of query column c (a column with fewer leaves repeats its
-        # last), with its active row, node id and theta.  A draw reaches
-        # exactly one leaf per column.
+        # Leaves by query column: entry c * slots + s of the flat tables is
+        # the s-th leaf of query column c (a column with fewer leaves repeats
+        # its last), with its active row, key offset and the
+        # unit_thresholds of its theta.  A draw reaches exactly one leaf per
+        # column.
         order = np.lexsort((plan.leaf_rows, plan.leaf_cols))
         count = np.bincount(plan.leaf_cols, minlength=self.num_query)
         slot = np.minimum(np.arange(count.max()), count[:, None] - 1) + (np.cumsum(count) - count)[:, None]
         leaf = order[slot]  # (|Q|, slots) indices into the plan's leaf arrays
-        self._leaf_slots = np.arange(leaf.size).reshape(leaf.shape)
         self._leaf_rows = row_of[plan.leaf_rows[leaf]]
-        self._leaf_ids = plan.live[plan.leaf_rows[leaf]].ravel().astype(np.uint64)
-        self._leaf_theta = plan.leaf_theta[leaf].ravel()
+        self._leaf_base = np.arange(0, leaf.size, leaf.shape[1])  # each column's first entry
+        self._slot_dtype = np.min_scalar_type(leaf.shape[1] - 1)
+        self._leaf_keys = key_offsets(plan.live[plan.leaf_rows[leaf]].ravel())
+        self._leaf_thresholds = unit_thresholds(plan.leaf_theta[leaf].ravel())
         # Bytes per draw that one chunk of the descent holds at its peak: the
-        # draw's column of `active` and its counter base, plus the larger of
-        # the op steps' and the leaf step's scratch.
+        # draw's column of `active` and its key, plus the larger of the op
+        # steps' and the leaf step's scratch.
         self._sample_row_bytes = self._active_rows + 1 + 8 + max(step_bytes, _LEAF_BYTES * self.num_query)
         self._descent = descent
 
@@ -300,7 +321,11 @@ class ConditionalOracle:
         (draw, node id) is a pure counter function, so it is materialized
         only where the descent actually lands, and neither skipping dead
         nodes nor the chunking of the batch (by the scratch bytes per draw,
-        see _compile_descent) changes any draw.
+        see _compile_descent) changes any draw.  A uniform is never formed as
+        a float: its key is finalized to the 53-bit integer k with u = k *
+        2^-53, and u < theta and c <= u are read as integer compares of k
+        with thresholds built once per oracle, which give the same answers
+        (see pacmap.rng), so the draws are those of counter_uniforms.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -320,11 +345,14 @@ class ConditionalOracle:
 
         `active` holds the draws that reach each node (see _compile_descent).
         Each op costs a few numpy calls, whatever its node count, and so does
-        each leaf slot.
+        each leaf slot and each block of the leaf step.  The uniform of
+        (draw, node id) is keyed by counter draw * width + id, whose key is
+        the draw's key plus the node's key offset (see pacmap.rng), and is
+        compared as its 53-bit integer.
         """
         b = bits.shape[0]
         width = np.uint64(len(self.circuit.nodes))
-        draw_keys = (np.uint64(base) + np.arange(b, dtype=np.uint64)) * width  # + node id: the counter
+        draw_keys = counter_keys(seed, (np.uint64(base) + np.arange(b, dtype=np.uint64)) * width)
         active = np.zeros((self._active_rows + 1, b), dtype=bool)
         active[self._root_row] = True
         # Parents come in later ops than their children, so walking the ops
@@ -333,40 +361,65 @@ class ConditionalOracle:
         # those get its draws pair by pair, as a sum's chosen children do.
         for op, step in zip(reversed(self._plan.ops), reversed(self._descent)):
             if op.logw is not None:
-                _descend_sums(step, active, draw_keys, seed)
+                _descend_sums(step, active, draw_keys)
             elif step:
                 kids, parents = step
                 j, d = np.divmod(np.flatnonzero(active[parents]), b)
                 _mark(active, kids[j], d)
-        slots = self._leaf_slots
-        which = np.repeat(slots[:, :1], b, axis=1)
-        for s in range(1, slots.shape[1]):
-            np.copyto(which, slots[:, s : s + 1], where=active[self._leaf_rows[:, s]])
-        del active
-        keys = self._leaf_ids[which]
-        keys += draw_keys
-        u = counter_uniforms(seed, keys)
-        del keys
-        # An indicator's theta is its value, which u < theta gives for u in [0, 1).
-        bits[...] = (u < self._leaf_theta[which]).T
+        # The slot of each (column, draw)'s one reached leaf: the largest s
+        # whose leaf row holds the draw, or 0.  A column's repeated last leaf
+        # only ever raises it to another slot of that same leaf.
+        rows = self._leaf_rows
+        slot = np.zeros((rows.shape[0], b), dtype=self._slot_dtype)
+        reached = np.empty(slot.shape, dtype=bool)
+        weighted = np.empty_like(slot)
+        for s in range(1, rows.shape[1]):
+            np.take(active, rows[:, s], axis=0, out=reached)
+            np.multiply(reached, slot.dtype.type(s), out=weighted)
+            np.maximum(slot, weighted, out=slot)
+        del active, reached, weighted
+        # The rest runs block by block of draws, (rows, |Q|) as `bits` is,
+        # through three buffers of one block that every block reuses, so
+        # that they stay in cache and their pages are touched once.
+        block = min(b, max(1, _LEAF_BLOCK // self.num_query))
+        leaf = np.empty((block, self.num_query), dtype=np.intp)
+        keys = np.empty(leaf.shape, dtype=np.uint64)
+        thresholds = np.empty(leaf.shape, dtype=np.uint64)
+        for i in range(0, b, block):
+            n = min(block, b - i)
+            np.copyto(leaf[:n], slot[:, i : i + n].T)
+            leaf[:n] += self._leaf_base
+            # Every index is in range, so mode="clip" changes none; it only
+            # lets take write into `out` without a copy.
+            np.take(self._leaf_keys, leaf[:n], out=keys[:n], mode="clip")
+            np.take(self._leaf_thresholds, leaf[:n], out=thresholds[:n], mode="clip")
+            keys[:n] += draw_keys[i : i + n, None]
+            mix53(keys[:n], leaf[:n].view(np.uint64))
+            # u < theta as k < threshold.  An indicator's theta is its value,
+            # whose threshold, 0 or 2^53, no k or every k is below.
+            np.less(keys[:n], thresholds[:n], out=bits[i : i + n].view(np.bool_))
 
 
-def _descend_sums(step: tuple, active: np.ndarray, draw_keys: np.ndarray, seed: int) -> None:
+def _descend_sums(step: tuple, active: np.ndarray, draw_keys: np.ndarray) -> None:
     """One sum op's descent step: every (node, draw) pair it reached picks a
     child, and the child's row of `active` gets the draw.  Its scratch is
     freed on return, before the next op allocates its own."""
-    cums, kids, rows, node_ids = step
+    thresholds, kids, rows, node_keys = step
+    m = rows.size
     j, d = np.divmod(np.flatnonzero(active[rows]), active.shape[1])
-    keys = draw_keys[d]
-    keys += node_ids[j]
-    u = counter_uniforms(seed, keys)
-    del keys
-    # The count of table entries <= u, which is searchsorted(side="right").
-    choice = np.zeros(j.size, dtype=np.intp)
-    for i in range(cums.shape[1]):
-        choice += cums[j, i] <= u
-    del u
-    _mark(active, kids[choice, j], d)
+    k = draw_keys[d]
+    k += node_keys[j]
+    mix53(k)
+    # The child is the count of node j's thresholds <= k, that is of its
+    # cumulative entries <= u: searchsorted(side="right").  j steps down its
+    # column of the flat table, one row per threshold <= k; a column never
+    # decreases, so j stops at its first threshold above k, on its entry of
+    # the chosen child's row of `kids`.
+    flat = thresholds.reshape(-1)
+    for _ in range(len(thresholds)):
+        np.add(j, m, out=j, where=flat[j] <= k)
+    del k
+    _mark(active, kids.reshape(-1)[j], d)
 
 
 def _mark(active: np.ndarray, kids: np.ndarray, d: np.ndarray) -> None:

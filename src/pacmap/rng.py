@@ -5,6 +5,16 @@ the j-th draw of a run produces identical bits no matter how draws are
 batched or resumed.  numpy's stateful generators cannot be partitioned this
 way without constructing one generator per draw, which is far too slow for
 millions of draws, so we use a splitmix64-style counter mix instead.
+
+Counter c maps to the key z = (c + 1) * GAMMA + seed mod 2^64, then to the
+53-bit integer k = mix(z) >> 11, and its uniform is u = k * 2^-53 exactly.
+Since the key is affine in c, the key of c + t is counter_keys(seed, c) +
+key_offsets(t), so a caller that keys uniforms by (draw, node) precomputes
+both parts.  And since u is k scaled by a power of two, a compare of u with
+a float x is a compare of k with an integer: u < x iff k < t and x <= u iff
+t <= k, for t = unit_thresholds(x).  The sampler draws through these integer
+compares and never forms a float uniform, and its draws are those of
+counter_uniforms bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _GAMMA_U64 = np.uint64(_GAMMA)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31, _SHIFT11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
+_UNIT = 2.0 ** 53
 
 
 def _mix64_int(z: int) -> int:
@@ -47,19 +59,50 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     return s
 
 
-def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Map uint64 counters to float64 uniforms in [0, 1)."""
-    z = counters.astype(np.uint64)  # a copy, mixed in place: one temporary at a time
+def counter_keys(seed: int, counters: np.ndarray) -> np.ndarray:
+    """The uint64 keys (c + 1) * GAMMA + seed of counters c, a new array."""
+    z = counters.astype(np.uint64)
     z += np.uint64(1)
     z *= _GAMMA_U64
     z += np.uint64(seed & _MASK64)
-    z ^= z >> np.uint64(30)
+    return z
+
+
+def key_offsets(offsets: np.ndarray) -> np.ndarray:
+    """t * GAMMA for each t: the key of counter c + t is the key of c plus this."""
+    return offsets.astype(np.uint64) * _GAMMA_U64
+
+
+def mix53(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer of the uint64 keys z, in place, down to the
+    top 53 bits: z becomes the integer k with k * 2^-53 the key's uniform.
+    Its shifts go through one scratch array of z's shape, `scratch` if given
+    (its entries are overwritten), else a new one.  Returns z."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    np.right_shift(z, _SHIFT30, out=scratch)
+    z ^= scratch
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, _SHIFT27, out=scratch)
+    z ^= scratch
     z *= _MIX2
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z * _DOUBLE_SCALE
+    np.right_shift(z, _SHIFT31, out=scratch)
+    z ^= scratch
+    z >>= _SHIFT11
+    return z
+
+
+def unit_thresholds(x: np.ndarray) -> np.ndarray:
+    """uint64 t = ceil(x * 2^53), clamped to 2^53, for floats x >= 0 (+inf
+    included): for every 53-bit k and u = k * 2^-53, u < x iff k < t and x
+    <= u iff t <= k.  Scaling by 2^53 is exact, and so is the ceiling; a
+    clamped x is above every u, and t = 2^53 is above every k."""
+    return np.ceil(np.minimum(np.asarray(x, dtype=np.float64) * _UNIT, _UNIT)).astype(np.uint64)
+
+
+def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Map uint64 counters to float64 uniforms in [0, 1)."""
+    return mix53(counter_keys(seed, counters)) * _DOUBLE_SCALE
 
 
 @dataclass

@@ -227,10 +227,16 @@ class SampleSet:
         row.  With `stop`, a function of those three arrays that is nonzero
         where a stopping rule holds, only the prefix ending at the first such
         row is committed; without it every row is.  Committed rows count as
-        random draws when `draws` is set.
+        random draws when `draws` is set.  An empty block commits nothing;
+        `log_probs` must hold one entry per row, and the set is left as it
+        was when it does not.
         """
         log_probs = np.asarray(log_probs, dtype=np.float64)
         b = bits.shape[0]
+        if log_probs.shape != (b,):
+            raise ValueError(f"log_probs has shape {log_probs.shape}, expected ({b},) for {b} rows")
+        if b == 0:
+            return Fold(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), 0)
         keys_np = pack_rows(bits)
         keys = keys_np.tolist()
         _, first_pos = np.unique(keys_np, return_index=True)

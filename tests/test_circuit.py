@@ -508,6 +508,15 @@ def test_pack_rows_wide_fallback():
     assert len(set(keys.tolist())) == 3
 
 
+def test_pack_rows_ignores_the_layout_of_its_rows():
+    # Column-major rows, and transposed views, give the keys of C-ordered ones.
+    for n in range(1, 71):
+        rows = np.random.default_rng(n).integers(0, 2, size=(40, n)).astype(np.int8)
+        keys = pack_rows(rows).tolist()
+        assert pack_rows(np.asfortranarray(rows)).tolist() == keys, n
+        assert pack_rows(rows.T.copy().T).tolist() == keys, n
+
+
 # -- scaling ------------------------------------------------------------------
 
 

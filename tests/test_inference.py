@@ -41,7 +41,7 @@ from pacmap.inference import (
     superlevel_mass,
     tabulate_conditional,
 )
-from pacmap.rng import DrawStream, counter_uniforms
+from pacmap.rng import DrawStream, mix53, unit_thresholds
 from pacmap.solvers import hamming_ball
 from conftest import ref_conditional_prob, ref_marginal_prob, total_variation
 
@@ -493,8 +493,8 @@ def test_scoring_memory_is_one_chunk(monkeypatch):
     # Each chunk's scratch must be released once its result rows are copied
     # out, before the next chunk's is allocated: scoring keeps (plan rows x
     # chunk) float64 values; sampling keeps a bool matrix of reached nodes,
-    # then per query column and draw a leaf slot, counter, uniform and theta,
-    # which on this circuit outweigh the sum steps' scratch.  Two live
+    # then per query column and draw a leaf index, key and threshold, which
+    # on this circuit outweigh the sum steps' scratch.  Two live
     # matrices put scoring's ratio near 1.6-1.7.
     monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 1_600_000)
     c = generate_random_circuit(64, 3, 2, 303)
@@ -524,6 +524,35 @@ def test_scoring_memory_is_one_chunk(monkeypatch):
             assert peaks[0] - chunk * width <= 1_600_000, peaks
 
 
+@pytest.mark.parametrize("chunk_bytes", [None, 400_000])
+@pytest.mark.parametrize("step", [10, 4, 2])
+def test_sampling_memory_is_one_chunk(step, chunk_bytes, monkeypatch):
+    # On the n = 256 stress circuit at |Q| = 26/64/128: sample(n)'s traced
+    # peak, less its (n, |Q|) int8 output, stays within the scratch one chunk
+    # is sized for, _sample_row_bytes per draw, at one chunk and at eight.
+    # Under the smaller budget a chunk's leaf step is one block, whose
+    # scratch per entry is all of _LEAF_BYTES, and the bound then also has to
+    # hold the buffer of getbufsize() 8-byte entries in which numpy iterates a
+    # broadcast operand (the leaf step's row and column adds).
+    allowance = 0
+    if chunk_bytes is not None:
+        monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", chunk_bytes)
+        allowance = 8 * np.getbufsize()
+    c = generate_random_circuit(256, 3, 2, 404)
+    query = tuple(range(0, 256, step))
+    oracle = make_oracle(c, QuerySpec(query, {}, tuple(v for v in range(256) if v % step)))
+    oracle.sample(1, 0)  # builds the sampler's tables
+    chunk = circuit_module._chunk_rows(oracle._sample_row_bytes, 1)
+    for rows in (chunk, 8 * chunk):
+        tracemalloc.start()
+        try:
+            oracle.sample(rows, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows * len(query) <= oracle._sample_row_bytes * chunk + allowance, (rows, peak)
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -549,6 +578,27 @@ def test_sampler_matches_table_in_tv(small_circuits):
     assert total_variation(emp, np.exp(table.log_probs)) <= 0.01
 
 
+def test_sampler_resolves_columns_with_more_than_256_leaves():
+    # 300 components, each a product of one leaf per variable: every query
+    # column has 300 leaves, so the leaf step's slots take two bytes.  The
+    # last 44 components, which a one-byte slot would confuse with the
+    # first, put x = (1, 1) at 0.95^2 and hold about 63% of the mass.
+    k = 300
+    weights = np.where(np.arange(k) < 256, 1.0, 10.0)
+    weights /= weights.sum()
+    lines = ["spn v1", "vars 2"]
+    for i in range(k):
+        theta = 0.95 if i >= 256 else 0.05
+        lines += [f"leaf {2 * i} bernoulli 0 {theta}", f"leaf {2 * i + 1} bernoulli 1 {theta}"]
+    lines += [f"prod {2 * k + i} {2 * i} {2 * i + 1}" for i in range(k)]
+    lines += ["sum %d %s" % (3 * k, " ".join(f"{2 * k + i}:{w!r}" for i, w in enumerate(weights.tolist()))), f"root {3 * k}"]
+    oracle = make_oracle(parse_circuit("\n".join(lines) + "\n"), QuerySpec((0, 1)))
+    draws = oracle.sample(10**5, 5)
+    assert oracle._slot_dtype == np.uint16
+    emp = np.bincount(pack_rows(draws).astype(np.int64), minlength=4) / 1e5
+    assert total_variation(emp, np.exp(tabulate_conditional(oracle).log_probs)) <= 0.01
+
+
 def test_sampler_never_descends_into_zero_mass_child():
     # With x0 = 0 observed, the root's last child (node 9, x0 = 1) has zero
     # mass, and so do both of node 9's children.  Their leaves have theta 1,
@@ -564,18 +614,20 @@ def test_sampler_never_descends_into_zero_mass_child():
     oracle.sample(1, 0)  # builds the sampler's tables
 
     def descent(node):
-        """The sum node's row of its op's cumulative table (a view)."""
+        """The sum node's column of its op's threshold table (a view)."""
         r = int(np.flatnonzero(oracle._plan.live == node)[0])
         for op, table in zip(oracle._plan.ops, oracle._descent):
             if r in op.ids:
-                return table[0][int(np.flatnonzero(op.ids == r)[0])]
+                return table[0][:, int(np.flatnonzero(op.ids == r)[0])]
 
-    assert np.isposinf(descent(9)).all()
+    # A threshold of 2**53 is above every 53-bit integer a uniform is drawn
+    # as, so no draw passes it.
+    assert (descent(9) == 2**53).all()
     cum = descent(13)
-    assert cum[0] == pytest.approx(4 / 7) and cum[1] == np.inf
+    assert cum[0] == unit_thresholds(4 / 7) and cum[0] == pytest.approx(4 / 7 * 2**53) and cum[1] == 2**53
     # A float cumsum can end below the node's mass, which leaves uniforms
     # past its last finite entry.
-    cum[0] *= 0.5
+    cum[0] //= 2
     draws = oracle.sample(200, 3)
     assert not draws.any()
 
@@ -683,18 +735,20 @@ def test_sample_bytes_do_not_depend_on_chunking(circuit, monkeypatch):
 
 
 def test_sampler_draws_uniforms_once_per_sum_op(monkeypatch):
-    # One chunk draws every uniform of a sum op in one call, and every leaf
-    # uniform in one more, however many nodes the descent reaches.
+    # One chunk finalizes the keys of every uniform of a sum op in one call,
+    # and of every leaf uniform of a block of the leaf step in one more (640
+    # draws are one block here), however many nodes the descent reaches.
     oracle = make_oracle(generate_random_circuit(64, 3, 2, 303), HALF_QUERY)
     oracle.sample(1, 0)  # builds the sampler's tables
     assert circuit_module._chunk_rows(oracle._sample_row_bytes, 1) >= 640
+    assert inference_module._LEAF_BLOCK // oracle.num_query >= 640
     calls = []
 
-    def counted(seed, counters):
-        calls.append(counters.size)
-        return counter_uniforms(seed, counters)
+    def counted(keys, *scratch):
+        calls.append(keys.size)
+        return mix53(keys, *scratch)
 
-    monkeypatch.setattr(inference_module, "counter_uniforms", counted)
+    monkeypatch.setattr(inference_module, "mix53", counted)
     draws = oracle.sample(640, DrawStream(29))
     monkeypatch.undo()
     assert draws.tobytes() == oracle.sample(640, DrawStream(29)).tobytes()

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pacmap.rng import DrawStream, as_stream, counter_uniforms, derive_seed
+from pacmap.rng import (
+    DrawStream,
+    as_stream,
+    counter_keys,
+    counter_uniforms,
+    derive_seed,
+    key_offsets,
+    mix53,
+    unit_thresholds,
+)
 
 
 def test_counter_uniforms_frozen_values():
@@ -14,6 +23,64 @@ def test_counter_uniforms_frozen_values():
         0.7457817572627011,
         0.9710027535867962,
     ]
+
+
+def _integer_and_float_compares(seed, counters, thetas):
+    """For each counter and theta: (k < threshold, u < theta, threshold <= k,
+    theta <= u), with k the counter's 53-bit integer and u its uniform."""
+    u = counter_uniforms(seed, counters)[:, None]
+    k = mix53(counter_keys(seed, counters))[:, None]
+    t = unit_thresholds(thetas)[None, :]
+    thetas = np.asarray(thetas)[None, :]
+    return k < t, u < thetas, t <= k, thetas <= u
+
+
+def test_integer_compares_match_float_compares_at_the_edges():
+    # The sampler draws a leaf as k < unit_thresholds(theta) and counts a
+    # sum's cumulative entries c as unit_thresholds(c) <= k; both must equal
+    # the float compares of k's uniform u = k * 2^-53 bit for bit.
+    counters = np.arange(64, dtype=np.uint64)
+    u = counter_uniforms(7, counters)
+    drawn = np.concatenate((u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)))
+    thetas = np.concatenate(([0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0)], drawn))
+    below, below_float, counted, counted_float = _integer_and_float_compares(7, counters, thetas)
+    assert np.array_equal(below, below_float) and np.array_equal(counted, counted_float)
+    assert below[:, 1].all() and not below[:, 0].any() and counted[:, 0].all()
+    # Cumulative sums past the end: +inf and a float sum above 1 are never
+    # counted; 0 always is; exactly u counts (u <= u) and its successor not.
+    cums = np.concatenate(([0.0, np.inf, 1.0 + 2.0**-52, 1.0], drawn))
+    assert unit_thresholds(cums[1:4]).tolist() == [2**53] * 3
+    _, _, counted, counted_float = _integer_and_float_compares(7, counters, cums)
+    assert np.array_equal(counted, counted_float)
+    assert counted[:, 0].all() and not counted[:, 1:4].any()
+    assert np.diagonal(counted[:, 4:68]).all() and not np.diagonal(counted[:, 132:196]).any()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 2**20), st.integers(0, 2**20), st.integers(0, 2**32))
+def test_integer_compares_and_key_offsets_match_counter_uniforms(seed, start, offset, theta_bits):
+    counters = np.uint64(start) + np.arange(40, dtype=np.uint64) * np.uint64(997)
+    u = counter_uniforms(seed, counters)
+    thetas = np.concatenate((u[:8], np.nextafter(u[8:16], 0.0), np.nextafter(u[16:24], 1.0), [theta_bits / 2**32]))
+    below, below_float, counted, counted_float = _integer_and_float_compares(seed, counters, thetas)
+    assert np.array_equal(below, below_float) and np.array_equal(counted, counted_float)
+    # The sampler's key of counter c + t is the key of c plus t's offset.
+    shifted = counters[counters < np.uint64(2**64 - 2**20)]
+    with np.errstate(over="ignore"):
+        keys = counter_keys(seed, shifted) + key_offsets(np.full(shifted.size, offset))
+    assert np.array_equal(keys, counter_keys(seed, shifted + np.uint64(offset)))
+
+
+def test_mix53_runs_in_place():
+    # With its own scratch or a given one, on a 1-D or a transposed 2-D
+    # array, the finalizer gives the uniforms' integers entry by entry.
+    counters = np.arange(600, dtype=np.uint64)
+    keys = counter_keys(3, counters)
+    assert mix53(keys) is keys
+    assert np.array_equal(keys * 2.0**-53, counter_uniforms(3, counters))
+    scratch = np.empty(600, dtype=np.uint64)
+    assert np.array_equal(mix53(counter_keys(3, counters), scratch), keys)
+    square = counter_keys(3, counters.reshape(20, 30)).T
+    assert np.array_equal(mix53(square, scratch.reshape(30, 20)).T.ravel(), keys)
 
 
 def test_uniform_range_and_moments():

@@ -347,7 +347,48 @@ def test_exploiting_and_warm_runs_are_pac_sound(n, alpha, table_seed):
     assert all(rate <= bound for rate in rates.values()), (rates, bound)
 
 
-@pytest.mark.parametrize("n, depth, num_query, seed", [(16, 3, 12, 101), (14, 4, 10, 7), (12, 2, 9, 23)])
+@pytest.mark.parametrize("n, alpha, table_seed", [(6, 0.05, 1), (8, 0.5, 2), (10, 0.05, 4), (6, 1.0, 3)])
+def test_budget_frontier_with_warm_starts_is_sound(n, alpha, table_seed):
+    # Criterion 5's check with a warm start at the best atom just below the
+    # tolerance 0.1, whose p-hat no draw produced.  A run fails at eps when
+    # p_hat < (1 - eps) p*, which needs M draws that all miss the atoms of
+    # mass >= (1 - eps) p*: probability (1 - S_eps)^M for their mass S_eps,
+    # at most (1 - p*)^M = pareto_delta(p*, 0, M).  On such a run p_hat /
+    # (1 - eps) < p*, so the delta it reports at eps exceeds (1 - p*)^M:
+    # together, P(fail at eps and reported delta <= a) <= a for every a.
+    # pareto_delta(p*, eps, M) itself is no bound on the failure rate: where
+    # the mode is alone in its superlevel set a sound run fails with
+    # probability (1 - p*)^M, which is larger.  M is set so that about a
+    # quarter of the runs miss the mode; most runs on the first table end
+    # exact.
+    runs = 1000
+    table = random_table(n, table_seed, alpha=alpha)
+    _, log_pstar = brute_force_map(table)
+    p_star = math.exp(log_pstar)
+    below = np.flatnonzero(table.log_probs < log_pstar + math.log1p(-0.1))
+    near = int(below[np.argmax(table.log_probs[below])])
+    near_bits = ((near >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    budget = math.ceil(math.log(0.25) / math.log1p(-p_star))
+    miss = (1.0 - p_star) ** budget
+    eps_points = (0.02, 0.1, 0.25, 0.5)
+    failures = np.zeros(len(eps_points))
+    for r in range(runs):
+        sol, front = budget_pac_map(table, budget, warm=[near_bits], rng=DrawStream(derive_seed(table_seed, "budget", r)))
+        if isinstance(sol.certificate, Exact):
+            assert sol.log_p_hat == log_pstar and front.points == ((0.0, 0.0),)
+            continue
+        for eps, delta in front.points:
+            if sol.log_p_hat < log_pstar + math.log1p(-eps):
+                assert delta >= miss * (1 - 1e-9), (eps, delta, miss)
+        failures += [sol.log_p_hat < log_pstar + math.log1p(-eps) for eps in eps_points]
+    for eps, count in zip(eps_points, failures):
+        bound = (1.0 - superlevel_mass(table, eps)) ** budget
+        assert bound <= miss * (1 + 1e-9)
+        assert count / runs <= bound + 3 * math.sqrt(bound * (1 - bound) / runs), (eps, count / runs, bound)
+    assert failures[0] > 0  # the check is not vacuous
+
+
+@pytest.mark.parametrize("n, depth, num_query, seed",[(16, 3, 12, 101), (14, 4, 10, 7), (12, 2, 9, 23)])
 def test_pac_certificates_hold_on_circuit_oracles(n, depth, num_query, seed):
     # Criterion 3's check through a circuit oracle, so that a sampler or
     # scoring-plan fault shows as a failure rate.  The truth is the full
@@ -706,6 +747,24 @@ def test_sample_set_fold_commits_prefix_through_first_stop():
     assert (state.m, state.rows, len(state.atoms)) == (2, 3, 3)
     assert state.best_bits.tolist() == [1, 0]  # the uncommitted [1, 1] never counts
     assert math.exp(state.log_total_mass) == pytest.approx(0.6)
+
+
+def test_sample_set_fold_checks_its_block_before_it_changes_state():
+    state = SampleSet()
+    state.fold(np.array([[0, 1], [1, 0]], dtype=np.int8), np.log([0.2, 0.3]), draws=True)
+
+    def snapshot():
+        return (set(state.atoms), state.m, state.rows, state.log_total_mass, state.best_bits.tolist(), state.best_log_prob)
+
+    before = snapshot()
+    fold = state.fold(np.empty((0, 2), dtype=np.int8), np.empty(0), draws=True)
+    assert fold.p_hat.size == fold.p_check.size == fold.m.size == 0 and fold.grant == 0
+    assert snapshot() == before
+    bits = np.array([[0, 0], [1, 1], [0, 1]], dtype=np.int8)
+    for log_probs in (np.log([0.1]), np.log([0.1, 0.2]), np.log([[0.1], [0.2], [0.1]]), np.float64(-1.0)):
+        with pytest.raises(ValueError, match="shape"):
+            state.fold(bits, log_probs, draws=True)
+        assert snapshot() == before
 
 
 def test_duplicates_increment_m_but_not_mass():
