@@ -228,7 +228,6 @@ class Circuit:
             width=self.num_vars,
             root=int(row_of[self.root]),
             live=live,
-            leaf_rows=np.arange(len(leaves), dtype=np.int64),
             leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
             leaf_base=np.arange(1, 3 * len(leaves), 3),
             leaf_table=leaf_table,
@@ -259,18 +258,16 @@ class Circuit:
         meets one to four columns becomes a table leaf: its value is a
         function of the entries of its columns alone, and its 81-entry table
         holds that function at sum_i 3**(3 - i) * (x[c_i] + 1) over its
-        column tuple c.  A product's tuple is its children's tuples joined
-        in child order, a sum's is its first child's, and a circuit leaf's
-        is its column; a tuple of fewer than four columns is padded with its
-        first column, and the table does not depend on the padded digits.
-        A one-column node's entries are its three entries of `upward`.  A
-        node that meets two to four columns gets its entries bottom-up over
-        the full plan's ops, with no pass over rows (see _fill_tables): each
-        child's entries are read through _MAP, by the child's column
-        positions in the node's tuple, and the op's arithmetic runs on them
-        through _op_step, the op body of a pass over rows.  So every entry
-        is bit-identical to the node's value in a pass over a row with those
-        entries.  A scoring plan has no thetas.
+        column tuple c, the columns it meets in ascending order, padded to
+        four with its first column; the table does not depend on the padded
+        digits.  A one-column node's entries are its three entries of
+        `upward`.  A node that meets two to four columns gets its entries
+        bottom-up over the full plan's ops, with no pass over rows (see
+        _fill_tables): each child's entries are read through _MAP, by the
+        positions of the node's tuple that hold the child's columns, and the
+        op's arithmetic runs on them through _op_step, the op body of a pass
+        over rows.  So every entry is bit-identical to the node's value in a
+        pass over a row with those entries.  A scoring plan has no thetas.
 
         One integer pass counts the columns each node meets: a product's
         count is the sum of its children's counts, because products are
@@ -318,7 +315,6 @@ class Circuit:
             width=len(columns),
             root=int(row_of[full.root]),
             live=full.live[order[: order.size - dead.size]],
-            leaf_rows=np.arange(leaves.size, dtype=np.int64),
             leaf_cols=leaf_cols,
             leaf_base=leaf_base,
             leaf_table=leaf_table,
@@ -372,7 +368,7 @@ class Circuit:
         # before this point.  Each gather copies whole rows of the transposed
         # block, which took half the time of gathering from the strided view
         # rows.T.
-        n_leaves = plan.leaf_rows.size
+        n_leaves = plan.leaf_base.size
         cols = np.ascontiguousarray(rows.T)
         if plan.leaf_cols.ndim == 1:
             index = cols[plan.leaf_cols]
@@ -450,11 +446,11 @@ class Circuit:
                     kids = kids[best, np.arange(kids.shape[1])]
                 reached[kids] = True
             out = row.copy()
-            leaves = reached[plan.leaf_rows]
+            leaves = reached[: plan.leaf_cols.size]
             out[plan.leaf_cols[leaves]] = leaf_vals[leaves]
             return out
         trace = np.full((plan.size, plan.width), MARGINAL, dtype=np.int8)
-        trace[plan.leaf_rows, plan.leaf_cols] = leaf_vals
+        trace[np.arange(plan.leaf_cols.size), plan.leaf_cols] = leaf_vals
         cand = trace.copy()
         for op in plan.ops:
             m = op.ids.size
@@ -521,17 +517,20 @@ def _fill_tables(
     leaves, the full-plan rows `leaves` (see Circuit._fold).
 
     `count` holds the columns each full-plan row meets, exact up to 4, and
-    `low` holds column + 1 where the count is 1.  A row that meets c
-    columns needs only its 3**c entries, at sum_{j < c} 3**(c - 1 - j) *
-    (x[t_j] + 1) over its tuple t: a one-column row has its three of
-    `upward`, and a constant row is read at its first.  Only the ops that
-    hold rows meeting two to four columns run, and only on those rows, with
-    one _op_step call per count.  The leaves' entries are spread to 81 at
-    the end.  Returns the (leaves, 4) tuples, padded with their first
-    column, and the (leaves, 81) tables.
+    `low` holds column + 1 where the count is 1.  A row's tuple t is the
+    columns it meets in ascending order, and a row that meets c columns
+    needs only its 3**c entries, at sum_{j < c} 3**(c - 1 - j) * (x[t_j] +
+    1): a one-column row has its three of `upward`, and a constant row is
+    read at its first.  Only the ops that hold rows meeting two to four
+    columns run, and only on those rows, with one _op_step call per count.
+    A child's columns are an ascending subset of its parent's tuple, so it
+    reads its entries through _MAP by the mask of the positions they hold.
+    The leaves' entries are spread to 81 at the end.  Returns the (leaves,
+    4) tuples, padded with their first column, and the (leaves, 81) tables.
     """
     size = full.size
-    tup = np.full((size, 4), -1, dtype=np.int64)  # each row's column tuple, -1 past its count
+    past = np.iinfo(np.int64).max  # sorts after every column
+    tup = np.full((size, 4), past, dtype=np.int64)  # each row's column tuple, `past` after its count
     one = np.flatnonzero(count == 1)
     tup[one, 0] = low[one] - 1
     # One flat array of entries: each row's three of `upward`, then the 3**c
@@ -549,22 +548,20 @@ def _fill_tables(
         at = at[np.argsort(count[op.ids[at]], kind="stable")]  # so each count's nodes are one range
         kids, ids = op.kids[:, at], op.ids[at]
         if op.logw is None:
-            # Child j's columns sit at positions start[j] to end[j] - 1 of
-            # the node's tuple, so position t holds column t - start[j] of
-            # the child j that counts the ends <= t.
-            c = count[kids]
-            end = np.cumsum(c, axis=0)
-            start = end - c
-            j = np.minimum((end <= _DIGIT_AT[:, None, None]).sum(axis=1), len(kids) - 1)
-            node = np.arange(at.size)
-            tup[ids] = tup[kids[j, node], _DIGIT_AT[:, None] - start[j, node]].T
-            key = _OFFSET_KEY[c, start]
+            # The children's columns are disjoint, so sorting their joined
+            # tuples gives the node's, and its position p came from child
+            # pick[p] // 4.  A child's mask sets the positions below the
+            # node's count that came from it.
+            joined = tup[kids.T].reshape(at.size, -1)
+            pick = np.argsort(joined, axis=1)[:, :4]
+            tup[ids] = joined[np.arange(at.size)[:, None], pick]
+            from_kid = pick // 4 == np.arange(len(kids))[:, None, None]  # (k, nodes, 4)
+            mask = (from_kid @ _BITS) & ((1 << count[ids]) - 1)
         else:
+            # A sum's children meet exactly its columns: each holds its
+            # first c positions.
             tup[ids] = tup[kids[0]]
-            # Where each child's columns sit in the node's tuple.
-            kid_tup = tup[kids]
-            at_pos = (kid_tup[..., None] == tup[ids][:, None, :]).argmax(axis=-1)
-            key = ((at_pos + 1) * (kid_tup >= 0)) @ _KEY_WEIGHTS
+            mask = (1 << count[kids]) - 1
         logw = None if op.logw is None else op.logw[:, at]
         lo = 0
         for n, m in enumerate(np.bincount(count[ids], minlength=5).tolist()):
@@ -573,43 +570,34 @@ def _fill_tables(
             g = slice(lo, lo + m)
             lo += m
             # A node's entries are those of its 81 whose last 4 - n digits are 0.
-            index = base[kids[:, g]][..., None] + _MAP[:, :: 3 ** (4 - n)][key[:, g]]
+            index = base[kids[:, g]][..., None] + _MAP[:, :: 3 ** (4 - n)][mask[:, g]]
             base[ids[g]] = np.arange(free, free + m * 3**n, 3**n)
             out = entries[free : free + m * 3**n].reshape(m, 3**n)
             free += m * 3**n
             _op_step(entries[index], None if logw is None else logw[:, g], out, maximize=False)
     cols = tup[leaves]
-    own = base[leaves][:, None] + _MAP[_OFFSET_KEY[count[leaves], 0]]
-    return np.where(cols < 0, cols[:, :1], cols), entries[own]
-
-
-# The map that reads a child's entries for each of its parent's 81 (see
-# _fill_tables).  Entry e of the 81 has digit p, e // 3**(3 - p) % 3, which
-# is x + 1 for the p-th column of the parent's tuple.  A child that meets c
-# columns, whose j-th column is its parent's p_j-th, has row sum_{j < c}
-# 5**(3 - j) * (p_j + 1): entry e reads the child's entry sum_{j < c}
-# 3**(c - 1 - j) * digit(e, p_j).  A constant child has row 0 and is read at
-# its first entry.
-_DIGIT_AT = np.arange(4)
-_KEY_WEIGHTS = 5 ** _DIGIT_AT[::-1]
+    own = base[leaves][:, None] + _MAP[(1 << count[leaves]) - 1]
+    return np.where(cols == past, cols[:, :1], cols), entries[own]
 
 
 def _child_map() -> np.ndarray:
-    """_MAP, built from (625, 81) int8 steps, which keep import light."""
-    digits = (np.arange(81) // 3 ** _DIGIT_AT[::-1, None] % 3).astype(np.int8)  # (4, 81): digit p of entry e
-    places = np.arange(5**4)[:, None] // _KEY_WEIGHTS % 5 - 1  # (625, 4): p_j, or -1 past the child's count
-    counts = (places >= 0).sum(axis=1)
-    out = np.zeros((5**4, 81), dtype=np.int8)
-    for j in range(4):
-        weight = np.where(places[:, j] >= 0, 3 ** np.maximum(counts - 1 - j, 0), 0).astype(np.int8)
-        out += weight[:, None] * digits[places[:, j]]
+    """_MAP: row `mask` reads, for each of a parent's 81 entries, the entry
+    of a child whose columns sit at the parent's tuple positions p_0 < p_1 <
+    ... that `mask` sets.  Entry e has digit p, e // 3**(3 - p) % 3, which
+    is x + 1 for the parent's p-th column, so it reads the child's entry
+    sum_j 3**(c - 1 - j) * digit(e, p_j) over the c positions.  A constant
+    child has mask 0 and is read at its first entry."""
+    digits = (np.arange(81) // 3 ** np.arange(3, -1, -1)[:, None] % 3).astype(np.int8)  # (4, 81)
+    out = np.zeros((16, 81), dtype=np.int8)
+    for mask in range(16):
+        for p in range(4):
+            if mask >> p & 1:
+                out[mask] = 3 * out[mask] + digits[p]
     return out
 
 
 _MAP = _child_map()
-# _MAP's row for a product's child that meets c columns placed from position
-# s of its parent's tuple (s + c <= 4), at positions s to s + c - 1.
-_OFFSET_KEY = np.array([[sum(5 ** (3 - j) * (s + j + 1) for j in range(c)) for s in range(5)] for c in range(5)])
+_BITS = 1 << np.arange(4)  # the mask bit of each tuple position
 
 
 @dataclass(frozen=True)
@@ -664,33 +652,32 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 class _Plan:
     """A compiled evaluation plan: leaf tables, level ops and constant rows.
 
-    Every plan is packed: its value rows are the leaves (leaf_rows is
-    arange(leaves)), then each op's nodes in op order, each op one
-    contiguous range, then the consts.size constant rows.  Row r < len(live)
-    holds node live[r], which is not ascending; a ball plan's slot rows sit
-    after the nodes of their leaf block or op (see _ball_plan), and hold the
-    node they are a slot of.
+    Every plan is packed: its value rows are the leaves, row l holding
+    leaf l, then each op's nodes in op order, each op one contiguous range,
+    then the consts.size constant rows.  Row r < len(live) holds node
+    live[r], which is not ascending; a ball plan's slot rows sit after the
+    nodes of their leaf block or op (see _ball_plan), and hold the node
+    they are a slot of.
 
     In the full plan and the sampler's plan (see Circuit._fold), leaf l is a
     circuit leaf: it reads input column leaf_cols[l] of a (B, width) block
     and takes its entry of a 3-entry row of leaf_table for that column's
     MARGINAL, 0 or 1.  In a scoring plan and its ball plan, leaf l is a
     table leaf, a node whose value depends on at most four columns: it
-    reads the four columns c = leaf_cols[l], its column tuple, padded with
-    its first column where it meets fewer, and takes entry sum_i 3**(3 - i)
-    * (x[c_i] + 1) of an 81-entry row of leaf_table, which does not depend
-    on the padded digits.  leaf_base[l] is the index into the flat
-    leaf_table of leaf l's entry where its columns all read 0: 3r + 1 or
-    81r + 40 for its row r, which a ball plan's slot leaves share with
-    their leaf (see _ball_plan).  Only the full plan runs max passes, so
-    only it has a max_table.  Only the full plan and the sampler's plan
-    have leaf thetas.
+    reads the four columns c = leaf_cols[l], its column tuple (the columns
+    it meets in ascending order, padded with the first where it meets
+    fewer), and takes entry sum_i 3**(3 - i) * (x[c_i] + 1) of an 81-entry
+    row of leaf_table, which does not depend on the padded digits.
+    leaf_base[l] is the index into the flat leaf_table of leaf l's entry
+    where its columns all read 0: 3r + 1 or 81r + 40 for its row r, which
+    a ball plan's slot leaves share with their leaf (see _ball_plan).  Only
+    the full plan runs max passes, so only it has a max_table.  Only the
+    full plan and the sampler's plan have leaf thetas.
     """
 
     width: int
     root: int
     live: np.ndarray
-    leaf_rows: np.ndarray
     leaf_cols: np.ndarray
     leaf_base: np.ndarray  # (leaves,) the flat leaf_table index at which each leaf's columns all read 0
     leaf_table: np.ndarray  # (rows, 3) or (rows, 81): the sum pass's values, by the entries read
@@ -729,11 +716,11 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     Returns it and the (width + 1,) value rows of the root for the center
     and for each flipped column.
     """
-    width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_rows.size
+    width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_base.size
     cols = plan.leaf_cols.reshape(n_leaves, -1)  # the one or four input columns each leaf reads
     # holds[r, q]: the scope of value row r holds input column q.
     holds = np.zeros((plan.size, width), dtype=bool)
-    holds[plan.leaf_rows[:, None], cols] = True
+    holds[np.arange(n_leaves)[:, None], cols] = True
     for op in plan.ops:
         holds[op.ids] = holds[op.kids].any(axis=0)
     flat = holds.ravel()
@@ -778,7 +765,6 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         width=2 * width,
         root=root,
         live=live,
-        leaf_rows=np.arange(n_leaves + leaf.size, dtype=np.int64),
         leaf_cols=np.concatenate((cols, slot_cols)).reshape((-1,) + plan.leaf_cols.shape[1:]),
         leaf_base=np.concatenate((plan.leaf_base, plan.leaf_base[leaf])),
         leaf_table=plan.leaf_table,

@@ -116,10 +116,10 @@ class ConditionalOracle:
       op, and each of its children that meets one to four, or the root if it
       does, becomes a table leaf.  A table leaf's value depends on its query
       columns alone, so it is an 81-entry table over the MARGINAL, 0 and 1
-      of the four columns of its tuple, padded where it meets fewer: a
-      one-column leaf's entries are its three of the upward pass, and the
-      others' are built from their subtrees' entries by table algebra, with
-      the arithmetic of a pass over rows.
+      of the columns it meets in ascending order, padded to four with the
+      first: a one-column leaf's entries are its three of the upward pass,
+      and the others' are built from their subtrees' entries by table
+      algebra, with the arithmetic of a pass over rows.
       Nodes that meet no query variable are constants.  Scoring runs the
       (B, |Q|) query block through it, bit-identical to a full pass over the
       rows with evidence filled in.
@@ -292,14 +292,14 @@ class ConditionalOracle:
         # its last), with its active row, key offset and the
         # unit_thresholds of its theta.  A draw reaches exactly one leaf per
         # column.
-        order = np.lexsort((plan.leaf_rows, plan.leaf_cols))
+        order = np.argsort(plan.leaf_cols, kind="stable")
         count = np.bincount(plan.leaf_cols, minlength=self.num_query)
         slot = np.minimum(np.arange(count.max()), count[:, None] - 1) + (np.cumsum(count) - count)[:, None]
         leaf = order[slot]  # (|Q|, slots) indices into the plan's leaf arrays
-        self._leaf_rows = row_of[plan.leaf_rows[leaf]]
+        self._leaf_rows = row_of[leaf]
         self._leaf_base = np.arange(0, leaf.size, leaf.shape[1])  # each column's first entry
         self._slot_dtype = np.min_scalar_type(leaf.shape[1] - 1)
-        self._leaf_keys = key_offsets(plan.live[plan.leaf_rows[leaf]].ravel())
+        self._leaf_keys = key_offsets(plan.live[leaf].ravel())
         self._leaf_thresholds = unit_thresholds(plan.leaf_theta[leaf].ravel())
         # Bytes per draw that one chunk of the descent holds at its peak: the
         # draw's column of `active` and its key, plus the larger of the op

@@ -500,6 +500,8 @@ def budget_pac_map(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if grid < 1:  # refused on the exact path too, which never samples the frontier
+        raise ValueError("grid must be >= 1")
     t0 = time.perf_counter()
     state = _warm_set(oracle, warm)
     draws = oracle.sample(budget, as_stream(rng))

@@ -198,6 +198,16 @@ def test_pareto_csv_monotone(problem_dir, capsys):
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
+@pytest.mark.parametrize("budget", ["200", "1"])  # an exact run, then a budget frontier
+def test_pareto_refuses_a_bad_grid(problem_dir, capsys, budget):
+    dirpath, cpath, qpath = problem_dir
+    out_csv = dirpath / "front.csv"
+    argv = ["pareto", "--circuit", cpath, "--query", qpath, "--budget", budget, "--out", str(out_csv)]
+    assert main(argv + ["--grid", "0"]) == 2
+    assert "grid must be >= 1" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_illustrate_writes_trajectory(problem_dir, capsys):
     dirpath, cpath, qpath = problem_dir
     out_csv = dirpath / "traj.csv"

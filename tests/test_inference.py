@@ -16,6 +16,7 @@ from pacmap.circuit import (
     BernoulliLeaf,
     Circuit,
     CircuitStructureError,
+    IndicatorLeaf,
     ProductNode,
     SumNode,
     _ball_plan,
@@ -41,7 +42,7 @@ from pacmap.inference import (
     superlevel_mass,
     tabulate_conditional,
 )
-from pacmap.rng import DrawStream, mix53, unit_thresholds
+from pacmap.rng import DrawStream, counter_uniforms, mix53, unit_thresholds
 from pacmap.solvers import hamming_ball
 from conftest import ref_conditional_prob, ref_marginal_prob, total_variation
 
@@ -215,13 +216,14 @@ FOLD_CASES = {
         QuerySpec((2, 0, 1, 3), {4: 1}),
     ),
     # Query columns: x2 -> 0, x0 -> 1, x5 -> 2, x1 -> 3, x4 -> 4, x3 -> 5.
-    # Node 6 joins columns {0, 2} and {1, 3}, so its tuple is (0, 2, 1, 3),
-    # and node 13's is (3, 1, 0, 2) over the same columns, through the
-    # three-column node 11.  Their sum 14 meets four columns and is shared by
-    # its four-column parent 16, behind the constant child 15 under the
-    # evidence on x6, and by its five-column parent 18.  The kept op 22 has
-    # the constant children 20 and 21 (x7 is summed out), and 17, 19 and 26
-    # are table leaves that meet fewer than four columns.
+    # Node 6 joins columns {0, 2} and {1, 3}, and node 13 joins {3} and,
+    # through the three-column node 11, {0, 1, 2}, so each interleaves its
+    # children's columns in its tuple (0, 1, 2, 3).  Their sum 14 meets
+    # four columns and is shared by its four-column parent 16, behind the
+    # constant child 15 under the evidence on x6, and by its five-column
+    # parent 18.  The kept op 22 has the constant children 20 and 21 (x7 is
+    # summed out), and 17, 19 and 26 are table leaves that meet fewer than
+    # four columns.
     "shared four-column node": (
         parse_circuit(
             "spn v1\nvars 8\n"
@@ -290,7 +292,8 @@ def _assert_packed(plan):
     """Value rows are the leaves, then each op's nodes in op order, then the
     constants; every child row is an earlier row or a constant."""
     n_leaves = plan.leaf_base.size
-    assert plan.leaf_rows.tolist() == list(range(n_leaves))
+    assert plan.leaf_cols.shape[0] == n_leaves
+    assert plan.leaf_theta is None or plan.leaf_theta.size == n_leaves
     start = n_leaves
     for op in plan.ops:
         assert op.ids.tolist() == list(range(start, start + op.ids.size))
@@ -334,7 +337,7 @@ def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
     plan = oracle._score_plan
     _assert_packed(plan)
     assert plan.max_table is None and plan.leaf_theta is None
-    n_leaves = plan.leaf_rows.size
+    n_leaves = plan.leaf_base.size
     assert plan.leaf_cols.shape == (n_leaves, 4) and plan.leaf_table.shape == (n_leaves, 81)
     q_cols = {v: j for j, v in enumerate(spec.query_vars)}
 
@@ -343,11 +346,11 @@ def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
 
     for op in plan.ops:
         assert all(len(columns(node)) >= 5 for node in plan.live[op.ids])
-    # A table leaf's tuple names exactly the columns it meets, each once,
+    # A table leaf's tuple is the columns it meets in ascending order,
     # padded with its first column, and its table ignores the padded digits.
-    for leaf, cols, table in zip(plan.live[plan.leaf_rows], plan.leaf_cols, plan.leaf_table, strict=True):
+    for leaf, cols, table in zip(plan.live[:n_leaves], plan.leaf_cols, plan.leaf_table, strict=True):
         met = columns(leaf)
-        assert sorted(cols[: len(met)]) == met and (cols[len(met) :] == cols[0]).all()
+        assert cols[: len(met)].tolist() == met and (cols[len(met) :] == cols[0]).all()
         by_digits = table.reshape(3 ** len(met), -1)
         assert (by_digits == by_digits[:, :1]).all()
     layout = {
@@ -355,9 +358,7 @@ def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
         "leaf_cols": plan.leaf_cols.tolist(),
         "ops": [plan.live[op.ids].tolist() for op in plan.ops],
     }
-    # With four query variables or fewer the root is one table leaf.  A
-    # product's tuple is its children's in child order, and a sum's is its
-    # first child's.
+    # With four query variables or fewer the root is one table leaf.
     if case in ("deterministic", "pmf"):
         assert layout == {"live": [c.root], "leaf_cols": [[0, 1, 2, 0]], "ops": []}
     if case == "one query variable":
@@ -365,15 +366,44 @@ def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
     if case == "shared one-column node":
         assert layout == {"live": [13], "leaf_cols": [[0, 1, 0, 0]], "ops": []}
     if case == "shared two-column node":
-        assert layout == {"live": [25], "leaf_cols": [[1, 2, 0, 3]], "ops": []}
+        assert layout == {"live": [25], "leaf_cols": [[0, 1, 2, 3]], "ops": []}
     if case == "shared four-column node":
         # Leaves in full-plan row order: the circuit's leaves, then by level.
         assert layout == {
             "live": [17, 19, 26, 14, 16, 18, 27, 22, 28],
-            "leaf_cols": [[4, 4, 4, 4], [5, 5, 5, 5], [4, 5, 4, 4], [0, 2, 1, 3], [0, 2, 1, 3]],
+            "leaf_cols": [[4, 4, 4, 4], [5, 5, 5, 5], [4, 5, 4, 4], [0, 1, 2, 3], [0, 1, 2, 3]],
             "ops": [[18], [27], [22], [28]],
         }
         assert plan.consts.size == 2  # the evidence leaf 20 and the nuisance leaf 21
+
+
+@pytest.mark.parametrize("fanout", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_every_table_entry_is_the_full_pass_value_of_its_row(fanout, seed):
+    # Entry e of a table leaf is its node's value on the row that holds the
+    # evidence, sets the leaf's tuple column p to digit p of e minus 1 and
+    # leaves every other variable MARGINAL.  The digits are written from the
+    # last position down, so a padded position never overrides the first.
+    c = generate_random_circuit(24, 3, fanout, seed)
+    perm = np.random.default_rng(seed).permutation(24)
+    query = tuple(sorted(perm[:12].tolist()))
+    spec = QuerySpec(query, {int(v): int(v) % 2 for v in perm[12:18]}, tuple(sorted(perm[18:].tolist())))
+    oracle = make_oracle(c, spec)
+    oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
+    plan = oracle._score_plan
+    q_mask = sum(1 << v for v in query)
+    digits = np.arange(81)[:, None] // 3 ** np.arange(3, -1, -1) % 3 - 1  # (81, 4): digit p of e, minus 1
+    n_leaves = plan.leaf_base.size
+    assert n_leaves > 0
+    for leaf, cols, table in zip(plan.live[:n_leaves], plan.leaf_cols, plan.leaf_table, strict=True):
+        met = bin(c.scopes[leaf] & q_mask).count("1")
+        assert (np.diff(cols[:met]) > 0).all() and (cols[met:] == cols[0]).all()
+        rows = np.full((81, 24), MARGINAL, dtype=np.int8)
+        for v, val in spec.evidence.items():
+            rows[:, v] = val
+        for p in reversed(range(4)):
+            rows[:, query[cols[p]]] = digits[:, p]
+        assert table.tobytes() == c.log_forward(rows)[leaf].tobytes()
 
 
 # Scoring plans of the n = 256 stress circuit, evidence 0 off the query set:
@@ -392,7 +422,7 @@ def test_stress_scoring_plan_sizes_are_pinned(share):
     oracle = make_oracle(c, spec)
     oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
     plan = oracle._score_plan
-    sizes = (plan.size, plan.leaf_rows.size, sum(op.ids.size for op in plan.ops))
+    sizes = (plan.size, plan.leaf_base.size, sum(op.ids.size for op in plan.ops))
     assert sizes == STRESS_PLAN_SIZES[share]
 
 
@@ -710,6 +740,57 @@ SHARED_DIGESTS = {
 def test_sampler_draws_are_pinned_with_shared_children(name, count):
     draws = make_oracle(SHARED_CHILDREN, SHARED_SPECS[name]).sample(count, DrawStream(29))
     assert hashlib.sha256(draws.tobytes()).hexdigest() == SHARED_DIGESTS[name, count]
+
+
+def _reference_draws(c: Circuit, spec: QuerySpec, count: int, seed: int) -> np.ndarray:
+    """Draws walked node by node from the root, one draw at a time, from
+    the circuit's own nodes and a full pass, sharing no code with the
+    sampler's plan or tables.
+
+    A sum picks the child at the count of its cumulative child-selection
+    probabilities <= u, which are +inf from its last positive-mass child on;
+    a product enters every child; a query leaf draws u < theta, where an
+    indicator's theta is its value.  The uniform of (draw, node) is
+    counter_uniforms(seed, draw * len(nodes) + node).  A node that meets no
+    query variable would only set variables the draw discards, and the
+    uniforms of the others do not depend on it, so it is not entered.
+    """
+    row = np.full((1, c.num_vars), MARGINAL, dtype=np.int8)
+    for v, val in spec.evidence.items():
+        row[0, v] = val
+    up = c.log_forward(row)[:, 0]
+    q_mask = sum(1 << v for v in spec.query_vars)
+    col_of = {v: j for j, v in enumerate(spec.query_vars)}
+    u = counter_uniforms(seed, np.arange(count * len(c.nodes), dtype=np.uint64)).reshape(count, -1)
+    out = np.full((count, len(spec.query_vars)), -1, dtype=np.int8)
+    for d in range(count):
+        stack = [c.root]
+        while stack:
+            i = stack.pop()
+            node = c.nodes[i]
+            if not c.scopes[i] & q_mask:
+                continue
+            if isinstance(node, SumNode):
+                probs = np.exp(np.log(node.weights) + up[list(node.children)] - up[i])
+                later = np.cumsum((probs > 0)[::-1])[::-1][1:] > 0  # a later child has mass
+                cums = np.where(later, np.cumsum(probs[:-1]), np.inf)
+                stack.append(node.children[int((cums <= u[d, i]).sum())])
+            elif isinstance(node, ProductNode):
+                stack.extend(node.children)
+            else:
+                theta = node.value if isinstance(node, IndicatorLeaf) else node.theta
+                out[d, col_of[node.var]] = u[d, i] < theta
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", [f"fold {case}" for case in FOLD_CASES] + [f"shared {name}" for name in SHARED_SPECS]
+)
+def test_sampler_matches_a_per_draw_reference_walk(name):
+    kind, case = name.split(" ", 1)
+    c, spec = FOLD_CASES[case] if kind == "fold" else (SHARED_CHILDREN, SHARED_SPECS[case])
+    draws = make_oracle(c, spec).sample(300, DrawStream(29))
+    assert draws.tobytes() == _reference_draws(c, spec, 300, 29).tobytes()
 
 
 @pytest.mark.parametrize("circuit", ["shared", "n64"])

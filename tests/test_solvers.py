@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacmap.circuit import enumerate_assignments, generate_random_circuit, pack_rows, parse_circuit
+from pacmap.circuit import circuit_from_pmf, enumerate_assignments, generate_random_circuit, pack_rows, parse_circuit
 from pacmap.inference import (
     QuerySpec,
     TabularDistribution,
@@ -541,6 +541,16 @@ def test_budget_exhausts_support_returns_exact_degenerate():
     assert isinstance(sol.certificate, Exact)
     assert front.points == ((0.0, 0.0),)
     assert math.exp(sol.log_p_hat) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_budget_refuses_a_bad_grid_on_the_exact_and_the_budget_path(grid):
+    oracle = make_oracle(circuit_from_pmf([0.4, 0.0, 0.25, 0.35]), QuerySpec((0, 1)))
+    assert isinstance(budget_pac_map(oracle, 200)[0].certificate, Exact)
+    assert isinstance(budget_pac_map(oracle, 1)[0].certificate, Budget)
+    for budget in (200, 1):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            budget_pac_map(oracle, budget, grid=grid)
 
 
 def test_budget_draw_count_and_oracle_calls():
