@@ -51,11 +51,12 @@ class CircuitFormatError(ValueError):
 
 
 class CircuitStructureError(ValueError):
-    """A refused circuit; `.report` is the StructureReport of a structural violation, else None."""
+    """A refused circuit; `.report` and `.line` hold a structural violation's report and parsed line, else None."""
 
-    def __init__(self, message: str, report: "StructureReport | None" = None):
+    def __init__(self, message: str, report: "StructureReport | None" = None, line: int | None = None):
         self.report = report
-        super().__init__(message)
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 class WeightNormalizationWarning(UserWarning):
@@ -175,7 +176,7 @@ class Circuit:
         if report.violations:
             nid, prop, desc = report.violations[0]
             raise CircuitStructureError(f"node {nid}: {prop} violation ({desc})", report)
-        self._plan = self._compile()
+        self._plan = self._compile()  # also sets the leaves' _max_table and _leaf_theta
         self._node_rows = np.argsort(self._plan.live)  # the full plan's value row of each node id
 
     # -- evaluation ---------------------------------------------------------
@@ -190,7 +191,7 @@ class Circuit:
         # An indicator leaf for value v is a Bernoulli leaf with theta = v.
         leaves = [i for i, n in enumerate(nodes) if isinstance(n, (BernoulliLeaf, IndicatorLeaf))]
         is_ind = np.asarray([isinstance(nodes[i], IndicatorLeaf) for i in leaves], dtype=bool)
-        theta = np.asarray(
+        self._leaf_theta = theta = np.asarray(
             [nodes[i].value if ind else nodes[i].theta for i, ind in zip(leaves, is_ind)], dtype=np.float64
         )
         with np.errstate(divide="ignore"):  # theta 0 or 1 gives a -inf entry
@@ -200,7 +201,7 @@ class Circuit:
         # A MARGINAL entry sums the leaf over its domain (ln 1 = 0) or, in a
         # max pass, takes its larger value.
         leaf_table = np.stack((np.zeros_like(log0), log0, log1), axis=1)
-        max_table = np.stack((np.maximum(log0, log1), log0, log1), axis=1)
+        self._max_table = np.stack((np.maximum(log0, log1), log0, log1), axis=1)
 
         # Each level runs its products, then its sums, one op per child count.
         groups = []
@@ -228,17 +229,15 @@ class Circuit:
             width=self.num_vars,
             root=int(row_of[self.root]),
             live=live,
-            leaf_cols=np.asarray([nodes[i].var for i in leaves], dtype=np.int64),
+            leaf_cols=np.asarray([[nodes[i].var] for i in leaves], dtype=np.int64),
             leaf_base=np.arange(1, 3 * len(leaves), 3),
             leaf_table=leaf_table,
-            max_table=max_table,
-            leaf_theta=theta,
             ops=tuple(ops),
             consts=np.empty(0, dtype=np.float64),
         )
 
-    def _fold(self, columns: Sequence[int], upward: np.ndarray, collapse: bool = False) -> "_Plan":
-        """The plan restricted to the nodes whose scope meets `columns`.
+    def _fold(self, columns: Sequence[int], upward: np.ndarray) -> "_Plan":
+        """The scoring plan: ops for the nodes that meet five or more `columns`.
 
         `columns` lists the variables that the plan's input columns hold, in
         order.  `upward` is the full plan's (size, 3) value matrix for three
@@ -251,23 +250,20 @@ class Circuit:
         value is bit-identical to the full evaluation of the rows with the
         other variables filled in.
 
-        The sampler's plan keeps every node whose scope meets `columns`, and
-        its leaves are the circuit's leaves with their thetas.  A scoring
-        plan (`collapse`) keeps as ops only the nodes whose scope meets five
-        or more of `columns`.  Each child of such a node, or the root, that
-        meets one to four columns becomes a table leaf: its value is a
-        function of the entries of its columns alone, and its 81-entry table
-        holds that function at sum_i 3**(3 - i) * (x[c_i] + 1) over its
-        column tuple c, the columns it meets in ascending order, padded to
-        four with its first column; the table does not depend on the padded
-        digits.  A one-column node's entries are its three entries of
-        `upward`.  A node that meets two to four columns gets its entries
-        bottom-up over the full plan's ops, with no pass over rows (see
-        _fill_tables): each child's entries are read through _MAP, by the
-        positions of the node's tuple that hold the child's columns, and the
-        op's arithmetic runs on them through _op_step, the op body of a pass
-        over rows.  So every entry is bit-identical to the node's value in a
-        pass over a row with those entries.  A scoring plan has no thetas.
+        Each child of a kept node, or the root, that meets one to four
+        columns becomes a table leaf: its value is a function of the entries
+        of its columns alone, and its 81-entry table holds that function at
+        sum_i 3**(3 - i) * (x[c_i] + 1) over its column tuple c, the columns
+        it meets in ascending order, padded to four with its first column;
+        the table does not depend on the padded digits.  A one-column node's
+        entries are its three entries of `upward`.  A node that meets two to
+        four columns gets its entries bottom-up over the full plan's ops,
+        with no pass over rows (see _fill_tables): each child's entries are
+        read through _MAP, by the positions of the node's tuple that hold the
+        child's columns, and the op's arithmetic runs on them through
+        _op_step, the op body of a pass over rows.  So every entry is
+        bit-identical to the node's value in a pass over a row with those
+        entries.
 
         One integer pass counts the columns each node meets: a product's
         count is the sum of its children's counts, because products are
@@ -276,18 +272,16 @@ class Circuit:
         in op order, then the constants, each in full-plan row order.
         """
         full = self._plan
-        if not collapse and tuple(columns) == tuple(range(self.num_vars)):
-            return full  # every node is live and column v holds variable v
         # Per full-plan row, the columns its scope meets, as (count << 32) +
         # the sum of column + 1 over them.  A carry out of the low bits can
         # only raise a count of 5 or more, so every count reads as 0 to 4 or
         # at least 5, and the low bits of a count of 1 name its column.
         col_of = np.full(self.num_vars, len(columns), dtype=np.int64)
         col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
-        col = col_of[full.leaf_cols]
+        col = col_of[full.leaf_cols[:, 0]]
         seen = np.zeros(full.size, dtype=np.int64)
         seen[: col.size] = np.where(col < len(columns), (1 << 32) + 1 + col, 0)
-        fewest = (5 if collapse else 1) << 32  # the fewest columns an op node meets, as counted
+        fewest = 5 << 32  # the fewest columns an op node meets, as counted
         read = np.zeros(full.size, dtype=bool)  # the kept ops' children, and the root
         read[full.root] = True
         kept = []
@@ -299,27 +293,20 @@ class Circuit:
                 kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
                 read[kept[-1].kids] = True
 
-        inner = seen >= fewest
-        inner[: col.size] = False
+        inner = seen >= fewest  # never a leaf, which meets at most one column
         leaves = np.flatnonzero(read & ~inner & (seen > 0))
         dead = np.flatnonzero(read & (seen == 0))
         order = np.concatenate((leaves, np.flatnonzero(inner), dead))
         row_of = np.full(full.size, -1, dtype=np.int64)
         row_of[order] = np.arange(order.size)
-        if collapse:
-            leaf_cols, leaf_table = _fill_tables(full, seen >> 32, seen & 0xFFFFFFFF, upward, leaves)
-            leaf_base = np.arange(40, 81 * leaves.size, 81)
-        else:
-            leaf_cols, leaf_table, leaf_base = col[leaves], upward[leaves], np.arange(1, 3 * leaves.size, 3)
+        leaf_cols, leaf_table = _fill_tables(full, seen >> 32, seen & 0xFFFFFFFF, upward, leaves)
         return _Plan(
             width=len(columns),
             root=int(row_of[full.root]),
             live=full.live[order[: order.size - dead.size]],
             leaf_cols=leaf_cols,
-            leaf_base=leaf_base,
+            leaf_base=np.arange(40, 81 * leaves.size, 81),
             leaf_table=leaf_table,
-            max_table=None,
-            leaf_theta=None if collapse else full.leaf_theta[leaves],
             ops=tuple(_Op(row_of[op.ids], row_of[op.kids], op.logw) for op in kept),
             consts=upward[dead, 0],
         )
@@ -361,25 +348,22 @@ class Circuit:
         values[plan.live.size :] = plan.consts[:, None]
 
         # One take from the flat leaf table, at leaf_base[l] + an int8 offset
-        # (see _Plan): entry x of a one-column leaf's column, or the int8
-        # sum_i 3**(3 - i) * x_i over a table leaf's four columns, in [-40,
-        # 40], summed by Horner's rule.  mode="clip" spares the buffered copy
+        # (see _Plan): the int8 sum_i 3**(w - 1 - i) * x_i over a leaf's w
+        # columns, in [-40, 40], summed by Horner's rule, which is entry x of
+        # a one-column leaf's column.  mode="clip" spares the buffered copy
         # that mode="raise" makes for `out`; the entries were range-checked
         # before this point.  Each gather copies whole rows of the transposed
         # block, which took half the time of gathering from the strided view
-        # rows.T.
+        # rows.T.  Only the full plan runs max passes.
         n_leaves = plan.leaf_base.size
         cols = np.ascontiguousarray(rows.T)
-        if plan.leaf_cols.ndim == 1:
-            index = cols[plan.leaf_cols]
-        else:
-            index = cols[plan.leaf_cols[:, 0]]
-            for i in (1, 2, 3):
-                index *= np.int8(3)
-                index += cols[plan.leaf_cols[:, i]]
+        index = cols[plan.leaf_cols[:, 0]]
+        for i in range(1, plan.leaf_cols.shape[1]):
+            index *= np.int8(3)
+            index += cols[plan.leaf_cols[:, i]]
         del cols
         index = index + plan.leaf_base[:, None]
-        table = plan.max_table if maximize else plan.leaf_table
+        table = self._max_table if maximize else plan.leaf_table
         np.take(table.reshape(-1), index, out=values[:n_leaves], mode="clip")
         del index
 
@@ -433,8 +417,9 @@ class Circuit:
         that keeps the evidence.
         """
         plan = self._plan
+        cols = plan.leaf_cols[:, 0]
         max_vals = self._forward(row[None, :], plan, maximize=True)[:, 0]
-        leaf_vals = np.where(row[plan.leaf_cols] == MARGINAL, plan.leaf_theta > 0.5, row[plan.leaf_cols])
+        leaf_vals = np.where(row[cols] == MARGINAL, self._leaf_theta > 0.5, row[cols])
         if not amp:
             reached = np.zeros(plan.size, dtype=bool)
             reached[plan.root] = True
@@ -446,11 +431,11 @@ class Circuit:
                     kids = kids[best, np.arange(kids.shape[1])]
                 reached[kids] = True
             out = row.copy()
-            leaves = reached[: plan.leaf_cols.size]
-            out[plan.leaf_cols[leaves]] = leaf_vals[leaves]
+            leaves = reached[: cols.size]
+            out[cols[leaves]] = leaf_vals[leaves]
             return out
         trace = np.full((plan.size, plan.width), MARGINAL, dtype=np.int8)
-        trace[np.arange(plan.leaf_cols.size), plan.leaf_cols] = leaf_vals
+        trace[np.arange(cols.size), cols] = leaf_vals
         cand = trace.copy()
         for op in plan.ops:
             m = op.ids.size
@@ -652,37 +637,33 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 class _Plan:
     """A compiled evaluation plan: leaf tables, level ops and constant rows.
 
-    Every plan is packed: its value rows are the leaves, row l holding
-    leaf l, then each op's nodes in op order, each op one contiguous range,
-    then the consts.size constant rows.  Row r < len(live) holds node
-    live[r], which is not ascending; a ball plan's slot rows sit after the
-    nodes of their leaf block or op (see _ball_plan), and hold the node
-    they are a slot of.
+    A plan is a circuit's full plan, an oracle's scoring plan (see
+    Circuit._fold) or its ball plan (see _ball_plan).  Every plan is packed:
+    its value rows are the leaves, row l holding leaf l, then each op's
+    nodes in op order, each op one contiguous range, then the consts.size
+    constant rows.  Row r < len(live) holds node live[r], which is not
+    ascending; a ball plan's slot rows sit after the nodes of their leaf
+    block or op, and hold the node they are a slot of.
 
-    In the full plan and the sampler's plan (see Circuit._fold), leaf l is a
-    circuit leaf: it reads input column leaf_cols[l] of a (B, width) block
-    and takes its entry of a 3-entry row of leaf_table for that column's
-    MARGINAL, 0 or 1.  In a scoring plan and its ball plan, leaf l is a
-    table leaf, a node whose value depends on at most four columns: it
-    reads the four columns c = leaf_cols[l], its column tuple (the columns
-    it meets in ascending order, padded with the first where it meets
-    fewer), and takes entry sum_i 3**(3 - i) * (x[c_i] + 1) of an 81-entry
-    row of leaf_table, which does not depend on the padded digits.
+    Leaf l reads the w input columns c = leaf_cols[l] of a (B, width) block
+    and takes entry sum_i 3**(w - 1 - i) * (x[c_i] + 1) of a 3**w-entry row
+    of leaf_table.  In the full plan, w = 1 and leaf l is a circuit leaf,
+    whose row holds its value for its column's MARGINAL, 0 or 1.  In a
+    scoring plan and its ball plan, w = 4 and leaf l is a table leaf, a node
+    whose value depends on at most four columns: c is its column tuple (the
+    columns it meets in ascending order, padded with the first where it
+    meets fewer), and its row does not depend on the padded digits.
     leaf_base[l] is the index into the flat leaf_table of leaf l's entry
-    where its columns all read 0: 3r + 1 or 81r + 40 for its row r, which
-    a ball plan's slot leaves share with their leaf (see _ball_plan).  Only
-    the full plan runs max passes, so only it has a max_table.  Only the
-    full plan and the sampler's plan have leaf thetas.
+    where its columns all read 0, r * 3**w + (3**w - 1) // 2 for its row r,
+    which a ball plan's slot leaves share with their leaf.
     """
 
     width: int
     root: int
     live: np.ndarray
-    leaf_cols: np.ndarray
+    leaf_cols: np.ndarray  # (leaves, w): the input columns each leaf reads
     leaf_base: np.ndarray  # (leaves,) the flat leaf_table index at which each leaf's columns all read 0
-    leaf_table: np.ndarray  # (rows, 3) or (rows, 81): the sum pass's values, by the entries read
-    max_table: np.ndarray | None  # (leaves, 3): the max pass's, or None where no max pass runs
-    leaf_theta: np.ndarray | None  # (leaves,) p(leaf = 1): theta or an indicator's value, or None
+    leaf_table: np.ndarray  # (rows, 3**w): the sum pass's values, by the entries read
     ops: tuple[_Op, ...]
     consts: np.ndarray
 
@@ -701,23 +682,19 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
     flipped.  Its input row is [center, 1 - center].  A leaf has one slot
     per column it meets: its slot for q reads the flipped copy of column q
     wherever its tuple holds q, the padded copies included, and its other
-    columns as the leaf does.  Each op
-    evaluates its nodes and their slots together; a slot's child is the
-    child's slot for q where the child has one and the child's center row
-    elsewhere.  So every slot is computed from the same inputs by the same
+    columns as the leaf does.  Each op evaluates its nodes and their slots
+    together; a slot's child is the child's slot for q where the child has
+    one and the child's center row elsewhere.  So every slot is computed from the same inputs by the same
     arithmetic as in a full pass over the flipped row, and is bit-identical
     to it.
 
     The extended plan is packed: its value rows are plan's leaves, their
     slots, then per op its nodes and their slots, then plan's constants.
     It shares plan's leaf_table, which each slot reads at its leaf's
-    leaf_base.  It runs only sum passes, so it keeps no max table and no
-    thetas.
-    Returns it and the (width + 1,) value rows of the root for the center
-    and for each flipped column.
+    leaf_base.  Returns it and the (width + 1,) value rows of the root for
+    the center and for each flipped column.
     """
-    width, n_live, n_leaves = plan.width, plan.live.size, plan.leaf_base.size
-    cols = plan.leaf_cols.reshape(n_leaves, -1)  # the one or four input columns each leaf reads
+    width, n_live, n_leaves, cols = plan.width, plan.live.size, plan.leaf_base.size, plan.leaf_cols
     # holds[r, q]: the scope of value row r holds input column q.
     holds = np.zeros((plan.size, width), dtype=bool)
     holds[np.arange(n_leaves)[:, None], cols] = True
@@ -765,11 +742,9 @@ def _ball_plan(plan: _Plan) -> tuple[_Plan, np.ndarray]:
         width=2 * width,
         root=root,
         live=live,
-        leaf_cols=np.concatenate((cols, slot_cols)).reshape((-1,) + plan.leaf_cols.shape[1:]),
+        leaf_cols=np.concatenate((cols, slot_cols)),
         leaf_base=np.concatenate((plan.leaf_base, plan.leaf_base[leaf])),
         leaf_table=plan.leaf_table,
-        max_table=None,
-        leaf_theta=None,
         ops=tuple(ops),
         consts=plan.consts,
     )
@@ -823,9 +798,11 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format (see the module docstring).
 
     A malformed line raises CircuitFormatError with its line number, and a
-    circuit that Circuit refuses raises its CircuitStructureError.
+    circuit that Circuit refuses raises its CircuitStructureError, which for a
+    structural violation names the line of its first node, or the root line.
     """
     nodes: list[Node] = []
+    node_lines: list[int] = []  # the line of each node, then of the root
     num_vars: int | None = None
     root: int | None = None
     saw_header = False
@@ -860,6 +837,7 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if num_vars is None:
             fail("vars line must precede node declarations", ln)
+        node_lines.append(ln)
 
         if kind == "root":
             if len(tokens) != 2:
@@ -947,7 +925,13 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitFormatError("missing vars line")
     if root is None:
         raise CircuitFormatError("root undeclared")
-    return Circuit(nodes, root, num_vars)
+    try:
+        return Circuit(nodes, root, num_vars)
+    except CircuitStructureError as exc:
+        if exc.report is None:
+            raise
+        nid, prop, _ = exc.report.violations[0]
+        raise CircuitStructureError(str(exc), exc.report, node_lines[-1 if prop == "scope" else nid]) from None
 
 
 def _parse_int(token: str, what: str, ln: int) -> int:

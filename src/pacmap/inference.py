@@ -15,6 +15,7 @@ import numpy as np
 from .circuit import (
     MARGINAL,
     Circuit,
+    _Op,
     _ball_plan,
     _check_entries,
     _chunk_rows,
@@ -129,22 +130,21 @@ class ConditionalOracle:
       a value slot per (scoring-plan node, q) gives every row's score, bit
       for bit the scoring plan's (see _ball_plan).  A table leaf has one
       slot per query column it meets.
-    - The sampler's folded plan and descent tables, at the first sample():
-      the folded plan keeps every node whose scope meets Q and the
-      circuit's own leaves, and plan.live[r] names row r's node, by which
-      the sampler keys its uniforms.  Sampling walks its ops from the root
-      down with a few numpy calls per op, whatever its node count: a
-      (nodes, draws) bool matrix holds the draws that reach each node, sums
-      choose children from per-op cumulative tables built from the upward
-      pass, +inf from each node's last positive-mass child on, and leaves
-      are resolved per query column.  Both compare a uniform's 53-bit
-      integer with integer thresholds of those tables and of the leaf
-      thetas (see pacmap.rng), so no float uniform is formed.  A sum op of
-      m nodes bounds the scratch per draw at m + _PAIR_BYTES * min(m, |Q|)
-      bytes, and the leaf step at _LEAF_BYTES * |Q|.
+    - The sampler's descent tables, at the first sample(), read straight
+      from the circuit's full plan (see _compile_descent): the descent keeps
+      the nodes whose scope meets Q, keyed by node id.  Sampling walks the
+      kept ops from the root down with a few numpy calls per op, whatever
+      their node count: a (nodes, draws) bool matrix holds the draws that
+      reach each node, sums choose children from per-op cumulative tables
+      built from the upward pass, +inf from each node's last positive-mass
+      child on, and leaves are resolved per query column.  Both compare a
+      uniform's 53-bit integer with integer thresholds of those tables and
+      of the leaf thetas (see pacmap.rng), so no float uniform is formed.
+      A sum op of m nodes bounds the scratch per draw at m + _PAIR_BYTES *
+      min(m, |Q|) bytes, and the leaf step at _LEAF_BYTES * |Q|.
 
-    So a sampling-only oracle (sample_joint) never builds a scoring plan;
-    the baselines score their rows by full passes and build no plan.
+    So a sampling-only oracle (sample_joint) builds no plan at all; the
+    baselines score their rows by full passes and build no plan either.
     Every Circuit is smooth, decomposable and rooted over every variable,
     so the root meets every query variable.  Instances are shareable and
     their answers never change (two threads that build a plan at once build
@@ -168,8 +168,7 @@ class ConditionalOracle:
             raise ZeroEvidenceError("evidence has probability zero under the circuit")
         self._score_plan = None  # the scoring plan, built by the first log_prob_rows
         self._ball: tuple | None = None  # _ball_plan(self._score_plan), built by the first ball scored
-        self._plan = None  # the sampler's folded plan, built with _descent by the first sample
-        self._descent: list[tuple] | None = None
+        self._descent: list[tuple] | None = None  # the sampler's tables, built by the first sample
 
     # -- exact queries ------------------------------------------------------
 
@@ -192,7 +191,7 @@ class ConditionalOracle:
         if query_rows.shape[1] != self.num_query:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
         if self._score_plan is None:
-            self._score_plan = self.circuit._fold(self.spec.query_vars, self._upward, collapse=True)
+            self._score_plan = self.circuit._fold(self.spec.query_vars, self._upward)
         flips = _ball_flips(query_rows)
         if flips is None:
             out = self.circuit._root(query_rows, self._score_plan)
@@ -219,14 +218,19 @@ class ConditionalOracle:
     # -- sampling -----------------------------------------------------------
 
     def _compile_descent(self) -> None:
-        """The sampler's folded plan and tables, from the cached upward pass.
+        """The sampler's kept ops and tables, read by full-plan row from the
+        circuit's full plan and the cached upward pass.
 
-        The descent's `active` matrix holds one row of reached draws per live
-        node, except that a live node whose one parent is a product shares
-        that parent's row (it is reached by exactly the same draws), and one
-        sink row stands for every constant child, which no draw needs to
-        enter.  row_of maps plan rows to active rows.  _descent is set last,
-        so a thread that sees it sees every other table.
+        One boolean pass over the full plan's ops marks the rows whose scope
+        meets Q (a sum's is its first child's, as sums are smooth), and each
+        op keeps its marked nodes, as it is where all are marked; with every
+        variable queried, all are and the pass is skipped.  The `active`
+        matrix holds one row of reached draws per marked row, except that a
+        marked row whose one parent is a product shares that parent's row
+        (it is reached by exactly the same draws), and one sink row stands
+        for every unmarked row, which no draw needs to enter.  row_of maps
+        full-plan rows to active rows.  _descent is set last, so a thread
+        that sees it sees every other table.
 
         The uniform of (draw, node id) has counter draw * width + id, so its
         key is the draw's key plus key_offsets(id) (see pacmap.rng): each sum
@@ -235,35 +239,47 @@ class ConditionalOracle:
         as unit_thresholds, which the finalized 53-bit integers are compared
         with, so every choice is the float compare's.
         """
-        self._plan = plan = self.circuit._fold(self.spec.query_vars, self._upward)
-        n_live = plan.live.size
-        kids = np.concatenate([np.empty(0, np.int64)] + [op.kids.ravel() for op in plan.ops])
-        parents = np.bincount(kids, minlength=plan.size)
-        row_of = np.arange(plan.size)
-        shared = {}  # per product op with live children that have other parents, those (child, parent) plan rows
-        for i in reversed(range(len(plan.ops))):  # parents first
-            op = plan.ops[i]
+        full = self.circuit._plan
+        col_of = np.full(self.circuit.num_vars, self.num_query, dtype=np.int64)  # past every column
+        col_of[self.query_vars] = np.arange(self.num_query)
+        leaf_col = col_of[full.leaf_cols[:, 0]]
+        if self.num_query == self.circuit.num_vars:
+            live, ops = np.ones(full.size, dtype=bool), full.ops
+        else:
+            live = np.zeros(full.size, dtype=bool)
+            live[: leaf_col.size] = leaf_col < self.num_query
+            ops = []
+            for op in full.ops:
+                keep = live[op.kids].any(axis=0) if op.logw is None else live[op.kids[0]]
+                live[op.ids[0] : op.ids[-1] + 1] = keep  # the full plan is packed
+                if keep.all():
+                    ops.append(op)
+                elif keep.any():
+                    ops.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
+
+        kids = np.concatenate([np.empty(0, np.int64)] + [op.kids.ravel() for op in ops])
+        parents = np.bincount(kids, minlength=full.size) * live  # an unmarked row counts none
+        row_of = np.arange(full.size)
+        shared = {}  # per product op with marked children that have other parents, those (child, parent) rows
+        for i in reversed(range(len(ops))):  # parents first
+            op = ops[i]
             if op.logw is None:
-                live = op.kids < n_live
-                sole = live & (parents[op.kids] == 1)
+                sole, many = parents[op.kids] == 1, parents[op.kids] > 1
                 row_of[op.kids[sole]] = row_of[op.ids[np.nonzero(sole)[1]]]
-                many = live > sole
                 if many.any():
                     shared[i] = op.kids[many], op.ids[np.nonzero(many)[1]]
-        own = row_of[:n_live] == np.arange(n_live)  # the rows that keep their own active row
+        own = live & (row_of == np.arange(full.size))  # the rows that keep their own active row
         self._active_rows = int(own.sum())
-        row_of[:n_live] = (np.cumsum(own) - 1)[row_of[:n_live]]
-        row_of[n_live:] = self._active_rows
-        self._root_row = int(row_of[plan.root])
+        row_of = np.where(live, (np.cumsum(own) - 1)[row_of], self._active_rows)
 
         # Per op, the tables of its step, and a bound on the step's scratch
         # per draw: the m sums, or the m shared (child, parent) pairs, of one
         # op have disjoint scopes that each hold a query column, so a draw
         # reaches at most min(m, |Q|) of them.
-        up = np.concatenate((self._upward[self.circuit._node_rows[plan.live], 0], plan.consts))
+        up = self._upward[:, 0]
         step_bytes = 0
         descent = []
-        for i, op in enumerate(plan.ops):
+        for i, op in enumerate(ops):
             if op.logw is None:
                 pairs = tuple(row_of[rows] for rows in shared[i]) if i in shared else ()
                 descent.append(pairs)
@@ -285,22 +301,24 @@ class ConditionalOracle:
                 probs = np.exp(op.logw[:, :, 0] + up[op.kids] - up[op.ids])
             later = np.logical_or.accumulate(probs[:0:-1] > 0.0, axis=0)[::-1]  # a later child has mass
             cums = np.where(later, np.cumsum(probs[:-1], axis=0), np.inf)
-            descent.append((unit_thresholds(cums), row_of[op.kids], row_of[op.ids], key_offsets(plan.live[op.ids])))
+            descent.append((unit_thresholds(cums), row_of[op.kids], row_of[op.ids], key_offsets(full.live[op.ids])))
 
         # Leaves by query column: entry c * slots + s of the flat tables is
         # the s-th leaf of query column c (a column with fewer leaves repeats
         # its last), with its active row, key offset and the
         # unit_thresholds of its theta.  A draw reaches exactly one leaf per
-        # column.
-        order = np.argsort(plan.leaf_cols, kind="stable")
-        count = np.bincount(plan.leaf_cols, minlength=self.num_query)
+        # column.  Unmarked leaves sort after every column's.
+        order = np.argsort(leaf_col, kind="stable")
+        count = np.bincount(leaf_col, minlength=self.num_query + 1)[: self.num_query]
         slot = np.minimum(np.arange(count.max()), count[:, None] - 1) + (np.cumsum(count) - count)[:, None]
-        leaf = order[slot]  # (|Q|, slots) indices into the plan's leaf arrays
+        leaf = order[slot]  # (|Q|, slots) full-plan leaf rows
+        self._ops = ops
+        self._root_row = int(row_of[full.root])
         self._leaf_rows = row_of[leaf]
         self._leaf_base = np.arange(0, leaf.size, leaf.shape[1])  # each column's first entry
         self._slot_dtype = np.min_scalar_type(leaf.shape[1] - 1)
-        self._leaf_keys = key_offsets(plan.live[leaf].ravel())
-        self._leaf_thresholds = unit_thresholds(plan.leaf_theta[leaf].ravel())
+        self._leaf_keys = key_offsets(full.live[leaf].ravel())
+        self._leaf_thresholds = unit_thresholds(self.circuit._leaf_theta[leaf].ravel())
         # Bytes per draw that one chunk of the descent holds at its peak: the
         # draw's column of `active` and its key, plus the larger of the op
         # steps' and the leaf step's scratch.
@@ -310,22 +328,22 @@ class ConditionalOracle:
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         """Draw i.i.d. samples from P(Q | e); returns (count, |Q|) int8.
 
-        Ancestral descent from the root over the folded plan, op by op in
-        reverse, each op for all its nodes and draws at once: every (sum,
-        draw) pair reached picks one child with the cached conditional
-        probabilities, a product passes its draws to its live children, and
-        each query column's one reached leaf samples its variable as u <
-        theta.  A dead child, a constant row of the plan, would only set
-        evidence or nuisance values, which the result discards, so it is
-        never entered.  Draw j always consumes substream j; the uniform for
-        (draw, node id) is a pure counter function, so it is materialized
-        only where the descent actually lands, and neither skipping dead
-        nodes nor the chunking of the batch (by the scratch bytes per draw,
-        see _compile_descent) changes any draw.  A uniform is never formed as
-        a float: its key is finalized to the 53-bit integer k with u = k *
-        2^-53, and u < theta and c <= u are read as integer compares of k
-        with thresholds built once per oracle, which give the same answers
-        (see pacmap.rng), so the draws are those of counter_uniforms.
+        Ancestral descent from the root over the kept ops, in reverse, each
+        op for all its kept nodes and draws at once: every (sum, draw) pair
+        reached picks one child with the cached conditional probabilities, a
+        product passes its draws to its marked children, and each query
+        column's one reached leaf samples its variable as u < theta.  An
+        unmarked child, whose scope misses Q, would only set evidence or
+        nuisance values, which the result discards, so it is never entered.
+        Draw j always consumes substream j; the uniform for (draw, node id)
+        is a pure counter function, so it is materialized only where the
+        descent lands, and neither skipping unmarked nodes nor the chunking
+        of the batch (by the scratch bytes per draw, see _compile_descent)
+        changes any draw.  A uniform is never formed as a float: its key is
+        finalized to the 53-bit integer k with u = k * 2^-53, and u < theta
+        and c <= u are read as integer compares of k with thresholds built
+        once per oracle, which give the same answers (see pacmap.rng), so
+        the draws are those of counter_uniforms.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -343,12 +361,10 @@ class ConditionalOracle:
     def _descend(self, seed: int, base: int, bits: np.ndarray) -> None:
         """Fill the (b, |Q|) block `bits` with draws base, ..., base + b - 1.
 
-        `active` holds the draws that reach each node (see _compile_descent).
-        Each op costs a few numpy calls, whatever its node count, and so does
-        each leaf slot and each block of the leaf step.  The uniform of
-        (draw, node id) is keyed by counter draw * width + id, whose key is
-        the draw's key plus the node's key offset (see pacmap.rng), and is
-        compared as its 53-bit integer.
+        `active` holds the draws that reach each node, and uniforms are keyed
+        and compared as _compile_descent sets out.  Each op costs a few numpy
+        calls, whatever its node count, and so does each leaf slot and each
+        block of the leaf step.
         """
         b = bits.shape[0]
         width = np.uint64(len(self.circuit.nodes))
@@ -359,7 +375,7 @@ class ConditionalOracle:
         # backwards settles each node's draws before it is entered.  A
         # product's children share its row unless they have other parents;
         # those get its draws pair by pair, as a sum's chosen children do.
-        for op, step in zip(reversed(self._plan.ops), reversed(self._descent)):
+        for op, step in zip(reversed(self._ops), reversed(self._descent)):
             if op.logw is not None:
                 _descend_sums(step, active, draw_keys)
             elif step:

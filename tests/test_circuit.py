@@ -175,6 +175,38 @@ def test_parse_error_reports_line_number():
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize(
+    "text,line,violations",
+    [
+        (
+            "spn v1\nvars 2\nleaf 0 bernoulli 0 0.4\nleaf 1 bernoulli 1 0.6\nsum 2 0:0.5 1:0.5\nroot 2\n",
+            5,
+            [(2, "smoothness")],
+        ),
+        (
+            "spn v1\nvars 1\nleaf 0 bernoulli 0 0.4\n# a comment\n\nleaf 1 bernoulli 0 0.6\nprod 2 0 1\nroot 2\n",
+            7,
+            [(2, "decomposability")],
+        ),
+        # The root line names a root that misses x1, and an earlier node also
+        # breaks smoothness: the first violation's node gives the line.
+        (
+            "spn v1\nvars 2\nleaf 0 bernoulli 0 0.3\nleaf 1 bernoulli 1 0.6\nsum 2 0:0.5 1:0.5\n\nroot 0\n",
+            5,
+            [(2, "smoothness"), (0, "scope")],
+        ),
+        ("spn v1\nvars 2\nleaf 0 bernoulli 0 0.3\n\nroot 0  # x1 is never reached\n", 5, [(0, "scope")]),
+    ],
+)
+def test_parse_structure_violations_carry_the_line(text, line, violations):
+    with pytest.raises(CircuitStructureError) as err:
+        parse_circuit(text)
+    nid, prop = violations[0]
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: node {nid}: {prop} violation (")
+    assert [v[:2] for v in err.value.report.violations] == violations
+
+
 # -- scopes and structure -----------------------------------------------------
 
 

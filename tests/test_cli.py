@@ -1,4 +1,7 @@
+import argparse
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +173,38 @@ def test_validate_reports_root_scope_coverage(tmp_path, capsys):
     query.write_text("Q 0\nQ 1\n")
     assert main(["solve", "--circuit", str(path), "--query", str(query), "--method", "mp"]) == 2
     assert "root scope does not cover all declared variables" in capsys.readouterr().err
+
+
+def test_solve_refuses_a_structure_violation_with_its_line(tmp_path, capsys):
+    path = tmp_path / "mixed.spn"
+    path.write_text("spn v1\nvars 2\nleaf 0 bernoulli 0 0.4\nleaf 1 bernoulli 1 0.6\nsum 2 0:0.5 1:0.5\nroot 2\n")
+    query = tmp_path / "q.txt"
+    query.write_text("Q 0\nQ 1\n")
+    assert main(["solve", "--circuit", str(path), "--query", str(query), "--method", "mp"]) == 2
+    assert "line 5: node 2: smoothness violation" in capsys.readouterr().err
+
+
+def test_readme_cli_block_matches_the_parser():
+    # The `## CLI` block of README.md lists every subcommand and flag, and
+    # nothing else.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    names, documented = set(), set()
+    for line in block.splitlines():
+        if line.startswith("pacmap "):
+            command = line.split()[1]
+            names.add(command)
+        documented |= {(command, flag) for flag in re.findall(r"--[a-z][a-z-]*", line.split("#", 1)[0])}
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        (name, flag)
+        for name, sub in commands.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert names == set(commands)
+    assert documented == parsed
 
 
 def test_oracle_command(tmp_path, capsys):

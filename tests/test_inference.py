@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import pacmap.circuit as circuit_module
 import pacmap.inference as inference_module
+import pacmap.rng as rng_module
 from pacmap.baselines import arg_max_product, independent_map, max_product
 from pacmap.circuit import (
     MARGINAL,
@@ -19,7 +22,6 @@ from pacmap.circuit import (
     IndicatorLeaf,
     ProductNode,
     SumNode,
-    _ball_plan,
     circuit_from_pmf,
     enumerate_assignments,
     evaluate_complete,
@@ -28,7 +30,7 @@ from pacmap.circuit import (
     pack_rows,
     parse_circuit,
 )
-from pacmap.bench import random_query_partition
+from pacmap.bench import draw_evidence, random_query_partition
 from pacmap.inference import (
     ConditionalOracle,
     QuerySpec,
@@ -245,13 +247,13 @@ FOLD_CASES = {
 def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
     c, spec = FOLD_CASES[case]
     oracle = make_oracle(c, spec)
-    oracle.sample(1, 0)  # builds the sampler's folded plan
+    oracle.sample(1, 0)  # builds the sampler's tables
     n = oracle.num_query
     q_mask = sum(1 << v for v in spec.query_vars)
     live = [i for i, scope in enumerate(c.scopes) if scope & q_mask]
-    assert sorted(oracle._plan.live.tolist()) == live
+    assert _descent_nodes(oracle) == live
     if case == "every node live":
-        assert len(live) == len(c.nodes) and oracle._plan.consts.size == 0
+        assert len(live) == len(c.nodes) and oracle._ops is c._plan.ops
     rng = np.random.default_rng(3)
     q_rows = rng.integers(0, 2, size=(400, n)).astype(np.int8)
     partial = np.where(rng.random(q_rows.shape) < 0.3, MARGINAL, q_rows).astype(np.int8)
@@ -288,12 +290,22 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
         assert len(incremental) - taken == is_ball
 
 
+def _descent_nodes(oracle) -> list[int]:
+    """The node ids the sampler's descent keeps, ascending: its kept ops'
+    nodes, and its leaves, whose ids its leaf key offsets id * GAMMA (mod
+    2**64) hold."""
+    full = oracle.circuit._plan
+    inner = [full.live[op.ids] for op in oracle._ops]
+    leaves = np.unique(oracle._leaf_keys * np.uint64(pow(rng_module._GAMMA, -1, 2**64))).astype(np.int64)
+    return sorted(np.concatenate(inner + [leaves]).tolist())
+
+
 def _assert_packed(plan):
     """Value rows are the leaves, then each op's nodes in op order, then the
     constants; every child row is an earlier row or a constant."""
     n_leaves = plan.leaf_base.size
     assert plan.leaf_cols.shape[0] == n_leaves
-    assert plan.leaf_theta is None or plan.leaf_theta.size == n_leaves
+    assert plan.leaf_table.shape[1] == 3 ** plan.leaf_cols.shape[1]
     start = n_leaves
     for op in plan.ops:
         assert op.ids.tolist() == list(range(start, start + op.ids.size))
@@ -308,22 +320,28 @@ def test_plans_are_packed(case):
     _assert_packed(c._plan)
     assert sorted(c._plan.live.tolist()) == list(range(len(c.nodes)))
     oracle = make_oracle(c, spec)
-    oracle.sample(1, 0)  # builds the sampler's folded plan
-    plan = oracle._plan
+    oracle.log_prob_rows(hamming_ball(np.zeros(oracle.num_query), 1))  # builds the scoring and ball plans
+    plan = oracle._score_plan
     _assert_packed(plan)
     q_mask = sum(1 << v for v in spec.query_vars)
     in_q = [bin(scope & q_mask).count("1") for scope in c.scopes]
-    assert sorted(plan.live.tolist()) == [i for i in range(len(c.nodes)) if in_q[i]]
+    assert all(in_q[i] for i in plan.live)
 
-    # The ball plan: the leaves and their slots, then per op its nodes and
-    # their slots.  A node has one slot per query variable in its scope.
-    ball, roots = _ball_plan(plan)
+    # The ball plan, as production builds it: the leaves and their slots,
+    # then per op its nodes and their slots.  A node has one slot per query
+    # variable in its scope.
+    ball, roots = oracle._ball
     _assert_packed(ball)
-    n_leaves = plan.leaf_cols.size
-    assert ball.live[: 2 * n_leaves].tolist() == 2 * plan.live[:n_leaves].tolist()
+    n_leaves = plan.leaf_base.size
+    leaves = plan.live[:n_leaves]
+    slots = np.repeat(leaves, [in_q[i] for i in leaves])
+    assert ball.live[: n_leaves + slots.size].tolist() == leaves.tolist() + slots.tolist()
     for op, ball_op in zip(plan.ops, ball.ops, strict=True):
         assert ball.live[ball_op.ids[: op.ids.size]].tolist() == plan.live[op.ids].tolist()
-    assert np.bincount(ball.live, minlength=len(c.nodes)).tolist() == [n + (n > 0) for n in in_q]
+    kept = set(plan.live.tolist())
+    assert np.bincount(ball.live, minlength=len(c.nodes)).tolist() == [
+        1 + n if i in kept else 0 for i, n in enumerate(in_q)
+    ]
     assert ball.live[roots[0]] == c.root and ball.consts is plan.consts
 
 
@@ -336,7 +354,6 @@ def test_scoring_plan_keeps_ops_that_meet_two_query_variables(case):
     oracle.log_prob_rows(np.zeros((1, oracle.num_query)))  # builds the scoring plan
     plan = oracle._score_plan
     _assert_packed(plan)
-    assert plan.max_table is None and plan.leaf_theta is None
     n_leaves = plan.leaf_base.size
     assert plan.leaf_cols.shape == (n_leaves, 4) and plan.leaf_table.shape == (n_leaves, 81)
     q_cols = {v: j for j, v in enumerate(spec.query_vars)}
@@ -446,28 +463,65 @@ def test_lazy_plans_give_the_bytes_of_a_fresh_oracle(case):
     assert answers(make_oracle(c, spec), ["sample", "ball", "score"]) == fresh
 
 
+def test_a_shared_oracle_gives_each_thread_the_bytes_of_one_thread():
+    # Four threads released at once build the sampler's tables, the scoring
+    # plan and the ball plan of one fresh oracle together; a table published
+    # before the tables it needs would fail a thread or change its answers.
+    c = generate_random_circuit(64, 3, 2, 303)  # the n = 64 corpus circuit
+    query = random_query_partition(64, 0.5, DrawStream(7)).query_vars
+    evidence = draw_evidence(c, tuple(v for v in range(64) if v not in query), "model", DrawStream(8))
+    spec = QuerySpec(query, evidence)
+
+    def answers(oracle, seed):
+        draws = oracle.sample(2000, seed)
+        scores = oracle.log_prob_rows(draws)
+        return draws.tobytes(), scores.tobytes(), oracle.log_prob_rows(hamming_ball(draws[0], 1)).tobytes()
+
+    want = [answers(make_oracle(c, spec), seed) for seed in range(4)]
+    shared = make_oracle(c, spec)
+    barrier = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def run(i):
+        barrier.wait()
+        got[i] = answers(shared, i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 def test_each_path_builds_only_the_plan_it_runs(monkeypatch):
     builds = []
     fold = Circuit._fold
 
-    def counted(self, columns, upward, collapse=False):
-        builds.append("score" if collapse else "sample")
-        return fold(self, columns, upward, collapse)
+    def counted(self, columns, upward):
+        builds.append(tuple(columns))
+        return fold(self, columns, upward)
 
     monkeypatch.setattr(Circuit, "_fold", counted)
     c, spec = FOLD_CASES["evidence+nuisance"]
     sample_joint(c, 10, 0)
-    assert builds == ["sample"]
+    assert builds == []  # the sampler reads the full plan
     oracle = make_oracle(c, spec)
-    assert builds == ["sample"]
     max_product(c, spec, oracle)
     arg_max_product(c, spec, oracle)
     independent_map(oracle)
-    assert builds == ["sample"] and oracle._score_plan is None  # the baselines score by full passes
+    assert builds == [] and oracle._score_plan is None  # the baselines score by full passes
     oracle.log_prob_rows(hamming_ball(np.zeros(oracle.num_query), 1))
-    assert builds == ["sample", "score"] and oracle._plan is None and oracle._descent is None
+    assert builds == [spec.query_vars] and oracle._descent is None
     oracle.sample(10, 0)
-    assert builds == ["sample", "score", "sample"]
+    oracle.log_prob_rows(np.zeros((3, oracle.num_query)))
+    assert builds == [spec.query_vars]
 
 
 @pytest.mark.parametrize("case", list(FOLD_CASES))
@@ -645,8 +699,8 @@ def test_sampler_never_descends_into_zero_mass_child():
 
     def descent(node):
         """The sum node's column of its op's threshold table (a view)."""
-        r = int(np.flatnonzero(oracle._plan.live == node)[0])
-        for op, table in zip(oracle._plan.ops, oracle._descent):
+        r = int(np.flatnonzero(oracle.circuit._plan.live == node)[0])  # its full-plan row
+        for op, table in zip(oracle._ops, oracle._descent):
             if r in op.ids:
                 return table[0][:, int(np.flatnonzero(op.ids == r)[0])]
 
@@ -833,7 +887,7 @@ def test_sampler_draws_uniforms_once_per_sum_op(monkeypatch):
     draws = oracle.sample(640, DrawStream(29))
     monkeypatch.undo()
     assert draws.tobytes() == oracle.sample(640, DrawStream(29)).tobytes()
-    sum_ops = sum(op.logw is not None for op in oracle._plan.ops)
+    sum_ops = sum(op.logw is not None for op in oracle._ops)
     assert 0 < len(calls) <= sum_ops + 1
 
 
