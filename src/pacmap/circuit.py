@@ -19,7 +19,8 @@ Text format (UTF-8, line oriented, ``#`` starts a comment)::
 Node ids are consecutive integers starting at 0, children must be declared
 on earlier lines, and the single ``root`` line comes last.  Sum weights that
 sum to 1 within 1e-6 are kept as written, so parse(serialize(c)) reproduces
-c exactly; others are normalized at load with a WeightNormalizationWarning.
+c exactly; others are normalized at load with a WeightNormalizationWarning
+when every weight and their sum are positive and finite.
 
 Assignments are int8 vectors with values 0/1; the sentinel ``MARGINAL``
 (-1) marks a variable summed out during evaluation.
@@ -51,11 +52,18 @@ class CircuitFormatError(ValueError):
 
 
 class CircuitStructureError(ValueError):
-    """A refused circuit; `.report` and `.line` hold a structural violation's report and parsed line, else None."""
+    """A circuit that Circuit refuses.  `.node` is the id of the node that a node
+    rule refuses, or None for a rule on the whole circuit (no nodes, the root
+    id, num_vars, root-scope coverage); `.report` is a structural violation's
+    StructureReport, else None; `.line`, set by parse_circuit, is the refused
+    node's line, or the root line when `.node` is None."""
 
-    def __init__(self, message: str, report: "StructureReport | None" = None, line: int | None = None):
+    def __init__(
+        self, message: str, report: "StructureReport | None" = None, line: int | None = None, node: int | None = None
+    ):
         self.report = report
         self.line = line
+        self.node = node
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
@@ -154,28 +162,34 @@ class Circuit:
         for i, node in enumerate(self.nodes):
             if isinstance(node, (SumNode, ProductNode)):
                 if not node.children:
-                    raise CircuitStructureError(f"node {i} has no children")
-                if any(not (0 <= ch < i) for ch in node.children):
-                    raise CircuitStructureError(f"node {i} has a non-topological child reference")
+                    raise CircuitStructureError(f"node {i} has no children", node=i)
+                for ch in node.children:
+                    if not (0 <= ch < i):
+                        msg = f"node {i} has a non-topological child reference to node {ch}"
+                        raise CircuitStructureError(msg, node=i)
                 if isinstance(node, SumNode):
                     if len(node.weights) != len(node.children):
-                        raise CircuitStructureError(f"node {i} has {len(node.weights)} weights for its children")
-                    if not all(0.0 < w < np.inf for w in node.weights):  # NaN fails too
-                        raise CircuitStructureError(f"node {i} has a weight that is not positive and finite")
+                        msg = f"node {i} has {len(node.weights)} weights for its children"
+                        raise CircuitStructureError(msg, node=i)
+                    for w in node.weights:
+                        if not (0.0 < w < np.inf):  # NaN fails too
+                            msg = f"node {i} has a weight that is not positive and finite ({w!r})"
+                            raise CircuitStructureError(msg, node=i)
                     if abs(sum(node.weights) - 1.0) > 1e-6:
-                        raise CircuitStructureError(f"node {i} weights sum to {sum(node.weights)!r}, not 1")
+                        raise CircuitStructureError(f"node {i} weights sum to {sum(node.weights)!r}, not 1", node=i)
             else:
                 if not (0 <= node.var < num_vars):
-                    raise CircuitStructureError(f"node {i} references variable {node.var} >= {num_vars}")
+                    raise CircuitStructureError(f"node {i} references variable {node.var} >= {num_vars}", node=i)
                 if isinstance(node, BernoulliLeaf) and not (0.0 <= node.theta <= 1.0):
-                    raise CircuitStructureError(f"node {i} has theta {node.theta} outside [0, 1]")
+                    raise CircuitStructureError(f"node {i} has theta {node.theta} outside [0, 1]", node=i)
                 if isinstance(node, IndicatorLeaf) and node.value not in (0, 1):
-                    raise CircuitStructureError(f"node {i} has indicator value {node.value}, not 0 or 1")
+                    raise CircuitStructureError(f"node {i} has indicator value {node.value}, not 0 or 1", node=i)
         self.scopes: tuple[int, ...] = tuple(compute_scopes(self.nodes))
         report = validate_structure(self)
         if report.violations:
-            nid, prop, desc = report.violations[0]
-            raise CircuitStructureError(f"node {nid}: {prop} violation ({desc})", report)
+            nid, prop, desc = report.violations[0]  # root-scope coverage refuses the circuit, not a node
+            msg = f"node {nid}: {prop} violation ({desc})"
+            raise CircuitStructureError(msg, report, node=None if prop == "scope" else nid)
         self._plan = self._compile()  # also sets the leaves' _max_table and _leaf_theta
         self._node_rows = np.argsort(self._plan.live)  # the full plan's value row of each node id
 
@@ -797,9 +811,12 @@ def _evidence_row(num_vars: int, evidence: dict[int, int]) -> np.ndarray:
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format (see the module docstring).
 
-    A malformed line raises CircuitFormatError with its line number, and a
-    circuit that Circuit refuses raises its CircuitStructureError, which for a
-    structural violation names the line of its first node, or the root line.
+    Only the text format is checked here (header, vars line, directives,
+    token counts, number syntax, node order, a child per sum and product,
+    nothing after root); its first error raises CircuitFormatError with the
+    line number.  Every node rule is Circuit's, checked once the whole file
+    is read, so a format error on any line is reported first; a refusal
+    raises Circuit's CircuitStructureError with `.line` set from its `.node`.
     """
     nodes: list[Node] = []
     node_lines: list[int] = []  # the line of each node, then of the root
@@ -828,10 +845,7 @@ def parse_circuit(text: str) -> Circuit:
                 fail("duplicate vars line", ln)
             if len(tokens) != 2:
                 fail("vars line takes one integer", ln)
-            try:
-                num_vars = int(tokens[1])
-            except ValueError:
-                fail(f"bad variable count {tokens[1]!r}", ln)
+            num_vars = _parse_int(tokens[1], "variable count", ln)
             if num_vars < 1:
                 fail("vars must be >= 1", ln)
             continue
@@ -842,10 +856,7 @@ def parse_circuit(text: str) -> Circuit:
         if kind == "root":
             if len(tokens) != 2:
                 fail("root line takes one node id", ln)
-            rid = _parse_int(tokens[1], "root id", ln)
-            if rid >= len(nodes):
-                fail(f"root references undeclared node {rid}", ln)
-            root = rid
+            root = _parse_int(tokens[1], "root id", ln)
             continue
 
         if kind not in ("leaf", "sum", "prod"):
@@ -860,21 +871,13 @@ def parse_circuit(text: str) -> Circuit:
             if len(tokens) != 5:
                 fail("leaf line takes: leaf <id> <kind> <var> <param>", ln)
             var = _parse_int(tokens[3], "variable index", ln)
-            if var >= num_vars:
-                fail(f"variable index {var} >= declared vars {num_vars}", ln)
             if tokens[2] == "bernoulli":
                 try:
-                    theta = float(tokens[4])
+                    nodes.append(BernoulliLeaf(var, float(tokens[4])))
                 except ValueError:
                     fail(f"bad theta {tokens[4]!r}", ln)
-                if not (0.0 <= theta <= 1.0):
-                    fail(f"theta {theta} outside [0, 1]", ln)
-                nodes.append(BernoulliLeaf(var, theta))
             elif tokens[2] == "indicator":
-                val = _parse_int(tokens[4], "indicator value", ln)
-                if val not in (0, 1):
-                    fail(f"indicator value must be 0 or 1, got {val}", ln)
-                nodes.append(IndicatorLeaf(var, val))
+                nodes.append(IndicatorLeaf(var, _parse_int(tokens[4], "indicator value", ln)))
             else:
                 fail(f"unknown leaf kind {tokens[2]!r}", ln)
         elif kind == "sum":
@@ -886,21 +889,15 @@ def parse_circuit(text: str) -> Circuit:
                 if ":" not in tok:
                     fail(f"sum child {tok!r} must be <child>:<weight>", ln)
                 cs, ws = tok.split(":", 1)
-                ch = _parse_int(cs, "child id", ln)
-                if ch >= nid:
-                    fail(f"forward reference to node {ch}", ln)
+                children.append(_parse_int(cs, "child id", ln))
                 try:
-                    w = float(ws)
+                    weights.append(float(ws))
                 except ValueError:
                     fail(f"bad weight {ws!r}", ln)
-                if not np.isfinite(w):
-                    fail(f"weight {ws!r} is not finite", ln)
-                if w <= 0.0:
-                    fail(f"weight {w} must be strictly positive", ln)
-                children.append(ch)
-                weights.append(w)
             total = sum(weights)
-            if abs(total - 1.0) > 1e-6:
+            # Weights that are not all positive and finite, with a finite sum,
+            # pass through unchanged for Circuit to refuse at this line.
+            if abs(total - 1.0) > 1e-6 and all(0.0 < w < np.inf for w in (*weights, total)):
                 warnings.warn(
                     f"sum node {nid}: raw weights sum to {total!r}, normalizing",
                     WeightNormalizationWarning,
@@ -911,13 +908,7 @@ def parse_circuit(text: str) -> Circuit:
         else:  # prod
             if len(tokens) < 3:
                 fail("product node needs at least one child", ln)
-            children = []
-            for tok in tokens[2:]:
-                ch = _parse_int(tok, "child id", ln)
-                if ch >= nid:
-                    fail(f"forward reference to node {ch}", ln)
-                children.append(ch)
-            nodes.append(ProductNode(tuple(children)))
+            nodes.append(ProductNode(tuple(_parse_int(tok, "child id", ln) for tok in tokens[2:])))
 
     if not saw_header:
         raise CircuitFormatError("empty input: expected 'spn v1' header")
@@ -928,10 +919,8 @@ def parse_circuit(text: str) -> Circuit:
     try:
         return Circuit(nodes, root, num_vars)
     except CircuitStructureError as exc:
-        if exc.report is None:
-            raise
-        nid, prop, _ = exc.report.violations[0]
-        raise CircuitStructureError(str(exc), exc.report, node_lines[-1 if prop == "scope" else nid]) from None
+        line = node_lines[-1 if exc.node is None else exc.node]
+        raise CircuitStructureError(str(exc), exc.report, line, exc.node) from None
 
 
 def _parse_int(token: str, what: str, ln: int) -> int:
@@ -1056,8 +1045,8 @@ def circuit_from_pmf(probs: Sequence[float] | np.ndarray) -> Circuit:
     node.  Probabilities must be non-negative and sum to 1 within 1e-9.
     """
     p = np.asarray(probs, dtype=np.float64)
-    n = int(np.log2(len(p)))
-    if 2**n != len(p):
+    n = len(p).bit_length() - 1
+    if 2**n != len(p):  # an empty pmf too: 2**-1 != 0
         raise ValueError("pmf length must be a power of two")
     if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("pmf must be non-negative and sum to 1")
@@ -1072,8 +1061,6 @@ def circuit_from_pmf(probs: Sequence[float] | np.ndarray) -> Circuit:
     for bits in index_to_bits(atoms, n):
         leaves = tuple(add(IndicatorLeaf(v, int(bit))) for v, bit in enumerate(bits))
         children.append(add(ProductNode(leaves)))
-    if not children:
-        raise ValueError("pmf has no positive atoms")
     root = add(SumNode(tuple(children), tuple(p[atoms].tolist())))
     return Circuit(nodes, root, n)
 

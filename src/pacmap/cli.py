@@ -153,7 +153,7 @@ def cmd_illustrate(args) -> int:
     circuit, spec = _load_problem(args)
     oracle = make_oracle(circuit, spec)
     trajectory = []
-    sol = pac_map(oracle, PacParams(args.epsilon, args.delta), rng=args.seed, trajectory=trajectory)
+    sol = pac_map(oracle, PacParams(args.epsilon, args.delta), DEFAULT_CAP, rng=args.seed, trajectory=trajectory)
     _write_trajectory(trajectory, args.out)
     kind = sol.certificate.kind
     final_stop = trajectory[-1].stop_time_m if trajectory else 0

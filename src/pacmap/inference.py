@@ -488,14 +488,14 @@ class TabularDistribution:
 
     def __init__(self, log_probs: np.ndarray, check_tol: float = 1e-6):
         log_probs = np.asarray(log_probs, dtype=np.float64)
-        n = int(np.log2(len(log_probs)))
-        if 2**n != len(log_probs):
+        n = len(log_probs).bit_length() - 1
+        if 2**n != len(log_probs):  # an empty table too: 2**-1 != 0
             raise ValueError("table length must be a power of two")
         if n > _TABULAR_CAP:
             raise ValueError(f"table dimension {n} exceeds cap {_TABULAR_CAP}")
         if np.isnan(log_probs).any():
             raise ValueError("table holds NaN entries")
-        total = np.exp(np.logaddexp.reduce(log_probs))
+        total = float(np.exp(np.logaddexp.reduce(log_probs)))
         if abs(total - 1.0) > check_tol:
             raise ValueError(f"table mass {total!r} deviates from 1 beyond {check_tol}")
         self.log_probs = log_probs

@@ -22,7 +22,7 @@ from pacmap.bench import (
     write_records_csv,
 )
 from pacmap.circuit import circuit_from_pmf, evaluate_marginal
-from pacmap.inference import QuerySpec, make_oracle
+from pacmap.inference import QuerySpec, ZeroEvidenceError, make_oracle
 from pacmap.rng import DrawStream
 
 GEN16 = "gen:n=16/depth=3/fanout=2/seed=101"
@@ -315,3 +315,56 @@ def test_summary_counts_ranked_highest():
         mp_rank = [r.rank for r in records if r.dataset == ds and r.method == "mp"]
         amp_rank = [r.rank for r in records if r.dataset == ds and r.method == "amp"]
         assert all(a <= m for a, m in zip(amp_rank, mp_rank))
+
+
+# -- refusals -----------------------------------------------------------------
+
+
+class _HighStream(DrawStream):
+    """A stream whose every uniform is 0.75, so every uniform evidence bit is 0."""
+
+    def uniform_block(self, count, width=1):
+        return np.full((count, width), 0.75)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        pytest.param(
+            lambda: BenchConfig(circuits=("c",), query_proportions=(1.0,)),
+            ValueError,
+            "query proportions must lie in (0, 1)",
+            id="config-proportion",
+        ),
+        pytest.param(
+            lambda: BenchConfig(circuits=("c",), evidence_mode="x"),
+            ValueError,
+            "evidence_mode must be 'model' or 'uniform'",
+            id="config-evidence-mode",
+        ),
+        pytest.param(
+            lambda: parse_bench_config("circuits\n"), ValueError, "config line 1: expected 'key = value'", id="config-line"
+        ),
+        pytest.param(
+            lambda: random_query_partition(4, 0.0, 0), ValueError, "proportion must lie in (0, 1)", id="partition"
+        ),
+        pytest.param(
+            lambda: draw_evidence(circuit_from_pmf([0.1, 0.2, 0.3, 0.4]), (0,), "x", 0),
+            ValueError,
+            "mode must be 'model' or 'uniform'",
+            id="evidence-mode",
+        ),
+        # x0 is 1 in the one atom, and every draw asks for x0 = 0.
+        pytest.param(
+            lambda: draw_evidence(circuit_from_pmf([0.0, 0.0, 1.0, 0.0]), (0,), "uniform", _HighStream(0)),
+            ZeroEvidenceError,
+            "uniform evidence sampling exhausted 100 retries",
+            id="evidence-retries",
+        ),
+        pytest.param(lambda: rank_methods([]), ValueError, "need at least one record to rank", id="rank-empty"),
+    ],
+)
+def test_bench_refusals(call, error, match):
+    with pytest.raises(error, match=re.escape(match)) as err:
+        call()
+    assert type(err.value) is error

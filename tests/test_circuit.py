@@ -24,6 +24,7 @@ from pacmap.circuit import (
     enumerate_assignments,
     evaluate_complete,
     evaluate_marginal,
+    generate_deterministic_circuit,
     generate_random_circuit,
     index_to_bits,
     pack_rows,
@@ -58,8 +59,16 @@ def test_parse_normalizes_weights_with_warning():
 
 def test_parse_forward_reference_error():
     text = "spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nsum 1 2:0.5 3:0.5\nroot 1\n"
-    with pytest.raises(CircuitFormatError, match="forward reference"):
+    with pytest.raises(CircuitStructureError, match="line 4: node 1 has a non-topological child reference to node 2"):
         parse_circuit(text)
+
+
+# Rows of test_parse_errors that break a node rule, which Circuit checks.
+_NODE_RULE_ERRORS = [
+    ("spn v1\nvars 1\nleaf 0 bernoulli 0 1.5\nroot 0\n", "outside"),
+    ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nsum 2 0:nan 1:1\nroot 2\n", "line 5: .*not positive and finite"),
+    ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nsum 2 0:1 1:inf\nroot 2\n", "line 5: .*not positive and finite"),
+]
 
 
 @pytest.mark.parametrize(
@@ -68,20 +77,16 @@ def test_parse_forward_reference_error():
         ("spn v2\n", "header"),
         ("spn v1\nleaf 0 bernoulli 0 0.5\n", "vars line must precede"),
         ("spn v1\nvars 0\nroot 0\n", "vars must be >= 1"),
-        ("spn v1\nvars 1\nleaf 0 bernoulli 1 0.5\nroot 0\n", "variable index 1 >= declared"),
-        ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nsum 1 0:0\nroot 1\n", "strictly positive"),
         ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nsum 1\nroot 1\n", "at least one child"),
         ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\n", "root undeclared"),
-        ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nroot 3\n", "undeclared node"),
         ("spn v1\nvars 1\nleaf 5 bernoulli 0 0.5\nroot 0\n", "out of order"),
-        ("spn v1\nvars 1\nleaf 0 bernoulli 0 1.5\nroot 0\n", "outside"),
         ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nroot 0\nvars 2\n", "after root"),
-        ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nsum 2 0:nan 1:1\nroot 2\n", "line 5: .*not finite"),
-        ("spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nsum 2 0:1 1:inf\nroot 2\n", "line 5: .*not finite"),
-    ],
+    ]
+    + _NODE_RULE_ERRORS,
 )
 def test_parse_errors(text, match):
-    with pytest.raises(CircuitFormatError, match=match):
+    error = CircuitStructureError if (text, match) in _NODE_RULE_ERRORS else CircuitFormatError
+    with pytest.raises(error, match=match):
         parse_circuit(text)
 
 
@@ -101,13 +106,11 @@ _LEAF = _HEAD + "leaf 0 bernoulli 0 0.5\n"
         (_LEAF + "prod\n", 4, "prod line missing node id"),
         (_HEAD + "leaf 0 bernoulli 0\n", 3, "leaf line takes"),
         (_HEAD + "leaf 0 bernoulli 0 x\n", 3, "bad theta 'x'"),
-        (_HEAD + "leaf 0 indicator 0 2\n", 3, "indicator value must be 0 or 1"),
         (_HEAD + "leaf 0 indicator 0 x\n", 3, "bad indicator value 'x'"),
         (_LEAF + "leaf 1 bernoulli 0 0.5\nsum 2 0:x 1:1\n", 5, "bad weight 'x'"),
         (_LEAF + "sum 1 0\n", 4, "sum child '0' must be <child>:<weight>"),
         (_LEAF + "sum 1 x:1\n", 4, "bad child id 'x'"),
         (_LEAF + "prod 1\n", 4, "product node needs at least one child"),
-        (_LEAF + "prod 1 0 2\n", 4, "forward reference to node 2"),
         (_HEAD + "leaf -1 bernoulli 0 0.5\n", 3, "node id must be non-negative"),
         (_HEAD + "leaf 0.0 bernoulli 0 0.5\n", 3, "bad node id '0.0'"),
         (_HEAD + "leaf 0 bernoulli -1 0.5\n", 3, "variable index must be non-negative"),
@@ -115,6 +118,9 @@ _LEAF = _HEAD + "leaf 0 bernoulli 0 0.5\n"
         ("", None, "empty input"),
         ("# only a comment\n", None, "empty input"),
         ("spn v1\n", None, "missing vars line"),
+        # The whole file is read before Circuit checks a node: the format
+        # error on line 4 comes before the theta on line 3.
+        (_HEAD + "leaf 0 bernoulli 0 1.5\nleaf 2 bernoulli 0 0.5\n", 4, "node id 2 out of order (expected 1)"),
     ],
 )
 def test_parse_refusals_carry_the_line(text, line, match):
@@ -203,8 +209,37 @@ def test_parse_structure_violations_carry_the_line(text, line, violations):
         parse_circuit(text)
     nid, prop = violations[0]
     assert err.value.line == line
+    assert err.value.node == (None if prop == "scope" else nid)
     assert str(err.value).startswith(f"line {line}: node {nid}: {prop} violation (")
     assert [v[:2] for v in err.value.report.violations] == violations
+
+
+_SUM2 = _LEAF + "leaf 1 bernoulli 0 0.5\nsum 2 "  # a sum on line 5 over two leaves of x0
+
+
+@pytest.mark.parametrize(
+    "text,line,node,message",
+    [
+        (_HEAD + "leaf 0 bernoulli 1 0.5\nroot 0\n", 3, 0, "node 0 references variable 1 >= 1"),
+        (_HEAD + "leaf 0 bernoulli 0 nan\nroot 0\n", 3, 0, "node 0 has theta nan outside [0, 1]"),
+        (_HEAD + "leaf 0 indicator 0 2\nroot 0\n", 3, 0, "node 0 has indicator value 2, not 0 or 1"),
+        (_SUM2 + "0:0.5 2:0.5\nroot 2\n", 5, 2, "node 2 has a non-topological child reference to node 2"),
+        (_LEAF + "prod 1 0 2\nroot 1\n", 4, 1, "node 1 has a non-topological child reference to node 2"),
+        (_LEAF + "root 3\n", 4, None, "root id 3 out of range"),
+        ("spn v1\nvars 1\n\nroot 0\n", 4, None, "circuit has no nodes"),
+        (_LEAF + "sum 1 0:0\nroot 1\n", 4, 1, "node 1 has a weight that is not positive and finite (0.0)"),
+        (_SUM2 + "0:1 1:nan\nroot 2\n", 5, 2, "node 2 has a weight that is not positive and finite (nan)"),
+        (_SUM2 + "0:inf 1:1\nroot 2\n", 5, 2, "node 2 has a weight that is not positive and finite (inf)"),
+        (_SUM2 + "0:-1 1:2\nroot 2\n", 5, 2, "node 2 has a weight that is not positive and finite (-1.0)"),
+        # Each weight is finite, but their sum is not: no normalization, no warning.
+        (_SUM2 + "0:1e308 1:1e308\nroot 2\n", 5, 2, "node 2 weights sum to inf, not 1"),
+    ],
+)
+def test_parse_node_refusals(text, line, node, message):
+    with pytest.raises(CircuitStructureError) as err:
+        parse_circuit(text)  # a normalization warning would fail the suite
+    assert (err.value.line, err.value.node, str(err.value)) == (line, node, f"line {line}: {message}")
+    assert err.value.report is None
 
 
 # -- scopes and structure -----------------------------------------------------
@@ -572,3 +607,36 @@ def test_evaluation_time_scales_linearly():
         times.append(_best_eval_time(c, x))
     slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     assert slope <= 1.2, f"evaluation slope {slope:.2f} exceeds linear bound (sizes {sizes})"
+
+
+# -- refusals -----------------------------------------------------------------
+
+_PMF2 = circuit_from_pmf([0.1, 0.2, 0.3, 0.4])
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(
+            lambda: _PMF2.log_root(np.zeros((1, 3), np.int8)), "assignment rows have 3 variables, expected 2", id="root-width"
+        ),
+        pytest.param(lambda: evaluate_complete(_PMF2, [0, 2]), "complete assignment must be 0/1 valued", id="complete-2"),
+        pytest.param(
+            lambda: evaluate_marginal(_PMF2, {0: 1}, ()), "variables [1] neither assigned nor marginalized", id="unassigned"
+        ),
+        pytest.param(lambda: evaluate_marginal(_PMF2, {0: 1, 5: 0}, (1,)), "variable index out of range", id="var-range"),
+        pytest.param(lambda: generate_deterministic_circuit(0, 0), "need n >= 1", id="deterministic-0"),
+        pytest.param(
+            lambda: generate_deterministic_circuit(17, 0),
+            "deterministic construction is exponential; n > 16 refused",
+            id="deterministic-17",
+        ),
+        pytest.param(lambda: circuit_from_pmf([0.5, 0.25, 0.25]), "pmf length must be a power of two", id="pmf-3"),
+        pytest.param(lambda: circuit_from_pmf([]), "pmf length must be a power of two", id="pmf-empty"),
+        pytest.param(lambda: enumerate_assignments(25), "refusing to enumerate more than 2^24 assignments", id="enumerate-25"),
+    ],
+)
+def test_circuit_refusals(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)) as err:
+        call()
+    assert type(err.value) is ValueError

@@ -8,7 +8,13 @@ import pytest
 
 from pacmap.bench import BenchConfig
 from pacmap.circuit import circuit_from_pmf, save_circuit
+from pacmap import cli
 from pacmap.cli import build_parser, main
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -130,7 +136,7 @@ def test_trajectory_written_for_adaptive_methods(problem_dir, capsys, method):
     out_csv = dirpath / "traj.csv"
     argv = ["solve", "--circuit", cpath, "--query", qpath, "--method", method, "--trajectory", str(out_csv)]
     assert main(argv) == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = _csv_rows(out_csv)
     assert len(rows) >= 1
     assert f"({len(rows)} points)" in capsys.readouterr().out
 
@@ -227,7 +233,7 @@ def test_pareto_csv_monotone(problem_dir, capsys):
         ["pareto", "--circuit", cpath, "--query", qpath, "--budget", "40", "--grid", "25",
          "--seed", "5", "--out", str(out_csv)]
     ) == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = _csv_rows(out_csv)
     deltas = [float(r["delta"]) for r in rows]
     if len(deltas) > 1:  # non-degenerate frontier
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
@@ -250,7 +256,7 @@ def test_illustrate_writes_trajectory(problem_dir, capsys):
         ["illustrate", "--circuit", cpath, "--query", qpath, "--epsilon", "0.05", "--delta", "0.05",
          "--seed", "1", "--out", str(out_csv)]
     ) == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = _csv_rows(out_csv)
     assert list(rows[0].keys()) == ["m", "p_hat", "p_check", "miss_bound", "stop_time"]
     p_hats = [float(r["p_hat"]) for r in rows]
     assert all(a <= b + 1e-15 for a, b in zip(p_hats, p_hats[1:]))
@@ -272,11 +278,25 @@ def test_illustrate_stop_time_anchor(tmp_path, capsys):
     assert main(
         ["illustrate", "--circuit", str(cpath), "--query", str(qpath), "--seed", "1", "--out", str(out_csv)]
     ) == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = _csv_rows(out_csv)
     assert int(rows[-1]["stop_time"]) == 44
     assert float(rows[-1]["p_hat"]) == pytest.approx(0.104, rel=1e-9)
     out = capsys.readouterr().out
     assert "final_stop_time=44" in out
+
+
+def test_illustrate_stops_at_the_default_cap(tmp_path, monkeypatch, capsys):
+    # A uniform pmf over 2^10 atoms: p_hat is about 1/1024 or less, so the
+    # PAC stop lies thousands of draws out and 300 draws leave most atoms
+    # unseen; the run stops at the cap.
+    cpath, qpath, out_csv = tmp_path / "u.spn", tmp_path / "u.query", tmp_path / "u.csv"
+    leaves = "".join(f"leaf {v} bernoulli {v} 0.5\n" for v in range(10))
+    cpath.write_text(f"spn v1\nvars 10\n{leaves}prod 10 {' '.join(map(str, range(10)))}\nroot 10\n")
+    qpath.write_text("".join(f"Q {v}\n" for v in range(10)))
+    monkeypatch.setattr(cli, "DEFAULT_CAP", 300)
+    assert main(["illustrate", "--circuit", str(cpath), "--query", str(qpath), "--out", str(out_csv)]) == 0
+    assert "draws=300 cert=budget " in capsys.readouterr().out
+    assert [int(r["m"]) for r in _csv_rows(out_csv)] == list(range(1, 301))
 
 
 def test_bench_command_writes_csv(tmp_path, capsys):
@@ -290,7 +310,7 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     )
     out_csv = tmp_path / "records.csv"
     assert main(["bench", "--config", str(conf), "--out", str(out_csv)]) == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = _csv_rows(out_csv)
     assert len(rows) == 3
     assert {r["method"] for r in rows} == {"mp", "amp", "ind"}
     out = capsys.readouterr().out

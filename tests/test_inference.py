@@ -500,6 +500,57 @@ def test_a_shared_oracle_gives_each_thread_the_bytes_of_one_thread():
     assert got == want
 
 
+def test_a_thread_held_in_the_sampler_build_leaves_the_oracle_whole(monkeypatch):
+    # One thread is held inside its descent build, at the leaf tables (the
+    # only unit_thresholds call with a 1-D input), while a second thread
+    # samples and scores on the same oracle to completion.  The second must
+    # not see tables that the held build has published before its leaf
+    # tables, and the held build, released, must not spoil the first.
+    c = generate_random_circuit(32, 3, 2, 202)  # the n = 32 corpus circuit
+    spec = QuerySpec(tuple(range(0, 32, 2)), {}, tuple(range(1, 32, 2)))
+
+    def answers(oracle, seed):
+        draws = oracle.sample(500, seed)
+        return draws.tobytes(), oracle.log_prob_rows(draws).tobytes()
+
+    want = [answers(make_oracle(c, spec), seed) for seed in range(2)]
+    shared = make_oracle(c, spec)
+    inside, release = threading.Event(), threading.Event()
+    real = inference_module.unit_thresholds
+
+    def held(x):
+        if threading.current_thread() is holder and np.ndim(x) == 1:
+            inside.set()
+            release.wait(timeout=60)
+        return real(x)
+
+    monkeypatch.setattr(inference_module, "unit_thresholds", held)
+    got, errors = [None, None], []
+
+    def run(i):
+        try:
+            got[i] = answers(shared, i)
+        except Exception as exc:  # reported below, as a thread's exception is lost
+            errors.append(exc)
+
+    holder = threading.Thread(target=run, args=(0,))
+    other = threading.Thread(target=run, args=(1,))
+    holder.start()
+    try:
+        assert inside.wait(timeout=60)
+        other.start()
+        other.join(timeout=60)
+        finished_while_held = not other.is_alive()
+    finally:
+        release.set()
+    holder.join(timeout=60)
+    other.join(timeout=60)
+    assert not holder.is_alive() and not other.is_alive()
+    assert errors == []
+    assert finished_while_held
+    assert got == want
+
+
 def test_each_path_builds_only_the_plan_it_runs(monkeypatch):
     builds = []
     fold = Circuit._fold
@@ -1097,3 +1148,43 @@ def test_min_entropy_values():
         min_entropy(0.0)
     with pytest.raises(ValueError):
         min_entropy(1.5)
+
+
+# -- refusals -----------------------------------------------------------------
+
+_ORACLE = make_oracle(circuit_from_pmf([0.1, 0.2, 0.3, 0.4]), QuerySpec((0, 1)))
+_TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: QuerySpec((0, 0)).validate(1), "duplicate variable within a set", id="spec-duplicate"),
+        pytest.param(lambda: QuerySpec((0,), {1: 2}).validate(2), "evidence values must be 0 or 1", id="spec-evidence"),
+        pytest.param(
+            lambda: _ORACLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query rows have 3 vars, expected 2", id="rows-width"
+        ),
+        pytest.param(
+            lambda: _ORACLE.conditional_log_prob(np.zeros((1, 2))), "single query assignment expected", id="one-row-2d"
+        ),
+        pytest.param(lambda: _ORACLE.sample(0, 0), "count must be >= 1", id="sample-0"),
+        pytest.param(lambda: TabularDistribution(np.log([0.5] * 3)), "table length must be a power of two", id="table-3"),
+        pytest.param(lambda: TabularDistribution(np.array([])), "table length must be a power of two", id="table-empty"),
+        pytest.param(
+            lambda: TabularDistribution(np.log([0.5, 0.4])), "table mass 0.9 deviates from 1 beyond 1e-06", id="table-mass"
+        ),
+        pytest.param(lambda: _TABLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query arity mismatch", id="table-width"),
+        pytest.param(lambda: _TABLE.sample(0, 0), "count must be >= 1", id="table-sample-0"),
+        pytest.param(
+            lambda: tabulate_conditional(make_oracle(generate_random_circuit(25, 1, 2, 0), QuerySpec(tuple(range(25))))),
+            "|Q| = 25 exceeds tabulation cap 24",
+            id="tabulate-25",
+        ),
+        pytest.param(lambda: superlevel_mass(_TABLE, 0.0), "epsilon must lie in (0, 1)", id="superlevel-0"),
+        pytest.param(lambda: superlevel_mass(_TABLE, 1.0), "epsilon must lie in (0, 1)", id="superlevel-1"),
+    ],
+)
+def test_inference_refusals(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)) as err:
+        call()
+    assert type(err.value) is ValueError

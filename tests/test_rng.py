@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -128,3 +130,16 @@ def test_as_stream_accepts_ints_and_streams():
     s = DrawStream(3, cursor=2)
     assert as_stream(s) is s
     assert as_stream(3).seed == 3
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: DrawStream(0).uniform_block(-1), "count must be >= 0 and width >= 1", id="count"),
+        pytest.param(lambda: DrawStream(0).uniform_block(1, 0), "count must be >= 0 and width >= 1", id="width"),
+    ],
+)
+def test_stream_refusals(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)) as err:
+        call()
+    assert type(err.value) is ValueError

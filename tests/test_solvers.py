@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -789,3 +790,32 @@ def test_solution_rescorable():
     table = random_table(8, 99)
     sol = pac_map(table, PacParams(0.1, 0.1), rng=12)
     assert table.conditional_log_prob(sol.q_hat) == sol.log_p_hat
+
+
+# -- refusals -----------------------------------------------------------------
+
+_TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
+_PARAMS = PacParams(0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: pareto_delta(0.5, 0.1, 0), "budget must be >= 1", id="pareto-delta-budget"),
+        pytest.param(lambda: pareto_front(0.5, 10, grid=0), "grid must be >= 1", id="pareto-front-grid"),
+        pytest.param(lambda: pac_map(_TABLE, _PARAMS, cap=0), "cap must be >= 1", id="pac-cap"),
+        pytest.param(lambda: pac_map(_TABLE, _PARAMS, batch_size=0), "batch_size must be >= 1", id="pac-batch"),
+        pytest.param(lambda: smooth_pac_map(_TABLE, _PARAMS, radius=0), "radius must be >= 1", id="smooth-radius"),
+        pytest.param(
+            lambda: smooth_pac_map(_TABLE, _PARAMS, exploit_period=0), "exploit_period must be >= 1", id="smooth-period"
+        ),
+        pytest.param(lambda: smooth_pac_map(_TABLE, _PARAMS, eta=0.0), "eta must lie in (0, 1)", id="smooth-eta-0"),
+        pytest.param(lambda: smooth_pac_map(_TABLE, _PARAMS, eta=1.0), "eta must lie in (0, 1)", id="smooth-eta-1"),
+        pytest.param(lambda: budget_pac_map(_TABLE, 0), "budget must be >= 1", id="budget-0"),
+        pytest.param(lambda: naive_map(_TABLE, 0), "draws must be >= 1", id="naive-0"),
+    ],
+)
+def test_solver_refusals(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)) as err:
+        call()
+    assert type(err.value) is ValueError
