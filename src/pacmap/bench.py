@@ -4,9 +4,11 @@ A benchmark run crosses circuits x query proportions x trials.  Each trial
 partitions the variables, draws evidence, builds a fresh oracle per method
 (timing includes oracle construction, excludes parsing) and ranks the
 methods by the re-scored probability of their answers using competition
-ranking.  Everything is keyed off counter-based streams derived from
-(master seed, circuit, proportion, trial, method name), so a config runs to
-identical records regardless of scheduling or method subsets.
+ranking.  Model evidence is drawn from one all-variable sampler per
+circuit, shared by its trials (see sample_joint).  Everything is keyed off
+counter-based streams derived from (master seed, circuit, proportion, trial,
+method name), so a config runs to identical records regardless of
+scheduling or method subsets.
 """
 
 from __future__ import annotations
@@ -247,15 +249,25 @@ def draw_evidence(
     `model` projects one unconditional joint sample onto the evidence set,
     which guarantees positive evidence probability; `uniform` draws fair
     bits, retrying up to 100 times before giving up on zero-mass evidence.
+
+    A variable index outside 0..n-1, or given twice, is refused before the
+    stream is read.
     """
-    stream = as_stream(rng)
     e_vars = tuple(e_vars)
+    seen: set[int] = set()
+    for v in e_vars:
+        if not 0 <= v < circuit.num_vars:
+            raise ValueError(f"evidence variable {v} out of range 0..{circuit.num_vars - 1}")
+        if v in seen:
+            raise ValueError(f"evidence variable {v} given twice")
+        seen.add(v)
+    stream = as_stream(rng)
     if mode == "model":
         joint = sample_joint(circuit, 1, stream)[0]
         return {v: int(joint[v]) for v in e_vars}
     if mode != "uniform":
         raise ValueError("mode must be 'model' or 'uniform'")
-    rest = [v for v in range(circuit.num_vars) if v not in set(e_vars)]
+    rest = [v for v in range(circuit.num_vars) if v not in seen]
     for _ in range(100):
         bits = (stream.uniform_block(1, max(1, len(e_vars))).ravel() < 0.5).astype(int)
         evidence = {v: int(bits[i]) for i, v in enumerate(e_vars)}

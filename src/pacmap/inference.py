@@ -8,6 +8,7 @@ ground truth at small scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -143,8 +144,10 @@ class ConditionalOracle:
       A sum op of m nodes bounds the scratch per draw at m + _PAIR_BYTES *
       min(m, |Q|) bytes, and the leaf step at _LEAF_BYTES * |Q|.
 
-    So a sampling-only oracle (sample_joint) builds no plan at all; the
-    baselines score their rows by full passes and build no plan either.
+    So a sampling-only oracle builds neither the scoring nor the ball plan,
+    and sample_joint shares one all-variable oracle across its calls on a
+    circuit (see _joint_oracle); the baselines score their rows by full
+    passes and build no plan either.
     Every Circuit is smooth, decomposable and rooted over every variable,
     so the root meets every query variable.  Instances are shareable and
     their answers never change (two threads that build a plan at once build
@@ -468,10 +471,24 @@ def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:
     return ConditionalOracle(circuit, spec)
 
 
+@lru_cache(maxsize=1)
+def _joint_oracle(circuit: Circuit) -> ConditionalOracle:
+    """The all-variable oracle of `circuit`, kept for the most recent circuit
+    only.  The cache, not the circuit, holds it: an attribute would make the
+    cycle circuit -> oracle -> circuit and leave every dropped circuit to the
+    cyclic collector."""
+    return ConditionalOracle(circuit, QuerySpec(tuple(range(circuit.num_vars))))
+
+
 def sample_joint(circuit: Circuit, count: int, rng: int | DrawStream) -> np.ndarray:
-    """Unconditional ancestral samples of all circuit variables."""
-    spec = QuerySpec(tuple(range(circuit.num_vars)))
-    return ConditionalOracle(circuit, spec).sample(count, rng)
+    """Unconditional ancestral samples of all circuit variables.
+
+    One all-variable sampler serves every call on a circuit, and the most
+    recent circuit's sampler is kept, so callers that draw circuit by circuit
+    build one per circuit.  A draw depends only on the circuit's full plan
+    and the stream, so rows are those of a fresh oracle's sample.
+    """
+    return _joint_oracle(circuit).sample(count, rng)
 
 
 # -- exhaustive ground truth --------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 from dataclasses import fields
@@ -22,10 +23,11 @@ from pacmap.bench import (
     write_records_csv,
 )
 from pacmap.circuit import circuit_from_pmf, evaluate_marginal
-from pacmap.inference import QuerySpec, ZeroEvidenceError, make_oracle
-from pacmap.rng import DrawStream
+from pacmap.inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle
+from pacmap.rng import DrawStream, derive_seed
 
 GEN16 = "gen:n=16/depth=3/fanout=2/seed=101"
+CORPUS = (GEN16, "gen:n=32/depth=3/fanout=2/seed=202", "gen:n=64/depth=3/fanout=2/seed=303")
 
 
 # -- partitioning -------------------------------------------------------------
@@ -87,6 +89,47 @@ def test_uniform_evidence_accepted_on_full_support(small_circuits):
     ev = draw_evidence(c, (1, 2), "uniform", DrawStream(9))
     rest = [v for v in range(8) if v not in ev]
     assert evaluate_marginal(c, ev, rest) > -np.inf
+
+
+@pytest.mark.parametrize("mode", ["model", "uniform"])
+@pytest.mark.parametrize(
+    "e_vars,match",
+    [
+        ((-1, 3), "evidence variable -1 out of range 0..7"),
+        ((1, 3, 3), "evidence variable 3 given twice"),
+        ((2, 99), "evidence variable 99 out of range 0..7"),
+        ((8,), "evidence variable 8 out of range 0..7"),
+    ],
+)
+def test_evidence_refuses_bad_variables_before_drawing(small_circuits, mode, e_vars, match):
+    stream = DrawStream(3)
+    with pytest.raises(ValueError, match=re.escape(match)) as err:
+        draw_evidence(small_circuits[(8, 2)], e_vars, mode, stream)
+    assert type(err.value) is ValueError
+    assert stream.cursor == 0
+
+
+# sha256 of the sorted evidence items of the corpus instances drawn as
+# perfbench draws them at seed 1 (3 circuits x 3 shares x 10 trials),
+# recorded when every draw built a fresh all-variable oracle.
+CORPUS_EVIDENCE_DIGEST = "14b2fa38f814b08853f3be483b7f947c00642144c7a7838027357323f8f5c476"
+
+
+def test_corpus_evidence_is_that_of_a_fresh_oracle_per_draw():
+    digest = hashlib.sha256()
+    for ci, ref in enumerate(CORPUS):
+        _, c = resolve_circuit(ref)
+        n = c.num_vars
+        for pi, prop in enumerate((0.10, 0.25, 0.50)):
+            for trial in range(10):
+                base = derive_seed(1, ci, pi, trial)
+                q = set(random_query_partition(n, prop, DrawStream(derive_seed(base, "partition"))).query_vars)
+                e_vars = tuple(v for v in range(n) if v not in q)
+                ev = draw_evidence(c, e_vars, "model", DrawStream(derive_seed(base, "evidence")))
+                fresh = ConditionalOracle(c, QuerySpec(tuple(range(n)))).sample(1, derive_seed(base, "evidence"))[0]
+                assert ev == {v: int(fresh[v]) for v in e_vars}
+                digest.update(repr(sorted(ev.items())).encode())
+    assert digest.hexdigest() == CORPUS_EVIDENCE_DIGEST
 
 
 # -- ranking ------------------------------------------------------------------

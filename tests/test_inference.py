@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import math
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -782,6 +784,78 @@ def test_sample_joint_has_model_support(small_circuits):
     joint = sample_joint(c, 5, 2)
     assert joint.shape == (5, 6)
     assert set(np.unique(joint)) <= {0, 1}
+
+
+def _fresh_joint(c, count, stream):
+    return ConditionalOracle(c, QuerySpec(tuple(range(c.num_vars)))).sample(count, stream)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 29])
+def test_sample_joint_draws_the_rows_of_a_fresh_oracle(seed):
+    # Two circuits drawn from in turn, so the kept sampler is swapped at every
+    # call; each circuit's stream is reused, so its cursor advances.
+    circuits = (generate_random_circuit(16, 3, 2, 101), generate_random_circuit(32, 3, 2, 202))
+    shared = [DrawStream(seed), DrawStream(seed + 1)]
+    fresh = [DrawStream(seed), DrawStream(seed + 1)]
+    for count in (1, 64, 1, 64):
+        for i, c in enumerate(circuits):
+            got = sample_joint(c, count, shared[i])
+            assert got.tobytes() == _fresh_joint(c, count, fresh[i]).tobytes()
+            assert sample_joint(c, count, seed + count).tobytes() == _fresh_joint(c, count, seed + count).tobytes()
+
+
+def test_sample_joint_builds_one_sampler_per_circuit_and_keeps_no_dropped_circuit(monkeypatch):
+    built = []
+    init = ConditionalOracle.__init__
+
+    def counted(self, circuit, spec):
+        built.append(circuit)
+        init(self, circuit, spec)
+
+    monkeypatch.setattr(ConditionalOracle, "__init__", counted)
+    c = generate_random_circuit(16, 3, 2, 101)
+    for seed in range(30):
+        draw_evidence(c, tuple(range(0, 16, 2)), "model", DrawStream(seed))
+    assert len(built) == 1 and built[0] is c
+    built.clear()
+
+    # Without the cyclic collector, a dropped circuit is freed by reference
+    # counting alone once another circuit's sampler has replaced its own;
+    # a sampler stored on the circuit would keep it alive in a cycle.
+    gc.disable()
+    try:
+        gone = weakref.ref(c)
+        del c
+        sample_joint(generate_random_circuit(8, 3, 2, 7), 1, 0)
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_one_circuit_sampler_get_the_bytes_of_one_thread():
+    # Four threads released at once on a circuit no sampler has been built
+    # for: the first builds may race, and every thread still gets its bytes.
+    want = [_fresh_joint(generate_random_circuit(64, 3, 2, 303), 500, seed).tobytes() for seed in range(4)]
+    c = generate_random_circuit(64, 3, 2, 303)
+    barrier = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def run(i):
+        barrier.wait()
+        got[i] = sample_joint(c, 500, i).tobytes()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 # sha256 of oracle.sample(count, DrawStream(29)).tobytes(), recorded before
