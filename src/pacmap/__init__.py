@@ -12,7 +12,6 @@ from .circuit import (
     SumNode,
     WeightNormalizationWarning,
     circuit_from_pmf,
-    compute_scopes,
     evaluate_complete,
     evaluate_marginal,
     generate_deterministic_circuit,
@@ -21,7 +20,6 @@ from .circuit import (
     parse_circuit,
     save_circuit,
     serialize_circuit,
-    validate_structure,
 )
 from .inference import (
     ConditionalOracle,

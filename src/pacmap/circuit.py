@@ -28,6 +28,7 @@ Assignments are int8 vectors with values 0/1; the sentinel ``MARGINAL``
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -104,50 +105,17 @@ class StructureReport:
     violations: tuple[tuple[int, str, str], ...]
 
 
-def compute_scopes(circuit_or_nodes) -> list[int]:
-    """Per-node variable scopes as int bitmasks (bit v set <=> var v in scope).
-
-    Accepts a Circuit or a topologically ordered node sequence.
-    """
-    nodes = getattr(circuit_or_nodes, "nodes", circuit_or_nodes)
-    scopes: list[int] = []
-    for node in nodes:
-        if isinstance(node, (BernoulliLeaf, IndicatorLeaf)):
-            scopes.append(1 << node.var)
-        else:
-            acc = 0
-            for ch in node.children:
-                acc |= scopes[ch]
-            scopes.append(acc)
-    return scopes
-
-
-def validate_structure(circuit: "Circuit") -> StructureReport:
-    """Check smoothness, decomposability and that the root covers every variable."""
-    violations: list[tuple[int, str, str]] = []
-    scopes = circuit.scopes
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, SumNode):
-            first = scopes[node.children[0]]
-            if any(scopes[ch] != first for ch in node.children[1:]):
-                violations.append((i, "smoothness", "sum children have differing scopes"))
-        elif isinstance(node, ProductNode):
-            acc = 0
-            for ch in node.children:
-                if acc & scopes[ch]:
-                    violations.append((i, "decomposability", "product children share variables"))
-                    break
-                acc |= scopes[ch]
-    if scopes[circuit.root] != (1 << circuit.num_vars) - 1:
-        violations.append((circuit.root, "scope", "root scope does not cover all declared variables"))
-    is_smooth = not any(v[1] == "smoothness" for v in violations)
-    is_decomposable = not any(v[1] == "decomposability" for v in violations)
-    return StructureReport(is_smooth, is_decomposable, tuple(violations))
-
-
 class Circuit:
-    """Immutable circuit with a level-grouped vectorized evaluator; construction
-    refuses bad references and parameters and any validate_structure violation."""
+    """Immutable circuit with a level-grouped vectorized evaluator.
+
+    Construction walks the nodes once, children first.  The walk refuses, at
+    the first node that breaks one, bad references and parameters; it keeps
+    each node's scope as an int bitmask (bit v set <=> var v in scope) and
+    the node's smoothness or decomposability violation, and files the node
+    as a leaf or in its op group.  A circuit with any violation, or whose
+    root scope misses a variable, is refused with the StructureReport of
+    every violation in node order, the root's last.
+    """
 
     def __init__(self, nodes: Sequence[Node], root: int, num_vars: int):
         if not nodes:
@@ -159,16 +127,23 @@ class Circuit:
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.root = int(root)
         self.num_vars = int(num_vars)
+        scopes: list[int] = []
+        level: list[int] = []
+        leaves: list[int] = []
+        # Per (level, products before sums, child count), its nodes in id order.
+        groups: dict[tuple[int, bool, int], list[int]] = {}
+        violations: list[tuple[int, str, str]] = []
         for i, node in enumerate(self.nodes):
             if isinstance(node, (SumNode, ProductNode)):
-                if not node.children:
+                is_sum, kids = isinstance(node, SumNode), node.children
+                if not kids:
                     raise CircuitStructureError(f"node {i} has no children", node=i)
-                for ch in node.children:
+                for ch in kids:
                     if not (0 <= ch < i):
                         msg = f"node {i} has a non-topological child reference to node {ch}"
                         raise CircuitStructureError(msg, node=i)
-                if isinstance(node, SumNode):
-                    if len(node.weights) != len(node.children):
+                if is_sum:
+                    if len(node.weights) != len(kids):
                         msg = f"node {i} has {len(node.weights)} weights for its children"
                         raise CircuitStructureError(msg, node=i)
                     for w in node.weights:
@@ -177,33 +152,56 @@ class Circuit:
                             raise CircuitStructureError(msg, node=i)
                     if abs(sum(node.weights) - 1.0) > 1e-6:
                         raise CircuitStructureError(f"node {i} weights sum to {sum(node.weights)!r}, not 1", node=i)
+                # A sum breaks smoothness where a child's scope is not its
+                # first child's, a product decomposability where two share a
+                # variable; the node's scope is its children's union.
+                first = scopes[kids[0]]
+                scope, lev, broken = 0, 0, False
+                for ch in kids:
+                    broken = broken or (scopes[ch] != first if is_sum else (scope & scopes[ch]) != 0)
+                    scope |= scopes[ch]
+                    lev = max(lev, level[ch] + 1)
+                if broken and is_sum:
+                    violations.append((i, "smoothness", "sum children have differing scopes"))
+                elif broken:
+                    violations.append((i, "decomposability", "product children share variables"))
+                groups.setdefault((lev, is_sum, len(kids)), []).append(i)
             else:
-                if not (0 <= node.var < num_vars):
-                    raise CircuitStructureError(f"node {i} references variable {node.var} >= {num_vars}", node=i)
+                try:
+                    var = operator.index(node.var)
+                except TypeError:
+                    msg = f"node {i} has variable index {node.var!r}, not an integer"
+                    raise CircuitStructureError(msg, node=i) from None
+                if not (0 <= var < num_vars):
+                    raise CircuitStructureError(f"node {i} references variable {var} >= {num_vars}", node=i)
                 if isinstance(node, BernoulliLeaf) and not (0.0 <= node.theta <= 1.0):
                     raise CircuitStructureError(f"node {i} has theta {node.theta} outside [0, 1]", node=i)
                 if isinstance(node, IndicatorLeaf) and node.value not in (0, 1):
                     raise CircuitStructureError(f"node {i} has indicator value {node.value}, not 0 or 1", node=i)
-        self.scopes: tuple[int, ...] = tuple(compute_scopes(self.nodes))
-        report = validate_structure(self)
-        if report.violations:
-            nid, prop, desc = report.violations[0]  # root-scope coverage refuses the circuit, not a node
+                scope, lev = 1 << var, 0
+                leaves.append(i)
+            scopes.append(scope)
+            level.append(lev)
+        self.scopes: tuple[int, ...] = tuple(scopes)
+        if scopes[self.root] != (1 << self.num_vars) - 1:
+            violations.append((self.root, "scope", "root scope does not cover all declared variables"))
+        if violations:
+            props = {prop for _, prop, _ in violations}
+            report = StructureReport("smoothness" not in props, "decomposability" not in props, tuple(violations))
+            nid, prop, desc = violations[0]  # root-scope coverage refuses the circuit, not a node
             msg = f"node {nid}: {prop} violation ({desc})"
             raise CircuitStructureError(msg, report, node=None if prop == "scope" else nid)
-        self._plan = self._compile()  # also sets the leaves' _max_table and _leaf_theta
+        # Each level runs its products, then its sums, one op per child count.
+        self._plan = self._compile(leaves, [groups[key] for key in sorted(groups)])
         self._node_rows = np.argsort(self._plan.live)  # the full plan's value row of each node id
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compile(self) -> "_Plan":
+    def _compile(self, leaves: list[int], groups: list[list[int]]) -> "_Plan":
+        """The full plan over the walk's `leaves` and its op `groups`, in op
+        order; also sets the leaves' _max_table and _leaf_theta."""
         nodes = self.nodes
-        level = np.zeros(len(nodes), dtype=np.int64)
-        for i, node in enumerate(nodes):
-            if isinstance(node, (SumNode, ProductNode)):
-                level[i] = 1 + max(level[ch] for ch in node.children)
-
         # An indicator leaf for value v is a Bernoulli leaf with theta = v.
-        leaves = [i for i, n in enumerate(nodes) if isinstance(n, (BernoulliLeaf, IndicatorLeaf))]
         is_ind = np.asarray([isinstance(nodes[i], IndicatorLeaf) for i in leaves], dtype=bool)
         self._leaf_theta = theta = np.asarray(
             [nodes[i].value if ind else nodes[i].theta for i, ind in zip(leaves, is_ind)], dtype=np.float64
@@ -216,17 +214,6 @@ class Circuit:
         # max pass, takes its larger value.
         leaf_table = np.stack((np.zeros_like(log0), log0, log1), axis=1)
         self._max_table = np.stack((np.maximum(log0, log1), log0, log1), axis=1)
-
-        # Each level runs its products, then its sums, one op per child count.
-        groups = []
-        for lev in range(1, int(level.max()) + 1 if len(nodes) > 1 else 1):
-            ids = np.nonzero(level == lev)[0].tolist()
-            for kind in (ProductNode, SumNode):
-                by_count: dict[int, list[int]] = {}
-                for i in ids:
-                    if isinstance(nodes[i], kind):
-                        by_count.setdefault(len(nodes[i].children), []).append(i)
-                groups.extend(by_count[k] for k in sorted(by_count))
 
         # Packed rows: the leaves, then each op's nodes in op order.
         live = np.asarray(leaves + [i for group in groups for i in group], dtype=np.int64)

@@ -226,11 +226,11 @@ class ConditionalOracle:
 
         One boolean pass over the full plan's ops marks the rows whose scope
         meets Q (a sum's is its first child's, as sums are smooth), and each
-        op keeps its marked nodes, as it is where all are marked; with every
-        variable queried, all are and the pass is skipped.  The `active`
-        matrix holds one row of reached draws per marked row, except that a
-        marked row whose one parent is a product shares that parent's row
-        (it is reached by exactly the same draws), and one sink row stands
+        op keeps its marked nodes, the op itself where all are marked, as
+        every op is when every variable is queried.  The `active` matrix
+        holds one row of reached draws per marked row, except that a marked
+        row whose one parent is a product shares that parent's row (it is
+        reached by exactly the same draws), and one sink row stands
         for every unmarked row, which no draw needs to enter.  row_of maps
         full-plan rows to active rows.  _descent is set last, so a thread
         that sees it sees every other table.
@@ -246,19 +246,16 @@ class ConditionalOracle:
         col_of = np.full(self.circuit.num_vars, self.num_query, dtype=np.int64)  # past every column
         col_of[self.query_vars] = np.arange(self.num_query)
         leaf_col = col_of[full.leaf_cols[:, 0]]
-        if self.num_query == self.circuit.num_vars:
-            live, ops = np.ones(full.size, dtype=bool), full.ops
-        else:
-            live = np.zeros(full.size, dtype=bool)
-            live[: leaf_col.size] = leaf_col < self.num_query
-            ops = []
-            for op in full.ops:
-                keep = live[op.kids].any(axis=0) if op.logw is None else live[op.kids[0]]
-                live[op.ids[0] : op.ids[-1] + 1] = keep  # the full plan is packed
-                if keep.all():
-                    ops.append(op)
-                elif keep.any():
-                    ops.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
+        live = np.zeros(full.size, dtype=bool)
+        live[: leaf_col.size] = leaf_col < self.num_query
+        ops = []
+        for op in full.ops:
+            keep = live[op.kids].any(axis=0) if op.logw is None else live[op.kids[0]]
+            live[op.ids[0] : op.ids[-1] + 1] = keep  # the full plan is packed
+            if keep.all():
+                ops.append(op)
+            elif keep.any():
+                ops.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
 
         kids = np.concatenate([np.empty(0, np.int64)] + [op.kids.ravel() for op in ops])
         parents = np.bincount(kids, minlength=full.size) * live  # an unmarked row counts none

@@ -287,10 +287,16 @@ class _Rules:
 
 
 def _warm_set(oracle, warm: Sequence[np.ndarray] | None) -> SampleSet:
-    """A candidate set holding the scored warm-start atoms and no draws."""
+    """A candidate set holding the scored warm-start atoms and no draws.  A
+    row with an entry other than 0 or 1, such as MARGINAL, which an oracle
+    reads as summed out, raises ValueError."""
     state = SampleSet()
     if warm is not None and len(warm):
-        rows = np.stack([np.asarray(w, dtype=np.int8) for w in warm])
+        rows = np.stack([np.asarray(w) for w in warm])
+        for k, row in enumerate(rows):
+            if not ((row == 0) | (row == 1)).all():
+                raise ValueError(f"warm start {k} is not a 0/1 assignment: {row.tolist()}")
+        rows = rows.astype(np.int8)
         state.fold(rows, oracle.log_prob_rows(rows), draws=False)
     return state
 
@@ -315,7 +321,7 @@ def _adaptive(
     batch_size: int,
     trajectory: list | None,
     radius: int = 0,
-    next_segment: Callable[[], int] | None = None,
+    next_segment: Callable[[int | float], int] | None = None,
 ) -> Solution:
     """The adaptive loop behind pac_map and smooth_pac_map.
 
@@ -323,13 +329,15 @@ def _adaptive(
     the draws left before `cap` and to those left before the PAC rule holds
     at the current p-hat.  Each batch is sampled and scored whole, then
     folded up to the first draw where a stopping rule holds.  With
-    `next_segment`, the batch is folded in segments of next_segment() random
-    draws, and after each segment the Hamming ball of `radius` around the
-    leading candidate is folded in, unless it was the last ball folded, and
-    the rules are checked once the whole ball is in.  Without it the draws
-    run in one unbounded segment.  The warm-start atoms are folded in first,
-    with no check.  Whatever stops the run, the draws it did not use go back
-    to the stream.
+    `next_segment`, the batch is folded in segments of next_segment(left)
+    random draws, `left` being the draws left before `cap` (inf if None),
+    and after each segment the Hamming ball of `radius` around the leading
+    candidate is folded in, unless it was the last ball folded, and the
+    rules are checked once the whole ball is in.  A segment of `left` or
+    more draws ends at or past the cap, where the run stops before any ball.
+    Without `next_segment` the draws run in one unbounded segment.  The
+    warm-start atoms are folded in first, with no check.  Whatever stops the
+    run, the draws it did not use go back to the stream.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
@@ -339,7 +347,8 @@ def _adaptive(
     stream = as_stream(rng)
     rules = _Rules(params)
     state = _warm_set(oracle, warm)
-    segment = next_segment() if next_segment is not None else math.inf
+    cap = math.inf if cap is None else cap
+    segment = next_segment(cap) if next_segment is not None else math.inf
     centre = None  # the centre of the last ball folded
 
     def exploit() -> Certificate | None:
@@ -358,7 +367,7 @@ def _adaptive(
                 cert = rules.certificates[int(rules.grant(state.p_hat(), state.residual(), state.m))]
                 if cert is not None:
                     return cert
-            segment = next_segment()
+            segment = next_segment(cap - state.m)
         return None
 
     def pac_left() -> int | float:
@@ -371,7 +380,7 @@ def _adaptive(
     cert = exploit()
     size = _FIRST_BATCH
     while cert is None:
-        take = min(size, batch_size, math.inf if cap is None else cap - state.m, pac_left())
+        take = min(size, batch_size, cap - state.m, pac_left())
         size *= 2
         bits = oracle.sample(take, stream)
         log_probs = oracle.log_prob_rows(bits)
@@ -396,7 +405,7 @@ def _adaptive(
                         )
                     )
             cert = rules.certificates[fold.grant]
-            if cert is None and cap is not None and state.m >= cap:
+            if cert is None and state.m >= cap:
                 cert = Budget(pareto_front(state.p_hat(), state.m))
             if cert is None:
                 cert = exploit()
@@ -469,16 +478,18 @@ def smooth_pac_map(
         raise ValueError("eta must lie in (0, 1)")
     coin_stream = as_stream(rng).spawn("explore-coin") if eta is not None else None
 
-    def next_segment() -> int:
-        """Number of draws before the next exploitation pass."""
+    def next_segment(left: int | float) -> int:
+        """Number of draws before the next exploitation pass.  The coin scan
+        stops at `left` or more draws, past which the run never exploits."""
         if eta is None:
             return exploit_period
         count = 0
-        while True:
+        while count < left:
             coins = coin_stream.uniform_block(64, 1).ravel() < (1.0 - eta)
             if not coins.all():
                 return count + int(np.argmin(coins))
             count += 64
+        return count
 
     return _adaptive(oracle, params, cap, warm, rng, batch_size, trajectory, radius, next_segment)
 

@@ -20,7 +20,6 @@ from pacmap.circuit import (
     WeightNormalizationWarning,
     bits_to_index,
     circuit_from_pmf,
-    compute_scopes,
     enumerate_assignments,
     evaluate_complete,
     evaluate_marginal,
@@ -30,7 +29,6 @@ from pacmap.circuit import (
     pack_rows,
     parse_circuit,
     serialize_circuit,
-    validate_structure,
 )
 from conftest import ref_marginal_prob
 
@@ -167,6 +165,15 @@ _TWO = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9)]  # two leaves of x0
         (_TWO + [SumNode((0, 1), (0.5, math.nan))], 2, 1, "node 2 has a weight that is not positive and finite"),
         (_TWO + [SumNode((0, 1), (0.5, math.inf))], 2, 1, "node 2 has a weight that is not positive and finite"),
         (_TWO + [SumNode((0, 1), (0.9, 0.9))], 2, 1, "node 2 weights sum to 1.8, not 1"),
+        ([IndicatorLeaf(2.0, 1)], 0, 3, "node 0 has variable index 2.0, not an integer"),
+        ([BernoulliLeaf("1", 0.5)], 0, 2, "node 0 has variable index '1', not an integer"),
+        # A node rule on a later node is raised before node 2's smoothness violation.
+        (
+            [BernoulliLeaf(0, 0.5), BernoulliLeaf(1, 0.5), SumNode((0, 1), (0.5, 0.5)), BernoulliLeaf(0, 1.5)],
+            2,
+            2,
+            "node 3 has theta 1.5 outside [0, 1]",
+        ),
     ],
 )
 def test_circuit_constructor_refusals(nodes, root, num_vars, match):
@@ -202,6 +209,19 @@ def test_parse_error_reports_line_number():
             [(2, "smoothness"), (0, "scope")],
         ),
         ("spn v1\nvars 2\nleaf 0 bernoulli 0 0.3\n\nroot 0  # x1 is never reached\n", 5, [(0, "scope")]),
+        # All three rules broken: every violation in node order, the root's last.
+        (
+            "spn v1\nvars 3\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nprod 2 0 1\n"
+            "leaf 3 bernoulli 1 0.5\nsum 4 0:0.5 3:0.5\nroot 4\n",
+            5,
+            [(2, "decomposability"), (4, "smoothness"), (4, "scope")],
+        ),
+        (
+            "spn v1\nvars 1\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 0 0.5\nleaf 2 bernoulli 0 0.5\n"
+            "prod 3 0 1 2\nroot 3\n",
+            6,
+            [(3, "decomposability")],
+        ),
     ],
 )
 def test_parse_structure_violations_carry_the_line(text, line, violations):
@@ -233,6 +253,14 @@ _SUM2 = _LEAF + "leaf 1 bernoulli 0 0.5\nsum 2 "  # a sum on line 5 over two lea
         (_SUM2 + "0:-1 1:2\nroot 2\n", 5, 2, "node 2 has a weight that is not positive and finite (-1.0)"),
         # Each weight is finite, but their sum is not: no normalization, no warning.
         (_SUM2 + "0:1e308 1:1e308\nroot 2\n", 5, 2, "node 2 weights sum to inf, not 1"),
+        # Sum 2 breaks smoothness, but leaf 3's node rule is raised.
+        (
+            "spn v1\nvars 2\nleaf 0 bernoulli 0 0.5\nleaf 1 bernoulli 1 0.5\nsum 2 0:0.5 1:0.5\n"
+            "leaf 3 bernoulli 0 1.5\nroot 2\n",
+            6,
+            3,
+            "node 3 has theta 1.5 outside [0, 1]",
+        ),
     ],
 )
 def test_parse_node_refusals(text, line, node, message):
@@ -245,27 +273,39 @@ def test_parse_node_refusals(text, line, node, message):
 # -- scopes and structure -----------------------------------------------------
 
 
+def _structure_holds(c):
+    """Every sum's children share its scope, every product's children are
+    disjoint and the root covers every variable, read from c.scopes."""
+    for node, scope in zip(c.nodes, c.scopes):
+        kids = [c.scopes[ch] for ch in getattr(node, "children", ())]
+        if isinstance(node, SumNode) and any(kid != scope for kid in kids):
+            return False
+        if isinstance(node, ProductNode) and sum(bin(kid).count("1") for kid in kids) != bin(scope).count("1"):
+            return False
+    return c.scopes[c.root] == (1 << c.num_vars) - 1
+
+
 def test_scope_single_leaf():
-    assert compute_scopes([BernoulliLeaf(3, 0.5)]) == [0b1000]
+    leaves = [BernoulliLeaf(v, 0.5) for v in range(4)]
+    c = Circuit(leaves + [ProductNode((0, 1, 2, 3))], 4, 4)
+    assert c.scopes == (0b1, 0b10, 0b100, 0b1000, 0b1111)
 
 
 def test_scope_product_union():
     nodes = [BernoulliLeaf(0, 0.5), BernoulliLeaf(1, 0.5), ProductNode((0, 1))]
-    assert compute_scopes(nodes)[2] == 0b11
+    assert Circuit(nodes, 2, 2).scopes[2] == 0b11
 
 
 def test_generated_circuits_valid_over_100_seeds():
     for seed in range(100):
-        c = generate_random_circuit(12, depth=3, fanout=2, seed=seed)
+        c = generate_random_circuit(12, depth=3, fanout=2, seed=seed)  # Circuit refuses any violation
         assert c.scopes[c.root] == (1 << 12) - 1
-        report = validate_structure(c)
-        assert report.is_smooth and report.is_decomposable and not report.violations
+        assert _structure_holds(c)
 
 
 def test_validate_structure_smooth_and_decomposable():
     nodes = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9), SumNode((0, 1), (0.5, 0.5))]
-    report = validate_structure(Circuit(nodes, 2, 1))
-    assert report.is_smooth and report.is_decomposable
+    assert _structure_holds(Circuit(nodes, 2, 1))
 
 
 def test_validate_structure_smoothness_violation():
@@ -284,6 +324,48 @@ def test_validate_structure_decomposability_violation():
     report = err.value.report
     assert report.is_decomposable is False
     assert report.violations[0][:2] == (2, "decomposability")
+
+
+@pytest.mark.parametrize(
+    "nodes,root,num_vars,violations",
+    [
+        # Node 2 breaks decomposability and node 4 smoothness, and root 4 misses x2.
+        (
+            _TWO + [ProductNode((0, 1)), BernoulliLeaf(1, 0.5), SumNode((0, 3), (0.5, 0.5))],
+            4,
+            3,
+            ((2, "decomposability"), (4, "smoothness"), (4, "scope")),
+        ),
+        # Three pairwise-overlapping children break decomposability once.
+        (_TWO + [BernoulliLeaf(0, 0.5), ProductNode((0, 1, 2))], 3, 1, ((3, "decomposability"),)),
+    ],
+)
+def test_a_report_lists_every_violation_in_node_order(nodes, root, num_vars, violations):
+    with pytest.raises(CircuitStructureError) as err:
+        Circuit(nodes, root, num_vars)
+    report = err.value.report
+    rules = [rule for _, rule, _ in report.violations]
+    assert (report.is_smooth, report.is_decomposable) == ("smoothness" not in rules, "decomposability" not in rules)
+    assert tuple((nid, rule) for nid, rule, _ in report.violations) == violations
+    assert err.value.node == violations[0][0]
+
+
+def _plan_bytes(c):
+    """The full plan's fields and ops as bytes, with the scopes and leaf tables."""
+    plan = c._plan
+    arrays = [plan.live, plan.leaf_cols, plan.leaf_base, plan.leaf_table, plan.consts, c._max_table, c._leaf_theta]
+    arrays += [a for op in plan.ops for a in (op.ids, op.kids, op.logw) if a is not None]
+    return (plan.width, plan.root, c.scopes, [(a.dtype, a.shape, a.tobytes()) for a in arrays])
+
+
+@pytest.mark.parametrize("n,numpy_vars", [(64, range(64)), (65, [64]), (65, [3])], ids=["64-all", "65-last", "65-one"])
+def test_numpy_integer_leaf_variables_build_the_python_int_plan(n, numpy_vars):
+    def leaves(as_numpy):
+        return [BernoulliLeaf(np.int64(v) if as_numpy and v in numpy_vars else v, 0.5 + v / 200) for v in range(n)]
+
+    c = Circuit(leaves(True) + [ProductNode(tuple(range(n)))], n, n)
+    assert c.scopes[n] == (1 << n) - 1 and all(type(scope) is int for scope in c.scopes)
+    assert _plan_bytes(c) == _plan_bytes(Circuit(leaves(False) + [ProductNode(tuple(range(n)))], n, n))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -517,8 +599,7 @@ def test_circuit_from_pmf_refuses_non_finite_or_negative_mass(probs):
 
 def test_deterministic_circuit_is_valid():
     c = pacmap.generate_deterministic_circuit(6, seed=3)
-    report = validate_structure(c)
-    assert report.is_smooth and report.is_decomposable
+    assert _structure_holds(c)
     logs = c.log_root(enumerate_assignments(6))
     assert np.exp(np.logaddexp.reduce(logs)) == pytest.approx(1.0, abs=1e-9)
 

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -35,3 +36,14 @@ def test_numpy_is_the_only_runtime_dependency():
     assert len(sources) >= 7
     found = {path.name: foreign_imports(path.read_text(encoding="utf-8")) for path in sources}
     assert not any(found.values()), found
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text(encoding="utf-8"))
+    version = (int(floor[1]), int(floor[2]))
+    assert version == (3, 10)
+    sources = sorted((root / "src" / "pacmap").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert len(sources) >= 19
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

@@ -255,7 +255,8 @@ def test_folded_scoring_is_bit_identical_to_full_pass(case, monkeypatch):
     live = [i for i, scope in enumerate(c.scopes) if scope & q_mask]
     assert _descent_nodes(oracle) == live
     if case == "every node live":
-        assert len(live) == len(c.nodes) and oracle._ops is c._plan.ops
+        assert len(live) == len(c.nodes) and len(oracle._ops) == len(c._plan.ops)
+        assert all(kept is op for kept, op in zip(oracle._ops, c._plan.ops))
     rng = np.random.default_rng(3)
     q_rows = rng.integers(0, 2, size=(400, n)).astype(np.int8)
     partial = np.where(rng.random(q_rows.shape) < 0.3, MARGINAL, q_rows).astype(np.int8)

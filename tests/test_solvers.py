@@ -14,6 +14,7 @@ from pacmap.inference import (
     make_oracle,
     sample_joint,
     superlevel_mass,
+    tabulate_conditional,
 )
 from pacmap.rng import DrawStream, derive_seed
 from pacmap.solvers import (
@@ -729,6 +730,63 @@ def test_bernoulli_exploit_mode_runs():
     assert sol.certificate.kind in ("exact", "det-eps", "pac")
     sol2 = smooth_pac_map(table, PacParams(0.05, 0.05), radius=1, exploit_period=50, rng=3, eta=0.05)
     assert sol2.draws_used == sol.draws_used and sol2.log_p_hat == sol.log_p_hat
+
+
+@pytest.mark.parametrize(
+    "alpha,params,cap,want",
+    [
+        # Answers recorded before the coin scan stopped at the cap.
+        (0.3, PacParams(0.05, 0.05), 200, ("pac", 15, 15, [0, 1, 1, 1], -1.6563634971122725)),
+        (50.0, PacParams(0.01, 0.01), 20, ("budget", 20, 20, [0, 0, 1, 1], -2.5480926364900376)),
+    ],
+    ids=["pac", "budget"],
+)
+def test_the_explore_coin_scan_stops_at_the_cap(alpha, params, cap, want, monkeypatch):
+    # At eta = 1e-6 the next exploit coin lies about a million coins on; the
+    # scan stops once it has read past the cap, where no pass can fall due.
+    seeds = []
+    uniform_block = DrawStream.uniform_block
+
+    def counted(stream, count, width=1):
+        seeds.append(stream.seed)
+        return uniform_block(stream, count, width)
+
+    monkeypatch.setattr(DrawStream, "uniform_block", counted)
+    sol = smooth_pac_map(random_table(4, 0, alpha), params, cap=cap, rng=3, eta=1e-6)
+    assert (sol.certificate.kind, sol.draws_used, sol.oracle_calls, sol.q_hat.tolist(), sol.log_p_hat) == want
+    assert 1 <= seeds.count(derive_seed(3, "explore-coin")) <= math.ceil(cap / 64) + 1
+
+
+_WARM_ORACLE = make_oracle(generate_random_circuit(8, 3, 2, 5), QuerySpec((0, 1, 2, 3), {4: 1}, (5, 6, 7)))
+_WARM_TABLE = tabulate_conditional(_WARM_ORACLE)
+_WARM_SOLVERS = {
+    "pac": lambda oracle, warm: pac_map(oracle, PARAMS, warm=warm, rng=2),
+    "smooth": lambda oracle, warm: smooth_pac_map(oracle, PARAMS, warm=warm, rng=2),
+    "budget": lambda oracle, warm: budget_pac_map(oracle, 50, warm=warm, rng=2)[0],
+}
+
+
+@pytest.mark.parametrize("kind", ["circuit", "table"])
+@pytest.mark.parametrize("solver", list(_WARM_SOLVERS))
+def test_warm_starts_that_are_not_0_1_assignments_are_refused(solver, kind):
+    # A circuit oracle reads a MARGINAL (-1) entry as summed out, so such a
+    # row once scored as a marginal and won an Exact certificate.
+    run = _WARM_SOLVERS[solver]
+    mode, log_mode = brute_force_map(_WARM_TABLE)
+    for warm, message in [
+        ([[-1, -1, -1, -1]], "warm start 0 is not a 0/1 assignment: [-1, -1, -1, -1]"),
+        ([mode, [1, -1, -1, -1]], "warm start 1 is not a 0/1 assignment: [1, -1, -1, -1]"),
+        ([[0.7, 0.2, 1.9, 0.4]], "warm start 0 is not a 0/1 assignment: [0.7, 0.2, 1.9, 0.4]"),
+        ([mode, mode, np.array([0, 1, 2, 0])], "warm start 2 is not a 0/1 assignment: [0, 1, 2, 0]"),
+    ]:
+        oracle = CountingOracle(_WARM_ORACLE if kind == "circuit" else _WARM_TABLE)
+        with pytest.raises(ValueError) as err:
+            run(oracle, warm)
+        assert (type(err.value), str(err.value)) == (ValueError, message)
+        assert oracle.sampled == oracle.scored == []
+    # 0/1 entries of any dtype are kept: the mode as floats is the mode.
+    sol = run(_WARM_ORACLE if kind == "circuit" else _WARM_TABLE, [mode.astype(float)])
+    assert (sol.q_hat.tolist(), sol.log_p_hat) == (mode.tolist(), pytest.approx(log_mode, abs=1e-12))
 
 
 # -- sample set ---------------------------------------------------------------
