@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import arg_max_product, independent_map, max_product
 from .circuit import Circuit, evaluate_marginal, generate_random_circuit, load_circuit
 from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
-from .rng import DrawStream, as_stream, derive_seed
+from .rng import DrawStream, _integer, as_stream, derive_seed
 from .solvers import (
     DEFAULT_BATCH_SIZE,
     Budget,
@@ -118,8 +118,8 @@ class BenchConfig:
         if any(not (0.0 < p < 1.0) for p in self.query_proportions):
             raise ValueError("query proportions must lie in (0, 1)")
         for key in ("trials", "sample_cap", "batch_size", "exploit_period", "radius"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+            _integer(getattr(self, key), key, 1)
+        _integer(self.seed, "seed")
         for key in ("circuits", "methods", "query_proportions"):
             values = getattr(self, key)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]

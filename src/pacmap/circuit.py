@@ -120,13 +120,14 @@ class Circuit:
     def __init__(self, nodes: Sequence[Node], root: int, num_vars: int):
         if not nodes:
             raise CircuitStructureError("circuit has no nodes")
+        root, num_vars = _checked_int(root, "root id"), _checked_int(num_vars, "num_vars")
         if not (0 <= root < len(nodes)):
             raise CircuitStructureError(f"root id {root} out of range")
         if num_vars < 1:
             raise CircuitStructureError("num_vars must be >= 1")
         self.nodes: tuple[Node, ...] = tuple(nodes)
-        self.root = int(root)
-        self.num_vars = int(num_vars)
+        self.root = root
+        self.num_vars = num_vars
         scopes: list[int] = []
         level: list[int] = []
         leaves: list[int] = []
@@ -139,7 +140,7 @@ class Circuit:
                 if not kids:
                     raise CircuitStructureError(f"node {i} has no children", node=i)
                 for ch in kids:
-                    if not (0 <= ch < i):
+                    if not (0 <= _checked_int(ch, "child id", i) < i):
                         msg = f"node {i} has a non-topological child reference to node {ch}"
                         raise CircuitStructureError(msg, node=i)
                 if is_sum:
@@ -147,7 +148,7 @@ class Circuit:
                         msg = f"node {i} has {len(node.weights)} weights for its children"
                         raise CircuitStructureError(msg, node=i)
                     for w in node.weights:
-                        if not (0.0 < w < np.inf):  # NaN fails too
+                        if not (0.0 < _checked_real(w, "weight", i) < np.inf):  # NaN fails too
                             msg = f"node {i} has a weight that is not positive and finite ({w!r})"
                             raise CircuitStructureError(msg, node=i)
                     if abs(sum(node.weights) - 1.0) > 1e-6:
@@ -167,17 +168,13 @@ class Circuit:
                     violations.append((i, "decomposability", "product children share variables"))
                 groups.setdefault((lev, is_sum, len(kids)), []).append(i)
             else:
-                try:
-                    var = operator.index(node.var)
-                except TypeError:
-                    msg = f"node {i} has variable index {node.var!r}, not an integer"
-                    raise CircuitStructureError(msg, node=i) from None
+                var = _checked_int(node.var, "variable index", i)
                 if not (0 <= var < num_vars):
                     raise CircuitStructureError(f"node {i} references variable {var} >= {num_vars}", node=i)
-                if isinstance(node, BernoulliLeaf) and not (0.0 <= node.theta <= 1.0):
+                if isinstance(node, BernoulliLeaf) and not (0.0 <= _checked_real(node.theta, "theta", i) <= 1.0):
                     raise CircuitStructureError(f"node {i} has theta {node.theta} outside [0, 1]", node=i)
                 if isinstance(node, IndicatorLeaf) and node.value not in (0, 1):
-                    raise CircuitStructureError(f"node {i} has indicator value {node.value}, not 0 or 1", node=i)
+                    raise CircuitStructureError(f"node {i} has indicator value {node.value!r}, not 0 or 1", node=i)
                 scope, lev = 1 << var, 0
                 leaves.append(i)
             scopes.append(scope)
@@ -237,14 +234,33 @@ class Circuit:
             consts=np.empty(0, dtype=np.float64),
         )
 
-    def _fold(self, columns: Sequence[int], upward: np.ndarray) -> "_Plan":
-        """The scoring plan: ops for the nodes that meet five or more `columns`.
+    def _column_counts(self, columns: Sequence[int]) -> np.ndarray:
+        """Per full-plan row, the columns its scope meets, as (count << 32) +
+        the sum of column + 1 over them, column j holding columns[j].  A
+        product's count is the sum of its children's, because products are
+        decomposable, and a sum's is its first child's, because sums are
+        smooth.  A carry out of the low bits can only raise a count of 5 or
+        more, so every count reads as 0 to 4 or at least 5, and the low bits
+        of a count of 1 name its column."""
+        full = self._plan
+        col_of = np.full(self.num_vars, len(columns), dtype=np.int64)
+        col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
+        col = col_of[full.leaf_cols[:, 0]]
+        counts = np.zeros(full.size, dtype=np.int64)
+        counts[: col.size] = np.where(col < len(columns), (1 << 32) + 1 + col, 0)
+        for op in full.ops:
+            rows = slice(op.ids[0], op.ids[-1] + 1)  # the full plan is packed
+            counts[rows] = counts[op.kids].sum(axis=0) if op.logw is None else counts[op.kids[0]]
+        return counts
 
-        `columns` lists the variables that the plan's input columns hold, in
-        order.  `upward` is the full plan's (size, 3) value matrix for three
-        rows with every other variable fixed and the `columns` variables all
-        MARGINAL, then all 0, then all 1.  A node whose scope misses
-        `columns` takes the same value in every row, so a dead child of a
+    def _fold(self, counts: np.ndarray, width: int, upward: np.ndarray) -> "_Plan":
+        """The scoring plan: ops for the nodes that meet five or more columns.
+
+        `counts` is _column_counts of the variables that its `width` input
+        columns hold.  `upward` is the full plan's (size, 3) value matrix for
+        three rows with every other variable fixed and those variables all
+        MARGINAL, then all 0, then all 1.  A node whose scope misses the
+        columns takes the same value in every row, so a dead child of a
         kept node becomes a constant row holding its first entry of `upward`.
         It keeps its place in its parent's child list, so every kept node
         sums the same terms in the same order as in the full plan, and its
@@ -266,43 +282,28 @@ class Circuit:
         bit-identical to the node's value in a pass over a row with those
         entries.
 
-        One integer pass counts the columns each node meets: a product's
-        count is the sum of its children's counts, because products are
-        decomposable, and a sum's is its first child's, because sums are
-        smooth.  The plan is packed: its leaves, then each kept op's nodes
-        in op order, then the constants, each in full-plan row order.
+        The plan is packed: its leaves, then each kept op's nodes in op
+        order, then the constants, each in full-plan row order.
         """
         full = self._plan
-        # Per full-plan row, the columns its scope meets, as (count << 32) +
-        # the sum of column + 1 over them.  A carry out of the low bits can
-        # only raise a count of 5 or more, so every count reads as 0 to 4 or
-        # at least 5, and the low bits of a count of 1 name its column.
-        col_of = np.full(self.num_vars, len(columns), dtype=np.int64)
-        col_of[np.asarray(columns, dtype=np.int64)] = np.arange(len(columns))
-        col = col_of[full.leaf_cols[:, 0]]
-        seen = np.zeros(full.size, dtype=np.int64)
-        seen[: col.size] = np.where(col < len(columns), (1 << 32) + 1 + col, 0)
-        fewest = 5 << 32  # the fewest columns an op node meets, as counted
+        inner = counts >= (5 << 32)  # the kept ops' nodes; never a leaf, which meets at most one column
         read = np.zeros(full.size, dtype=bool)  # the kept ops' children, and the root
         read[full.root] = True
         kept = []
         for op in full.ops:
-            rows = slice(op.ids[0], op.ids[-1] + 1)  # the full plan is packed
-            seen[rows] = seen[op.kids].sum(axis=0) if op.logw is None else seen[op.kids[0]]
-            keep = seen[rows] >= fewest
+            keep = inner[op.ids]
             if keep.any():
                 kept.append(_Op(op.ids[keep], op.kids[:, keep], None if op.logw is None else op.logw[:, keep]))
                 read[kept[-1].kids] = True
 
-        inner = seen >= fewest  # never a leaf, which meets at most one column
-        leaves = np.flatnonzero(read & ~inner & (seen > 0))
-        dead = np.flatnonzero(read & (seen == 0))
+        leaves = np.flatnonzero(read & ~inner & (counts > 0))
+        dead = np.flatnonzero(read & (counts == 0))
         order = np.concatenate((leaves, np.flatnonzero(inner), dead))
         row_of = np.full(full.size, -1, dtype=np.int64)
         row_of[order] = np.arange(order.size)
-        leaf_cols, leaf_table = _fill_tables(full, seen >> 32, seen & 0xFFFFFFFF, upward, leaves)
+        leaf_cols, leaf_table = _fill_tables(full, counts >> 32, counts & 0xFFFFFFFF, upward, leaves)
         return _Plan(
-            width=len(columns),
+            width=width,
             root=int(row_of[full.root]),
             live=full.live[order[: order.size - dead.size]],
             leaf_cols=leaf_cols,
@@ -449,6 +450,24 @@ class Circuit:
             scores = self._root(rows.reshape(-1, plan.width), plan, np.tile(op.ids, len(rows)))
             cand[op.ids] = rows[scores.reshape(len(rows), m).argmax(axis=0), np.arange(m)]
         return cand[plan.root]
+
+
+def _checked_int(value, what: str, node: int | None = None) -> int:
+    """`value` through operator.index (numpy integers pass); else a
+    CircuitStructureError naming `what` of node `node`, or of the circuit."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        owner = "circuit" if node is None else f"node {node}"
+        raise CircuitStructureError(f"{owner} has {what} {value!r}, not an integer", node=node) from None
+
+
+def _checked_real(value, what: str, node: int) -> float:
+    """`value` if it is a Python or numpy int or float; else a
+    CircuitStructureError naming `what` of node `node`."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise CircuitStructureError(f"node {node} has {what} {value!r}, not a number", node=node)
+    return value
 
 
 def _check_entries(rows) -> np.ndarray:

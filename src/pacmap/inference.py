@@ -8,7 +8,7 @@ ground truth at small scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .circuit import (
     index_to_bits,
     pack_rows,
 )
-from .rng import DrawStream, as_stream, counter_keys, key_offsets, mix53, unit_thresholds
+from .rng import DrawStream, _integer, as_stream, counter_keys, key_offsets, mix53, unit_thresholds
 
 _TABULAR_CAP = 24
 # Sampling scratch, in bytes per draw, of the leaf step per query column and
@@ -111,7 +111,9 @@ class ConditionalOracle:
     nuisance variables summed out and the query variables all MARGINAL,
     then all 0, then all 1, and caches ln p(e) from the first.  Every plan
     the oracle runs is built from that pass when first needed, and none at
-    construction:
+    construction.  The first sample or log_prob_rows counts, once, the
+    query variables each node meets (see _counts); the scoring plan and the
+    descent tables both read those counts:
 
     - The scoring plan, at the first log_prob_rows (see Circuit._fold):
       every node whose scope meets five or more query variables stays an
@@ -133,8 +135,8 @@ class ConditionalOracle:
       slot per query column it meets.
     - The sampler's descent tables, at the first sample(), read straight
       from the circuit's full plan (see _compile_descent): the descent keeps
-      the nodes whose scope meets Q, keyed by node id.  Sampling walks the
-      kept ops from the root down with a few numpy calls per op, whatever
+      the nodes whose count is above 0, keyed by node id.  Sampling walks
+      the kept ops from the root down with a few numpy calls per op, whatever
       their node count: a (nodes, draws) bool matrix holds the draws that
       reach each node, sums choose children from per-op cumulative tables
       built from the upward pass, +inf from each node's last positive-mass
@@ -147,7 +149,7 @@ class ConditionalOracle:
     So a sampling-only oracle builds neither the scoring nor the ball plan,
     and sample_joint shares one all-variable oracle across its calls on a
     circuit (see _joint_oracle); the baselines score their rows by full
-    passes and build no plan either.
+    passes and build nothing, not even the counts.
     Every Circuit is smooth, decomposable and rooted over every variable,
     so the root meets every query variable.  Instances are shareable and
     their answers never change (two threads that build a plan at once build
@@ -194,7 +196,7 @@ class ConditionalOracle:
         if query_rows.shape[1] != self.num_query:
             raise ValueError(f"query rows have {query_rows.shape[1]} vars, expected {self.num_query}")
         if self._score_plan is None:
-            self._score_plan = self.circuit._fold(self.spec.query_vars, self._upward)
+            self._score_plan = self.circuit._fold(self._counts, self.num_query, self._upward)
         flips = _ball_flips(query_rows)
         if flips is None:
             out = self.circuit._root(query_rows, self._score_plan)
@@ -202,6 +204,11 @@ class ConditionalOracle:
             out = self._score_ball(query_rows[0], flips)
         out -= self.log_p_evidence
         return out
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """Circuit._column_counts of the query variables, run by the first reader and stored once."""
+        return self.circuit._column_counts(self.spec.query_vars)
 
     def _score_ball(self, center: np.ndarray, flips: np.ndarray) -> np.ndarray:
         """Root values of the rows `center` with column flips[i] flipped (none
@@ -224,14 +231,14 @@ class ConditionalOracle:
         """The sampler's kept ops and tables, read by full-plan row from the
         circuit's full plan and the cached upward pass.
 
-        One boolean pass over the full plan's ops marks the rows whose scope
-        meets Q (a sum's is its first child's, as sums are smooth), and each
-        op keeps its marked nodes, the op itself where all are marked, as
-        every op is when every variable is queried.  The `active` matrix
-        holds one row of reached draws per marked row, except that a marked
-        row whose one parent is a product shares that parent's row (it is
-        reached by exactly the same draws), and one sink row stands
-        for every unmarked row, which no draw needs to enter.  row_of maps
+        The marked rows are those that meet Q, whose count is above 0 (see
+        _counts), and a leaf's count names its query column.  Each op keeps
+        its marked nodes, the op itself where all are marked, as every op is
+        when every variable is queried.  The `active` matrix holds one row
+        of reached draws per marked row, except that a marked row whose one
+        parent is a product shares that parent's row (it is reached by
+        exactly the same draws), and one sink row stands for every unmarked
+        row, which no draw needs to enter.  row_of maps
         full-plan rows to active rows.  _descent is set last, so a thread
         that sees it sees every other table.
 
@@ -243,15 +250,12 @@ class ConditionalOracle:
         with, so every choice is the float compare's.
         """
         full = self.circuit._plan
-        col_of = np.full(self.circuit.num_vars, self.num_query, dtype=np.int64)  # past every column
-        col_of[self.query_vars] = np.arange(self.num_query)
-        leaf_col = col_of[full.leaf_cols[:, 0]]
-        live = np.zeros(full.size, dtype=bool)
-        live[: leaf_col.size] = leaf_col < self.num_query
+        live = self._counts > 0
+        low = self._counts[: full.leaf_base.size] & 0xFFFFFFFF  # a leaf's query column + 1, or 0
+        leaf_col = np.where(low > 0, low - 1, self.num_query)  # past every column where it meets none
         ops = []
         for op in full.ops:
-            keep = live[op.kids].any(axis=0) if op.logw is None else live[op.kids[0]]
-            live[op.ids[0] : op.ids[-1] + 1] = keep  # the full plan is packed
+            keep = live[op.ids]
             if keep.all():
                 ops.append(op)
             elif keep.any():
@@ -345,11 +349,10 @@ class ConditionalOracle:
         once per oracle, which give the same answers (see pacmap.rng), so
         the draws are those of counter_uniforms.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = _integer(count, "count", 1)
+        stream = as_stream(rng)
         if self._descent is None:
             self._compile_descent()
-        stream = as_stream(rng)
         chunk = _chunk_rows(self._sample_row_bytes, 1)
         bits = np.empty((count, self.num_query), dtype=np.int8)  # the leaf step writes every entry
         for i in range(0, count, chunk):
@@ -542,8 +545,7 @@ class TabularDistribution:
         return float(self.log_prob_rows(np.asarray(query)[None, :])[0])
 
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = _integer(count, "count", 1)
         stream = as_stream(rng)
         u = stream.uniform_block(count, 1).ravel()
         idx = np.searchsorted(self._cdf, u, side="right")

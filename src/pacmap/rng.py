@@ -15,12 +15,18 @@ a float x is a compare of k with an integer: u < x iff k < t and x <= u iff
 t <= k, for t = unit_thresholds(x).  The sampler draws through these integer
 compares and never forms a float uniform, and its draws are those of
 counter_uniforms bit for bit.
+
+A stream's cursor is an integer draw index, as are its seed and every count
+of draws: each is read through operator.index, so numpy integers pass and a
+float such as 2.5, which would leave a fractional cursor and repeat draws,
+is refused with a ValueError naming it before any draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import hashlib
+import operator
 
 import numpy as np
 
@@ -32,6 +38,18 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT30, _SHIFT27, _SHIFT31, _SHIFT11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
 _UNIT = 2.0 ** 53
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` as an int through operator.index; ValueError naming `name`
+    for a value that is not an integer, or is below `least` when given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def _mix64_int(z: int) -> int:
@@ -117,8 +135,13 @@ class DrawStream:
     seed: int
     cursor: int = 0
 
+    def __post_init__(self):
+        self.seed = _integer(self.seed, "seed")
+        self.cursor = _integer(self.cursor, "cursor", 0)
+
     def uniform_block(self, count: int, width: int = 1) -> np.ndarray:
         """Uniforms of shape (count, width) for the next `count` draws."""
+        count, width = _integer(count, "count"), _integer(width, "width")
         if count < 0 or width < 1:
             raise ValueError("count must be >= 0 and width >= 1")
         base = np.arange(self.cursor, self.cursor + count, dtype=np.uint64) * np.uint64(width)
@@ -128,6 +151,7 @@ class DrawStream:
 
     def rewind(self, count: int) -> None:
         """Give back the last `count` draws (used when a batch overshoots)."""
+        count = _integer(count, "count")
         if count < 0 or count > self.cursor:
             raise ValueError("cannot rewind past the start of the stream")
         self.cursor -= count
@@ -141,4 +165,4 @@ def as_stream(rng: int | DrawStream) -> DrawStream:
     """Accept either a bare seed or an existing stream."""
     if isinstance(rng, DrawStream):
         return rng
-    return DrawStream(int(rng))
+    return DrawStream(rng)

@@ -30,7 +30,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .circuit import pack_rows
-from .rng import DrawStream, as_stream
+from .rng import DrawStream, _integer, as_stream
 
 DEFAULT_BATCH_SIZE = 5000
 # The adaptive solvers' first draw batch; each later batch doubles, up to the
@@ -131,8 +131,7 @@ def pareto_delta(p_hat: float, eps: float, budget: int) -> float:
     """
     if not (0.0 <= p_hat < 1.0):
         raise ValueError("p_hat must lie in [0, 1)")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = _integer(budget, "budget", 1)
     if not (0.0 <= eps < 1.0 - p_hat):
         raise ValueError("eps outside the feasible range [0, 1 - p_hat)")
     return math.exp(budget * math.log1p(-p_hat / (1.0 - eps)))
@@ -140,8 +139,7 @@ def pareto_delta(p_hat: float, eps: float, budget: int) -> float:
 
 def pareto_front(p_hat: float, budget: int, grid: int = DEFAULT_PARETO_GRID) -> ParetoFront:
     """Frontier sampled on `grid` evenly spaced tolerances in [0, 1 - p_hat)."""
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    grid = _integer(grid, "grid", 1)
     width = 1.0 - p_hat
     points = []
     for i in range(grid):
@@ -158,6 +156,7 @@ def hamming_ball(center: Sequence[int] | np.ndarray, radius: int) -> np.ndarray:
     """
     center = np.asarray(center, dtype=np.int8)
     n = center.shape[0]
+    radius = _integer(radius, "radius")
     if not (0 <= radius <= n):
         raise ValueError(f"radius must lie in [0, {n}]")
     blocks = [center[None, :]]
@@ -339,15 +338,12 @@ def _adaptive(
     warm-start atoms are folded in first, with no check.  Whatever stops the
     run, the draws it did not use go back to the stream.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    cap = math.inf if cap is None else _integer(cap, "cap", 1)
+    batch_size = _integer(batch_size, "batch_size", 1)
     t0 = time.perf_counter()
     stream = as_stream(rng)
     rules = _Rules(params)
     state = _warm_set(oracle, warm)
-    cap = math.inf if cap is None else cap
     segment = next_segment(cap) if next_segment is not None else math.inf
     centre = None  # the centre of the last ball folded
 
@@ -470,10 +466,8 @@ def smooth_pac_map(
     folded one exploitation period at a time.  The answer does not depend on
     `batch_size`.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    if exploit_period < 1:
-        raise ValueError("exploit_period must be >= 1")
+    radius = _integer(radius, "radius", 1)
+    exploit_period = _integer(exploit_period, "exploit_period", 1)
     if eta is not None and not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
     coin_stream = as_stream(rng).spawn("explore-coin") if eta is not None else None
@@ -509,10 +503,8 @@ def budget_pac_map(
     solution is exact and the frontier degenerates to {(0, 0)}; otherwise the
     frontier is sampled on a `grid`-point tolerance grid.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if grid < 1:  # refused on the exact path too, which never samples the frontier
-        raise ValueError("grid must be >= 1")
+    budget = _integer(budget, "budget", 1)
+    grid = _integer(grid, "grid", 1)  # refused on the exact path too, which never samples the frontier
     t0 = time.perf_counter()
     state = _warm_set(oracle, warm)
     draws = oracle.sample(budget, as_stream(rng))
@@ -531,7 +523,6 @@ def naive_map(oracle, draws: int, rng: int | DrawStream = 0) -> Solution:
     budget_pac_map without warm starts; the certificate is always the
     realized budget frontier, even where budget_pac_map would call it exact.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    draws = _integer(draws, "draws", 1)
     sol, front = budget_pac_map(oracle, draws, rng=rng)
     return replace(sol, certificate=Budget(front))

@@ -386,6 +386,18 @@ class _HighStream(DrawStream):
             id="config-evidence-mode",
         ),
         pytest.param(
+            lambda: BenchConfig(circuits=("c",), trials=2.5),
+            ValueError,
+            "trials must be an integer, not 2.5",
+            id="config-trials",
+        ),
+        pytest.param(
+            lambda: BenchConfig(circuits=("c",), seed=0.5),
+            ValueError,
+            "seed must be an integer, not 0.5",
+            id="config-seed",
+        ),
+        pytest.param(
             lambda: parse_bench_config("circuits\n"), ValueError, "config line 1: expected 'key = value'", id="config-line"
         ),
         pytest.param(

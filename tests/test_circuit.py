@@ -158,6 +158,7 @@ _TWO = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9)]  # two leaves of x0
         ([BernoulliLeaf(0, -0.1)], 0, 1, "node 0 has theta -0.1 outside [0, 1]"),
         ([BernoulliLeaf(0, math.nan)], 0, 1, "node 0 has theta nan outside [0, 1]"),
         ([IndicatorLeaf(0, 2)], 0, 1, "node 0 has indicator value 2, not 0 or 1"),
+        ([IndicatorLeaf(0, "1")], 0, 1, "node 0 has indicator value '1', not 0 or 1"),
         (_TWO + [SumNode((0, 1), (0.5,))], 2, 1, "node 2 has 1 weights for its children"),
         (_TWO + [SumNode((0, 1), (0.5, 0.5, 0.0))], 2, 1, "node 2 has 3 weights for its children"),
         (_TWO + [SumNode((0, 1), (0.5, -0.5))], 2, 1, "node 2 has a weight that is not positive and finite"),
@@ -167,6 +168,11 @@ _TWO = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9)]  # two leaves of x0
         (_TWO + [SumNode((0, 1), (0.9, 0.9))], 2, 1, "node 2 weights sum to 1.8, not 1"),
         ([IndicatorLeaf(2.0, 1)], 0, 3, "node 0 has variable index 2.0, not an integer"),
         ([BernoulliLeaf("1", 0.5)], 0, 2, "node 0 has variable index '1', not an integer"),
+        (_TWO + [SumNode((0, 1), (0.5, 0.5))], 2.7, 1, "circuit has root id 2.7, not an integer"),
+        (_TWO + [SumNode((0, 1), (0.5, 0.5))], 2, 1.5, "circuit has num_vars 1.5, not an integer"),
+        (_TWO + [SumNode((0, 1.0), (0.5, 0.5))], 2, 1, "node 2 has child id 1.0, not an integer"),
+        (_TWO + [SumNode((0, 1), (0.5, "0.5"))], 2, 1, "node 2 has weight '0.5', not a number"),
+        ([BernoulliLeaf(0, "0.5")], 0, 1, "node 0 has theta '0.5', not a number"),
         # A node rule on a later node is raised before node 2's smoothness violation.
         (
             [BernoulliLeaf(0, 0.5), BernoulliLeaf(1, 0.5), SumNode((0, 1), (0.5, 0.5)), BernoulliLeaf(0, 1.5)],
@@ -177,8 +183,11 @@ _TWO = [BernoulliLeaf(0, 0.2), BernoulliLeaf(0, 0.9)]  # two leaves of x0
     ],
 )
 def test_circuit_constructor_refusals(nodes, root, num_vars, match):
-    with pytest.raises(CircuitStructureError, match=re.escape(match)):
+    with pytest.raises(CircuitStructureError, match=re.escape(match)) as err:
         Circuit(nodes, root, num_vars)
+    # A node rule's refusal carries its node; a rule on the root id or num_vars carries none.
+    if re.match(r"(node \d+|circuit) has ", match):
+        assert err.value.node == (None if match.startswith("circuit") else int(match.split()[1]))
 
 
 def test_parse_error_reports_line_number():

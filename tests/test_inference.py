@@ -555,27 +555,52 @@ def test_a_thread_held_in_the_sampler_build_leaves_the_oracle_whole(monkeypatch)
 
 
 def test_each_path_builds_only_the_plan_it_runs(monkeypatch):
-    builds = []
-    fold = Circuit._fold
+    builds, counts = [], []  # the widths of the scoring plans built, the columns counted
+    fold, column_counts = Circuit._fold, Circuit._column_counts
 
-    def counted(self, columns, upward):
-        builds.append(tuple(columns))
-        return fold(self, columns, upward)
+    def counted_fold(self, counts, width, upward):
+        builds.append(width)
+        return fold(self, counts, width, upward)
 
-    monkeypatch.setattr(Circuit, "_fold", counted)
+    def counted_counts(self, columns):
+        counts.append(tuple(columns))
+        return column_counts(self, columns)
+
+    monkeypatch.setattr(Circuit, "_fold", counted_fold)
+    monkeypatch.setattr(Circuit, "_column_counts", counted_counts)
     c, spec = FOLD_CASES["evidence+nuisance"]
     sample_joint(c, 10, 0)
     assert builds == []  # the sampler reads the full plan
+    counts.clear()  # the joint oracle may have been built by an earlier test
     oracle = make_oracle(c, spec)
     max_product(c, spec, oracle)
     arg_max_product(c, spec, oracle)
     independent_map(oracle)
-    assert builds == [] and oracle._score_plan is None  # the baselines score by full passes
-    oracle.log_prob_rows(hamming_ball(np.zeros(oracle.num_query), 1))
-    assert builds == [spec.query_vars] and oracle._descent is None
+    # The baselines score by full passes and count no columns.
+    assert builds == [] and counts == [] and oracle._score_plan is None
+    ball = hamming_ball(np.zeros(oracle.num_query), 1)
+    oracle.log_prob_rows(ball)
+    assert builds == [oracle.num_query] and counts == [spec.query_vars] and oracle._descent is None
+    oracle.log_prob_rows(ball[::-1])
     oracle.sample(10, 0)
     oracle.log_prob_rows(np.zeros((3, oracle.num_query)))
-    assert builds == [spec.query_vars]
+    assert builds == [oracle.num_query] and counts == [spec.query_vars]
+
+    # However many calls follow, the columns are counted once per oracle,
+    # whichever of the sampler and the scoring plan is built first.
+    def sample(o):
+        o.sample(10, 0)
+
+    def score(o):
+        o.log_prob_rows(np.zeros((3, o.num_query)))
+
+    for steps in ((sample, score, sample, score), (score, sample, score, sample)):
+        builds.clear()
+        counts.clear()
+        oracle = make_oracle(c, spec)
+        for step in steps:
+            step(oracle)
+        assert builds == [oracle.num_query] and counts == [spec.query_vars]
 
 
 @pytest.mark.parametrize("case", list(FOLD_CASES))
@@ -1243,6 +1268,8 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
             lambda: _ORACLE.conditional_log_prob(np.zeros((1, 2))), "single query assignment expected", id="one-row-2d"
         ),
         pytest.param(lambda: _ORACLE.sample(0, 0), "count must be >= 1", id="sample-0"),
+        pytest.param(lambda: _ORACLE.sample(2.5, 0), "count must be an integer, not 2.5", id="sample-2.5"),
+        pytest.param(lambda: _ORACLE.sample(1, 1.5), "seed must be an integer, not 1.5", id="sample-seed-1.5"),
         pytest.param(lambda: TabularDistribution(np.log([0.5] * 3)), "table length must be a power of two", id="table-3"),
         pytest.param(lambda: TabularDistribution(np.array([])), "table length must be a power of two", id="table-empty"),
         pytest.param(
@@ -1250,6 +1277,7 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
         ),
         pytest.param(lambda: _TABLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query arity mismatch", id="table-width"),
         pytest.param(lambda: _TABLE.sample(0, 0), "count must be >= 1", id="table-sample-0"),
+        pytest.param(lambda: _TABLE.sample(2.5, 0), "count must be an integer, not 2.5", id="table-sample-2.5"),
         pytest.param(
             lambda: tabulate_conditional(make_oracle(generate_random_circuit(25, 1, 2, 0), QuerySpec(tuple(range(25))))),
             "|Q| = 25 exceeds tabulation cap 24",

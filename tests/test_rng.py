@@ -130,6 +130,9 @@ def test_as_stream_accepts_ints_and_streams():
     s = DrawStream(3, cursor=2)
     assert as_stream(s) is s
     assert as_stream(3).seed == 3
+    numpy_ints = as_stream(np.uint64(3)), DrawStream(np.int64(3), cursor=np.int8(2))
+    assert [(t.seed, t.cursor) for t in numpy_ints] == [(3, 0), (3, 2)]
+    assert numpy_ints[1].uniform_block(np.int64(2)).tolist() == s.uniform_block(2).tolist()
 
 
 @pytest.mark.parametrize(
@@ -137,6 +140,14 @@ def test_as_stream_accepts_ints_and_streams():
     [
         pytest.param(lambda: DrawStream(0).uniform_block(-1), "count must be >= 0 and width >= 1", id="count"),
         pytest.param(lambda: DrawStream(0).uniform_block(1, 0), "count must be >= 0 and width >= 1", id="width"),
+        # A fractional count would leave a fractional cursor, and the next
+        # block would repeat a draw.
+        pytest.param(lambda: DrawStream(7).uniform_block(2.5), "count must be an integer, not 2.5", id="count-2.5"),
+        pytest.param(lambda: DrawStream(7).uniform_block(1, 1.5), "width must be an integer, not 1.5", id="width-1.5"),
+        pytest.param(lambda: DrawStream(7, cursor=3).rewind(1.5), "count must be an integer, not 1.5", id="rewind-1.5"),
+        pytest.param(lambda: DrawStream(7, cursor=2.5), "cursor must be an integer, not 2.5", id="cursor-2.5"),
+        pytest.param(lambda: DrawStream(7, cursor=-1), "cursor must be >= 0", id="cursor-negative"),
+        pytest.param(lambda: as_stream(1.5), "seed must be an integer, not 1.5", id="seed-1.5"),
     ],
 )
 def test_stream_refusals(call, match):

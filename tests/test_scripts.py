@@ -1,4 +1,5 @@
-"""The experiment scripts run end to end and write what their docstrings say."""
+"""The experiment scripts run end to end and write what their docstrings say,
+and README's library quick start runs as written."""
 
 import csv
 import os
@@ -37,3 +38,10 @@ def test_illustration_stops_at_44(tmp_path):
     with open(out, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert int(rows[-1]["stop_time"]) == 44
+
+
+def test_readme_quick_start_runs(capsys):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library quick start\n", 1)[1]
+    code = section.split("\n## ", 1)[0].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()  # its last line prints the solution

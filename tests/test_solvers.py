@@ -871,6 +871,31 @@ _PARAMS = PacParams(0.1, 0.1)
         pytest.param(lambda: smooth_pac_map(_TABLE, _PARAMS, eta=1.0), "eta must lie in (0, 1)", id="smooth-eta-1"),
         pytest.param(lambda: budget_pac_map(_TABLE, 0), "budget must be >= 1", id="budget-0"),
         pytest.param(lambda: naive_map(_TABLE, 0), "draws must be >= 1", id="naive-0"),
+        pytest.param(lambda: pareto_delta(0.5, 0.1, 2.5), "budget must be an integer, not 2.5", id="pareto-delta-2.5"),
+        pytest.param(lambda: pareto_front(0.5, 10, 2.5), "grid must be an integer, not 2.5", id="pareto-front-2.5"),
+        pytest.param(lambda: hamming_ball([0, 1], 1.5), "radius must be an integer, not 1.5", id="ball-1.5"),
+        pytest.param(lambda: pac_map(_TABLE, _PARAMS, cap=2.5), "cap must be an integer, not 2.5", id="pac-cap-2.5"),
+        pytest.param(
+            lambda: pac_map(_TABLE, _PARAMS, batch_size=2.5),
+            "batch_size must be an integer, not 2.5",
+            id="pac-batch-2.5",
+        ),
+        pytest.param(lambda: pac_map(_TABLE, _PARAMS, rng=1.5), "seed must be an integer, not 1.5", id="pac-seed-1.5"),
+        pytest.param(
+            lambda: smooth_pac_map(_TABLE, _PARAMS, radius=1.5),
+            "radius must be an integer, not 1.5",
+            id="smooth-radius-1.5",
+        ),
+        pytest.param(
+            lambda: smooth_pac_map(_TABLE, _PARAMS, exploit_period=2.5),
+            "exploit_period must be an integer, not 2.5",
+            id="smooth-period-2.5",
+        ),
+        pytest.param(lambda: budget_pac_map(_TABLE, 10.5), "budget must be an integer, not 10.5", id="budget-10.5"),
+        pytest.param(
+            lambda: budget_pac_map(_TABLE, 10, grid=2.5), "grid must be an integer, not 2.5", id="budget-grid-2.5"
+        ),
+        pytest.param(lambda: naive_map(_TABLE, 2.5), "draws must be an integer, not 2.5", id="naive-2.5"),
     ],
 )
 def test_solver_refusals(call, match):
