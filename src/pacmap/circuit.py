@@ -1084,7 +1084,9 @@ def bits_to_index(bits: Sequence[int] | np.ndarray) -> int:
 
 def index_to_bits(index: int | np.ndarray, n: int) -> np.ndarray:
     """Inverse of bits_to_index for indices below 2**63: an int8 (n,) vector, or (len(index), n)."""
-    return ((np.asarray(index, dtype=np.int64)[..., None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    bits = np.asarray(index, dtype=np.int64)[..., None] >> np.arange(n - 1, -1, -1)
+    bits &= 1
+    return bits.astype(np.int8)
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:

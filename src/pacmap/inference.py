@@ -537,9 +537,11 @@ class TabularDistribution:
         query_rows = np.atleast_2d(np.asarray(query_rows))
         if query_rows.shape[1] != self.num_query:
             raise ValueError("query arity mismatch")
-        if not ((query_rows == 0) | (query_rows == 1)).all():
+        # An entry is 0 or 1 exactly when it equals its truth value.
+        flags = query_rows.astype(bool)
+        if not (flags == query_rows).all():
             raise ValueError("tabular query rows must be 0/1 valued")
-        return self.log_probs[pack_rows(query_rows.astype(np.int8, copy=False)).astype(np.intp)]
+        return self.log_probs[pack_rows(flags).astype(np.intp)]
 
     def conditional_log_prob(self, query) -> float:
         return float(self.log_prob_rows(np.asarray(query)[None, :])[0])
@@ -547,9 +549,8 @@ class TabularDistribution:
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         count = _integer(count, "count", 1)
         stream = as_stream(rng)
-        u = stream.uniform_block(count, 1).ravel()
-        idx = np.searchsorted(self._cdf, u, side="right")
-        np.clip(idx, 0, self._last_live, out=idx)
+        idx = np.searchsorted(self._cdf, stream.uniform_block(count, 1).ravel(), side="right")
+        np.minimum(idx, self._last_live, out=idx)
         return index_to_bits(idx, self.num_query)
 
 

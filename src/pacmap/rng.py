@@ -144,10 +144,14 @@ class DrawStream:
         count, width = _integer(count, "count"), _integer(width, "width")
         if count < 0 or width < 1:
             raise ValueError("count must be >= 0 and width >= 1")
-        base = np.arange(self.cursor, self.cursor + count, dtype=np.uint64) * np.uint64(width)
-        counters = base[:, None] + np.arange(width, dtype=np.uint64)[None, :]
+        # Row j holds counters j*width .. (j+1)*width - 1, keyed in place: the
+        # range starts at c + 1, so only the multiply and the seed remain.
+        start = self.cursor * width + 1
+        z = np.arange(start, start + count * width, dtype=np.uint64).reshape(count, width)
+        z *= _GAMMA_U64
+        z += np.uint64(self.seed & _MASK64)
         self.cursor += count
-        return counter_uniforms(self.seed, counters)
+        return mix53(z) * _DOUBLE_SCALE
 
     def rewind(self, count: int) -> None:
         """Give back the last `count` draws (used when a batch overshoots)."""

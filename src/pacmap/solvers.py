@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -152,9 +153,13 @@ def hamming_ball(center: Sequence[int] | np.ndarray, radius: int) -> np.ndarray:
     """All assignments within Hamming distance `radius` of center, as rows.
 
     Returns an (N, n) int8 array, N = sum_{k<=r} C(n, k), ordered by
-    distance, then by big-endian bit pattern; the center comes first.
+    distance, then by big-endian bit pattern; the center comes first.  A
+    center that is not a 1-D vector of 0/1 entries raises ValueError.
     """
-    center = np.asarray(center, dtype=np.int8)
+    center = np.asarray(center)
+    if center.ndim != 1 or not (center.astype(bool) == center).all():
+        raise ValueError(f"hamming_ball centre must be a 1-D vector of 0/1 entries, not {center.tolist()}")
+    center = center.astype(np.int8)
     n = center.shape[0]
     radius = _integer(radius, "radius")
     if not (0 <= radius <= n):
@@ -197,6 +202,10 @@ class SampleSet:
     committed row, each one an oracle evaluation; a Hamming ball that
     smooth_pac_map does not rescore is not folded and adds none.  Duplicates
     are stored once, and the residual mass sums distinct atoms only.
+    `atoms` is also how `fold` tells new rows from seen ones: it inserts a
+    block's keys, reads the set's size after each insert, and takes back the
+    keys first seen past the rows it commits, so no second set of the block
+    is built.
     """
 
     atoms: set = field(default_factory=set)
@@ -226,9 +235,15 @@ class SampleSet:
         row.  With `stop`, a function of those three arrays that is nonzero
         where a stopping rule holds, only the prefix ending at the first such
         row is committed; without it every row is.  Committed rows count as
-        random draws when `draws` is set.  An empty block commits nothing;
-        `log_probs` must hold one entry per row, and the set is left as it
-        was when it does not.
+        random draws when `draws` is set.  An empty block commits nothing.
+
+        Every key of the block enters `atoms` before `stop` runs; the keys
+        first seen past the committed prefix are taken back out, as are all
+        the new keys if `stop` raises.  `log_probs` must hold one entry per
+        row, each finite or -inf: a misshapen block, or a NaN or +inf score
+        (the first such row is named), raises ValueError and leaves the set
+        as it was.  The arrays and state are byte for byte those of a row by
+        row loop of scalar np.logaddexp and np.maximum steps.
         """
         log_probs = np.asarray(log_probs, dtype=np.float64)
         b = bits.shape[0]
@@ -236,31 +251,54 @@ class SampleSet:
             raise ValueError(f"log_probs has shape {log_probs.shape}, expected ({b},) for {b} rows")
         if b == 0:
             return Fold(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), 0)
-        keys_np = pack_rows(bits)
-        keys = keys_np.tolist()
-        _, first_pos = np.unique(keys_np, return_index=True)
-        is_new = np.zeros(b, dtype=bool)
-        is_new[first_pos] = True
-        is_new &= ~np.fromiter((k in self.atoms for k in keys), dtype=bool, count=b)
+        keys = pack_rows(bits).tolist()
+        # Each prefix accumulate folds the running value into row 0, so that
+        # row i holds op(...op(op(running, x_0), x_1)..., x_i) as a scalar
+        # loop would.  The running maximum carries a NaN or +inf score to the
+        # last row, where one read finds it.
+        cum_best = log_probs.copy()
+        cum_best[0] = np.maximum(self.best_log_prob, cum_best[0])
+        np.maximum.accumulate(cum_best, out=cum_best)
+        if not cum_best[-1] < math.inf:
+            bad = int(np.flatnonzero(~(log_probs < math.inf))[0])
+            raise ValueError(f"log_probs row {bad} is {float(log_probs[bad])}: a score must be finite or -inf")
 
-        masked = np.where(is_new, log_probs, -np.inf)
-        cum_mass = np.logaddexp.accumulate(np.concatenate(([self.log_total_mass], masked)))[1:]
-        cum_best = np.maximum.accumulate(np.concatenate(([self.best_log_prob], log_probs)))[1:]
-        p_hat = np.exp(cum_best)
-        p_check = np.clip(-np.expm1(np.minimum(cum_mass, 0.0)), 0.0, None)
-        m = self.m + (np.arange(1, b + 1) if draws else np.zeros(b, dtype=np.int64))
-        codes = stop(p_hat, p_check, m) if stop is not None else np.zeros(b, dtype=np.int64)
-        committed = int(np.argmax(codes != 0)) + 1 if codes.any() else b
+        # Insert every key, reading the set's size after each insert: a row
+        # is new where the size grew.  Rows past a stop are taken back below.
+        atoms, add = self.atoms, self.atoms.add
+        sizes = np.fromiter(chain((len(atoms),), (add(k) or len(atoms) for k in keys)), np.int64, b + 1)
+        is_new = sizes[1:] != sizes[:-1]
+        try:
+            cum_mass = np.where(is_new, log_probs, -np.inf)
+            cum_mass[0] = np.logaddexp(self.log_total_mass, cum_mass[0])
+            np.logaddexp.accumulate(cum_mass, out=cum_mass)
+            p_hat = np.exp(cum_best)
+            # -expm1(x) for x <= 0, as 0 - expm1(x) so that x = 0 gives +0.0.
+            p_check = np.minimum(cum_mass, 0.0)
+            np.expm1(p_check, out=p_check)
+            np.subtract(0.0, p_check, out=p_check)
+            m = np.arange(self.m + 1, self.m + b + 1) if draws else np.full(b, self.m, dtype=np.int64)
+            committed, grant = b, 0
+            if stop is not None:
+                codes = stop(p_hat, p_check, m)
+                hits = np.flatnonzero(codes)
+                if hits.size:
+                    committed = int(hits[0]) + 1
+                    grant = int(codes[committed - 1])
+        except BaseException:
+            atoms.difference_update(compress(keys, is_new))
+            raise
+        if committed < b:
+            atoms.difference_update(compress(keys[committed:], is_new[committed:]))
         last = committed - 1
 
-        self.atoms.update(keys[:committed])
         self.m = int(m[last])
         self.rows += committed
         self.log_total_mass = float(cum_mass[last])
         if cum_best[last] > self.best_log_prob:
             self.best_bits = bits[int(np.argmax(log_probs[:committed]))].copy()
             self.best_log_prob = float(cum_best[last])
-        return Fold(p_hat[:committed], p_check[:committed], m[:committed], int(codes[last]))
+        return Fold(p_hat[:committed], p_check[:committed], m[:committed], grant)
 
 
 class _Rules:
@@ -277,12 +315,12 @@ class _Rules:
         granted, the deterministic rule taking precedence.  Takes arrays or
         scalars of equal shape."""
         p_hat = np.asarray(p_hat, dtype=np.float64)
-        det = (p_hat >= p_check * (1.0 - self.eps)).astype(np.int8)
         with np.errstate(divide="ignore"):
             # need_nat > 0, so m = 0 or p_hat = 0 never passes.
-            pac = (m >= self.need_nat / p_hat).astype(np.int8)
-        # p_hat >= p_check implies det, so this is 3, 2, 1 or 0.
-        return np.maximum(pac, 2 * det + (p_hat >= p_check))
+            pac = m >= self.need_nat / p_hat
+        # 3 where p_hat >= p_check (which implies det), 2 where det alone,
+        # else 1 where pac holds and 0 where nothing does.
+        return np.where(p_hat >= p_check * (1.0 - self.eps), (p_hat >= p_check) + np.int8(2), pac)
 
 
 def _warm_set(oracle, warm: Sequence[np.ndarray] | None) -> SampleSet:

@@ -947,6 +947,23 @@ def test_sampler_draws_are_pinned_with_shared_children(name, count):
     assert hashlib.sha256(draws.tobytes()).hexdigest() == SHARED_DIGESTS[name, count]
 
 
+# sha256 of table.sample(2000, DrawStream(seed)).tobytes() for a Dirichlet
+# table over 10 variables, recorded before the table sampler's numpy calls
+# were cut.
+TABLE_SAMPLE_DIGESTS = {
+    3: "f5c02f8eb964573f3b4232dadbd36d9b5c807fa61ea7e885afa8d19663e64494",
+    11: "37e96888f5da8b972700696f6a10631988bbd433ad8f689d1ccc4af3a933e666",
+}
+
+
+@pytest.mark.parametrize("seed", list(TABLE_SAMPLE_DIGESTS))
+def test_table_sampler_draws_are_pinned(seed):
+    table = TabularDistribution.from_probs(np.random.default_rng(5).dirichlet(np.full(2**10, 0.3)))
+    draws = table.sample(2000, DrawStream(seed))
+    assert (draws.dtype, draws.shape, draws.flags.c_contiguous) == (np.int8, (2000, 10), True)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == TABLE_SAMPLE_DIGESTS[seed]
+
+
 def _reference_draws(c: Circuit, spec: QuerySpec, count: int, seed: int) -> np.ndarray:
     """Draws walked node by node from the root, one draw at a time, from
     the circuit's own nodes and a full pass, sharing no code with the

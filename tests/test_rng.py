@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -25,6 +26,25 @@ def test_counter_uniforms_frozen_values():
         0.7457817572627011,
         0.9710027535867962,
     ]
+
+
+# sha256 of DrawStream(17, cursor=1000).uniform_block(300, width).tobytes(),
+# recorded while uniform_block still built its counters from a broadcast add.
+UNIFORM_BLOCK_DIGESTS = {
+    1: "18609851b23e0f34a6b669055466d7201a835326ae6bd2444a5827b600ffcd14",
+    3: "ce26b6630137ee909d84e671df054ba6ddebc3b8f0cc4628523b0ec675932b57",
+}
+
+
+@pytest.mark.parametrize("width", list(UNIFORM_BLOCK_DIGESTS))
+def test_uniform_blocks_are_pinned(width):
+    stream = DrawStream(17, cursor=1000)
+    block = stream.uniform_block(300, width)
+    assert (block.dtype, block.shape, stream.cursor) == (np.float64, (300, width), 1300)
+    assert hashlib.sha256(block.tobytes()).hexdigest() == UNIFORM_BLOCK_DIGESTS[width]
+    # Draw j's counters are j*width .. (j+1)*width - 1.
+    counters = np.arange(1000 * width, 1300 * width, dtype=np.uint64).reshape(300, width)
+    assert np.array_equal(block, counter_uniforms(17, counters))
 
 
 def _integer_and_float_compares(seed, counters, thetas):

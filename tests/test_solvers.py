@@ -24,6 +24,7 @@ from pacmap.solvers import (
     Pac,
     PacParams,
     SampleSet,
+    _Rules,
     budget_pac_map,
     hamming_ball,
     naive_map,
@@ -834,6 +835,137 @@ def test_sample_set_fold_checks_its_block_before_it_changes_state():
         with pytest.raises(ValueError, match="shape"):
             state.fold(bits, log_probs, draws=True)
         assert snapshot() == before
+    # A NaN or +inf score is refused, naming the first bad row; -inf is a score.
+    for log_probs, message in [
+        ([np.nan, -1.0, -2.0], "log_probs row 0 is nan"),
+        ([-1.0, -np.inf, np.inf], "log_probs row 2 is inf"),
+        ([-1.0, np.inf, np.nan], "log_probs row 1 is inf"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state.fold(bits, np.array(log_probs), draws=True, stop=lambda p_hat, p_check, m: m > 0)
+        assert snapshot() == before
+
+    # The block's keys enter the set before `stop` runs; a stop that raises
+    # takes them back out.
+    def failing_stop(p_hat, p_check, m):
+        raise RuntimeError("stop failed")
+
+    with pytest.raises(RuntimeError, match="stop failed"):
+        state.fold(bits, np.log([0.1, 0.2, 0.1]), draws=True, stop=failing_stop)
+    assert snapshot() == before
+
+
+def reference_fold(state, bits, log_probs, draws, stop):
+    """SampleSet.fold one row at a time, with scalar np.logaddexp, np.maximum,
+    np.exp and np.expm1 steps in the order the fold's accumulates take them.
+
+    Returns the Fold's arrays and grant, then the state fields it leaves.
+    `stop` sees the arrays of every row, as it does in SampleSet.fold.
+    """
+    keys = pack_rows(bits).tolist()
+    seen = set(state.atoms)
+    mass, best = state.log_total_mass, state.best_log_prob
+    p_hat, p_check, m, masses, bests, best_rows = [], [], [], [], [], []
+    best_row = None
+    for i, key in enumerate(keys):
+        new = key not in seen
+        seen.add(key)
+        mass = np.logaddexp(mass, log_probs[i] if new else -np.inf)
+        if np.maximum(best, log_probs[i]) > best:
+            best_row = i
+        best = np.maximum(best, log_probs[i])
+        p_hat.append(np.exp(best))
+        p_check.append(np.maximum(-np.expm1(np.minimum(mass, 0.0)), 0.0))
+        m.append(state.m + (i + 1 if draws else 0))
+        masses.append(mass)
+        bests.append(best)
+        best_rows.append(best_row)
+    p_hat, p_check, m = np.array(p_hat), np.array(p_check), np.array(m, dtype=np.int64)
+    codes = stop(p_hat, p_check, m) if stop is not None else np.zeros(len(keys), dtype=np.int64)
+    hits = [i for i, code in enumerate(codes) if code != 0]
+    last = hits[0] if hits else len(keys) - 1
+    if bests[last] > state.best_log_prob:
+        best_bits, best_log_prob = bits[best_rows[last]].tobytes(), float(bests[last])
+    else:
+        best_bits = None if state.best_bits is None else state.best_bits.tobytes()
+        best_log_prob = state.best_log_prob
+    return (
+        p_hat[: last + 1].tobytes(),
+        p_check[: last + 1].tobytes(),
+        m[: last + 1].tobytes(),
+        int(codes[last]),
+        set(state.atoms) | set(keys[: last + 1]),
+        int(m[last]),
+        state.rows + last + 1,
+        np.float64(masses[last]).tobytes(),
+        best_bits,
+        np.float64(best_log_prob).tobytes(),
+    )
+
+
+def _fold_outcome(state, bits, log_probs, draws, stop):
+    fold = state.fold(bits, log_probs, draws=draws, stop=stop)
+    assert (fold.p_hat.dtype, fold.p_check.dtype, fold.m.dtype) == (np.float64, np.float64, np.int64)
+    return (
+        fold.p_hat.tobytes(),
+        fold.p_check.tobytes(),
+        fold.m.tobytes(),
+        fold.grant,
+        state.atoms,
+        state.m,
+        state.rows,
+        np.float64(state.log_total_mass).tobytes(),
+        None if state.best_bits is None else state.best_bits.tobytes(),
+        np.float64(state.best_log_prob).tobytes(),
+    )
+
+
+def _stop_at(row, value=2):
+    """A stop whose first nonzero code is `value` at `row`, with a later one after it."""
+
+    def stop(p_hat, p_check, m):
+        codes = np.zeros(len(m), dtype=np.int8)
+        codes[row] = value
+        codes[row + 1 :: 2] = 3
+        return codes
+
+    return stop
+
+
+# Pool atoms 0 and 1 are in the set before the block; atom 6 scores -inf.
+# With a stop at row 7 the block's tail holds atoms 4 and 5, first seen there.
+_POOL_PROBS = (0.05, 0.1, 0.02, 0.2, 0.15, 0.3, 0.0)
+_BLOCK = (2, 0, 2, 6, 3, 1, 6, 3, 4, 5, 4, 3)
+_STOPS = {
+    "none": None,
+    "row-0": _stop_at(0, 1),
+    "row-7": _stop_at(7),
+    "last-row": _stop_at(len(_BLOCK) - 1, 3),
+    "rules": _Rules(PacParams(0.3, 0.3)).grant,
+}
+
+
+@pytest.mark.parametrize("stop", list(_STOPS))
+@pytest.mark.parametrize("draws", [True, False])
+@pytest.mark.parametrize("width", [8, 64, 65, 128])  # uint64 keys up to 64 columns, byte keys past it
+@pytest.mark.parametrize("warm", [False, True])
+def test_sample_set_fold_matches_a_row_by_row_reference_byte_for_byte(warm, width, draws, stop):
+    rng = np.random.default_rng(width)
+    pool = rng.integers(0, 2, (len(_POOL_PROBS), width)).astype(np.int8)
+    assert len(set(pack_rows(pool).tolist())) == len(pool)
+    with np.errstate(divide="ignore"):
+        pool_scores = np.log(np.array(_POOL_PROBS))
+    state = SampleSet()
+    if warm:
+        state.fold(pool[[0, 1, 0]], pool_scores[[0, 1, 0]], draws=True)
+    bits, log_probs = pool[list(_BLOCK)], pool_scores[list(_BLOCK)]
+    want = reference_fold(state, bits, log_probs, draws, _STOPS[stop])
+    assert _fold_outcome(state, bits, log_probs, draws, _STOPS[stop]) == want
+    # A block of -inf rows only (no mass, no leader), and one whose atoms hold
+    # all the mass, where p-check is +0.0, not -0.0.
+    for rows, scores in [(pool[[6, 6]], np.full(2, -np.inf)), (pool[[0, 1, 0]], np.log([0.5, 0.5, 0.5]))]:
+        want = reference_fold(SampleSet(), rows, scores, draws, None)
+        assert _fold_outcome(SampleSet(), rows, scores, draws, None) == want
 
 
 def test_duplicates_increment_m_but_not_mass():
@@ -854,6 +986,32 @@ def test_solution_rescorable():
 
 _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
 _PARAMS = PacParams(0.1, 0.1)
+
+
+class _BadScores:
+    """_TABLE with some scores replaced: NaN on the first row of every call
+    ("nan-first"), NaN on every row ("nan-all"), or +inf on the fourth row
+    scored ("inf-once").  Solvers once certified such scores, or never
+    stopped on them."""
+
+    num_query = _TABLE.num_query
+
+    def __init__(self, bad: str):
+        self.bad, self.scored = bad, 0
+
+    def sample(self, count, stream):
+        return _TABLE.sample(count, stream)
+
+    def log_prob_rows(self, rows):
+        scores = _TABLE.log_prob_rows(rows)
+        if self.bad == "nan-first":
+            scores[0] = np.nan
+        elif self.bad == "nan-all":
+            scores[:] = np.nan
+        elif self.scored <= 3 < self.scored + len(scores):
+            scores[3 - self.scored] = np.inf
+        self.scored += len(scores)
+        return scores
 
 
 @pytest.mark.parametrize(
@@ -896,6 +1054,29 @@ _PARAMS = PacParams(0.1, 0.1)
             lambda: budget_pac_map(_TABLE, 10, grid=2.5), "grid must be an integer, not 2.5", id="budget-grid-2.5"
         ),
         pytest.param(lambda: naive_map(_TABLE, 2.5), "draws must be an integer, not 2.5", id="naive-2.5"),
+        *[
+            pytest.param(call, match, id=f"{solver}-{bad}")
+            for bad, match in [
+                ("nan-first", "log_probs row 0 is nan"),
+                ("nan-all", "log_probs row 0 is nan"),
+                ("inf-once", "log_probs row 3 is inf"),
+            ]
+            for solver, call in [
+                ("pac", lambda bad=bad: pac_map(_BadScores(bad), _PARAMS)),
+                ("smooth", lambda bad=bad: smooth_pac_map(_BadScores(bad), _PARAMS)),
+                ("budget", lambda bad=bad: budget_pac_map(_BadScores(bad), 50)),
+            ]
+        ],
+        pytest.param(lambda: hamming_ball([2, 0], 1), "centre must be a 1-D vector of 0/1 entries, not [2, 0]", id="ball-2"),
+        pytest.param(
+            lambda: hamming_ball([0.7, 1], 1), "centre must be a 1-D vector of 0/1 entries, not [0.7, 1.0]", id="ball-0.7"
+        ),
+        pytest.param(
+            lambda: hamming_ball([[0, 1], [1, 0]], 1),
+            "centre must be a 1-D vector of 0/1 entries, not [[0, 1], [1, 0]]",
+            id="ball-2d",
+        ),
+        pytest.param(lambda: hamming_ball(1, 0), "centre must be a 1-D vector of 0/1 entries, not 1", id="ball-0d"),
     ],
 )
 def test_solver_refusals(call, match):
