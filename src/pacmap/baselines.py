@@ -1,12 +1,13 @@
 """Deterministic MAP heuristics used for comparison and warm starts.
 
 All three return a `Solution` with no certificate and no draws, its query
-assignment scored as ln p(q | e) with the conditional oracle's ln p(e), so
-probabilities are comparable across methods; `oracle_calls` counts the rows
-scored.  Each baseline scores its rows, one for max_product and
-arg_max_product and 2|Q| + 1 for independent_map, by full passes of the
-circuit with the evidence filled in, which give the bytes of the oracle's
-scoring plan without building it.
+assignment scored as ln p(q | e), so probabilities are comparable across
+methods; `oracle_calls` counts the rows scored.  Each baseline scores its
+rows, one for max_product and arg_max_product and 2|Q| + 1 for
+independent_map, by full passes of the circuit with the evidence filled in,
+each batch with the evidence row itself last for ln p(e) (see _conditional);
+these give the bytes of the oracle's scoring plan and ln p(e) without
+building either.
 Nuisance variables are maximized internally and discarded.  Leaf argmax ties
 (theta = 0.5) break to 0, matching the brute-force tie rule.  max_product
 and arg_max_product run on the circuit's compiled plan (Circuit._max_product:
@@ -21,8 +22,17 @@ import time
 import numpy as np
 
 from .circuit import Circuit, _evidence_row
-from .inference import ConditionalOracle, QuerySpec, make_oracle
+from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError
 from .solvers import Solution
+
+
+def _conditional(circuit: Circuit, rows: np.ndarray) -> np.ndarray:
+    """ln p(row | e) of every row of `rows` but the last, which holds the
+    evidence alone, in one full pass; ZeroEvidenceError where p(e) = 0."""
+    log_p = circuit._root(rows, circuit._plan)
+    if log_p[-1] == -np.inf:
+        raise ZeroEvidenceError("evidence has probability zero under the circuit")
+    return log_p[:-1] - log_p[-1]
 
 
 def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None, amp: bool) -> Solution:
@@ -32,13 +42,9 @@ def _baseline(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | Non
     t0 = time.perf_counter()
     row, query = _evidence_row(circuit.num_vars, spec.evidence), list(spec.query_vars)
     q_hat = circuit._max_product(row, amp)[query]
-    if oracle is None:
-        oracle = make_oracle(circuit, spec)
-    # One full pass over the evidence row with q_hat filled in gives the bytes
-    # of oracle.conditional_log_prob(q_hat) without building a scoring plan.
-    row[query] = q_hat
-    log_p = float(circuit._root(row, circuit._plan)[0] - oracle.log_p_evidence)
-    return Solution(q_hat, log_p, None, 0, 1, time.perf_counter() - t0)
+    rows = np.stack((row, row))
+    rows[0, query] = q_hat
+    return Solution(q_hat, float(_conditional(circuit, rows)[0]), None, 0, 1, time.perf_counter() - t0)
 
 
 def max_product(circuit: Circuit, spec: QuerySpec, oracle: ConditionalOracle | None = None) -> Solution:
@@ -80,11 +86,11 @@ def independent_map(oracle: ConditionalOracle) -> Solution:
         raise ValueError("independent_map needs a circuit's ConditionalOracle")
     t0 = time.perf_counter()
     circuit, query, nq = oracle.circuit, list(oracle.spec.query_vars), oracle.num_query
-    rows = np.repeat(_evidence_row(circuit.num_vars, oracle.spec.evidence)[None, :], 2 * nq, axis=0)
+    rows = np.repeat(_evidence_row(circuit.num_vars, oracle.spec.evidence)[None, :], 2 * nq + 1, axis=0)
     rows[2 * np.arange(nq), query] = 1
     rows[2 * np.arange(nq) + 1, query] = 0
-    marginals = circuit._root(rows, circuit._plan) - oracle.log_p_evidence
+    marginals = _conditional(circuit, rows)
     q_hat = (marginals[0::2] > marginals[1::2]).astype(np.int8)
     rows[0, query] = q_hat
-    log_p = float(circuit._root(rows[0], circuit._plan)[0] - oracle.log_p_evidence)
+    log_p = float(_conditional(circuit, rows[[0, -1]])[0])
     return Solution(q_hat, log_p, None, 0, 2 * nq + 1, time.perf_counter() - t0)

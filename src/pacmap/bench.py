@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import arg_max_product, independent_map, max_product
-from .circuit import Circuit, evaluate_marginal, generate_random_circuit, load_circuit
+from .circuit import Circuit, _text_lines, evaluate_marginal, generate_random_circuit, load_circuit
 from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
 from .rng import DrawStream, _integer, as_stream, derive_seed
 from .solvers import (
@@ -164,10 +164,7 @@ def parse_bench_config(text: str) -> BenchConfig:
     """Parse `key = value` lines; list values are comma separated."""
     values: dict = {}
     known = {f.name for f in fields(BenchConfig)}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _text_lines(text):
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected 'key = value'")
         key, _, val = line.partition("=")
@@ -250,10 +247,10 @@ def draw_evidence(
     which guarantees positive evidence probability; `uniform` draws fair
     bits, retrying up to 100 times before giving up on zero-mass evidence.
 
-    A variable index outside 0..n-1, or given twice, is refused before the
-    stream is read.
+    A variable index that is not an integer, lies outside 0..n-1 or is given
+    twice is refused before the stream is read.
     """
-    e_vars = tuple(e_vars)
+    e_vars = tuple(_integer(v, "evidence variable") for v in e_vars)
     seen: set[int] = set()
     for v in e_vars:
         if not 0 <= v < circuit.num_vars:
@@ -364,27 +361,19 @@ def write_records_csv(records, fileobj) -> None:
 
 def render_summary(records: list[BenchRecord]) -> str:
     """Mean rank per method per (dataset, proportion) plus ranked-highest counts."""
-    methods = []
+    ranks: dict[tuple, list[int]] = {}  # (proportion, dataset, method) -> ranks in record order
     for r in records:
-        if r.method not in methods and r.rank is not None:
-            methods.append(r.method)
-    props = sorted({r.query_prop for r in records})
-    datasets = []
-    for r in records:
-        if r.dataset not in datasets:
-            datasets.append(r.dataset)
+        if r.rank is not None:
+            ranks.setdefault((r.query_prop, r.dataset, r.method), []).append(r.rank)
+    methods = list(dict.fromkeys(m for _, _, m in ranks))
+    datasets = list(dict.fromkeys(r.dataset for r in records))
     lines = []
-    for prop in props:
+    for prop in sorted({r.query_prop for r in records}):
         lines.append(f"== query proportion {prop:g} ==")
-        header = f"{'dataset':<28}" + "".join(f"{m:>9}" for m in methods)
-        lines.append(header)
-        highest = {m: 0 for m in methods}
+        lines.append(f"{'dataset':<28}" + "".join(f"{m:>9}" for m in methods))
+        highest = dict.fromkeys(methods, 0)
         for ds in datasets:
-            means = {}
-            for m in methods:
-                ranks = [r.rank for r in records if r.dataset == ds and r.query_prop == prop and r.method == m and r.rank is not None]
-                if ranks:
-                    means[m] = sum(ranks) / len(ranks)
+            means = {m: sum(rs) / len(rs) for m in methods if (rs := ranks.get((prop, ds, m)))}
             if not means:
                 continue
             best = min(means.values())

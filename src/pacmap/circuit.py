@@ -31,10 +31,11 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
+from .rng import _integer
 MARGINAL = -1
 
 # Cap on the bytes of one chunk's scratch matrix (plan rows x batch rows).
@@ -789,8 +790,8 @@ def evaluate_marginal(
     Evidence keys and the marginalized set must be disjoint and together
     cover every circuit variable.
     """
-    marg = set(marginalized)
-    keys = set(evidence)
+    marg = {_integer(v, "marginalized variable") for v in marginalized}
+    keys = {_integer(v, "evidence variable") for v in evidence}
     if marg & keys:
         raise ValueError(f"variables {sorted(marg & keys)} are both evidence and marginalized")
     missing = set(range(circuit.num_vars)) - marg - keys
@@ -814,6 +815,15 @@ def _evidence_row(num_vars: int, evidence: dict[int, int]) -> np.ndarray:
 # -- text format ------------------------------------------------------------
 
 
+def _text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a circuit, query spec or bench
+    config text that holds more than a `#` comment, comment and edges cut."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format (see the module docstring).
 
@@ -833,10 +843,7 @@ def parse_circuit(text: str) -> Circuit:
     def fail(msg: str, ln: int):
         raise CircuitFormatError(msg, ln)
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _text_lines(text):
         tokens = line.split()
         if root is not None:
             fail("content after root line", ln)
@@ -940,18 +947,21 @@ def _parse_int(token: str, what: str, ln: int) -> int:
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Canonical text form; parse(serialize(c)) reproduces c exactly."""
+    """Canonical text form; parse(serialize(c)) reproduces c exactly.
+
+    Numbers are written as Python ints and floats, so numpy scalars and bools,
+    which Circuit accepts, are written in a form parse_circuit reads."""
     out = ["spn v1", f"vars {circuit.num_vars}"]
     for i, node in enumerate(circuit.nodes):
         if isinstance(node, BernoulliLeaf):
-            out.append(f"leaf {i} bernoulli {node.var} {node.theta!r}")
+            out.append(f"leaf {i} bernoulli {int(node.var)} {float(node.theta)!r}")
         elif isinstance(node, IndicatorLeaf):
-            out.append(f"leaf {i} indicator {node.var} {node.value}")
+            out.append(f"leaf {i} indicator {int(node.var)} {int(node.value)}")
         elif isinstance(node, SumNode):
-            pairs = " ".join(f"{c}:{w!r}" for c, w in zip(node.children, node.weights))
+            pairs = " ".join(f"{int(c)}:{float(w)!r}" for c, w in zip(node.children, node.weights))
             out.append(f"sum {i} {pairs}")
         else:
-            out.append(f"prod {i} " + " ".join(str(c) for c in node.children))
+            out.append(f"prod {i} " + " ".join(str(int(c)) for c in node.children))
     out.append(f"root {circuit.root}")
     return "\n".join(out) + "\n"
 

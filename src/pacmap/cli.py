@@ -17,9 +17,9 @@ import numpy as np
 from .bench import DEFAULT_CAP, METHODS, MethodInputs, parse_bench_config, render_summary, run_benchmark, write_records_csv
 from .circuit import CircuitFormatError, CircuitStructureError, StructureReport, load_circuit
 from .inference import (
+    ConditionalOracle,
     ZeroEvidenceError,
     brute_force_map,
-    make_oracle,
     min_entropy,
     parse_query_spec,
     tabulate_conditional,
@@ -43,11 +43,9 @@ def _bitstring(bits) -> str:
     return "".join(str(int(b)) for b in bits)
 
 
-def _load_problem(args):
+def _load_oracle(args) -> ConditionalOracle:
     circuit = load_circuit(args.circuit)
-    spec_text = Path(args.query).read_text(encoding="utf-8")
-    spec = parse_query_spec(spec_text, circuit.num_vars)
-    return circuit, spec
+    return ConditionalOracle(circuit, parse_query_spec(Path(args.query).read_text(encoding="utf-8"), circuit.num_vars))
 
 
 def _cert_fields(cert) -> tuple[str, str, str]:
@@ -58,12 +56,16 @@ def _cert_fields(cert) -> tuple[str, str, str]:
     return cert.kind, repr(cert.epsilon), repr(cert.delta)
 
 
-def _write_trajectory(points, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "p_hat", "p_check", "miss_bound", "stop_time"])
-        for p in points:
-            writer.writerow([p.m, repr(p.p_hat), repr(p.p_check), repr(p.miss_bound), p.stop_time_m])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_trajectory(points, path) -> None:
+    rows = ([p.m, repr(p.p_hat), repr(p.p_check), repr(p.miss_bound), p.stop_time_m] for p in points)
+    _write_csv(path, ["m", "p_hat", "p_check", "miss_bound", "stop_time"], rows)
 
 
 def cmd_solve(args) -> int:
@@ -78,9 +80,11 @@ def cmd_solve(args) -> int:
             raise ValueError(f"--warm-from expects one of {', '.join(baselines)}")
     if entry.kind == "fixed" and args.budget is None:
         raise ValueError(f"--budget is required for method {method!r}")
+    if entry.kind != "fixed" and args.budget is not None:
+        raise ValueError(f"--budget is not supported with method {method!r}, which takes no fixed budget")
     params = PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None
     inputs = MethodInputs(
-        make_oracle(*_load_problem(args)), params, cap=args.cap, budget=args.budget, batch_size=args.batch_size,
+        _load_oracle(args), params, cap=args.cap, budget=args.budget, batch_size=args.batch_size,
         exploit_period=args.period, radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
     )
     if args.warm_from:
@@ -93,8 +97,9 @@ def cmd_solve(args) -> int:
         f"cert={kind} epsilon={eps_s} delta={delta_s} draws={sol.draws_used} "
         f"oracle_calls={sol.oracle_calls} wall_ms={sol.wall_time * 1000.0:.3g}"
     )
+    which = f"{'an' if kind == 'exact' else 'a'} {kind}" if kind else "no"
     print(
-        f"{method} finished after {sol.draws_used} draws with {f'a {kind}' if kind else 'no'} certificate; "
+        f"{method} finished after {sol.draws_used} draws with {which} certificate; "
         f"ln p(q|e) = {sol.log_p_hat:.6f}"
     )
     if args.trajectory:
@@ -121,14 +126,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    circuit, spec = _load_problem(args)
-    oracle = make_oracle(circuit, spec)
-    sol, front = budget_pac_map(oracle, args.budget, rng=args.seed, grid=args.grid)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epsilon", "delta"])
-        for eps, delta in front.points:
-            writer.writerow([repr(eps), repr(delta)])
+    sol, front = budget_pac_map(_load_oracle(args), args.budget, rng=args.seed, grid=args.grid)
+    _write_csv(args.out, ["epsilon", "delta"], ([repr(eps), repr(delta)] for eps, delta in front.points))
     kind = sol.certificate.kind
     print(
         f"budget={args.budget} p_hat={front.p_hat!r} cert={kind} "
@@ -138,9 +137,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    circuit, spec = _load_problem(args)
-    oracle = make_oracle(circuit, spec)
-    table = tabulate_conditional(oracle)
+    table = tabulate_conditional(_load_oracle(args))
     q_star, log_p_star = brute_force_map(table)
     p_star = float(np.exp(log_p_star))
     print(
@@ -151,10 +148,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_illustrate(args) -> int:
-    circuit, spec = _load_problem(args)
-    oracle = make_oracle(circuit, spec)
     trajectory = []
-    sol = pac_map(oracle, PacParams(args.epsilon, args.delta), DEFAULT_CAP, rng=args.seed, trajectory=trajectory)
+    sol = pac_map(_load_oracle(args), PacParams(args.epsilon, args.delta), DEFAULT_CAP, rng=args.seed, trajectory=trajectory)
     _write_trajectory(trajectory, args.out)
     kind = sol.certificate.kind
     final_stop = trajectory[-1].stop_time_m if trajectory else 0
@@ -182,13 +177,19 @@ def cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="pacmap", description="PAC MAP inference over probabilistic circuits")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Option groups that several subcommands share.
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--circuit", required=True)
+    problem.add_argument("--query", required=True)
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--epsilon", type=float, default=0.01)
+    tolerance.add_argument("--delta", type=float, default=0.01)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    run = [problem, tolerance, seed]
 
-    solve = sub.add_parser("solve", help="run one solver on a circuit and query spec")
-    solve.add_argument("--circuit", required=True)
-    solve.add_argument("--query", required=True)
+    solve = sub.add_parser("solve", parents=run, help="run one solver on a circuit and query spec")
     solve.add_argument("--method", required=True, choices=list(METHODS))
-    solve.add_argument("--epsilon", type=float, default=0.01)
-    solve.add_argument("--delta", type=float, default=0.01)
     solve.add_argument("--budget", type=int, default=None)
     solve.add_argument("--cap", type=int, default=DEFAULT_CAP)
     solve.add_argument(
@@ -200,7 +201,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--period", type=int, default=100)
     solve.add_argument("--radius", type=int, default=1)
     solve.add_argument("--warm-from", default=None)
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--trajectory", default=None)
     solve.set_defaults(func=cmd_solve)
 
@@ -209,12 +209,9 @@ def build_parser() -> _Parser:
     bench.add_argument("--out", default="-", help="records CSV path, or - for stdout")
     bench.set_defaults(func=cmd_bench)
 
-    pareto = sub.add_parser("pareto", help="fixed-budget run and its (epsilon, delta) frontier")
-    pareto.add_argument("--circuit", required=True)
-    pareto.add_argument("--query", required=True)
+    pareto = sub.add_parser("pareto", parents=[problem, seed], help="fixed-budget run and its (epsilon, delta) frontier")
     pareto.add_argument("--budget", type=int, required=True)
     pareto.add_argument("--grid", type=int, default=100)
-    pareto.add_argument("--seed", type=int, default=0)
     pareto.add_argument("--out", required=True)
     pareto.set_defaults(func=cmd_pareto)
 
@@ -222,17 +219,10 @@ def build_parser() -> _Parser:
     validate.add_argument("--circuit", required=True)
     validate.set_defaults(func=cmd_validate)
 
-    oracle = sub.add_parser("oracle", help="exact MAP by enumeration (|Q| <= 24)")
-    oracle.add_argument("--circuit", required=True)
-    oracle.add_argument("--query", required=True)
+    oracle = sub.add_parser("oracle", parents=[problem], help="exact MAP by enumeration (|Q| <= 24)")
     oracle.set_defaults(func=cmd_oracle)
 
-    illustrate = sub.add_parser("illustrate", help="write the per-draw bound trajectory CSV")
-    illustrate.add_argument("--circuit", required=True)
-    illustrate.add_argument("--query", required=True)
-    illustrate.add_argument("--epsilon", type=float, default=0.01)
-    illustrate.add_argument("--delta", type=float, default=0.01)
-    illustrate.add_argument("--seed", type=int, default=0)
+    illustrate = sub.add_parser("illustrate", parents=run, help="write the per-draw bound trajectory CSV")
     illustrate.add_argument("--out", required=True)
     illustrate.set_defaults(func=cmd_illustrate)
 

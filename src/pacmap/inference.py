@@ -21,6 +21,7 @@ from .circuit import (
     _check_entries,
     _chunk_rows,
     _evidence_row,
+    _text_lines,
     enumerate_assignments,
     index_to_bits,
     pack_rows,
@@ -54,6 +55,9 @@ class QuerySpec:
     nuisance_vars: tuple[int, ...] = ()
 
     def validate(self, num_vars: int) -> None:
+        for name, ids in (("query", self.query_vars), ("evidence", self.evidence), ("nuisance", self.nuisance_vars)):
+            for var in ids:
+                _integer(var, f"{name} variable")
         q, e, v = set(self.query_vars), set(self.evidence), set(self.nuisance_vars)
         if not self.query_vars:
             raise ValueError("query set must be nonempty")
@@ -78,10 +82,7 @@ def parse_query_spec(text: str, num_vars: int) -> QuerySpec:
     ev: dict[int, int] = {}
     vs: list[int] = []
     seen: set[int] = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _text_lines(text):
         tokens = line.split()
         try:
             var = int(tokens[1])

@@ -30,7 +30,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .circuit import pack_rows
+from .circuit import _chunk_rows, pack_rows
 from .rng import DrawStream, _integer, as_stream
 
 DEFAULT_BATCH_SIZE = 5000
@@ -540,13 +540,21 @@ def budget_pac_map(
     uncounted).  If the candidate mass already covers the residual the
     solution is exact and the frontier degenerates to {(0, 0)}; otherwise the
     frontier is sampled on a `grid`-point tolerance grid.
+
+    The budget is sampled, scored and folded in batches whose (batch, |Q|)
+    draws fill _CHUNK_BYTES (31250 draws at |Q| = 128), so memory holds one
+    batch and the distinct atoms whatever the budget.  Draws do not depend on
+    the batching and the fold is row by row, so the answer is that of one
+    batch.
     """
     budget = _integer(budget, "budget", 1)
     grid = _integer(grid, "grid", 1)  # refused on the exact path too, which never samples the frontier
     t0 = time.perf_counter()
-    state = _warm_set(oracle, warm)
-    draws = oracle.sample(budget, as_stream(rng))
-    state.fold(draws, oracle.log_prob_rows(draws), draws=True)
+    state, stream = _warm_set(oracle, warm), as_stream(rng)
+    batch = _chunk_rows(oracle.num_query, 1)
+    for start in range(0, budget, batch):
+        draws = oracle.sample(min(batch, budget - start), stream)
+        state.fold(draws, oracle.log_prob_rows(draws), draws=True)
     p_hat, p_check = state.p_hat(), state.residual()
     if p_hat >= p_check:
         front = ParetoFront(p_hat, budget, ((0.0, 0.0),))

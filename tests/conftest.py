@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pacmap.circuit import BernoulliLeaf, Circuit, IndicatorLeaf, SumNode
+from pacmap.circuit import BernoulliLeaf, Circuit, IndicatorLeaf, ProductNode, SumNode
 
 
 def ref_complete_prob(circuit: Circuit, bits) -> float:
@@ -60,6 +60,45 @@ def ref_conditional_prob(circuit: Circuit, query_vars, q_bits, evidence: dict[in
     joint = dict(evidence)
     joint.update({v: int(b) for v, b in zip(query_vars, q_bits)})
     return ref_marginal_prob(circuit, joint) / ref_marginal_prob(circuit, evidence)
+
+
+def rat_spn(num_vars: int, depth: int, k: int, repetitions: int, seed: int) -> Circuit:
+    """A seeded DAG circuit in the region-graph form of RAT-SPNs (Peharz et
+    al., "Random Sum-Product Networks", UAI 2019).
+
+    Each of `repetitions` partitions of the root region, and each region
+    below it, splits its variables into two random halves until `depth`
+    splits or a single variable.  A leaf region holds k inputs, each a
+    product of Bernoulli leaves over its variables (a lone leaf for one);
+    every other region holds k sums (the root region one) over the k * k
+    products that join one node of each half.  So every input and every
+    non-root sum has k parents, where generate_random_circuit gives each
+    node one.
+    """
+    gen = np.random.default_rng(seed)
+    nodes: list = []
+
+    def add(node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def region(variables: np.ndarray, depth_left: int, count: int, partitions: int = 1) -> list[int]:
+        if depth_left == 0 or len(variables) == 1:
+            inputs = []
+            for _ in range(count):
+                leaves = [add(BernoulliLeaf(int(v), float(gen.uniform(0.05, 0.95)))) for v in variables]
+                inputs.append(leaves[0] if len(leaves) == 1 else add(ProductNode(tuple(leaves))))
+            return inputs
+        products = []
+        for _ in range(partitions):
+            order = gen.permutation(variables)
+            half = len(order) // 2
+            left, right = region(order[:half], depth_left - 1, k), region(order[half:], depth_left - 1, k)
+            products += [add(ProductNode((a, b))) for a in left for b in right]
+        return [add(SumNode(tuple(products), tuple(gen.dirichlet(np.ones(len(products)))))) for _ in range(count)]
+
+    (root,) = region(np.arange(num_vars), depth, 1, repetitions)
+    return Circuit(nodes, root, num_vars)
 
 
 def total_variation(empirical: np.ndarray, reference: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from pacmap.circuit import (
 from pacmap.inference import (
     QuerySpec,
     TabularDistribution,
+    ZeroEvidenceError,
     brute_force_map,
     make_oracle,
     tabulate_conditional,
@@ -39,6 +40,13 @@ def test_baselines_refuse_an_oracle_built_for_another_instance():
         # An equal spec is the same query.
         same = baseline(c, s1, oracle=make_oracle(c, QuerySpec((0, 1), {2: 0, 3: 1})))
         assert same.log_p_hat == baseline(c, s1).log_p_hat
+
+
+def test_baselines_without_an_oracle_refuse_zero_evidence():
+    c = circuit_from_pmf([0.0, 0.0, 1.0, 0.0])  # the one atom has x1 = 0
+    for baseline in (max_product, arg_max_product):
+        with pytest.raises(ZeroEvidenceError, match="evidence has probability zero under the circuit"):
+            baseline(c, QuerySpec((0,), {1: 1}))
 
 
 def test_independent_map_refuses_a_table():
@@ -275,11 +283,14 @@ BASELINE_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(BASELINE_DIGESTS))
 def test_baseline_answers_are_pinned(name):
-    h = hashlib.sha256()
+    # Each case runs with a prebuilt oracle and without one, which scores
+    # ln p(e) in the baseline's own pass; both give the same bytes.
+    digests = {True: hashlib.sha256(), False: hashlib.sha256()}
     for c, spec in _digest_instances(name):
         oracle = make_oracle(c, spec)
         for method in (max_product, arg_max_product):
-            res = method(c, spec, oracle=oracle)
-            h.update(res.q_hat.tobytes())
-            h.update(repr(res.log_p_hat).encode())
-    assert h.hexdigest() == BASELINE_DIGESTS[name]
+            for with_oracle, h in digests.items():
+                res = method(c, spec, oracle=oracle if with_oracle else None)
+                h.update(res.q_hat.tobytes())
+                h.update(repr(res.log_p_hat).encode())
+    assert [h.hexdigest() for h in digests.values()] == 2 * [BASELINE_DIGESTS[name]]

@@ -99,6 +99,7 @@ def test_uniform_evidence_accepted_on_full_support(small_circuits):
         ((1, 3, 3), "evidence variable 3 given twice"),
         ((2, 99), "evidence variable 99 out of range 0..7"),
         ((8,), "evidence variable 8 out of range 0..7"),
+        ((2.0, 3), "evidence variable must be an integer, not 2.0"),
     ],
 )
 def test_evidence_refuses_bad_variables_before_drawing(small_circuits, mode, e_vars, match):
@@ -358,6 +359,50 @@ def test_summary_counts_ranked_highest():
         mp_rank = [r.rank for r in records if r.dataset == ds and r.method == "mp"]
         amp_rank = [r.rank for r in records if r.dataset == ds and r.method == "amp"]
         assert all(a <= m for a, m in zip(amp_rank, mp_rank))
+
+
+def test_summary_bytes_are_pinned():
+    # Datasets are listed in order of first record, ranked or not; methods in
+    # order of first ranked record, so "ind" (never ranked) has no column; a
+    # proportion with no ranked record still gets its block; ties count for
+    # every tied method, and a missing cell reads nan.
+    R = BenchRecord
+    records = [
+        R("b", 0, 0.5, "instance", cert="ValueError: no instance"),
+        R("a", 0, 0.25, "pac", -1.0, 2),
+        R("a", 0, 0.25, "mp", -0.5, 1),
+        R("a", 0, 0.25, "ind", cert="ValueError: no answer"),
+        R("a", 1, 0.25, "pac", -0.2, 1),
+        R("a", 1, 0.25, "mp", -0.2, 1),
+        R("a", 2, 0.25, "pac", -0.9, 2),
+        R("a", 2, 0.25, "mp", -0.1, 1),
+        R("b", 0, 0.25, "mp", -3.0, 2),
+        R("b", 0, 0.25, "pac", -2.0, 1),
+        R("a", 0, 0.5, "amp", -1.0, 1),
+        R("a", 0, 0.5, "mp", -2.0, 2),
+        R("b", 1, 0.5, "mp", -1.0, 1),
+        R("c", 0, 0.1, "instance", cert="ValueError: no instance"),
+        R(GEN16, 0, 0.5, "amp", -1.0, 1),
+        R(GEN16, 0, 0.5, "pac", -1.0, 1),
+    ]
+    assert render_summary(records) == (
+        "== query proportion 0.1 ==\n"
+        "dataset                           pac       mp      amp\n"
+        "ranked highest                      0        0        0\n"
+        "\n"
+        "== query proportion 0.25 ==\n"
+        "dataset                           pac       mp      amp\n"
+        "b                                1.00     2.00      nan\n"
+        "a                                1.67     1.00      nan\n"
+        "ranked highest                      1        1        0\n"
+        "\n"
+        "== query proportion 0.5 ==\n"
+        "dataset                           pac       mp      amp\n"
+        "b                                 nan     1.00      nan\n"
+        "a                                 nan     2.00     1.00\n"
+        "gen:n=16/depth=3/fanout=2/seed=101     1.00      nan     1.00\n"
+        "ranked highest                      1        1        2\n"
+    )
 
 
 # -- refusals -----------------------------------------------------------------

@@ -559,6 +559,28 @@ def test_round_trip_generated(seed):
         assert (rt.nodes, rt.root, rt.num_vars) == (c.nodes, c.root, c.num_vars)
 
 
+@pytest.mark.parametrize("real", [np.float64, np.float32])
+def test_round_trip_numpy_scalars_and_bool_indicator(real):
+    # Circuit accepts numpy scalars for numbers and True for an indicator
+    # value; each is written in a form the parser reads back.
+    i = np.int64
+    nodes = [
+        BernoulliLeaf(i(0), real(0.3)),
+        BernoulliLeaf(i(0), real(0.8)),
+        IndicatorLeaf(1, True),
+        IndicatorLeaf(i(1), np.int8(0)),
+        SumNode((i(0), i(1)), (real(0.25), real(0.75))),
+        SumNode((2, 3), (real(0.5), real(0.5))),
+        ProductNode((i(4), np.int32(5))),
+    ]
+    c = Circuit(nodes, 6, 2)
+    text = serialize_circuit(c)
+    rt = parse_circuit(text)
+    assert serialize_circuit(rt) == text
+    rows = enumerate_assignments(2)
+    assert rt.log_root(rows).tobytes() == c.log_root(rows).tobytes()
+
+
 def test_serialized_weights_sum_to_one():
     with pytest.warns(WeightNormalizationWarning):
         c = parse_circuit("spn v1\nvars 1\nleaf 0 bernoulli 0 0.9\nleaf 1 bernoulli 0 0.1\nsum 2 0:3 1:1\nroot 2\n")
@@ -715,6 +737,12 @@ _PMF2 = circuit_from_pmf([0.1, 0.2, 0.3, 0.4])
             lambda: evaluate_marginal(_PMF2, {0: 1}, ()), "variables [1] neither assigned nor marginalized", id="unassigned"
         ),
         pytest.param(lambda: evaluate_marginal(_PMF2, {0: 1, 5: 0}, (1,)), "variable index out of range", id="var-range"),
+        pytest.param(
+            lambda: evaluate_marginal(_PMF2, {0.0: 1}, (1,)), "evidence variable must be an integer, not 0.0", id="var-float"
+        ),
+        pytest.param(
+            lambda: evaluate_marginal(_PMF2, {0: 1}, ["1"]), "marginalized variable must be an integer, not '1'", id="marg-str"
+        ),
         pytest.param(lambda: generate_deterministic_circuit(0, 0), "need n >= 1", id="deterministic-0"),
         pytest.param(
             lambda: generate_deterministic_circuit(17, 0),

@@ -88,6 +88,13 @@ def test_solve_pac_machine_line(problem_dir, capsys, method):
         assert oracle_calls >= int(fields["draws"]) >= 1
 
 
+@pytest.mark.parametrize("method,summary", [("pac", "with an exact certificate"), ("mp", "with no certificate")])
+def test_solve_summary_names_the_certificate(problem_dir, capsys, method, summary):
+    _, cpath, qpath = problem_dir
+    assert main(["solve", "--circuit", cpath, "--query", qpath, "--method", method]) == 0
+    assert summary in capsys.readouterr().out
+
+
 def test_solve_baseline_and_warm_start(problem_dir, capsys):
     _, cpath, qpath = problem_dir
     assert main(["solve", "--circuit", cpath, "--query", qpath, "--method", "amp"]) == 0
@@ -121,6 +128,8 @@ def test_trajectory_rejected_for_methods_that_record_none(problem_dir, capsys, m
         (["--method", "mp", "--warm-from", "amp"], "--warm-from is not supported with method 'mp'"),
         (["--method", "pac", "--warm-from", "pac"], "--warm-from expects one of mp, amp, ind"),
         (["--method", "naive"], "--budget is required for method 'naive'"),
+        (["--method", "pac", "--budget", "100"], "--budget is not supported with method 'pac'"),
+        (["--method", "mp", "--budget", "100"], "--budget is not supported with method 'mp'"),
     ],
 )
 def test_solve_refuses_bad_flags_before_reading_the_circuit(tmp_path, monkeypatch, capsys, flags, message):

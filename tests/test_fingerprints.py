@@ -25,6 +25,7 @@ from pacmap.circuit import MARGINAL, generate_deterministic_circuit, generate_ra
 from pacmap.inference import QuerySpec, TabularDistribution, make_oracle
 from pacmap.rng import DrawStream
 from pacmap.solvers import PacParams, budget_pac_map, hamming_ball, naive_map, pac_map, smooth_pac_map
+from conftest import rat_spn
 
 BATCH_SIZES = (1, 7, 100, 5000)
 PARAMS = PacParams(0.01, 0.01)
@@ -245,3 +246,41 @@ def test_scoring_bytes_are_pinned(instance):
     for call, values in _scores(circuit, spec).items():
         assert values.dtype == np.float64
         assert hashlib.sha256(values.tobytes()).hexdigest() == SCORE_DIGESTS[instance, call], call
+
+
+# -- a DAG-shaped circuit ----------------------------------------------------
+
+# Every instance above but shared-children is a tree.  This RAT-SPN
+# region-graph circuit (conftest.rat_spn) gives every input and non-root sum
+# three parents; its solver digests, at every batch size, and its scoring
+# digests were recorded with the instances above unchanged.
+DAG_DIGESTS = {
+    "pac": "7400b45a59c7ac56ab4d5f0f662944a0c360c2ae672129036e4c38ebf9bea6a5",
+    "pac-warm": "37a0821ccf18fbcb26dc90d3b0a249ad6258412138e67d2ec72eb464a77b2a18",
+    "smooth-period": "af9eac6adb066973b95915da7144dac50d82d70f7c23743fc0bf4002fcbe05bc",
+    "smooth-period-100": "3cd6a3076c7dfa4fe3fce4c6d852829b617cafe62a01afd1a709e7b768fad7f3",
+    "smooth-eta": "fc15e67b2358dc45b6e2ac8e7b309e2069227d872425d7cd4fdad99b2d0a3f86",
+    "smooth-radius-2": "c80cdcb6102b18556ca470fda047950640e0992fb29f05cd7e4d684f6e68094d",
+    "budget": "6d30cca37ce8aaf5235bc6f8602821c75b9d9fae369293e5764f399444495633",
+    "naive": "a593e113ddd47e2107fc449eec09e93f99fe8300ea190d828deb5bdb9d5bd196",
+    "draws": "2c151037665ce3828f48d85ff9c6a2eb79a74309135c8b8f4cc2934091db022a",
+    "partial": "5217cb613d08f6052e77ac9c4d47732a55fa862a23ed16034ad45d979b3cd3c4",
+    "ball": "d4fdf34927779cafd396adda4b4323306d0920f2bdf3431222b1d0382ea4987d",
+    "log_forward": "6ca0392c0137495e22de738e01e745c79dae3854818870957276360f07efe35b",
+    "max_forward": "3a339edefd5e72fecbd59b0429c9f3ad8e1e0f44007f5402bb13b025fbb5e3dd",
+}
+
+
+def test_dag_answers_and_scores_are_pinned():
+    circuit = rat_spn(16, 3, 3, 2, 41)
+    spec = QuerySpec(tuple(range(0, 16, 2)), {v: v // 2 % 2 for v in (1, 5, 9, 13)}, (3, 7, 11, 15))
+    oracle = make_oracle(circuit, spec)
+    for name, run in ADAPTIVE.items():
+        for bs in BATCH_SIZES:
+            points = []
+            sol = run(oracle, DrawStream(17), bs, points)
+            assert fingerprint(sol, points) == DAG_DIGESTS[name], (name, bs)
+    for name, run in FIXED.items():
+        assert fingerprint(run(oracle, DrawStream(17)), []) == DAG_DIGESTS[name], name
+    for call, values in _scores(circuit, spec).items():
+        assert hashlib.sha256(values.tobytes()).hexdigest() == DAG_DIGESTS[call], call

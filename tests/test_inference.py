@@ -1279,6 +1279,21 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
         pytest.param(lambda: QuerySpec((0, 0)).validate(1), "duplicate variable within a set", id="spec-duplicate"),
         pytest.param(lambda: QuerySpec((0,), {1: 2}).validate(2), "evidence values must be 0 or 1", id="spec-evidence"),
         pytest.param(
+            lambda: make_oracle(generate_random_circuit(6, 2, 2, 0), QuerySpec((0.0, 1), {2: 1, 3: 0, 4: 1, 5: 0})),
+            "query variable must be an integer, not 0.0",
+            id="spec-query-float",
+        ),
+        pytest.param(
+            lambda: make_oracle(_ORACLE.circuit, QuerySpec((0,), {1.0: 1})),
+            "evidence variable must be an integer, not 1.0",
+            id="spec-evidence-float",
+        ),
+        pytest.param(
+            lambda: make_oracle(_ORACLE.circuit, QuerySpec((0,), {}, (np.float64(1),))),
+            "nuisance variable must be an integer, not np.float64(1.0)",
+            id="spec-nuisance-float",
+        ),
+        pytest.param(
             lambda: _ORACLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query rows have 3 vars, expected 2", id="rows-width"
         ),
         pytest.param(

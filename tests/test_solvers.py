@@ -1,11 +1,14 @@
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pacmap import circuit as circuit_module
+from pacmap.bench import random_query_partition
 from pacmap.circuit import circuit_from_pmf, enumerate_assignments, generate_random_circuit, pack_rows, parse_circuit
 from pacmap.inference import (
     QuerySpec,
@@ -34,6 +37,7 @@ from pacmap.solvers import (
     smooth_pac_map,
     stop_time,
 )
+from conftest import rat_spn
 
 
 def random_table(n, seed, alpha=0.3):
@@ -175,15 +179,21 @@ def test_smooth_engine_is_batch_size_invariant(seed, eta):
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_budget_solvers_match_engine_at_every_batch_size(warm):
-    # budget_pac_map draws its whole budget in one batch.  Where no stopping
-    # rule fires first, the adaptive engine capped at the same budget must
-    # commit the same draws and reach the same answer at every batch size.
+def test_budget_solvers_match_engine_at_every_batch_size(warm, monkeypatch):
+    # budget_pac_map folds its budget in batches of _CHUNK_BYTES // |Q|
+    # draws: all 400 in one at the default size, 7 or 1 at a time under the
+    # patched ones.  Where no stopping rule fires first, the adaptive engine
+    # capped at the same budget must commit the same draws and reach the
+    # same answer at every batch size.
     table = TabularDistribution.from_probs(np.random.default_rng(4).dirichlet(np.full(2**10, 5.0)))
     rows = [np.zeros(10, dtype=np.int8)] if warm else None
     sol, _ = budget_pac_map(table, 400, warm=rows, rng=DrawStream(3))
     assert isinstance(sol.certificate, Budget)
     want = _outcome(sol)
+    for chunk_bytes in (70, 10):
+        monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", chunk_bytes)
+        assert _outcome(budget_pac_map(table, 400, warm=rows, rng=DrawStream(3))[0]) == want
+    monkeypatch.undo()
     if not warm:
         assert _outcome(naive_map(table, 400, rng=DrawStream(3))) == want
     for bs in BATCH_SIZES:
@@ -391,16 +401,27 @@ def test_budget_frontier_with_warm_starts_is_sound(n, alpha, table_seed):
     assert failures[0] > 0  # the check is not vacuous
 
 
-@pytest.mark.parametrize("n, depth, num_query, seed",[(16, 3, 12, 101), (14, 4, 10, 7), (12, 2, 9, 23)])
-def test_pac_certificates_hold_on_circuit_oracles(n, depth, num_query, seed):
+@pytest.mark.parametrize(
+    "make, num_query, seed",
+    [
+        pytest.param(lambda: generate_random_circuit(16, 3, 2, 101), 12, 101, id="16-3-12-101"),
+        pytest.param(lambda: generate_random_circuit(14, 4, 2, 7), 10, 7, id="14-4-10-7"),
+        pytest.param(lambda: generate_random_circuit(12, 2, 2, 23), 9, 23, id="12-2-9-23"),
+        pytest.param(lambda: rat_spn(12, 3, 3, 2, 31), 9, 31, id="dag-12-9-31"),
+    ],
+)
+def test_pac_certificates_hold_on_circuit_oracles(make, num_query, seed):
     # Criterion 3's check through a circuit oracle, so that a sampler or
-    # scoring-plan fault shows as a failure rate.  The truth is the full
+    # scoring-plan fault shows as a failure rate; then criterion 5's check
+    # of budget_pac_map's frontier, as on tables in
+    # test_budget_frontier_with_warm_starts_is_sound.  The truth is the full
     # plan's joint value of every query assignment with the evidence filled
     # in, which shares no plan with the oracle's scoring.
     eps = delta = 0.1
     runs = 150
     params = PacParams(eps, delta)
-    c = generate_random_circuit(n, depth, 2, seed)
+    c = make()
+    n = c.num_vars
     gen = np.random.default_rng(seed)
     query = tuple(sorted(gen.choice(n, num_query, replace=False).tolist()))
     x = sample_joint(c, 1, seed)[0]
@@ -419,6 +440,27 @@ def test_pac_certificates_hold_on_circuit_oracles(n, depth, num_query, seed):
         answers = [run(DrawStream(derive_seed(seed, name, r))).q_hat for r in range(runs)]
         rates[name] = float(np.mean(truth[pack_rows(np.array(answers)).astype(np.intp)] < threshold))
     assert all(rate <= bound for rate in rates.values()), (rates, bound)
+
+    # A budget at which about a quarter of the runs miss the mode.  A run that
+    # fails at a frontier point's eps must report a delta of at least
+    # (1 - p*)^M there, and the failure rate at eps is at most (1 - S_eps)^M.
+    log_cond = truth - np.logaddexp.reduce(truth)
+    p_star = math.exp(log_cond.max())
+    budget = math.ceil(math.log(0.25) / math.log1p(-p_star))
+    miss = (1.0 - p_star) ** budget
+    eps_points = (0.02, 0.1, 0.25, 0.5)
+    failures = np.zeros(len(eps_points))
+    for r in range(runs):
+        sol, front = budget_pac_map(oracle, budget, rng=DrawStream(derive_seed(seed, "budget", r)))
+        value = log_cond[pack_rows(sol.q_hat[None, :])[0]]
+        for point_eps, point_delta in front.points:
+            if value < log_cond.max() + math.log1p(-point_eps):
+                assert point_delta >= miss * (1 - 1e-9), (point_eps, point_delta, miss)
+        failures += [value < log_cond.max() + math.log1p(-e) for e in eps_points]
+    for e, count in zip(eps_points, failures):
+        fail_bound = (1.0 - np.exp(log_cond)[log_cond >= log_cond.max() + math.log1p(-e)].sum()) ** budget
+        assert count / runs <= fail_bound + 3 * math.sqrt(fail_bound * (1 - fail_bound) / runs), (e, count, fail_bound)
+    assert failures[0] > 0  # the check is not vacuous
 
 
 def test_pac_map_cap_yields_budget_certificate():
@@ -563,6 +605,36 @@ def test_budget_draw_count_and_oracle_calls():
     assert sol.draws_used == 500
     assert sol.oracle_calls == 501
     assert front.budget == 500
+
+
+@pytest.mark.parametrize("share", [0.10, 0.25, 0.50])
+def test_stress_budget_solves_sample_and_score_once(share):
+    # A stress-budget solve (20000 draws on the n = 256 circuit at |Q| =
+    # 26/64/128) fits one batch at the default _CHUNK_BYTES, so bounding
+    # the memory of larger budgets costs it no calls.
+    c = generate_random_circuit(256, 3, 2, 404)
+    query = random_query_partition(256, share, DrawStream(7)).query_vars
+    oracle = CountingOracle(make_oracle(c, QuerySpec(query, {v: 0 for v in range(256) if v not in query})))
+    budget_pac_map(oracle, 20_000, rng=1)
+    assert (oracle.sampled, oracle.scored) == ([20_000], [20_000])
+
+
+def test_budget_memory_does_not_grow_with_the_budget(monkeypatch):
+    # 500-draw batches on a 6-variable table: the traced peak of a budget
+    # four times as large stays within 1.25x, where one batch of the whole
+    # budget would grow it about fourfold.
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 6 * 500)
+    table = random_table(6, 12, alpha=1.0)
+    budget_pac_map(table, 1000, rng=0)  # first-call allocations fall outside the traces
+    peaks = []
+    for budget in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            budget_pac_map(table, budget, rng=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_budget_matches_adaptive_state():
