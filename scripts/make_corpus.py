@@ -10,7 +10,7 @@ the same instances from files instead of regenerating them.
 import argparse
 from pathlib import Path
 
-from pacmap.bench import resolve_circuit
+from pacmap.bench import DEFAULT_CAP, resolve_circuit
 from pacmap.circuit import save_circuit
 
 CORPUS = (
@@ -40,7 +40,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="corpus")
     parser.add_argument("--seed", type=int, default=20250810)
-    parser.add_argument("--cap", type=int, default=10**6)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)

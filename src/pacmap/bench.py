@@ -61,39 +61,40 @@ class MethodInputs:
 
 @dataclass(frozen=True)
 class Method:
-    """A registry entry.  `kind` is "adaptive" (draws until certified, up to
-    a cap), "fixed" (draws exactly `budget` samples) or "baseline"
-    (deterministic heuristic)."""
+    """A registry entry: `run` and the MethodInputs fields it reads besides
+    `oracle` and `rng`.  The CLI refuses a flag whose field a method does
+    not read."""
 
     run: Callable[[MethodInputs], Solution]
-    kind: str
-    takes_warm: bool = False
+    reads: frozenset[str] = frozenset()
 
 
+# What pac reads; smooth adds its exploitation knobs.
+_ADAPTIVE = frozenset({"params", "cap", "batch_size", "warm", "trajectory"})
 METHODS: dict[str, Method] = {
     "pac": Method(
         lambda a: pac_map(
             a.oracle, a.params, cap=a.cap, warm=a.warm, rng=a.rng, batch_size=a.batch_size, trajectory=a.trajectory
         ),
-        "adaptive",
-        takes_warm=True,
+        _ADAPTIVE,
     ),
     "smooth": Method(
         lambda a: smooth_pac_map(
             a.oracle, a.params, radius=a.radius, exploit_period=a.exploit_period, cap=a.cap, warm=a.warm,
             rng=a.rng, batch_size=a.batch_size, trajectory=a.trajectory,
         ),
-        "adaptive",
-        takes_warm=True,
+        _ADAPTIVE | {"exploit_period", "radius"},
     ),
-    "budget": Method(lambda a: budget_pac_map(a.oracle, a.budget, warm=a.warm, rng=a.rng)[0], "fixed", takes_warm=True),
-    "naive": Method(lambda a: naive_map(a.oracle, a.budget, rng=a.rng), "fixed"),
-    "mp": Method(lambda a: max_product(a.oracle.circuit, a.oracle.spec, oracle=a.oracle), "baseline"),
-    "amp": Method(lambda a: arg_max_product(a.oracle.circuit, a.oracle.spec, oracle=a.oracle), "baseline"),
-    "ind": Method(lambda a: independent_map(a.oracle), "baseline"),
+    "budget": Method(
+        lambda a: budget_pac_map(a.oracle, a.budget, warm=a.warm, rng=a.rng)[0], frozenset({"budget", "warm"})
+    ),
+    "naive": Method(lambda a: naive_map(a.oracle, a.budget, rng=a.rng), frozenset({"budget"})),
+    "mp": Method(lambda a: max_product(a.oracle.circuit, a.oracle.spec, oracle=a.oracle)),
+    "amp": Method(lambda a: arg_max_product(a.oracle.circuit, a.oracle.spec, oracle=a.oracle)),
+    "ind": Method(lambda a: independent_map(a.oracle)),
 }
 # The paper's ranking run: every method except the fixed-budget solvers.
-DEFAULT_METHODS = tuple(name for name, method in METHODS.items() if method.kind != "fixed")
+DEFAULT_METHODS = tuple(name for name, method in METHODS.items() if "budget" not in method.reads)
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -300,7 +301,7 @@ def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig
         # Report the config tolerance with its realized admissible level.
         p_hat = math.exp(sol.log_p_hat)
         delta = 0.0 if cfg.epsilon >= 1.0 - p_hat else pareto_delta(p_hat, cfg.epsilon, sol.draws_used)
-        return got | {"cert": cert.kind, "epsilon": cfg.epsilon, "delta": delta, "timed_out": entry.kind == "adaptive"}
+        return got | {"cert": cert.kind, "epsilon": cfg.epsilon, "delta": delta, "timed_out": "cap" in entry.reads}
     return got | {"cert": cert.kind, "epsilon": cert.epsilon, "delta": cert.delta}
 
 

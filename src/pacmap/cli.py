@@ -24,7 +24,7 @@ from .inference import (
     parse_query_spec,
     tabulate_conditional,
 )
-from .solvers import DEFAULT_BATCH_SIZE, Budget, PacParams, budget_pac_map, pac_map
+from .solvers import DEFAULT_BATCH_SIZE, DEFAULT_PARETO_GRID, Budget, PacParams, budget_pac_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,21 +68,24 @@ def _write_trajectory(points, path) -> None:
     _write_csv(path, ["m", "p_hat", "p_check", "miss_bound", "stop_time"], rows)
 
 
-def cmd_solve(args) -> int:
+# The MethodInputs field that each method flag of `solve` fills.
+_FLAG_FIELDS = {
+    "epsilon": "params", "delta": "params", "budget": "budget", "cap": "cap", "batch_size": "batch_size",
+    "period": "exploit_period", "radius": "radius", "warm_from": "warm", "trajectory": "trajectory",
+}
+
+
+def cmd_solve(args, parser: argparse.ArgumentParser) -> int:
     method, entry = args.method, METHODS[args.method]
-    if args.trajectory and entry.kind != "adaptive":
-        raise ValueError(f"--trajectory is not supported with method {method!r}, which records no trajectory")
-    if args.warm_from:
-        if not entry.takes_warm:
-            raise ValueError(f"--warm-from is not supported with method {method!r}")
-        baselines = [name for name, m in METHODS.items() if m.kind == "baseline"]
-        if args.warm_from not in baselines:
-            raise ValueError(f"--warm-from expects one of {', '.join(baselines)}")
-    if entry.kind == "fixed" and args.budget is None:
+    for dest, field in _FLAG_FIELDS.items():
+        if field not in entry.reads and getattr(args, dest) != parser.get_default(dest):
+            raise ValueError(f"--{dest.replace('_', '-')} is not supported with method {method!r}")
+    if "budget" in entry.reads and args.budget is None:
         raise ValueError(f"--budget is required for method {method!r}")
-    if entry.kind != "fixed" and args.budget is not None:
-        raise ValueError(f"--budget is not supported with method {method!r}, which takes no fixed budget")
-    params = PacParams(args.epsilon, args.delta) if entry.kind == "adaptive" else None
+    sources = [name for name, m in METHODS.items() if not m.reads]
+    if args.warm_from is not None and args.warm_from not in sources:
+        raise ValueError(f"--warm-from expects one of {', '.join(sources)}")
+    params = PacParams(args.epsilon, args.delta) if "params" in entry.reads else None
     inputs = MethodInputs(
         _load_oracle(args), params, cap=args.cap, budget=args.budget, batch_size=args.batch_size,
         exploit_period=args.period, radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
@@ -147,19 +150,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_illustrate(args) -> int:
-    trajectory = []
-    sol = pac_map(_load_oracle(args), PacParams(args.epsilon, args.delta), DEFAULT_CAP, rng=args.seed, trajectory=trajectory)
-    _write_trajectory(trajectory, args.out)
-    kind = sol.certificate.kind
-    final_stop = trajectory[-1].stop_time_m if trajectory else 0
-    print(
-        f"draws={sol.draws_used} cert={kind} p_hat={float(np.exp(sol.log_p_hat))!r} "
-        f"final_stop_time={final_stop} out={args.out}"
-    )
-    return EXIT_OK
-
-
 def cmd_bench(args) -> int:
     cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
     records = run_benchmark(cfg)
@@ -181,15 +171,13 @@ def build_parser() -> _Parser:
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--circuit", required=True)
     problem.add_argument("--query", required=True)
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--epsilon", type=float, default=0.01)
-    tolerance.add_argument("--delta", type=float, default=0.01)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
-    run = [problem, tolerance, seed]
 
-    solve = sub.add_parser("solve", parents=run, help="run one solver on a circuit and query spec")
+    solve = sub.add_parser("solve", parents=[problem, seed], help="run one solver on a circuit and query spec")
     solve.add_argument("--method", required=True, choices=list(METHODS))
+    solve.add_argument("--epsilon", type=float, default=0.01)
+    solve.add_argument("--delta", type=float, default=0.01)
     solve.add_argument("--budget", type=int, default=None)
     solve.add_argument("--cap", type=int, default=DEFAULT_CAP)
     solve.add_argument(
@@ -202,7 +190,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--radius", type=int, default=1)
     solve.add_argument("--warm-from", default=None)
     solve.add_argument("--trajectory", default=None)
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=lambda args: cmd_solve(args, solve))
 
     bench = sub.add_parser("bench", help="run the benchmark harness from a config file")
     bench.add_argument("--config", required=True)
@@ -211,7 +199,7 @@ def build_parser() -> _Parser:
 
     pareto = sub.add_parser("pareto", parents=[problem, seed], help="fixed-budget run and its (epsilon, delta) frontier")
     pareto.add_argument("--budget", type=int, required=True)
-    pareto.add_argument("--grid", type=int, default=100)
+    pareto.add_argument("--grid", type=int, default=DEFAULT_PARETO_GRID)
     pareto.add_argument("--out", required=True)
     pareto.set_defaults(func=cmd_pareto)
 
@@ -221,10 +209,6 @@ def build_parser() -> _Parser:
 
     oracle = sub.add_parser("oracle", parents=[problem], help="exact MAP by enumeration (|Q| <= 24)")
     oracle.set_defaults(func=cmd_oracle)
-
-    illustrate = sub.add_parser("illustrate", parents=run, help="write the per-draw bound trajectory CSV")
-    illustrate.add_argument("--out", required=True)
-    illustrate.set_defaults(func=cmd_illustrate)
 
     return parser
 

@@ -221,10 +221,7 @@ class ConditionalOracle:
         return values[roots[flips + 1], 0]
 
     def conditional_log_prob(self, query: Sequence[int] | np.ndarray) -> float:
-        q = np.asarray(query, dtype=np.int8)
-        if q.ndim != 1:
-            raise ValueError("single query assignment expected")
-        return float(self.log_prob_rows(q[None, :])[0])
+        return float(self.log_prob_rows(_one_row(query))[0])
 
     # -- sampling -----------------------------------------------------------
 
@@ -467,6 +464,14 @@ def _ball_flips(rows: np.ndarray) -> np.ndarray | None:
     return np.where(counts, diff.argmax(axis=1), -1)
 
 
+def _one_row(query) -> np.ndarray:
+    """One query assignment as a batch of one row; any other shape is refused."""
+    q = np.asarray(query)
+    if q.ndim != 1:
+        raise ValueError("single query assignment expected")
+    return q[None, :]
+
+
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:
     """Build a conditional oracle; raises ZeroEvidenceError when p(e) = 0."""
     return ConditionalOracle(circuit, spec)
@@ -545,7 +550,7 @@ class TabularDistribution:
         return self.log_probs[pack_rows(flags).astype(np.intp)]
 
     def conditional_log_prob(self, query) -> float:
-        return float(self.log_prob_rows(np.asarray(query)[None, :])[0])
+        return float(self.log_prob_rows(_one_row(query))[0])
 
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         count = _integer(count, "count", 1)

@@ -25,6 +25,7 @@ from pacmap.bench import (
 from pacmap.circuit import circuit_from_pmf, evaluate_marginal
 from pacmap.inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle
 from pacmap.rng import DrawStream, derive_seed
+from pacmap.solvers import PacParams
 
 GEN16 = "gen:n=16/depth=3/fanout=2/seed=101"
 CORPUS = (GEN16, "gen:n=32/depth=3/fanout=2/seed=202", "gen:n=64/depth=3/fanout=2/seed=303")
@@ -327,7 +328,7 @@ def test_errored_rows_say_why(monkeypatch):
     def refuse(inputs):
         raise ValueError("smooth failed")
 
-    monkeypatch.setitem(bench.METHODS, "smooth", bench.Method(refuse, "adaptive", takes_warm=True))
+    monkeypatch.setitem(bench.METHODS, "smooth", bench.Method(refuse, bench.METHODS["smooth"].reads))
     cfg = _small_cfg(trials=1, query_proportions=(0.01, 0.5), methods=("smooth", "mp"))
     records = run_benchmark(cfg)
     assert [(r.query_prop, r.method) for r in records] == 2 * [(0.01, "instance"), (0.5, "smooth"), (0.5, "mp")]
@@ -336,6 +337,31 @@ def test_errored_rows_say_why(monkeypatch):
         assert smooth.cert == "ValueError: smooth failed"
         assert instance.log_p_hat is smooth.log_p_hat is smooth.rank is None
         assert mp.rank == 1 and mp.log_p_hat is not None
+
+
+class _Recorder:
+    """A MethodInputs stand-in that records the fields read from it."""
+
+    def __init__(self, inputs):
+        self.inputs, self.read = inputs, set()
+
+    def __getattr__(self, field):
+        self.read.add(field)
+        return getattr(self.inputs, field)
+
+
+@pytest.mark.parametrize("name", list(bench.METHODS))
+def test_each_method_reads_what_it_declares(name):
+    # `reads` names the fields besides oracle and rng; the baselines draw
+    # nothing, so they need not read rng.
+    oracle = make_oracle(circuit_from_pmf([0.1, 0.2, 0.3, 0.4]), QuerySpec((0, 1)))
+    inputs = bench.MethodInputs(
+        oracle, PacParams(0.05, 0.05), cap=200, budget=64, batch_size=64, exploit_period=10, radius=1,
+        rng=DrawStream(3), trajectory=[],
+    )
+    recorder = _Recorder(inputs)
+    bench.METHODS[name].run(recorder)
+    assert recorder.read - {"rng"} == bench.METHODS[name].reads | {"oracle"}
 
 
 def test_log_p_hat_reproducible_by_rescoring():

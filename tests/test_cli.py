@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from pacmap.bench import BenchConfig
-from pacmap.circuit import circuit_from_pmf, save_circuit
+from pacmap.circuit import circuit_from_pmf, generate_random_circuit, save_circuit
 from pacmap import cli
 from pacmap.cli import build_parser, main
 
@@ -127,9 +128,24 @@ def test_trajectory_rejected_for_methods_that_record_none(problem_dir, capsys, m
         (["--method", "mp", "--trajectory", "traj.csv"], "--trajectory is not supported with method 'mp'"),
         (["--method", "mp", "--warm-from", "amp"], "--warm-from is not supported with method 'mp'"),
         (["--method", "pac", "--warm-from", "pac"], "--warm-from expects one of mp, amp, ind"),
+        (["--method", "pac", "--warm-from", ""], "--warm-from expects one of mp, amp, ind"),
         (["--method", "naive"], "--budget is required for method 'naive'"),
         (["--method", "pac", "--budget", "100"], "--budget is not supported with method 'pac'"),
         (["--method", "mp", "--budget", "100"], "--budget is not supported with method 'mp'"),
+        # Every other flag a method does not read, set off its default.
+        *[
+            (["--method", method, flag, value, *(["--budget", "50"] if method in ("budget", "naive") else [])],
+             f"{flag} is not supported with method {method!r}")
+            for flags, methods in [
+                ((("--epsilon", "0.5"), ("--delta", "0.5"), ("--cap", "7"), ("--batch-size", "7")),
+                 ("budget", "naive", "mp", "amp", "ind")),
+                ((("--period", "3"), ("--radius", "5")), ("pac", "budget", "naive", "mp", "amp", "ind")),
+            ]
+            for flag, value in flags
+            for method in methods
+        ],
+        # A flag at its default passes, and the run goes on to read the circuit.
+        (["--method", "mp", "--epsilon", "0.01"], "No such file or directory: 'nope.spn'"),
     ],
 )
 def test_solve_refuses_bad_flags_before_reading_the_circuit(tmp_path, monkeypatch, capsys, flags, message):
@@ -147,6 +163,9 @@ def test_trajectory_written_for_adaptive_methods(problem_dir, capsys, method):
     assert main(argv) == 0
     rows = _csv_rows(out_csv)
     assert len(rows) >= 1
+    assert list(rows[0].keys()) == ["m", "p_hat", "p_check", "miss_bound", "stop_time"]
+    p_hats = [float(r["p_hat"]) for r in rows]
+    assert all(a <= b + 1e-15 for a, b in zip(p_hats, p_hats[1:]))
     assert f"({len(rows)} points)" in capsys.readouterr().out
 
 
@@ -258,43 +277,31 @@ def test_pareto_refuses_a_bad_grid(problem_dir, capsys, budget):
     assert not out_csv.exists()
 
 
-def test_illustrate_writes_trajectory(problem_dir, capsys):
-    dirpath, cpath, qpath = problem_dir
-    out_csv = dirpath / "traj.csv"
-    assert main(
-        ["illustrate", "--circuit", cpath, "--query", qpath, "--epsilon", "0.05", "--delta", "0.05",
-         "--seed", "1", "--out", str(out_csv)]
-    ) == 0
-    rows = _csv_rows(out_csv)
-    assert list(rows[0].keys()) == ["m", "p_hat", "p_check", "miss_bound", "stop_time"]
-    p_hats = [float(r["p_hat"]) for r in rows]
-    assert all(a <= b + 1e-15 for a, b in zip(p_hats, p_hats[1:]))
-
-
-def test_illustrate_stop_time_anchor(tmp_path, capsys):
-    # 64-atom pmf with mode 0.104: once the mode is the leading candidate the
-    # refreshed stop time is ceil(0.99 * ln(100) / 0.104) = 44.
+def _mode_pmf_files(tmp_path):
+    """The 64-atom pmf with mode 0.104 over six query variables, as files."""
     gen = np.random.default_rng(6)
     tail = gen.exponential(size=63)
     tail = tail / tail.sum() * (1.0 - 0.104)
     assert tail.max() < 0.104
-    circuit = circuit_from_pmf(np.concatenate(([0.104], tail)))
-    cpath = tmp_path / "illu.spn"
-    save_circuit(circuit, cpath)
-    qpath = tmp_path / "illu.query"
+    cpath, qpath = tmp_path / "illu.spn", tmp_path / "illu.query"
+    save_circuit(circuit_from_pmf(np.concatenate(([0.104], tail))), cpath)
     qpath.write_text("".join(f"Q {v}\n" for v in range(6)), encoding="utf-8")
+    return str(cpath), str(qpath)
+
+
+def test_pac_trajectory_stop_time_anchor(tmp_path, capsys):
+    # Once the mode 0.104 is the leading candidate the refreshed stop time is
+    # ceil(0.99 * ln(100) / 0.104) = 44.
+    cpath, qpath = _mode_pmf_files(tmp_path)
     out_csv = tmp_path / "illu.csv"
-    assert main(
-        ["illustrate", "--circuit", str(cpath), "--query", str(qpath), "--seed", "1", "--out", str(out_csv)]
-    ) == 0
+    argv = ["solve", "--method", "pac", "--circuit", cpath, "--query", qpath, "--seed", "1", "--trajectory", str(out_csv)]
+    assert main(argv) == 0
     rows = _csv_rows(out_csv)
     assert int(rows[-1]["stop_time"]) == 44
     assert float(rows[-1]["p_hat"]) == pytest.approx(0.104, rel=1e-9)
-    out = capsys.readouterr().out
-    assert "final_stop_time=44" in out
 
 
-def test_illustrate_stops_at_the_default_cap(tmp_path, monkeypatch, capsys):
+def test_pac_trajectory_stops_at_the_default_cap(tmp_path, monkeypatch, capsys):
     # A uniform pmf over 2^10 atoms: p_hat is about 1/1024 or less, so the
     # PAC stop lies thousands of draws out and 300 draws leave most atoms
     # unseen; the run stops at the cap.
@@ -303,9 +310,28 @@ def test_illustrate_stops_at_the_default_cap(tmp_path, monkeypatch, capsys):
     cpath.write_text(f"spn v1\nvars 10\n{leaves}prod 10 {' '.join(map(str, range(10)))}\nroot 10\n")
     qpath.write_text("".join(f"Q {v}\n" for v in range(10)))
     monkeypatch.setattr(cli, "DEFAULT_CAP", 300)
-    assert main(["illustrate", "--circuit", str(cpath), "--query", str(qpath), "--out", str(out_csv)]) == 0
-    assert "draws=300 cert=budget " in capsys.readouterr().out
+    argv = ["solve", "--method", "pac", "--circuit", str(cpath), "--query", str(qpath), "--trajectory", str(out_csv)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert " cert=budget " in out and " draws=300 " in out
     assert [int(r["m"]) for r in _csv_rows(out_csv)] == list(range(1, 301))
+
+
+def test_pac_trajectory_bytes_are_pinned(tmp_path):
+    # The CSV bytes a default pac run writes, seed and circuit fixed.
+    cpath, qpath = _mode_pmf_files(tmp_path)
+    gpath, gquery = tmp_path / "g16.spn", tmp_path / "g16.query"
+    save_circuit(generate_random_circuit(16, 3, 2, 101), gpath)
+    gquery.write_text("Q 0\nQ 3\nQ 5\nQ 9\nE 1 1\nE 2 0\n", encoding="utf-8")
+    pinned = [
+        (cpath, qpath, 1, "969b903fef99993b3969cbbbddb7dcf639a3b136605c6838e3c44a8a322cb356"),
+        (str(gpath), str(gquery), 7, "ddd717d2074ada5493b25b28deb65448ae8c792430c099d4fac2e11f418e3ada"),
+    ]
+    for circuit, query, seed, digest in pinned:
+        out_csv = tmp_path / f"traj-{seed}.csv"
+        argv = ["solve", "--method", "pac", "--circuit", circuit, "--query", query, "--seed", str(seed)]
+        assert main(argv + ["--trajectory", str(out_csv)]) == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest, (circuit, seed)
 
 
 def test_bench_command_writes_csv(tmp_path, capsys):

@@ -1299,6 +1299,9 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
         pytest.param(
             lambda: _ORACLE.conditional_log_prob(np.zeros((1, 2))), "single query assignment expected", id="one-row-2d"
         ),
+        pytest.param(
+            lambda: _ORACLE.conditional_log_prob([0.5, 1]), "assignment entries must be 0, 1 or MARGINAL", id="one-row-0.5"
+        ),
         pytest.param(lambda: _ORACLE.sample(0, 0), "count must be >= 1", id="sample-0"),
         pytest.param(lambda: _ORACLE.sample(2.5, 0), "count must be an integer, not 2.5", id="sample-2.5"),
         pytest.param(lambda: _ORACLE.sample(1, 1.5), "seed must be an integer, not 1.5", id="sample-seed-1.5"),
@@ -1308,6 +1311,9 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
             lambda: TabularDistribution(np.log([0.5, 0.4])), "table mass 0.9 deviates from 1 beyond 1e-06", id="table-mass"
         ),
         pytest.param(lambda: _TABLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query arity mismatch", id="table-width"),
+        pytest.param(
+            lambda: _TABLE.conditional_log_prob([[1, 0], [0, 1]]), "single query assignment expected", id="table-one-row-2d"
+        ),
         pytest.param(lambda: _TABLE.sample(0, 0), "count must be >= 1", id="table-sample-0"),
         pytest.param(lambda: _TABLE.sample(2.5, 0), "count must be an integer, not 2.5", id="table-sample-2.5"),
         pytest.param(
