@@ -85,6 +85,8 @@ def cmd_solve(args, parser: argparse.ArgumentParser) -> int:
     sources = [name for name, m in METHODS.items() if not m.reads]
     if args.warm_from is not None and args.warm_from not in sources:
         raise ValueError(f"--warm-from expects one of {', '.join(sources)}")
+    if args.trajectory == "":
+        raise ValueError("--trajectory expects a file path, not an empty one")
     params = PacParams(args.epsilon, args.delta) if "params" in entry.reads else None
     inputs = MethodInputs(
         _load_oracle(args), params, cap=args.cap, budget=args.budget, batch_size=args.batch_size,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress
+from itertools import compress
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -202,13 +202,16 @@ class SampleSet:
     committed row, each one an oracle evaluation; a Hamming ball that
     smooth_pac_map does not rescore is not folded and adds none.  Duplicates
     are stored once, and the residual mass sums distinct atoms only.
-    `atoms` is also how `fold` tells new rows from seen ones: it inserts a
-    block's keys, reads the set's size after each insert, and takes back the
-    keys first seen past the rows it commits, so no second set of the block
-    is built.
+    `atoms` maps each atom's pack_rows key to the index, counted over every
+    committed row, of the row that first brought it in.  It is also how
+    `fold` tells new rows from seen ones: `dict.setdefault` offers each row's
+    key the index the row would commit at, in one `map` with no Python frame
+    per row, and a row is new where it gets its own index back, since every
+    atom already in the set maps below `rows`.  The keys first seen past the
+    rows it commits are taken back, so no second set of the block is built.
     """
 
-    atoms: set = field(default_factory=set)
+    atoms: dict = field(default_factory=dict)
     m: int = 0
     rows: int = 0
     log_total_mass: float = -math.inf
@@ -263,11 +266,11 @@ class SampleSet:
             bad = int(np.flatnonzero(~(log_probs < math.inf))[0])
             raise ValueError(f"log_probs row {bad} is {float(log_probs[bad])}: a score must be finite or -inf")
 
-        # Insert every key, reading the set's size after each insert: a row
-        # is new where the size grew.  Rows past a stop are taken back below.
-        atoms, add = self.atoms, self.atoms.add
-        sizes = np.fromiter(chain((len(atoms),), (add(k) or len(atoms) for k in keys)), np.int64, b + 1)
-        is_new = sizes[1:] != sizes[:-1]
+        # Offer every key the index its row would commit at: a row is new
+        # where its key maps to that index, as every atom already in the set
+        # maps below self.rows.  Rows past a stop are taken back below.
+        atoms, offered = self.atoms, range(self.rows, self.rows + b)
+        is_new = np.fromiter(map(atoms.setdefault, keys, offered), np.int64, b) == np.arange(self.rows, self.rows + b)
         try:
             cum_mass = np.where(is_new, log_probs, -np.inf)
             cum_mass[0] = np.logaddexp(self.log_total_mass, cum_mass[0])
@@ -286,10 +289,11 @@ class SampleSet:
                     committed = int(hits[0]) + 1
                     grant = int(codes[committed - 1])
         except BaseException:
-            atoms.difference_update(compress(keys, is_new))
+            for key in compress(keys, is_new):
+                del atoms[key]
             raise
-        if committed < b:
-            atoms.difference_update(compress(keys[committed:], is_new[committed:]))
+        for key in compress(keys[committed:], is_new[committed:]):
+            del atoms[key]
         last = committed - 1
 
         self.m = int(m[last])
@@ -307,6 +311,10 @@ class _Rules:
     def __init__(self, params: PacParams):
         self.eps, self.delta = params.epsilon, params.delta
         self.need_nat = (1.0 - self.eps) * math.log(1.0 / self.delta)
+        # Below this p-hat, need_nat / p_hat exceeds every int64 draw count,
+        # so `grant` raises p-hat to it before it divides: a p-hat of 0 still
+        # never passes, and no division by zero or overflow occurs.
+        self.p_floor = self.need_nat / 2.0**64
         # Indexed by the codes `grant` returns.
         self.certificates = (None, Pac(self.eps, self.delta), DeterministicEps(self.eps), Exact())
 
@@ -314,10 +322,8 @@ class _Rules:
         """Per state: 0 where no rule holds, else the index of the certificate
         granted, the deterministic rule taking precedence.  Takes arrays or
         scalars of equal shape."""
-        p_hat = np.asarray(p_hat, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            # need_nat > 0, so m = 0 or p_hat = 0 never passes.
-            pac = m >= self.need_nat / p_hat
+        # need_nat > 0, so m = 0 never passes.
+        pac = m >= self.need_nat / np.maximum(p_hat, self.p_floor)
         # 3 where p_hat >= p_check (which implies det), 2 where det alone,
         # else 1 where pac holds and 0 where nothing does.
         return np.where(p_hat >= p_check * (1.0 - self.eps), (p_hat >= p_check) + np.int8(2), pac)

@@ -656,13 +656,44 @@ def test_pack_rows_matches_bits_to_index():
     assert keys.tolist() == list(range(64))
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 20, 33, 63, 64])
-def test_pack_rows_keys_are_bits_to_index_at_every_width(n):
+def _packbits_keys(rows):
+    """pack_rows's byte route at every width: rows packed 8 bits to a byte,
+    read as a big-endian word up to 64 columns, as raw bytes past it."""
+    packed = np.packbits(rows, axis=1)
+    if rows.shape[1] > 64:
+        return [bytes(row) for row in packed]
+    return [int.from_bytes(bytes(row), "big") >> (8 * packed.shape[1] - rows.shape[1]) for row in packed]
+
+
+def _pack_inputs(n):
+    """The same 0/1 rows as int8, as bool, as a transposed (non-C-contiguous)
+    view, and with each 1 replaced by a nonzero entry other than 1."""
     rows = np.random.default_rng(n).integers(0, 2, size=(300, n)).astype(np.int8)
     rows[0], rows[1] = 0, 1
-    keys = pack_rows(rows)
-    assert keys.dtype == np.uint64
-    assert keys.tolist() == [bits_to_index(r) for r in rows]
+    odd = rows * np.random.default_rng(n + 1).choice(np.array([1, 2, -1, 7, -128], dtype=np.int8), size=rows.shape)
+    return rows, {"int8": rows, "bool": rows.astype(bool), "transposed": rows.T.copy().T, "nonzero": odd}
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 20, 23, 24, 25, 32, 33, 63, 64])
+def test_pack_rows_keys_are_bits_to_index_at_every_width(n):
+    # Up to 24 columns keys are a weighted sum, past it packed bytes; both
+    # give bits_to_index and the byte route's keys, whatever the input.
+    rows, inputs = _pack_inputs(n)
+    want = [bits_to_index(r) for r in rows]
+    assert _packbits_keys(rows) == want
+    for kind, given in inputs.items():
+        keys = pack_rows(given)
+        assert keys.dtype == np.uint64, kind
+        assert keys.tolist() == want, kind
+        assert _packbits_keys(given) == want, kind
+
+
+@pytest.mark.parametrize("n", [65, 128])
+def test_pack_rows_byte_keys_are_unchanged_past_64_columns(n):
+    rows, inputs = _pack_inputs(n)
+    want = _packbits_keys(rows)
+    for kind, given in inputs.items():
+        assert pack_rows(given).tolist() == want, kind
 
 
 def test_pack_rows_memory_is_linear_in_rows():

@@ -129,6 +129,8 @@ def test_trajectory_rejected_for_methods_that_record_none(problem_dir, capsys, m
         (["--method", "mp", "--warm-from", "amp"], "--warm-from is not supported with method 'mp'"),
         (["--method", "pac", "--warm-from", "pac"], "--warm-from expects one of mp, amp, ind"),
         (["--method", "pac", "--warm-from", ""], "--warm-from expects one of mp, amp, ind"),
+        (["--method", "pac", "--trajectory", ""], "--trajectory expects a file path, not an empty one"),
+        (["--method", "smooth", "--trajectory", ""], "--trajectory expects a file path, not an empty one"),
         (["--method", "naive"], "--budget is required for method 'naive'"),
         (["--method", "pac", "--budget", "100"], "--budget is not supported with method 'pac'"),
         (["--method", "mp", "--budget", "100"], "--budget is not supported with method 'mp'"),

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -105,6 +106,46 @@ def test_stop_time_rejects_bad_params():
         stop_time(0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         stop_time(1.5, 0.5, 0.5)
+
+
+def _division_grant(rules, p_hat, p_check, m):
+    """The stop codes by a plain division need_nat / p_hat, under np.errstate
+    so that p_hat = 0, or a subnormal p_hat, gives inf."""
+    p_hat = np.asarray(p_hat, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        pac = m >= rules.need_nat / p_hat
+    return np.where(p_hat >= p_check * (1.0 - rules.eps), (p_hat >= p_check) + np.int8(2), pac)
+
+
+@pytest.mark.parametrize("eps,delta", [(0.01, 0.01), (0.3, 0.3), (0.5, 1e-300), (1 - 2**-52, 1 - 2**-52)])
+def test_rules_grant_matches_a_plain_division(eps, delta):
+    # On a grid of p-hat (0, subnormal, around the floor and each m = need/p
+    # boundary, equal to p-check and to p-check * (1 - eps)), p-check and m
+    # (0 to 2^62), the codes equal those of the division by p-hat, as arrays
+    # and as Python or numpy scalars, dtype included, with no warning raised.
+    rules = _Rules(PacParams(eps, delta))
+    p_checks = [0.0, 1e-300, 0.25, 0.5, 1.0]
+    p_hats = {0.0, 5e-324, 1e-300, rules.p_floor / 2, rules.p_floor, 1e-3, 0.25, 0.5, 1.0}
+    for m in (1, 999, 1000):
+        boundary = rules.need_nat / m
+        p_hats |= {np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, 1.0)}
+    for p_check in p_checks:
+        p_hats |= {p_check, p_check * (1.0 - eps)}
+    p_hats = [float(p) for p in sorted(p_hats) if p <= 1.0]
+    ms = [0, 1, 999, 1000, 1001, 2**62]
+    grid_p, grid_c, grid_m = (a.ravel() for a in np.meshgrid(p_hats, p_checks, ms, indexing="ij"))
+    grid_m = grid_m.astype(np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rules.grant(grid_p, grid_c, grid_m)
+        want = _division_grant(rules, grid_p, grid_c, grid_m)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.int8, grid_p.shape)
+        assert got.tolist() == want.tolist()
+        assert set(want.tolist()) == {0, 1, 2, 3}  # the grid reaches every code
+        for p_hat, p_check, m, code in zip(grid_p.tolist(), grid_c.tolist(), grid_m.tolist(), want.tolist()):
+            for args in ((p_hat, p_check, m), (np.float64(p_hat), np.float64(p_check), np.int64(m))):
+                one, reference = rules.grant(*args), _division_grant(rules, *args)
+                assert (one.dtype, one.shape, int(one)) == (reference.dtype, reference.shape, code), args
 
 
 # -- adaptive solver ----------------------------------------------------------
@@ -887,6 +928,7 @@ def test_sample_set_fold_commits_prefix_through_first_stop():
     assert fold.p_hat.tolist() == pytest.approx([0.2, 0.3])
     assert fold.p_check.tolist() == pytest.approx([0.7, 0.4])
     assert (state.m, state.rows, len(state.atoms)) == (2, 3, 3)
+    assert state.atoms == {0b00: 0, 0b01: 1, 0b10: 2}  # each key maps to the row that brought it in
     assert state.best_bits.tolist() == [1, 0]  # the uncommitted [1, 1] never counts
     assert math.exp(state.log_total_mass) == pytest.approx(0.6)
 
@@ -896,7 +938,7 @@ def test_sample_set_fold_checks_its_block_before_it_changes_state():
     state.fold(np.array([[0, 1], [1, 0]], dtype=np.int8), np.log([0.2, 0.3]), draws=True)
 
     def snapshot():
-        return (set(state.atoms), state.m, state.rows, state.log_total_mass, state.best_bits.tolist(), state.best_log_prob)
+        return (dict(state.atoms), state.m, state.rows, state.log_total_mass, state.best_bits.tolist(), state.best_log_prob)
 
     before = snapshot()
     fold = state.fold(np.empty((0, 2), dtype=np.int8), np.empty(0), draws=True)
@@ -931,17 +973,20 @@ def reference_fold(state, bits, log_probs, draws, stop):
     """SampleSet.fold one row at a time, with scalar np.logaddexp, np.maximum,
     np.exp and np.expm1 steps in the order the fold's accumulates take them.
 
-    Returns the Fold's arrays and grant, then the state fields it leaves.
-    `stop` sees the arrays of every row, as it does in SampleSet.fold.
+    Returns the Fold's arrays and grant, then the state fields it leaves;
+    each atom maps to the index, counted over every committed row of the
+    set, of the row that first brought it in.  `stop` sees the arrays of
+    every row, as it does in SampleSet.fold.
     """
     keys = pack_rows(bits).tolist()
-    seen = set(state.atoms)
+    seen = dict(state.atoms)
     mass, best = state.log_total_mass, state.best_log_prob
     p_hat, p_check, m, masses, bests, best_rows = [], [], [], [], [], []
     best_row = None
     for i, key in enumerate(keys):
         new = key not in seen
-        seen.add(key)
+        if new:
+            seen[key] = state.rows + i
         mass = np.logaddexp(mass, log_probs[i] if new else -np.inf)
         if np.maximum(best, log_probs[i]) > best:
             best_row = i
@@ -966,7 +1011,7 @@ def reference_fold(state, bits, log_probs, draws, stop):
         p_check[: last + 1].tobytes(),
         m[: last + 1].tobytes(),
         int(codes[last]),
-        set(state.atoms) | set(keys[: last + 1]),
+        {key: first for key, first in seen.items() if first <= state.rows + last},
         int(m[last]),
         state.rows + last + 1,
         np.float64(masses[last]).tobytes(),
@@ -1019,7 +1064,8 @@ _STOPS = {
 
 @pytest.mark.parametrize("stop", list(_STOPS))
 @pytest.mark.parametrize("draws", [True, False])
-@pytest.mark.parametrize("width", [8, 64, 65, 128])  # uint64 keys up to 64 columns, byte keys past it
+# Weighted-sum keys up to 24 columns, packed uint64 words up to 64, byte keys past it.
+@pytest.mark.parametrize("width", [8, 24, 25, 64, 65, 128])
 @pytest.mark.parametrize("warm", [False, True])
 def test_sample_set_fold_matches_a_row_by_row_reference_byte_for_byte(warm, width, draws, stop):
     rng = np.random.default_rng(width)
@@ -1038,6 +1084,24 @@ def test_sample_set_fold_matches_a_row_by_row_reference_byte_for_byte(warm, widt
     for rows, scores in [(pool[[6, 6]], np.full(2, -np.inf)), (pool[[0, 1, 0]], np.log([0.5, 0.5, 0.5]))]:
         want = reference_fold(SampleSet(), rows, scores, draws, None)
         assert _fold_outcome(SampleSet(), rows, scores, draws, None) == want
+
+
+def test_sample_set_memory_per_distinct_atom_is_bounded():
+    # 20000 distinct rows at |Q| = 128: each atom holds a 16-byte key object,
+    # its dict entry and its first-row index.  The dict kept 110 B per atom
+    # here; the set it replaced, 154 B.
+    rows = np.random.default_rng(128).integers(0, 2, size=(20_000, 128)).astype(np.int8)
+    scores = np.full(len(rows), -30.0)
+    SampleSet().fold(rows[:100], scores[:100], draws=True)  # first-call allocations fall outside the trace
+    tracemalloc.start()
+    try:
+        state = SampleSet()
+        state.fold(rows, scores, draws=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(state.atoms) == len(rows)
+    assert held <= 128 * len(state.atoms), held / len(state.atoms)
 
 
 def test_duplicates_increment_m_but_not_mass():
