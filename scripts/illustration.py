@@ -2,24 +2,23 @@
 """Bound-trajectory illustration on a 64-atom distribution with mode 0.104.
 
 Builds an explicit pmf (mode pinned at 0.104, exponential tail), compiles it
-into a mixture-of-indicators circuit, runs the adaptive solver with a
-trajectory sink, and writes the per-draw CSV (columns m, p_hat, p_check,
-miss_bound, stop_time).  The final stop_time column settles at
-ceil(0.99 * ln(100) / 0.104) = 44 once the mode becomes the leading
-candidate; the deterministic and probabilistic bounds in the CSV trace the
-two panels of the usual convergence picture.
+into a mixture-of-indicators circuit, writes that circuit and its query (all
+variables) as .spn and .query files beside the CSV, and runs `pacmap solve
+--method pac --trajectory` on them, which writes the per-draw CSV (columns
+m, p_hat, p_check, miss_bound, stop_time).  The final stop_time column
+settles at ceil(0.99 * ln(100) / 0.104) = 44 once the mode becomes the
+leading candidate; the deterministic and probabilistic bounds in the CSV
+trace the two panels of the usual convergence picture.
 """
 
 import argparse
-import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from pacmap.circuit import circuit_from_pmf
-from pacmap.cli import _write_trajectory
-from pacmap.inference import QuerySpec, make_oracle
-from pacmap.rng import DrawStream
-from pacmap.solvers import PacParams, pac_map
+from pacmap import cli
+from pacmap.circuit import circuit_from_pmf, save_circuit
 
 
 def build_table(mode_prob: float, n_vars: int, seed: int) -> np.ndarray:
@@ -31,7 +30,16 @@ def build_table(mode_prob: float, n_vars: int, seed: int) -> np.ndarray:
     return np.concatenate(([mode_prob], tail))
 
 
-def main() -> None:
+def write_problem(out, mode_prob: float = 0.104, n_vars: int = 6, table_seed: int = 6) -> tuple[str, str]:
+    """Write the pmf's circuit and query beside `out`, with the suffixes .spn
+    and .query; returns their paths."""
+    cpath, qpath = Path(out).with_suffix(".spn"), Path(out).with_suffix(".query")
+    save_circuit(circuit_from_pmf(build_table(mode_prob, n_vars, table_seed)), cpath)
+    qpath.write_text("".join(f"Q {v}\n" for v in range(n_vars)), encoding="utf-8")
+    return str(cpath), str(qpath)
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilon", type=float, default=0.01)
     parser.add_argument("--delta", type=float, default=0.01)
@@ -42,25 +50,12 @@ def main() -> None:
     parser.add_argument("--out", default="illustration.csv")
     args = parser.parse_args()
 
-    probs = build_table(args.mode_prob, args.vars, args.table_seed)
-    circuit = circuit_from_pmf(probs)
-    oracle = make_oracle(circuit, QuerySpec(tuple(range(args.vars))))
-
-    trajectory = []
-    sol = pac_map(
-        oracle,
-        PacParams(args.epsilon, args.delta),
-        rng=DrawStream(args.seed),
-        trajectory=trajectory,
-    )
-
-    _write_trajectory(trajectory, args.out)
-    print(f"wrote {args.out} ({len(trajectory)} draws)")
-    print(
-        f"stopped at m={sol.draws_used} with a {sol.certificate.kind} certificate, "
-        f"p_hat={math.exp(sol.log_p_hat):.4f}, final stop_time={trajectory[-1].stop_time_m}"
-    )
+    cpath, qpath = write_problem(args.out, args.mode_prob, args.vars, args.table_seed)
+    return cli.main([
+        "solve", "--method", "pac", "--circuit", cpath, "--query", qpath, "--epsilon", repr(args.epsilon),
+        "--delta", repr(args.delta), "--seed", str(args.seed), "--trajectory", args.out,
+    ])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

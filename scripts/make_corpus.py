@@ -1,38 +1,24 @@
 #!/usr/bin/env python3
 """Materialize the desk-scale benchmark corpus.
 
-Writes the three generated circuits (n = 16, 32, 64) as .spn files plus a
-ready-to-run bench config.  The gen: specs below match the ones used by the
-acceptance suite, so `pacmap bench --config <outdir>/bench.conf` reproduces
-the same instances from files instead of regenerating them.
+Writes the three generated circuits of pacmap.bench.CORPUS (n = 16, 32, 64)
+as .spn files plus a bench config that sets only the circuits, the draw cap
+and the seed; every other key takes its BenchConfig default.  So `pacmap
+bench --config <outdir>/bench.conf` reproduces the acceptance suite's
+instances from files instead of regenerating them.
 """
 
 import argparse
 from pathlib import Path
 
-from pacmap.bench import DEFAULT_CAP, resolve_circuit
+from pacmap.bench import CORPUS, DEFAULT_CAP, resolve_circuit
 from pacmap.circuit import save_circuit
 
-CORPUS = (
-    "gen:n=16/depth=3/fanout=2/seed=101",
-    "gen:n=32/depth=3/fanout=2/seed=202",
-    "gen:n=64/depth=3/fanout=2/seed=303",
-)
-
 CONFIG_TEMPLATE = """\
-# desk-scale ranking benchmark
+# desk-scale ranking benchmark; unset keys take their BenchConfig defaults
 circuits = {circuits}
-query_proportions = 0.10, 0.25, 0.50
-trials = 10
-methods = pac, smooth, mp, amp, ind
-epsilon = 0.01
-delta = 0.01
 sample_cap = {cap}
-batch_size = 5000
-exploit_period = 100
-radius = 1
 seed = {seed}
-evidence_mode = model
 """
 
 

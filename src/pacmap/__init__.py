@@ -27,7 +27,6 @@ from .inference import (
     TabularDistribution,
     ZeroEvidenceError,
     brute_force_map,
-    make_oracle,
     min_entropy,
     parse_query_spec,
     sample_joint,

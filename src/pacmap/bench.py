@@ -1,4 +1,4 @@
-"""Benchmark harness: query partitioning, evidence drawing, ranking, CSV.
+"""Benchmark harness: the ranking corpus, its instances, ranking, CSV.
 
 A benchmark run crosses circuits x query proportions x trials.  Each trial
 partitions the variables, draws evidence, builds a fresh oracle per method
@@ -24,7 +24,7 @@ import numpy as np
 
 from .baselines import arg_max_product, independent_map, max_product
 from .circuit import Circuit, _text_lines, evaluate_marginal, generate_random_circuit, load_circuit
-from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle, sample_joint
+from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, sample_joint
 from .rng import DrawStream, _integer, as_stream, derive_seed
 from .solvers import (
     DEFAULT_BATCH_SIZE,
@@ -41,6 +41,14 @@ from .solvers import (
 # Draw cap of the adaptive solvers, and the draw count of the fixed-budget
 # ones in a bench run, unless set otherwise.
 DEFAULT_CAP = 10**6
+
+# The desk-scale ranking corpus: the generated circuits of the paper's
+# ranking run, n = 16, 32 and 64.
+CORPUS = (
+    "gen:n=16/depth=3/fanout=2/seed=101",
+    "gen:n=32/depth=3/fanout=2/seed=202",
+    "gen:n=64/depth=3/fanout=2/seed=303",
+)
 
 
 @dataclass(frozen=True)
@@ -274,6 +282,18 @@ def draw_evidence(
     raise ZeroEvidenceError("uniform evidence sampling exhausted 100 retries")
 
 
+def draw_instance(circuit: Circuit, proportion: float, mode: str, base: int) -> QuerySpec:
+    """The validated spec of the bench trial with base seed `base`: a query
+    partition from derive_seed(base, "partition"), `mode` evidence on the
+    rest from derive_seed(base, "evidence"), no nuisance variables."""
+    n = circuit.num_vars
+    query = random_query_partition(n, proportion, DrawStream(derive_seed(base, "partition"))).query_vars
+    e_vars = tuple(sorted(set(range(n)) - set(query)))
+    spec = QuerySpec(query, draw_evidence(circuit, e_vars, mode, DrawStream(derive_seed(base, "evidence"))), ())
+    spec.validate(n)
+    return spec
+
+
 def rank_methods(log_p_hats) -> list[int]:
     """Competition ranks, best first: rank = 1 + #(strictly better)."""
     values = list(log_p_hats)
@@ -289,8 +309,9 @@ def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig
     entry = METHODS[method]
     sol = entry.run(
         MethodInputs(
-            make_oracle(circuit, spec), PacParams(cfg.epsilon, cfg.delta), cap=cfg.sample_cap, budget=cfg.sample_cap,
-            batch_size=cfg.batch_size, exploit_period=cfg.exploit_period, radius=cfg.radius, rng=DrawStream(seed),
+            ConditionalOracle(circuit, spec), PacParams(cfg.epsilon, cfg.delta), cap=cfg.sample_cap,
+            budget=cfg.sample_cap, batch_size=cfg.batch_size, exploit_period=cfg.exploit_period, radius=cfg.radius,
+            rng=DrawStream(seed),
         )
     )
     got = {"log_p_hat": sol.log_p_hat, "draws": sol.draws_used}
@@ -313,11 +334,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
             for trial in range(cfg.trials):
                 base = derive_seed(cfg.seed, ci, pi, trial)
                 try:
-                    part = random_query_partition(circuit.num_vars, prop, DrawStream(derive_seed(base, "partition")))
-                    e_vars = tuple(v for v in range(circuit.num_vars) if v not in set(part.query_vars))
-                    evidence = draw_evidence(circuit, e_vars, cfg.evidence_mode, DrawStream(derive_seed(base, "evidence")))
-                    spec = QuerySpec(part.query_vars, evidence, ())
-                    spec.validate(circuit.num_vars)
+                    spec = draw_instance(circuit, prop, cfg.evidence_mode, base)
                 except Exception as exc:
                     records.append(BenchRecord(dataset, trial, prop, "instance", cert=_why(exc)))
                     continue
@@ -348,7 +365,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -154,6 +155,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
+    out = Path(args.out)
+    if args.out != "-" and (out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK)):
+        raise ValueError(f"--out {args.out}: not a file in a writable directory")  # before the run, not after
     records = run_benchmark(cfg)
     if args.out == "-":
         write_records_csv(records, sys.stdout)

@@ -473,7 +473,9 @@ def _one_row(query) -> np.ndarray:
 
 
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:
-    """Build a conditional oracle; raises ZeroEvidenceError when p(e) = 0."""
+    """ConditionalOracle(circuit, spec), which raises ZeroEvidenceError when
+    p(e) = 0.  It stays only because perfbench/ and the tests import it; new
+    code builds ConditionalOracle directly."""
     return ConditionalOracle(circuit, spec)
 
 

@@ -16,10 +16,11 @@ t <= k, for t = unit_thresholds(x).  The sampler draws through these integer
 compares and never forms a float uniform, and its draws are those of
 counter_uniforms bit for bit.
 
-A stream's cursor is an integer draw index, as are its seed and every count
-of draws: each is read through operator.index, so numpy integers pass and a
-float such as 2.5, which would leave a fractional cursor and repeat draws,
-is refused with a ValueError naming it before any draw.
+A stream's cursor is an integer draw index, and its seed, every count of
+draws and the seed and every non-string tag of derive_seed are integers:
+each is read through operator.index, so numpy integers pass and a float
+such as 2.5, which would leave a fractional cursor and repeat draws, is
+refused with a ValueError naming it before any draw.
 """
 
 from __future__ import annotations
@@ -67,12 +68,15 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     """Derive an independent 64-bit seed from a parent seed and a tag path.
 
     Order-sensitive: derive_seed(s, 1, 2) != derive_seed(s, 2, 1).  String
-    tags are folded through blake2b so they stay stable across processes.
+    tags are folded through blake2b so they stay stable across processes;
+    the seed and every other tag are read as integers, like a stream's seed.
     """
-    s = _mix64_int(seed)
+    s = _mix64_int(_integer(seed, "seed"))
     for tag in tags:
         if isinstance(tag, str):
             tag = int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
+        else:
+            tag = _integer(tag, "tag")
         s = _mix64_int((s * _GAMMA + tag + 1) & _MASK64)
     return s
 

@@ -8,11 +8,14 @@ log-space evaluator, so agreement between the two is a meaningful check.
 from __future__ import annotations
 
 
+import io
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
+from pacmap.bench import run_benchmark, write_records_csv
 from pacmap.circuit import BernoulliLeaf, Circuit, IndicatorLeaf, ProductNode, SumNode
 
 
@@ -99,6 +102,14 @@ def rat_spn(num_vars: int, depth: int, k: int, repetitions: int, seed: int) -> C
 
     (root,) = region(np.arange(num_vars), depth, 1, repetitions)
     return Circuit(nodes, root, num_vars)
+
+
+def masked_csv(cfg) -> str:
+    """The records CSV of a bench run of `cfg` with every runtime_ms zeroed:
+    wall time is the one column a run cannot reproduce."""
+    buf = io.StringIO()
+    write_records_csv([replace(r, runtime_ms=0.0) for r in run_benchmark(cfg)], buf)
+    return buf.getvalue()
 
 
 def total_variation(empirical: np.ndarray, reference: np.ndarray) -> float:

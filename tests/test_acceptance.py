@@ -5,8 +5,6 @@ happen.  The statistical criteria use frozen seeds, so outcomes are
 reproducible run to run.
 """
 
-import csv
-import io
 import math
 import time
 
@@ -15,11 +13,12 @@ import pytest
 
 from pacmap.baselines import arg_max_product, independent_map, max_product
 from pacmap.bench import (
+    CORPUS,
     BenchConfig,
     draw_evidence,
+    draw_instance,
     random_query_partition,
-    run_benchmark,
-    write_records_csv,
+    resolve_circuit,
 )
 from pacmap.circuit import (
     circuit_from_pmf,
@@ -46,18 +45,10 @@ from pacmap.solvers import (
     smooth_pac_map,
     stop_time,
 )
-from conftest import ref_conditional_prob, total_variation
+from conftest import masked_csv, ref_conditional_prob, total_variation
 
 EPS = DELTA = 0.01
 MASTER = 20250810
-
-CORPUS_SPECS = (
-    ("gen:n=16/depth=3/fanout=2/seed=101", 16, 3, 2, 101),
-    ("gen:n=32/depth=3/fanout=2/seed=202", 32, 3, 2, 202),
-    ("gen:n=64/depth=3/fanout=2/seed=303", 64, 3, 2, 303),
-)
-PROPORTIONS = (0.10, 0.25, 0.50)
-TRIALS = 10
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -70,18 +61,16 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def corpus_instances():
-    """The desk-scale benchmark corpus: 3 circuits x 3 proportions x 10 trials."""
-    instances = []
-    for ci, (dataset, n, depth, fanout, gseed) in enumerate(CORPUS_SPECS):
-        circuit = generate_random_circuit(n, depth, fanout, gseed)
-        for pi, prop in enumerate(PROPORTIONS):
-            for trial in range(TRIALS):
-                base = derive_seed(MASTER, ci, pi, trial)
-                part = random_query_partition(n, prop, DrawStream(derive_seed(base, "partition")))
-                e_vars = tuple(v for v in range(n) if v not in set(part.query_vars))
-                evidence = draw_evidence(circuit, e_vars, "model", DrawStream(derive_seed(base, "evidence")))
-                spec = QuerySpec(part.query_vars, evidence, ())
-                instances.append((dataset, circuit, spec, base))
+    """The desk-scale benchmark corpus: 3 circuits x 3 proportions x 10 trials,
+    as the ranking run at its BenchConfig defaults draws them."""
+    run, instances = BenchConfig(CORPUS, seed=MASTER), []
+    for ci, dataset in enumerate(run.circuits):
+        circuit = resolve_circuit(dataset)[1]
+        for pi, prop in enumerate(run.query_proportions):
+            for trial in range(run.trials):
+                base = derive_seed(run.seed, ci, pi, trial)
+                instances.append((dataset, circuit, draw_instance(circuit, prop, run.evidence_mode, base), base))
+    assert len(instances) == 3 * 3 * 10
     return instances
 
 
@@ -201,7 +190,7 @@ def test_criterion_5_pareto_validity():
 
 
 def test_criterion_6_budget_linearity():
-    circuit = generate_random_circuit(32, 3, 2, 202)
+    circuit = resolve_circuit(CORPUS[1])[1]
     part = random_query_partition(32, 0.5, DrawStream(derive_seed(MASTER, "lin", 0)))
     e_vars = tuple(v for v in range(32) if v not in set(part.query_vars))
     evidence = draw_evidence(circuit, e_vars, "model", DrawStream(derive_seed(MASTER, "lin", 1)))
@@ -339,7 +328,7 @@ def test_criterion_10_baseline_sanity(corpus_instances):
 
 def test_criterion_11_benchmark_reproducibility(tmp_path):
     cfg = BenchConfig(
-        circuits=("gen:n=16/depth=3/fanout=2/seed=101", "gen:n=16/depth=2/fanout=2/seed=55"),
+        circuits=(CORPUS[0], "gen:n=16/depth=2/fanout=2/seed=55"),
         query_proportions=(0.25, 0.5),
         trials=2,
         methods=("pac", "smooth", "budget", "naive", "mp", "amp", "ind"),
@@ -347,26 +336,8 @@ def test_criterion_11_benchmark_reproducibility(tmp_path):
         batch_size=500,
         seed=11,
     )
-
-    def run_csv() -> str:
-        buf = io.StringIO()
-        write_records_csv(run_benchmark(cfg), buf)
-        return buf.getvalue()
-
-    first, second = run_csv(), run_csv()
-
-    def mask_runtime(text: str) -> str:
-        rows = list(csv.reader(io.StringIO(text)))
-        col = rows[0].index("runtime_ms")
-        for row in rows[1:]:
-            row[col] = ""
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return out.getvalue()
-
-    identical = mask_runtime(first) == mask_runtime(second)
-    # wall-clock measurements are the one intrinsically non-reproducible
-    # column; everything else must match byte for byte
+    first, second = masked_csv(cfg), masked_csv(cfg)
+    identical = first == second
     _report(
         "criterion-11 benchmark reproducibility",
         identical and first.splitlines()[0] == "dataset,trial,query_prop,method,log_p_hat,rank,runtime_ms,cert,epsilon,delta,draws,timed_out",

@@ -1,7 +1,7 @@
 import hashlib
 import io
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from pacmap import bench
 from pacmap.bench import (
+    CORPUS,
     BenchConfig,
     BenchRecord,
     CSV_COLUMNS,
     draw_evidence,
+    draw_instance,
     parse_bench_config,
     random_query_partition,
     rank_methods,
@@ -26,9 +28,9 @@ from pacmap.circuit import circuit_from_pmf, evaluate_marginal
 from pacmap.inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, make_oracle
 from pacmap.rng import DrawStream, derive_seed
 from pacmap.solvers import PacParams
+from conftest import masked_csv
 
-GEN16 = "gen:n=16/depth=3/fanout=2/seed=101"
-CORPUS = (GEN16, "gen:n=32/depth=3/fanout=2/seed=202", "gen:n=64/depth=3/fanout=2/seed=303")
+GEN16 = CORPUS[0]
 
 
 # -- partitioning -------------------------------------------------------------
@@ -125,12 +127,11 @@ def test_corpus_evidence_is_that_of_a_fresh_oracle_per_draw():
         for pi, prop in enumerate((0.10, 0.25, 0.50)):
             for trial in range(10):
                 base = derive_seed(1, ci, pi, trial)
-                q = set(random_query_partition(n, prop, DrawStream(derive_seed(base, "partition"))).query_vars)
-                e_vars = tuple(v for v in range(n) if v not in q)
-                ev = draw_evidence(c, e_vars, "model", DrawStream(derive_seed(base, "evidence")))
+                spec = draw_instance(c, prop, "model", base)
+                e_vars = tuple(v for v in range(n) if v not in spec.query_vars)
                 fresh = ConditionalOracle(c, QuerySpec(tuple(range(n)))).sample(1, derive_seed(base, "evidence"))[0]
-                assert ev == {v: int(fresh[v]) for v in e_vars}
-                digest.update(repr(sorted(ev.items())).encode())
+                assert spec.evidence == {v: int(fresh[v]) for v in e_vars}
+                digest.update(repr(sorted(spec.evidence.items())).encode())
     assert digest.hexdigest() == CORPUS_EVIDENCE_DIGEST
 
 
@@ -264,15 +265,14 @@ def _small_cfg(**overrides):
 
 
 def test_records_deterministic_apart_from_timing():
-    cfg = _small_cfg()
-    first = run_benchmark(cfg)
-    second = run_benchmark(cfg)
-    assert len(first) == len(second) == 2 * 2 * 2 * 7
-    for a, b in zip(first, second):
-        assert (a.dataset, a.trial, a.query_prop, a.method) == (b.dataset, b.trial, b.query_prop, b.method)
-        assert a.log_p_hat == b.log_p_hat
-        assert a.rank == b.rank
-        assert (a.cert, a.epsilon, a.delta, a.draws, a.timed_out) == (b.cert, b.epsilon, b.delta, b.draws, b.timed_out)
+    first = masked_csv(_small_cfg())
+    assert first == masked_csv(_small_cfg()) and len(first.splitlines()) == 1 + 2 * 2 * 2 * 7
+
+
+def test_numpy_scalars_in_a_config_run_and_write_as_python_scalars():
+    cfg = _small_cfg(trials=1, methods=("pac", "mp"), epsilon=0.05, seed=3)
+    numpy_cfg = replace(cfg, seed=np.int64(3), query_proportions=tuple(np.linspace(0.25, 0.5, 2)), epsilon=np.float64(0.05))
+    assert masked_csv(numpy_cfg) == masked_csv(cfg)
 
 
 def test_csv_bytes_are_pinned():
@@ -426,7 +426,7 @@ def test_summary_bytes_are_pinned():
         "dataset                           pac       mp      amp\n"
         "b                                 nan     1.00      nan\n"
         "a                                 nan     2.00     1.00\n"
-        "gen:n=16/depth=3/fanout=2/seed=101     1.00      nan     1.00\n"
+        f"{GEN16}     1.00      nan     1.00\n"
         "ranked highest                      1        1        2\n"
     )
 

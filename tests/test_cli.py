@@ -2,15 +2,19 @@ import argparse
 import csv
 import hashlib
 import re
+import runpy
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from pacmap.bench import BenchConfig
-from pacmap.circuit import circuit_from_pmf, generate_random_circuit, save_circuit
+from pacmap.bench import CORPUS, BenchConfig, resolve_circuit
+from pacmap.circuit import circuit_from_pmf, save_circuit
 from pacmap import cli
 from pacmap.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+# Writes the circuit and query files of the 64-atom pmf with mode 0.104 over six query variables.
+write_mode_problem = runpy.run_path(str(ROOT / "scripts" / "illustration.py"))["write_problem"]
 
 
 def _csv_rows(path):
@@ -223,7 +227,7 @@ def test_solve_refuses_a_structure_violation_with_its_line(tmp_path, capsys):
 def test_readme_cli_block_matches_the_parser():
     # The `## CLI` block of README.md lists every subcommand and flag, and
     # nothing else.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
     names, documented = set(), set()
     for line in block.splitlines():
@@ -279,22 +283,10 @@ def test_pareto_refuses_a_bad_grid(problem_dir, capsys, budget):
     assert not out_csv.exists()
 
 
-def _mode_pmf_files(tmp_path):
-    """The 64-atom pmf with mode 0.104 over six query variables, as files."""
-    gen = np.random.default_rng(6)
-    tail = gen.exponential(size=63)
-    tail = tail / tail.sum() * (1.0 - 0.104)
-    assert tail.max() < 0.104
-    cpath, qpath = tmp_path / "illu.spn", tmp_path / "illu.query"
-    save_circuit(circuit_from_pmf(np.concatenate(([0.104], tail))), cpath)
-    qpath.write_text("".join(f"Q {v}\n" for v in range(6)), encoding="utf-8")
-    return str(cpath), str(qpath)
-
-
 def test_pac_trajectory_stop_time_anchor(tmp_path, capsys):
     # Once the mode 0.104 is the leading candidate the refreshed stop time is
     # ceil(0.99 * ln(100) / 0.104) = 44.
-    cpath, qpath = _mode_pmf_files(tmp_path)
+    cpath, qpath = write_mode_problem(tmp_path / "illu.csv")
     out_csv = tmp_path / "illu.csv"
     argv = ["solve", "--method", "pac", "--circuit", cpath, "--query", qpath, "--seed", "1", "--trajectory", str(out_csv)]
     assert main(argv) == 0
@@ -321,9 +313,9 @@ def test_pac_trajectory_stops_at_the_default_cap(tmp_path, monkeypatch, capsys):
 
 def test_pac_trajectory_bytes_are_pinned(tmp_path):
     # The CSV bytes a default pac run writes, seed and circuit fixed.
-    cpath, qpath = _mode_pmf_files(tmp_path)
+    cpath, qpath = write_mode_problem(tmp_path / "illu.csv")
     gpath, gquery = tmp_path / "g16.spn", tmp_path / "g16.query"
-    save_circuit(generate_random_circuit(16, 3, 2, 101), gpath)
+    save_circuit(resolve_circuit(CORPUS[0])[1], gpath)
     gquery.write_text("Q 0\nQ 3\nQ 5\nQ 9\nE 1 1\nE 2 0\n", encoding="utf-8")
     pinned = [
         (cpath, qpath, 1, "969b903fef99993b3969cbbbddb7dcf639a3b136605c6838e3c44a8a322cb356"),
@@ -352,3 +344,13 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert {r["method"] for r in rows} == {"mp", "amp", "ind"}
     out = capsys.readouterr().out
     assert "ranked highest" in out
+
+
+@pytest.mark.parametrize("out", ["no/such/dir/r.csv", "."])
+def test_bench_refuses_an_unwritable_out_before_running(tmp_path, monkeypatch, capsys, out):
+    (tmp_path / "bench.conf").write_text("circuits = gen:n=16/depth=2/fanout=2/seed=3\n")
+    calls, before = [], sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli, "run_benchmark", lambda cfg: calls.append(cfg) or [])
+    assert main(["bench", "--config", str(tmp_path / "bench.conf"), "--out", str(tmp_path / out)]) == 2
+    assert str(tmp_path / out) in capsys.readouterr().err
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before

@@ -6,6 +6,7 @@ from pathlib import Path
 import pacmap
 
 ALLOWED = {"numpy", "pacmap"} | set(sys.stdlib_module_names)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -32,18 +33,17 @@ def test_the_guard_sees_imports_at_any_depth():
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    sources = sorted(Path(pacmap.__file__).parent.glob("*.py"))
-    assert len(sources) >= 7
+    sources = sorted(Path(pacmap.__file__).parent.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(sources) >= 9
     found = {path.name: foreign_imports(path.read_text(encoding="utf-8")) for path in sources}
     assert not any(found.values()), found
 
 
 def test_every_source_parses_at_the_declared_python_floor():
-    root = Path(__file__).resolve().parent.parent
-    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text(encoding="utf-8"))
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     version = (int(floor[1]), int(floor[2]))
     assert version == (3, 10)
-    sources = sorted((root / "src" / "pacmap").glob("*.py")) + sorted((root / "tests").glob("*.py"))
-    assert len(sources) >= 19
+    sources = [path for part in ("src/pacmap", "scripts", "tests") for path in sorted((ROOT / part).glob("*.py"))]
+    assert len(sources) >= 21
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

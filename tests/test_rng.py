@@ -138,6 +138,11 @@ def test_derive_seed_is_order_sensitive_and_stable():
     assert derive_seed(1, "partition") != derive_seed(1, "evidence")
 
 
+def test_derive_seed_reads_numpy_integers_as_python_ints():
+    assert derive_seed(np.int64(3), np.int32(4)) == derive_seed(3, 4)
+    assert derive_seed(np.uint64(2**64 - 1), "t", np.int8(-1)) == derive_seed(2**64 - 1, "t", -1)
+
+
 def test_spawn_gives_independent_streams():
     parent = DrawStream(5)
     a = parent.spawn("a").uniform_block(8, 1)
@@ -168,6 +173,8 @@ def test_as_stream_accepts_ints_and_streams():
         pytest.param(lambda: DrawStream(7, cursor=2.5), "cursor must be an integer, not 2.5", id="cursor-2.5"),
         pytest.param(lambda: DrawStream(7, cursor=-1), "cursor must be >= 0", id="cursor-negative"),
         pytest.param(lambda: as_stream(1.5), "seed must be an integer, not 1.5", id="seed-1.5"),
+        pytest.param(lambda: derive_seed(2.5), "seed must be an integer, not 2.5", id="derive-seed-2.5"),
+        pytest.param(lambda: derive_seed(1, 0.1), "tag must be an integer, not 0.1", id="derive-tag-0.1"),
     ],
 )
 def test_stream_refusals(call, match):

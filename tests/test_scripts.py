@@ -3,16 +3,14 @@ and README's library quick start runs as written."""
 
 import csv
 import os
-import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-from pacmap.bench import DEFAULT_METHODS, parse_bench_config, resolve_circuit
+from pacmap.bench import CORPUS, DEFAULT_METHODS, BenchConfig, parse_bench_config, resolve_circuit
 from pacmap.circuit import load_circuit, serialize_circuit
 
 ROOT = Path(__file__).resolve().parents[1]
-CORPUS = runpy.run_path(str(ROOT / "scripts" / "make_corpus.py"))["CORPUS"]  # its gen: specs
 
 
 def _run(script: str, *args: str) -> None:
@@ -27,7 +25,7 @@ def test_make_corpus_files_reproduce_the_generator_instances(tmp_path):
     _run("make_corpus.py", "--outdir", str(tmp_path), "--cap", "2000")
     cfg = parse_bench_config((tmp_path / "bench.conf").read_text(encoding="utf-8"))
     assert cfg.methods == DEFAULT_METHODS == ("pac", "smooth", "mp", "amp", "ind")
-    assert cfg.sample_cap == 2000 and len(cfg.circuits) == len(CORPUS)
+    assert len(cfg.circuits) == len(CORPUS) and cfg == BenchConfig(cfg.circuits, sample_cap=2000, seed=20250810)
     for path, spec in zip(cfg.circuits, CORPUS):
         assert serialize_circuit(load_circuit(path)) == serialize_circuit(resolve_circuit(spec)[1]), path
 
@@ -38,6 +36,7 @@ def test_illustration_stops_at_44(tmp_path):
     with open(out, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert int(rows[-1]["stop_time"]) == 44
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.query", "x.spn"]
 
 
 def test_readme_quick_start_runs(capsys):
