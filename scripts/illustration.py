@@ -49,6 +49,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default="illustration.csv")
     args = parser.parse_args()
+    if Path(args.out).suffix in (".spn", ".query"):  # write_problem would write the circuit or query over it
+        parser.error(f"--out {args.out}: ends in .spn or .query, the suffixes of the circuit and query files")
 
     cpath, qpath = write_problem(args.out, args.mode_prob, args.vars, args.table_seed)
     return cli.main([

@@ -27,7 +27,6 @@ from .circuit import Circuit, _text_lines, evaluate_marginal, generate_random_ci
 from .inference import ConditionalOracle, QuerySpec, ZeroEvidenceError, sample_joint
 from .rng import DrawStream, _integer, as_stream, derive_seed
 from .solvers import (
-    DEFAULT_BATCH_SIZE,
     Budget,
     PacParams,
     Solution,
@@ -59,7 +58,6 @@ class MethodInputs:
     params: PacParams | None
     cap: int | None
     budget: int | None
-    batch_size: int
     exploit_period: int
     radius: int
     rng: int | DrawStream
@@ -78,18 +76,16 @@ class Method:
 
 
 # What pac reads; smooth adds its exploitation knobs.
-_ADAPTIVE = frozenset({"params", "cap", "batch_size", "warm", "trajectory"})
+_ADAPTIVE = frozenset({"params", "cap", "warm", "trajectory"})
 METHODS: dict[str, Method] = {
     "pac": Method(
-        lambda a: pac_map(
-            a.oracle, a.params, cap=a.cap, warm=a.warm, rng=a.rng, batch_size=a.batch_size, trajectory=a.trajectory
-        ),
+        lambda a: pac_map(a.oracle, a.params, cap=a.cap, warm=a.warm, rng=a.rng, trajectory=a.trajectory),
         _ADAPTIVE,
     ),
     "smooth": Method(
         lambda a: smooth_pac_map(
             a.oracle, a.params, radius=a.radius, exploit_period=a.exploit_period, cap=a.cap, warm=a.warm,
-            rng=a.rng, batch_size=a.batch_size, trajectory=a.trajectory,
+            rng=a.rng, trajectory=a.trajectory,
         ),
         _ADAPTIVE | {"exploit_period", "radius"},
     ),
@@ -113,7 +109,6 @@ class BenchConfig:
     epsilon: float = 0.01
     delta: float = 0.01
     sample_cap: int = DEFAULT_CAP
-    batch_size: int = DEFAULT_BATCH_SIZE
     exploit_period: int = 100
     radius: int = 1
     seed: int = 0
@@ -126,7 +121,7 @@ class BenchConfig:
             raise ValueError("config needs at least one method and one query proportion")
         if any(not (0.0 < p < 1.0) for p in self.query_proportions):
             raise ValueError("query proportions must lie in (0, 1)")
-        for key in ("trials", "sample_cap", "batch_size", "exploit_period", "radius"):
+        for key in ("trials", "sample_cap", "exploit_period", "radius"):
             _integer(getattr(self, key), key, 1)
         _integer(self.seed, "seed")
         for key in ("circuits", "methods", "query_proportions"):
@@ -165,7 +160,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 _LIST_KEYS = {"circuits", "query_proportions", "methods"}
-_INT_KEYS = {"trials", "sample_cap", "batch_size", "exploit_period", "radius", "seed"}
+_INT_KEYS = {"trials", "sample_cap", "exploit_period", "radius", "seed"}
 _FLOAT_KEYS = {"epsilon", "delta"}
 
 
@@ -310,8 +305,7 @@ def _run_method(method: str, circuit: Circuit, spec: QuerySpec, cfg: BenchConfig
     sol = entry.run(
         MethodInputs(
             ConditionalOracle(circuit, spec), PacParams(cfg.epsilon, cfg.delta), cap=cfg.sample_cap,
-            budget=cfg.sample_cap, batch_size=cfg.batch_size, exploit_period=cfg.exploit_period, radius=cfg.radius,
-            rng=DrawStream(seed),
+            budget=cfg.sample_cap, exploit_period=cfg.exploit_period, radius=cfg.radius, rng=DrawStream(seed),
         )
     )
     got = {"log_p_hat": sol.log_p_hat, "draws": sol.draws_used}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import DEFAULT_CAP, METHODS, MethodInputs, parse_bench_config, render_summary, run_benchmark, write_records_csv
+from .bench import METHODS, BenchConfig, MethodInputs, parse_bench_config, render_summary, run_benchmark, write_records_csv
 from .circuit import CircuitFormatError, CircuitStructureError, StructureReport, load_circuit
 from .inference import (
     ConditionalOracle,
@@ -25,7 +25,7 @@ from .inference import (
     parse_query_spec,
     tabulate_conditional,
 )
-from .solvers import DEFAULT_BATCH_SIZE, DEFAULT_PARETO_GRID, Budget, PacParams, budget_pac_map
+from .solvers import DEFAULT_PARETO_GRID, Budget, PacParams, budget_pac_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +57,21 @@ def _cert_fields(cert) -> tuple[str, str, str]:
     return cert.kind, repr(cert.epsilon), repr(cert.delta)
 
 
+def _check_out(flag: str, path: str) -> None:
+    """Refuse an output path before any run: an empty one, a directory, a
+    file that is not writable, or a new file in a missing or unwritable
+    directory."""
+    if not path:
+        raise ValueError(f"{flag} expects a file path, not an empty one")
+    out = Path(path)
+    if out.exists():
+        ok = not out.is_dir() and os.access(out, os.W_OK)
+    else:
+        ok = out.parent.is_dir() and os.access(out.parent, os.W_OK)
+    if not ok:
+        raise ValueError(f"{flag} {path}: not a writable file in a writable directory")
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -71,8 +86,8 @@ def _write_trajectory(points, path) -> None:
 
 # The MethodInputs field that each method flag of `solve` fills.
 _FLAG_FIELDS = {
-    "epsilon": "params", "delta": "params", "budget": "budget", "cap": "cap", "batch_size": "batch_size",
-    "period": "exploit_period", "radius": "radius", "warm_from": "warm", "trajectory": "trajectory",
+    "epsilon": "params", "delta": "params", "budget": "budget", "cap": "cap", "period": "exploit_period",
+    "radius": "radius", "warm_from": "warm", "trajectory": "trajectory",
 }
 
 
@@ -86,12 +101,12 @@ def cmd_solve(args, parser: argparse.ArgumentParser) -> int:
     sources = [name for name, m in METHODS.items() if not m.reads]
     if args.warm_from is not None and args.warm_from not in sources:
         raise ValueError(f"--warm-from expects one of {', '.join(sources)}")
-    if args.trajectory == "":
-        raise ValueError("--trajectory expects a file path, not an empty one")
+    if args.trajectory is not None:
+        _check_out("--trajectory", args.trajectory)
     params = PacParams(args.epsilon, args.delta) if "params" in entry.reads else None
     inputs = MethodInputs(
-        _load_oracle(args), params, cap=args.cap, budget=args.budget, batch_size=args.batch_size,
-        exploit_period=args.period, radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
+        _load_oracle(args), params, cap=args.cap, budget=args.budget, exploit_period=args.period,
+        radius=args.radius, rng=args.seed, trajectory=[] if args.trajectory else None,
     )
     if args.warm_from:
         inputs = replace(inputs, warm=[METHODS[args.warm_from].run(inputs).q_hat])
@@ -132,6 +147,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    _check_out("--out", args.out)
     sol, front = budget_pac_map(_load_oracle(args), args.budget, rng=args.seed, grid=args.grid)
     _write_csv(args.out, ["epsilon", "delta"], ([repr(eps), repr(delta)] for eps, delta in front.points))
     kind = sol.certificate.kind
@@ -154,10 +170,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.out != "-":
+        _check_out("--out", args.out)
     cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
-    out = Path(args.out)
-    if args.out != "-" and (out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK)):
-        raise ValueError(f"--out {args.out}: not a file in a writable directory")  # before the run, not after
     records = run_benchmark(cfg)
     if args.out == "-":
         write_records_csv(records, sys.stdout)
@@ -182,18 +197,13 @@ def build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", parents=[problem, seed], help="run one solver on a circuit and query spec")
     solve.add_argument("--method", required=True, choices=list(METHODS))
-    solve.add_argument("--epsilon", type=float, default=0.01)
-    solve.add_argument("--delta", type=float, default=0.01)
+    # The defaults a bench run gives its methods, read from BenchConfig.
+    solve.add_argument("--epsilon", type=float, default=BenchConfig.epsilon)
+    solve.add_argument("--delta", type=float, default=BenchConfig.delta)
     solve.add_argument("--budget", type=int, default=None)
-    solve.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    solve.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="largest draw batch of pac and smooth; batches start at 64 draws and double",
-    )
-    solve.add_argument("--period", type=int, default=100)
-    solve.add_argument("--radius", type=int, default=1)
+    solve.add_argument("--cap", type=int, default=BenchConfig.sample_cap)
+    solve.add_argument("--period", type=int, default=BenchConfig.exploit_period)
+    solve.add_argument("--radius", type=int, default=BenchConfig.radius)
     solve.add_argument("--warm-from", default=None)
     solve.add_argument("--trajectory", default=None)
     solve.set_defaults(func=lambda args: cmd_solve(args, solve))

@@ -29,6 +29,7 @@ from .circuit import (
 from .rng import DrawStream, _integer, as_stream, counter_keys, key_offsets, mix53, unit_thresholds
 
 _TABULAR_CAP = 24
+_TABULAR_MASS_TOL = 1e-6  # how far a table's total mass may miss 1
 # Sampling scratch, in bytes per draw, of the leaf step per query column and
 # of a sum or shared product step per pair it reached (see _compile_descent).
 # A leaf entry holds its slot through the step, 1 byte or 2 where a column
@@ -219,9 +220,6 @@ class ConditionalOracle:
         plan, roots = self._ball
         values = self.circuit._forward(np.concatenate((center, 1 - center))[None, :], plan, maximize=False)
         return values[roots[flips + 1], 0]
-
-    def conditional_log_prob(self, query: Sequence[int] | np.ndarray) -> float:
-        return float(self.log_prob_rows(_one_row(query))[0])
 
     # -- sampling -----------------------------------------------------------
 
@@ -464,14 +462,6 @@ def _ball_flips(rows: np.ndarray) -> np.ndarray | None:
     return np.where(counts, diff.argmax(axis=1), -1)
 
 
-def _one_row(query) -> np.ndarray:
-    """One query assignment as a batch of one row; any other shape is refused."""
-    q = np.asarray(query)
-    if q.ndim != 1:
-        raise ValueError("single query assignment expected")
-    return q[None, :]
-
-
 def make_oracle(circuit: Circuit, spec: QuerySpec) -> ConditionalOracle:
     """ConditionalOracle(circuit, spec), which raises ZeroEvidenceError when
     p(e) = 0.  It stays only because perfbench/ and the tests import it; new
@@ -511,7 +501,7 @@ class TabularDistribution:
     directly against it.
     """
 
-    def __init__(self, log_probs: np.ndarray, check_tol: float = 1e-6):
+    def __init__(self, log_probs: np.ndarray):
         log_probs = np.asarray(log_probs, dtype=np.float64)
         n = len(log_probs).bit_length() - 1
         if 2**n != len(log_probs):  # an empty table too: 2**-1 != 0
@@ -521,14 +511,14 @@ class TabularDistribution:
         if np.isnan(log_probs).any():
             raise ValueError("table holds NaN entries")
         total = float(np.exp(np.logaddexp.reduce(log_probs)))
-        if abs(total - 1.0) > check_tol:
-            raise ValueError(f"table mass {total!r} deviates from 1 beyond {check_tol}")
+        if abs(total - 1.0) > _TABULAR_MASS_TOL:
+            raise ValueError(f"table mass {total!r} deviates from 1 beyond {_TABULAR_MASS_TOL}")
         self.log_probs = log_probs
         self.num_query = n
         self._cdf = np.cumsum(np.exp(log_probs))
         # A draw past the cdf's end (its mass may fall short of 1 within
-        # check_tol) must land on an atom with positive mass: the first one at
-        # which the cdf reaches its end.
+        # _TABULAR_MASS_TOL) must land on an atom with positive mass: the
+        # first one at which the cdf reaches its end.
         self._last_live = int(np.searchsorted(self._cdf, self._cdf[-1]))
 
     @classmethod
@@ -538,7 +528,7 @@ class TabularDistribution:
             raise ValueError("probabilities must be finite, non-negative and not all zero")
         p = p / p.sum()
         with np.errstate(divide="ignore"):
-            return cls(np.log(p), check_tol=1e-9)
+            return cls(np.log(p))
 
     def log_prob_rows(self, query_rows: np.ndarray) -> np.ndarray:
         """ln p(q) for complete 0/1 query rows; any other entry, MARGINAL too, is refused."""
@@ -550,9 +540,6 @@ class TabularDistribution:
         if not (flags == query_rows).all():
             raise ValueError("tabular query rows must be 0/1 valued")
         return self.log_probs[pack_rows(flags).astype(np.intp)]
-
-    def conditional_log_prob(self, query) -> float:
-        return float(self.log_prob_rows(_one_row(query))[0])
 
     def sample(self, count: int, rng: int | DrawStream) -> np.ndarray:
         count = _integer(count, "count", 1)

@@ -286,7 +286,7 @@ def test_criterion_9_oracle_sampler_fidelity():
         if pair < 4:  # enumeration cross-check, including nonempty nuisance sets
             for q_bits in ((0,) * len(q), (1,) * len(q), tuple((i + pair) % 2 for i in range(len(q)))):
                 want = math.log(ref_conditional_prob(circuit, q, q_bits, evidence))
-                got = oracle.conditional_log_prob(q_bits)
+                got = oracle.log_prob_rows([q_bits])[0]
                 mmap_ok &= math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
     _report(
         "criterion-9 oracle/sampler fidelity",
@@ -333,7 +333,6 @@ def test_criterion_11_benchmark_reproducibility(tmp_path):
         trials=2,
         methods=("pac", "smooth", "budget", "naive", "mp", "amp", "ind"),
         sample_cap=2000,
-        batch_size=500,
         seed=11,
     )
     first, second = masked_csv(cfg), masked_csv(cfg)

@@ -211,7 +211,7 @@ def test_baselines_score_the_bytes_of_the_scoring_plan(small_circuits):
     for spec in (QuerySpec((1, 5, 9), {0: 1, 2: 0}, (3, 4, 6, 7, 8)), QuerySpec(tuple(range(10)))):
         oracle = make_oracle(c, spec)
         for res in (max_product(c, spec, oracle), arg_max_product(c, spec, oracle), independent_map(oracle)):
-            assert res.log_p_hat == oracle.conditional_log_prob(res.q_hat)
+            assert res.log_p_hat == oracle.log_prob_rows([res.q_hat])[0]
         nq = oracle.num_query
         rows = np.full((2 * nq, nq), MARGINAL, dtype=np.int8)
         rows[2 * np.arange(nq), np.arange(nq)] = 1

@@ -189,6 +189,8 @@ def test_parse_config_rejects_unknown_key():
         ("circuits = a\nquery_proportions =\n", "config line 2: query_proportions: needs at least one value"),
         ("circuits = a\ntrials = 2\n# a comment\ntrials = 3\n", "config line 4: duplicate key 'trials'"),
         ("circuits = a\ncircuits = b\n", "config line 2: duplicate key 'circuits'"),
+        # The front end takes no batch size: the answer does not depend on it.
+        ("circuits = a\nbatch_size = 500\n", "config line 2: unknown key 'batch_size'"),
     ],
 )
 def test_parse_config_value_errors_name_the_line(text, match):
@@ -218,7 +220,7 @@ def test_config_validation():
     for empty in ({"methods": ()}, {"query_proportions": ()}):
         with pytest.raises(ValueError, match="at least one method and one query proportion"):
             BenchConfig(circuits=("a",), **empty)
-    for key in ("trials", "sample_cap", "batch_size", "exploit_period", "radius"):
+    for key in ("trials", "sample_cap", "exploit_period", "radius"):
         with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
             BenchConfig(circuits=("a",), **{key: 0})
     for bad in ({"epsilon": 1.5}, {"delta": 0.0}, {"epsilon": float("nan")}):
@@ -257,7 +259,6 @@ def _small_cfg(**overrides):
         trials=2,
         methods=("pac", "smooth", "budget", "naive", "mp", "amp", "ind"),
         sample_cap=2000,
-        batch_size=500,
         seed=7,
     )
     base.update(overrides)
@@ -313,7 +314,7 @@ def test_csv_columns_and_shape():
 
 def test_timed_out_rows_carry_budget_cert():
     # tiny cap forces the adaptive solvers into budget certificates
-    cfg = _small_cfg(trials=1, query_proportions=(0.5,), methods=("pac", "smooth"), sample_cap=5, batch_size=5)
+    cfg = _small_cfg(trials=1, query_proportions=(0.5,), methods=("pac", "smooth"), sample_cap=5)
     records = run_benchmark(cfg)
     for r in records:
         assert r.timed_out is True
@@ -356,8 +357,7 @@ def test_each_method_reads_what_it_declares(name):
     # nothing, so they need not read rng.
     oracle = make_oracle(circuit_from_pmf([0.1, 0.2, 0.3, 0.4]), QuerySpec((0, 1)))
     inputs = bench.MethodInputs(
-        oracle, PacParams(0.05, 0.05), cap=200, budget=64, batch_size=64, exploit_period=10, radius=1,
-        rng=DrawStream(3), trajectory=[],
+        oracle, PacParams(0.05, 0.05), cap=200, budget=64, exploit_period=10, radius=1, rng=DrawStream(3), trajectory=[]
     )
     recorder = _Recorder(inputs)
     bench.METHODS[name].run(recorder)

@@ -1,13 +1,14 @@
 import argparse
 import csv
 import hashlib
+import os
 import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-from pacmap.bench import CORPUS, BenchConfig, resolve_circuit
+from pacmap.bench import CORPUS, METHODS, BenchConfig, resolve_circuit
 from pacmap.circuit import circuit_from_pmf, save_circuit
 from pacmap import cli
 from pacmap.cli import build_parser, main
@@ -43,6 +44,15 @@ def test_unknown_method_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--circuit", "x", "--query", "y", "--method", "zen"])
     assert exc.value.code == 1
+
+
+def test_solve_has_no_batch_size_flag(capsys):
+    # pac and smooth give the same answer at every batch size, so solve runs
+    # them at the solvers' default and takes no flag for it.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--circuit", "x", "--query", "y", "--method", "pac", "--batch-size", "7"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --batch-size 7" in capsys.readouterr().err
 
 
 def test_missing_circuit_file_exits_two(tmp_path):
@@ -143,7 +153,7 @@ def test_trajectory_rejected_for_methods_that_record_none(problem_dir, capsys, m
             (["--method", method, flag, value, *(["--budget", "50"] if method in ("budget", "naive") else [])],
              f"{flag} is not supported with method {method!r}")
             for flags, methods in [
-                ((("--epsilon", "0.5"), ("--delta", "0.5"), ("--cap", "7"), ("--batch-size", "7")),
+                ((("--epsilon", "0.5"), ("--delta", "0.5"), ("--cap", "7")),
                  ("budget", "naive", "mp", "amp", "ind")),
                 ((("--period", "3"), ("--radius", "5")), ("pac", "budget", "naive", "mp", "amp", "ind")),
             ]
@@ -247,6 +257,29 @@ def test_readme_cli_block_matches_the_parser():
     assert documented == parsed
 
 
+def test_readme_flag_table_matches_what_each_method_reads():
+    # README's table of `solve`'s method flags says, per flag and method,
+    # what _FLAG_FIELDS and METHODS[m].reads let through: "yes" where the
+    # method reads the flag's field, "required" for --budget where it does,
+    # and nothing where solve refuses the flag.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Each method reads only some of `solve`'s flags:\n\n", 1)[1].split("\n\n", 1)[0]
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    documented = {
+        (flag, method): cell
+        for flags, *cells in rows
+        for flag in re.findall(r"--[a-z-]+", flags)
+        for group, cell in zip(header[1:], cells)
+        for method in group.split(", ")
+    }
+    allowed = {}
+    for dest, field in cli._FLAG_FIELDS.items():
+        for method, entry in METHODS.items():
+            mark = "required" if dest == "budget" else "yes"
+            allowed[f"--{dest.replace('_', '-')}", method] = mark if field in entry.reads else ""
+    assert documented == allowed
+
+
 def test_oracle_command(tmp_path, capsys):
     cpath = tmp_path / "b7.spn"
     cpath.write_text("spn v1\nvars 1\nleaf 0 bernoulli 0 0.7\nroot 0\n")
@@ -303,7 +336,7 @@ def test_pac_trajectory_stops_at_the_default_cap(tmp_path, monkeypatch, capsys):
     leaves = "".join(f"leaf {v} bernoulli {v} 0.5\n" for v in range(10))
     cpath.write_text(f"spn v1\nvars 10\n{leaves}prod 10 {' '.join(map(str, range(10)))}\nroot 10\n")
     qpath.write_text("".join(f"Q {v}\n" for v in range(10)))
-    monkeypatch.setattr(cli, "DEFAULT_CAP", 300)
+    monkeypatch.setattr(BenchConfig, "sample_cap", 300)  # the class attribute solve reads its --cap default from
     argv = ["solve", "--method", "pac", "--circuit", str(cpath), "--query", str(qpath), "--trajectory", str(out_csv)]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -346,11 +379,27 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert "ranked highest" in out
 
 
-@pytest.mark.parametrize("out", ["no/such/dir/r.csv", "."])
-def test_bench_refuses_an_unwritable_out_before_running(tmp_path, monkeypatch, capsys, out):
-    (tmp_path / "bench.conf").write_text("circuits = gen:n=16/depth=2/fanout=2/seed=3\n")
-    calls, before = [], sorted(tmp_path.rglob("*"))
-    monkeypatch.setattr(cli, "run_benchmark", lambda cfg: calls.append(cfg) or [])
-    assert main(["bench", "--config", str(tmp_path / "bench.conf"), "--out", str(tmp_path / out)]) == 2
-    assert str(tmp_path / out) in capsys.readouterr().err
-    assert calls == [] and sorted(tmp_path.rglob("*")) == before
+@pytest.mark.parametrize("out", ["no/such/dir/out.csv", ".", "locked.csv"])
+@pytest.mark.parametrize("command", ["solve", "pareto", "bench"])
+def test_an_unusable_out_is_refused_before_anything_is_read(problem_dir, monkeypatch, capsys, command, out):
+    # A missing directory, a directory, and an existing file that may not be
+    # written are each refused (exit 2, naming the path) before the problem
+    # or config is read or anything solved; no file is made or changed.
+    dirpath, cpath, qpath = problem_dir
+    (dirpath / "locked.csv").write_text("kept\n")
+    (dirpath / "bench.conf").write_text("circuits = gen:n=16/depth=2/fanout=2/seed=3\n")
+    access = os.access  # which grants root every write, so a stand-in denies locked.csv's
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "locked.csv" and access(path, mode))
+    calls = []
+    monkeypatch.setattr(cli, "_load_oracle", lambda args: calls.append(args))
+    monkeypatch.setattr(cli, "run_benchmark", lambda cfg: calls.append(cfg))
+    path = str(dirpath / out)
+    argv = {
+        "solve": ["solve", "--circuit", cpath, "--query", qpath, "--method", "pac", "--trajectory", path],
+        "pareto": ["pareto", "--circuit", cpath, "--query", qpath, "--budget", "40", "--out", path],
+        "bench": ["bench", "--config", str(dirpath / "bench.conf"), "--out", path],
+    }[command]
+    before = {p: p.is_file() and p.read_bytes() for p in dirpath.rglob("*")}
+    assert main(argv) == 2
+    assert path in capsys.readouterr().err
+    assert calls == [] and {p: p.is_file() and p.read_bytes() for p in dirpath.rglob("*")} == before

@@ -81,7 +81,7 @@ def test_dag_oracle_matches_the_references(case):
     assert bits_to_index(q_star) == int(np.argmax(want))
     mp, amp = max_product(c, spec), arg_max_product(c, spec)
     for res in (mp, amp):
-        assert res.log_p_hat == oracle.conditional_log_prob(res.q_hat)
+        assert res.log_p_hat == oracle.log_prob_rows([res.q_hat])[0]
         assert res.log_p_hat == pytest.approx(want[bits_to_index(res.q_hat)], rel=1e-9)
         assert res.log_p_hat <= log_p_star + 1e-12
     assert amp.log_p_hat >= mp.log_p_hat

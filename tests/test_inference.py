@@ -119,12 +119,12 @@ def test_cached_evidence_matches_enumeration(small_circuits):
 
 def test_point_mass_conditional_is_one():
     oracle = make_oracle(POINT_MASS, QuerySpec((0, 1)))
-    assert oracle.conditional_log_prob([1, 0]) == pytest.approx(0.0, abs=1e-12)
+    assert oracle.log_prob_rows([[1, 0]])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_bernoulli_conditional():
     oracle = make_oracle(BERN7, QuerySpec((0,)))
-    assert oracle.conditional_log_prob([1]) == pytest.approx(math.log(0.7), abs=1e-12)
+    assert oracle.log_prob_rows([[1]])[0] == pytest.approx(math.log(0.7), abs=1e-12)
 
 
 def test_mmap_conditional_matches_enumeration(small_circuits):
@@ -133,7 +133,7 @@ def test_mmap_conditional_matches_enumeration(small_circuits):
     oracle = make_oracle(c, spec)
     for q_bits in [(0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, 0)]:
         want = math.log(ref_conditional_prob(c, spec.query_vars, q_bits, spec.evidence))
-        assert oracle.conditional_log_prob(q_bits) == pytest.approx(want, rel=1e-9)
+        assert oracle.log_prob_rows([q_bits])[0] == pytest.approx(want, rel=1e-9)
 
 
 @given(st.integers(0, 5000))
@@ -147,7 +147,7 @@ def test_mmap_consistency_random_specs(seed):
         return
     q = (1, 0)
     want = math.log(ref_conditional_prob(c, spec.query_vars, q, spec.evidence))
-    assert oracle.conditional_log_prob(q) == pytest.approx(want, rel=1e-9)
+    assert oracle.log_prob_rows([q])[0] == pytest.approx(want, rel=1e-9)
 
 
 # -- query-folded plan ---------------------------------------------------------
@@ -1212,6 +1212,12 @@ def test_tabular_refuses_non_finite_or_massless_tables(build):
         build()
 
 
+def test_tabular_mass_tolerance_is_not_an_argument():
+    # Every table, from_probs's too, is checked against the one 1e-6 bound.
+    with pytest.raises(TypeError):
+        TabularDistribution(np.log([0.5, 0.5]), check_tol=1e-3)
+
+
 def test_oracle_refuses_entries_outside_0_1_marginal():
     oracle = make_oracle(BERN7, QuerySpec((0,)))
     for bad in ([[2]], [[5]], [[-2]]):
@@ -1221,7 +1227,7 @@ def test_oracle_refuses_entries_outside_0_1_marginal():
 
 
 def test_tabular_sampler_never_returns_zero_mass_atom():
-    # Mass 0.9999995 lies within check_tol of 1, so uniforms past the cdf's
+    # Mass 0.9999995 lies within 1e-6 of 1, so uniforms past the cdf's
     # end exist; draw 1753591 of seed 0 is one.
     table = TabularDistribution(np.array([math.log(0.9999995), -np.inf]))
     stream = DrawStream(0, cursor=1753590)
@@ -1235,7 +1241,7 @@ def test_tabular_sampler_and_lookup():
     draws = table.sample(40_000, 5)
     emp = np.bincount(pack_rows(draws).astype(np.int64), minlength=4) / 40_000
     assert total_variation(emp, [0.5, 0.3, 0.15, 0.05]) < 0.02
-    assert table.conditional_log_prob([0, 1]) == pytest.approx(math.log(0.3))
+    assert table.log_prob_rows([[0, 1]])[0] == pytest.approx(math.log(0.3))
 
 
 # -- summary statistics -------------------------------------------------------
@@ -1297,10 +1303,7 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
             lambda: _ORACLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query rows have 3 vars, expected 2", id="rows-width"
         ),
         pytest.param(
-            lambda: _ORACLE.conditional_log_prob(np.zeros((1, 2))), "single query assignment expected", id="one-row-2d"
-        ),
-        pytest.param(
-            lambda: _ORACLE.conditional_log_prob([0.5, 1]), "assignment entries must be 0, 1 or MARGINAL", id="one-row-0.5"
+            lambda: _ORACLE.log_prob_rows([[0.5, 1]]), "assignment entries must be 0, 1 or MARGINAL", id="rows-0.5"
         ),
         pytest.param(lambda: _ORACLE.sample(0, 0), "count must be >= 1", id="sample-0"),
         pytest.param(lambda: _ORACLE.sample(2.5, 0), "count must be an integer, not 2.5", id="sample-2.5"),
@@ -1311,9 +1314,6 @@ _TABLE = TabularDistribution.from_probs([0.1, 0.2, 0.3, 0.4])
             lambda: TabularDistribution(np.log([0.5, 0.4])), "table mass 0.9 deviates from 1 beyond 1e-06", id="table-mass"
         ),
         pytest.param(lambda: _TABLE.log_prob_rows(np.zeros((1, 3), np.int8)), "query arity mismatch", id="table-width"),
-        pytest.param(
-            lambda: _TABLE.conditional_log_prob([[1, 0], [0, 1]]), "single query assignment expected", id="table-one-row-2d"
-        ),
         pytest.param(lambda: _TABLE.sample(0, 0), "count must be >= 1", id="table-sample-0"),
         pytest.param(lambda: _TABLE.sample(2.5, 0), "count must be an integer, not 2.5", id="table-sample-2.5"),
         pytest.param(

@@ -7,18 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pacmap.bench import CORPUS, DEFAULT_METHODS, BenchConfig, parse_bench_config, resolve_circuit
 from pacmap.circuit import load_circuit, serialize_circuit
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script: str, *args: str) -> None:
+def _run(script: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args], env=env, capture_output=True, text=True, timeout=300
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    return proc
 
 
 def test_make_corpus_files_reproduce_the_generator_instances(tmp_path):
@@ -37,6 +40,16 @@ def test_illustration_stops_at_44(tmp_path):
         rows = list(csv.DictReader(fh))
     assert int(rows[-1]["stop_time"]) == 44
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.query", "x.spn"]
+
+
+@pytest.mark.parametrize("name", ["x.spn", "x.query"])
+def test_illustration_refuses_an_out_named_like_its_problem_files(tmp_path, name):
+    # The circuit and query files take --out's name with the suffixes .spn
+    # and .query, so such an --out would be written over; nothing is written.
+    out = tmp_path / name
+    proc = _run("illustration.py", "--out", str(out), code=2)
+    assert str(out) in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_quick_start_runs(capsys):

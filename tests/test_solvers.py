@@ -62,7 +62,7 @@ def sequential_adaptive_reference(table, eps, delta, seed, cap=None):
     while True:
         m += 1
         bits = table.sample(1, stream)[0]
-        lp = table.conditional_log_prob(bits)
+        lp = table.log_prob_rows([bits])[0]
         key = int(pack_rows(bits[None, :])[0])
         if key not in seen:
             seen[key] = lp
@@ -1115,7 +1115,7 @@ def test_duplicates_increment_m_but_not_mass():
 def test_solution_rescorable():
     table = random_table(8, 99)
     sol = pac_map(table, PacParams(0.1, 0.1), rng=12)
-    assert table.conditional_log_prob(sol.q_hat) == sol.log_p_hat
+    assert table.log_prob_rows([sol.q_hat])[0] == sol.log_p_hat
 
 
 # -- refusals -----------------------------------------------------------------
